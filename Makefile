@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test lint race fuzz golden-parallel audit audit-report bench bench-smoke bench-netsim bench-report bench-diff bench-scale bench-scale-report serve-smoke serve-report experiments examples cover clean
+.PHONY: all test lint race fuzz audit audit-report bench bench-smoke bench-netsim bench-report bench-diff bench-scale bench-scale-report experiments examples cover clean
 
 all: test
 
@@ -25,21 +25,11 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# Three-way differential fuzzing of the LogP engines: the fast path is
-# the baseline, the WithSlowPath oracle and the sharded parallel
-# scheduler (WithShards) must both produce identical Results, traces,
-# and audit metrics.
+# Differential fuzzing of the LogP engine: the fast path and the
+# WithSlowPath oracle must produce identical Results, traces, and
+# audit metrics.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFastPathEquivalence -fuzztime 20s ./internal/logp/
-
-# Byte-identity of the sharded conservative-parallel engine: golden and
-# differential suites under the race detector, repeated across
-# GOMAXPROCS settings.
-golden-parallel:
-	$(GO) test -race -run 'Parallel|Sharded|DeliveryWindow' ./internal/logp/ ./internal/core/ ./internal/bench/
-	for gmp in 1 2 8; do \
-		GOMAXPROCS=$$gmp $(GO) test -count=1 -run 'Parallel|Sharded' ./internal/logp/ ./internal/core/ ./internal/bench/ || exit 1; \
-	done
 
 # Run the quick experiment suite under the streaming LogP invariant
 # auditor; fails on any model-invariant violation (see EXPERIMENTS.md).
@@ -75,8 +65,8 @@ bench-diff:
 # p=10^6 entries and runs the rest at p=10^5, a few seconds of wall
 # time — the CI guard that the O(active) engines stay live. The alloc
 # guards run first: they pin warm steady-state allocations per Run
-# (sequential 1, cycle engine 1, sharded/E16 small documented
-# constants), so an arena or slab-reuse regression fails here before
+# (sequential 1, cycle engine 1, E16 a small documented constant), so
+# an arena or slab-reuse regression fails here before
 # it shows up as a bytes/proc drift in BENCH_logp.json.
 bench-scale:
 	$(GO) test -run 'SteadyStateAlloc|TestArena' ./internal/logp/ ./internal/core/ ./internal/bench/
@@ -89,20 +79,6 @@ bench-scale:
 # measures the steady state the alloc guards pin, not construction.
 bench-scale-report:
 	$(GO) run ./cmd/bsplogp -scale -bench -benchcount 2 -benchout BENCH_logp.json
-
-# Smoke the service mode: the serve test suite under the race detector
-# (>= 8 concurrent clients, byte-identical bodies), then a small
-# in-process load run. Exits nonzero on any job failure or determinism
-# violation.
-serve-smoke:
-	$(GO) test -race ./internal/serve/
-	$(GO) run ./cmd/bsplogp -loadtest -quick -clients 4 -jobsper 2 -experiment E6 -serveout /tmp/SERVE_smoke.json
-
-# Regenerate the checked-in SERVE_logp.json (see EXPERIMENTS.md): the
-# default load shape, 8 clients x 4 jobs of E3 -quick against an
-# in-process server.
-serve-report:
-	$(GO) run ./cmd/bsplogp -loadtest -quick -serveout SERVE_logp.json
 
 # Regenerate the checked-in AUDIT_logp.json (see EXPERIMENTS.md).
 audit-report:

@@ -6,24 +6,12 @@
 // Usage:
 //
 //	bsplogp -list [-scale]
-//	bsplogp -experiment E3 [-quick] [-seed 1] [-parallel 4]
+//	bsplogp -experiment E3 [-quick] [-seed 1]
 //	bsplogp -all [-quick]
 //	bsplogp -scale [-quick] [-bench]
-//	bsplogp -bench [-experiment E3] [-quick] [-parallel 4] [-benchcount 5] [-benchout BENCH_logp.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	bsplogp -bench [-experiment E3] [-quick] [-benchcount 5] [-benchout BENCH_logp.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	bsplogp -benchdiff old.json new.json [-threshold 0.2]
-//	bsplogp -audit [-experiment E3] [-quick] [-parallel 4] [-auditout AUDIT_logp.json] [-trace trace.jsonl]
-//	bsplogp -serve :8080 [-workers 4]
-//	bsplogp -loadtest [-addr http://host:8080] [-clients 8] [-jobsper 4] [-experiment E3] [-quick] [-serveout SERVE_logp.json]
-//
-// -parallel shards the LogP engines across worker goroutines; every
-// table, trace, and audit report stays byte-identical to the
-// sequential engine, so it is purely a wall-clock lever.
-//
-// -serve runs bsplogp as a persistent simulation server: a JSON job
-// API (POST /jobs, GET /jobs/{job}/result, ...) over a warm worker
-// pool; see internal/serve. -loadtest drives a server (an in-process
-// one when -addr is empty) with N concurrent clients × M jobs and
-// writes the p50/p99 job-latency report to SERVE_logp.json.
+//	bsplogp -audit [-experiment E3] [-quick] [-auditout AUDIT_logp.json] [-trace trace.jsonl]
 package main
 
 import (
@@ -41,7 +29,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/logp"
-	"repro/internal/serve"
 )
 
 func main() {
@@ -59,7 +46,6 @@ func run(args []string, out, errOut io.Writer) int {
 		quick      = fs.Bool("quick", false, "shrink processor counts and trials")
 		scale      = fs.Bool("scale", false, "select the large-p scale experiments (E14/E15/E16 at p=10^4..10^6, E17 at p=1024/2048) instead of the regular suite; with -quick the p=10^6 entries are skipped and the rest run at p=10^5")
 		seed       = fs.Uint64("seed", 1, "random seed")
-		parallel   = fs.Int("parallel", 0, "run the LogP engines on this many conservative-parallel shards (>= 2; 0 or 1 keeps the sequential engine); tables, traces, and audit reports are byte-identical either way")
 		doBench    = fs.Bool("bench", false, "benchmark experiments (all, or the one given by -experiment) and write a JSON report")
 		benchOut   = fs.String("benchout", "BENCH_logp.json", "path of the JSON report written by -bench")
 		benchCount = fs.Int("benchcount", 1, "with -bench: repetitions per experiment; the report carries the median wall time")
@@ -70,13 +56,6 @@ func run(args []string, out, errOut io.Writer) int {
 		doAudit    = fs.Bool("audit", false, "run experiments (all, or the one given by -experiment) under the streaming LogP invariant auditor; nonzero exit on any violation")
 		auditOut   = fs.String("auditout", "AUDIT_logp.json", "path of the JSON report written by -audit")
 		traceOut   = fs.String("trace", "", "with -audit: also write every audited event to this JSONL file")
-		serveAddr  = fs.String("serve", "", "run as a persistent simulation server on this address (e.g. :8080); drains gracefully on SIGINT/SIGTERM")
-		workers    = fs.Int("workers", 0, "with -serve or -loadtest: worker pool size (0 = GOMAXPROCS); each worker keeps a warm cache of simulators")
-		loadTest   = fs.Bool("loadtest", false, "drive a simulation server with concurrent clients and write a job-latency report")
-		loadAddr   = fs.String("addr", "", "with -loadtest: base URL of a running server (empty starts an in-process one)")
-		clients    = fs.Int("clients", 8, "with -loadtest: number of concurrent clients")
-		jobsPer    = fs.Int("jobsper", 4, "with -loadtest: jobs each client submits sequentially")
-		serveOut   = fs.String("serveout", "SERVE_logp.json", "path of the JSON report written by -loadtest")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -99,11 +78,6 @@ func run(args []string, out, errOut io.Writer) int {
 		"cpuprofile": {*doBench, "-bench"},
 		"memprofile": {*doBench, "-bench"},
 		"threshold":  {*benchDiff, "-benchdiff"},
-		"addr":       {*loadTest, "-loadtest"},
-		"clients":    {*loadTest, "-loadtest"},
-		"jobsper":    {*loadTest, "-loadtest"},
-		"serveout":   {*loadTest, "-loadtest"},
-		"workers":    {*serveAddr != "" || *loadTest, "-serve or -loadtest"},
 	}
 	misused := false
 	fs.Visit(func(f *flag.Flag) {
@@ -117,46 +91,6 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 
-	if *serveAddr != "" {
-		if err := serve.ListenAndServe(*serveAddr, *workers, 0, out); err != nil {
-			fmt.Fprintf(errOut, "bsplogp: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *loadTest {
-		rep, err := serve.RunLoad(serve.LoadOptions{
-			Addr:          *loadAddr,
-			Workers:       *workers,
-			Clients:       *clients,
-			JobsPerClient: *jobsPer,
-			Experiment:    *id,
-			Quick:         *quick,
-			Seed:          *seed,
-			Shards:        *parallel,
-		})
-		if err != nil {
-			fmt.Fprintf(errOut, "bsplogp: %v\n", err)
-			return 1
-		}
-		fmt.Fprintln(out, rep.Render())
-		if err := rep.WriteJSON(*serveOut); err != nil {
-			fmt.Fprintf(errOut, "bsplogp: writing report: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(out, "report written to %s\n", *serveOut)
-		if rep.Failures > 0 {
-			fmt.Fprintf(errOut, "bsplogp: %d of %d jobs failed\n", rep.Failures, rep.TotalJobs)
-			return 1
-		}
-		if !rep.Deterministic {
-			fmt.Fprintln(errOut, "bsplogp: determinism violation: same-seed jobs returned differing bodies")
-			return 1
-		}
-		return 0
-	}
-
 	if *list {
 		exps := bench.All()
 		if *scale {
@@ -168,7 +102,7 @@ func run(args []string, out, errOut io.Writer) int {
 		return 0
 	}
 
-	cfg := bench.Config{Quick: *quick, Seed: *seed, Shards: *parallel}
+	cfg := bench.Config{Quick: *quick, Seed: *seed}
 
 	// The p=10^6 experiments keep ~2 GB of guest state live; the default
 	// GC target (100% headroom) would push peak RSS past the scale

@@ -14,14 +14,7 @@
 //   - audit hooks attached after a machine run has already happened in
 //     the same function: logp.EnableAudit feeds on events emitted
 //     during Run, so enabling it afterwards yields a summary that
-//     silently misses the runs before it;
-//   - serve lifecycle misuse: submitting a job after Drain/BeginDrain
-//     has started in the same function races the pool's closed check
-//     (the submit can only ever return ErrDraining, or worse, sneak in
-//     before the flag settles), and writing a Job's result body
-//     anywhere but the runJob commit bypasses the JSONL framing
-//     (encodeJobBody) the result endpoint's clients parse line by
-//     line.
+//     silently misses the runs before it.
 package apidiscipline
 
 import (
@@ -37,8 +30,7 @@ import (
 var Analyzer = &kit.Analyzer{
 	Name: "apidiscipline",
 	Doc: "forbid dropped Recv/Try* ok results, out-of-engine use of " +
-		"engine-internal identifiers, audit hooks attached after Run, " +
-		"job submission after drain, and result-body writes outside runJob",
+		"engine-internal identifiers, and audit hooks attached after Run",
 	Run: run,
 }
 
@@ -70,12 +62,9 @@ func run(pass *kit.Pass) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
 					checkLateAudit(pass, n.Body)
-					checkLateSubmit(pass, n.Body)
-					checkBodyWrites(pass, n)
 				}
 			case *ast.FuncLit:
 				checkLateAudit(pass, n.Body)
-				checkLateSubmit(pass, n.Body)
 			}
 			return true
 		})
@@ -176,102 +165,6 @@ func checkLateAudit(pass *kit.Pass, body *ast.BlockStmt) {
 			firstRun != token.NoPos && call.Pos() > firstRun {
 			pass.Reportf(call.Pos(),
 				"EnableAudit attached after a machine Run in this function: the audit hook only sees events emitted after it is enabled, so the earlier run is silently missing from the summary; enable auditing before the first Run")
-		}
-		return true
-	})
-}
-
-// checkLateSubmit flags Pool.Submit calls that appear after a
-// Drain/BeginDrain call in the same function body: once draining has
-// begun the submit can only return ErrDraining (or race the flag), so
-// the ordering is a bug at the call site, not a runtime condition.
-// Deferred drains don't count — `defer p.Drain()` runs at exit, so
-// submissions after it in source order are the conforming shape.
-func checkLateSubmit(pass *kit.Pass, body *ast.BlockStmt) {
-	var firstDrain token.Pos
-	deferred := map[*ast.CallExpr]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok && n.Pos() != body.Pos() {
-			return false // nested function bodies are checked separately
-		}
-		if d, ok := n.(*ast.DeferStmt); ok {
-			deferred[d.Call] = true
-			return true
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(pass, call)
-		if fn == nil || fn.Pkg() == nil || !isServeLifecycleType(fn) {
-			return true
-		}
-		switch fn.Name() {
-		case "Drain", "BeginDrain":
-			if !deferred[call] && (firstDrain == token.NoPos || call.Pos() < firstDrain) {
-				firstDrain = call.Pos()
-			}
-		case "Submit":
-			if firstDrain != token.NoPos && call.Pos() > firstDrain {
-				pass.Reportf(call.Pos(),
-					"Submit after Drain/BeginDrain in this function: the pool is already draining, so this submission can only be rejected (or race the closed flag); submit before starting the drain")
-			}
-		}
-		return true
-	})
-}
-
-// isServeLifecycleType reports whether fn is a method on a Pool or
-// Server (the serve lifecycle types; matched structurally so fixtures
-// can model them).
-func isServeLifecycleType(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	name := named.Obj().Name()
-	return name == "Pool" || name == "Server"
-}
-
-// checkBodyWrites flags assignments to a Job's body field outside the
-// runJob commit: the body must be produced by the JSONL writer helper
-// (encodeJobBody) and stored exactly once, under the job's terminal
-// state transition, or the result endpoint serves unframed bytes.
-func checkBodyWrites(pass *kit.Pass, decl *ast.FuncDecl) {
-	if decl.Name.Name == "runJob" {
-		return // the sanctioned commit site
-	}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for _, lhs := range as.Lhs {
-			sel, ok := lhs.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "body" {
-				continue
-			}
-			t := pass.TypeOf(sel.X)
-			if t == nil {
-				continue
-			}
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			named, ok := t.(*types.Named)
-			if !ok || named.Obj().Name() != "Job" {
-				continue
-			}
-			pass.Reportf(sel.Pos(),
-				"Job result body written outside runJob: bodies must come from the JSONL writer (encodeJobBody) and be committed with the terminal state; ad-hoc writes bypass the framing clients parse")
 		}
 		return true
 	})

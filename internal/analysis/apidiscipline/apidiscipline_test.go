@@ -11,6 +11,5 @@ func TestAPIDiscipline(t *testing.T) {
 	kittest.Run(t, apidiscipline.Analyzer,
 		"testdata/src/api_a",
 		"testdata/src/api_clean",
-		"testdata/src/api_serve",
 	)
 }

@@ -34,8 +34,7 @@ var Analyzer = &kit.Analyzer{
 	Scope: []string{
 		"repro/internal/bench", "repro/internal/bsputil",
 		"repro/internal/relation", "repro/internal/sortnet",
-		"repro/internal/topology", "repro/internal/serve",
-		"repro/examples", "repro/cmd",
+		"repro/internal/topology", "repro/examples", "repro/cmd",
 	},
 	Run: run,
 }

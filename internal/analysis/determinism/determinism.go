@@ -43,7 +43,7 @@ var Analyzer = &kit.Analyzer{
 		"repro/internal/netlogp", "repro/internal/netsim", "repro/internal/netrun",
 		"repro/internal/collective", "repro/internal/bench", "repro/internal/bsputil",
 		"repro/internal/relation", "repro/internal/sortnet", "repro/internal/topology",
-		"repro/internal/stats", "repro/internal/serve", "repro/examples",
+		"repro/internal/stats", "repro/examples",
 	},
 	Run: run,
 }

@@ -10,9 +10,9 @@
 //     formats or concatenates per event (panic messages are exempt —
 //     a panic ends the simulation);
 //   - channel operations (send, receive, select) inside a hot loop:
-//     on the sharded scheduler every per-processor channel op is a
-//     cross-core rendezvous on the commit path — the measured Amdahl
-//     ceiling — so each one is load-bearing and must carry its reason.
+//     each is a goroutine rendezvous through the Go scheduler on the
+//     per-event path, dearer than the coroutine switch the engines
+//     use, so each one is load-bearing and must carry its reason.
 //
 // The analyzer is purely syntactic over the hot set (package hotset):
 // where allocdiscipline trusts `-gcflags=-m`, hotloop encodes the

@@ -7,9 +7,9 @@ import "fmt"
 
 var sinkStr string
 
-// worker stands in for a shard worker's per-batch transform loop.
+// worker stands in for a goroutine's per-batch transform loop.
 //
-//hot:path shard worker transform loop
+//hot:path per-batch transform loop
 func worker(in, out chan int, batch []int, quit chan struct{}) {
 	acc := ""
 	for i := range batch {

@@ -22,13 +22,13 @@ func drain(out chan int, batch, into []int) {
 	out <- total
 }
 
-// handoff documents the per-processor rendezvous the sharded commit
-// loop is built around: a real channel op in a hot loop, annotated.
+// handoff documents a per-processor rendezvous a protocol is built
+// around: a real channel op in a hot loop, annotated.
 //
-//hot:path per-proc commit handoff
+//hot:path per-proc handoff
 func handoff(done chan int, procs []int) {
 	for _, p := range procs {
-		//lint:ignore hotloop the conservative-parallel commit protocol hands each proc back individually; this rendezvous is the measured Amdahl ceiling
+		//lint:ignore hotloop the protocol hands each proc back individually; this rendezvous is load-bearing
 		done <- p
 	}
 }

@@ -3,12 +3,14 @@
 //
 // A logp.Program or bsp.Program is one function value that every
 // simulated processor runs; anything the closure captures is therefore
-// shared by all p processors. The engines execute processors as
-// coroutines of one sequential event loop, so such sharing never trips
-// the race detector — it "works", while silently bypassing the very
-// accounting the simulators exist to charge: a value smuggled through a
-// captured variable moves between processors for free, with no o, no
-// gap, no capacity slot (Section 2 of the paper). The analyzer
+// shared by all p processors. The bsp engine runs each processor on
+// its own goroutine, so there a captured write is a data race. The
+// LogP engines execute processors as coroutines of one sequential
+// event loop, so there such sharing never trips the race detector — it
+// "works", while silently bypassing the very accounting the simulators
+// exist to charge: a value smuggled through a captured variable moves
+// between processors for free, with no o, no gap, no capacity slot
+// (Section 2 of the paper). The analyzer
 // therefore flags writes, inside a program function, to variables
 // captured from an enclosing scope (or to package-level variables),
 // with one carve-out: stores indexed by the processor's own identity
@@ -19,8 +21,7 @@
 // Next(id, prev) runs for every processor on one script value, so its
 // receiver fields and captures are shared exactly like a Program
 // closure's — and the scale workloads deliberately keep all
-// per-processor state in one shared arena of id-indexed slots (the
-// layout the sharded scheduler's sharing contract requires). The
+// per-processor state in one shared arena of id-indexed slots. The
 // carve-out therefore extends to any store whose index chain involves
 // the id parameter or a local derived from it, including flat-offset
 // addressing into a shared backing array (buf[id*h+k]): the slot is
@@ -44,7 +45,7 @@ var Analyzer = &kit.Analyzer{
 		"per-proc slots indexed by the processor id",
 	Scope: []string{
 		"repro/internal/bench", "repro/internal/bsputil",
-		"repro/internal/serve", "repro/examples", "repro/cmd",
+		"repro/examples", "repro/cmd",
 	},
 	Run: run,
 }

@@ -66,7 +66,7 @@ func A1DeliveryPolicy(cfg Config) *Table {
 	for _, pr := range programs {
 		for _, pol := range []logp.DeliveryPolicy{logp.DeliverMaxLatency, logp.DeliverMinLatency, logp.DeliverRandom} {
 			out := make([]int64, pCount)
-			m := logp.NewMachine(lp, logp.WithDeliveryPolicy(pol), logp.WithSeed(cfg.Seed), logp.WithShards(cfg.Shards))
+			m := logp.NewMachine(lp, logp.WithDeliveryPolicy(pol), logp.WithSeed(cfg.Seed))
 			res, err := m.Run(pr.prog(out))
 			must(err)
 			if out[pr.readOut] != pr.want {
@@ -93,7 +93,7 @@ func A2CBArity(cfg Config) *Table {
 	}
 	lp := logp.Params{P: pCount, L: 32, O: 1, G: 2} // capacity 16
 	for _, arity := range []int{2, 4, 8, 16} {
-		m := logp.NewMachine(lp, logp.WithSeed(cfg.Seed), logp.WithShards(cfg.Shards))
+		m := logp.NewMachine(lp, logp.WithSeed(cfg.Seed))
 		res, err := m.Run(func(p logp.Proc) {
 			mb := collective.NewMailbox(p)
 			collective.CombineBroadcastArity(mb, 1, int64(p.ID()), collective.OpMax, arity)
@@ -122,7 +122,7 @@ func A3BatchFactor(cfg Config) *Table {
 	h := pCount / 2
 	rng := stats.NewRNG(cfg.Seed)
 	rel := relation.RandomRegular(rng, pCount, h)
-	sim := cfg.sim(core.BSPOnLogP{LogP: lp, Router: core.RouterRandomized, Shards: cfg.Shards})
+	sim := cfg.sim(core.BSPOnLogP{LogP: lp, Router: core.RouterRandomized})
 	for _, beta := range []float64{0.25, 0.5, 1, 2, 4} {
 		var worst int64
 		var stalls int64
@@ -174,7 +174,7 @@ func A4Sorter(cfg Config) *Table {
 			{"columnsort", core.RouterDeterministic, core.SortColumnsort},
 			{"offline", core.RouterOffline, core.SortAuto},
 		} {
-			sim := cfg.sim(core.BSPOnLogP{LogP: lp, Router: variant.router, Sort: variant.sort, Seed: cfg.Seed, StrictStallFree: true, Shards: cfg.Shards})
+			sim := cfg.sim(core.BSPOnLogP{LogP: lp, Router: variant.router, Sort: variant.sort, Seed: cfg.Seed, StrictStallFree: true})
 			res, err := sim.Run(prog)
 			must(err)
 			times[variant.name] = res.HostTime
@@ -201,7 +201,7 @@ func A5CycleLen(cfg Config) *Table {
 		mb := collective.NewMailbox(p)
 		collective.CombineBroadcast(mb, 1, int64(p.ID()), collective.OpSum)
 	}
-	m := logp.NewMachine(lp, logp.WithSeed(cfg.Seed), logp.WithShards(cfg.Shards))
+	m := logp.NewMachine(lp, logp.WithSeed(cfg.Seed))
 	nat, err := m.Run(prog)
 	must(err)
 	for _, div := range []int64{1, 2, 4, 8} {
@@ -256,7 +256,6 @@ func A6AcceptOrder(cfg Config) *Table {
 			logp.WithAcceptOrder(ord),
 			logp.WithDeliveryPolicy(logp.DeliverMinLatency),
 			logp.WithSeed(cfg.Seed),
-			logp.WithShards(cfg.Shards),
 			logp.WithEventLog(func(e logp.Event) {
 				switch e.Kind {
 				case logp.EvSubmit:

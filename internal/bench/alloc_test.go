@@ -31,7 +31,7 @@ func TestScaleRandSteadyStateAllocGuard(t *testing.T) {
 		clear(sc.k)
 		clear(sc.issued)
 		clear(sc.got)
-		m := warm.Machine(lp, logp.DeliverRandom, logp.AcceptRandom, 1, 0)
+		m := warm.Machine(lp, logp.DeliverRandom, logp.AcceptRandom, 1)
 		if _, err := m.RunScript(sc); err != nil {
 			panic(err)
 		}

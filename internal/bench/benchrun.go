@@ -59,7 +59,6 @@ type BenchReport struct {
 	GOARCH         string        `json:"goarch"`
 	Quick          bool          `json:"quick"`
 	Seed           uint64        `json:"seed"`
-	Shards         int           `json:"shards,omitempty"`
 	Count          int           `json:"count"`
 	StartedAt      string        `json:"startedAt"`
 	TotalWallNanos int64         `json:"totalWallNanos"`
@@ -98,7 +97,6 @@ func RunBench(cfg Config, ids []string, count int) (*BenchReport, error) {
 		GOARCH:    runtime.GOARCH,
 		Quick:     cfg.Quick,
 		Seed:      cfg.Seed,
-		Shards:    cfg.Shards,
 		Count:     count,
 		// Wall-clock is the measurement here, not simulated time: the
 		// benchmark report records how fast the host executes the

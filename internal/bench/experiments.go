@@ -165,7 +165,7 @@ func E2LogPOnBSP(cfg Config) *Table {
 	}
 	ratios := [][2]int64{{1, 1}, {2, 1}, {4, 1}, {8, 1}, {1, 2}, {1, 4}, {1, 8}, {4, 4}}
 	for _, pr := range programs {
-		m := logp.NewMachine(lp, logp.WithSeed(cfg.Seed), logp.WithStrictStallFree(), logp.WithShards(cfg.Shards))
+		m := logp.NewMachine(lp, logp.WithSeed(cfg.Seed), logp.WithStrictStallFree())
 		nat, err := m.Run(pr.prog)
 		must(err)
 		for _, rt := range ratios {
@@ -227,7 +227,7 @@ func E3BSPOnLogPDet(cfg Config) *Table {
 	rng := stats.NewRNG(cfg.Seed)
 	for _, pCount := range ps {
 		lp := logp.Params{P: pCount, L: 16, O: 1, G: 2}
-		sim := cfg.sim(core.BSPOnLogP{LogP: lp, Router: core.RouterDeterministic, Seed: cfg.Seed, StrictStallFree: true, Shards: cfg.Shards})
+		sim := cfg.sim(core.BSPOnLogP{LogP: lp, Router: core.RouterDeterministic, Seed: cfg.Seed, StrictStallFree: true})
 		for h := 1; h <= pCount; h *= 2 {
 			rel := relation.RandomRegular(rng, pCount, h)
 			res, err := sim.Run(relationProgram(rel, int64(h)))
@@ -262,7 +262,7 @@ func E4Randomized(cfg Config) *Table {
 	lp := logp.Params{P: pCount, L: 16, O: 1, G: 2} // capacity 8 >= log2(64)=6
 	rng := stats.NewRNG(cfg.Seed)
 	beta := 1.0
-	sim := cfg.sim(core.BSPOnLogP{LogP: lp, Router: core.RouterRandomized, Beta: beta, Shards: cfg.Shards})
+	sim := cfg.sim(core.BSPOnLogP{LogP: lp, Router: core.RouterRandomized, Beta: beta})
 	for h := int(lp.Capacity()); h <= pCount; h *= 2 {
 		rel := relation.RandomRegular(rng, pCount, h)
 		var worst int64
@@ -304,7 +304,7 @@ func E5CombineBroadcast(cfg Config) *Table {
 	for _, pCount := range ps {
 		for _, g := range gs {
 			lp := logp.Params{P: pCount, L: 32, O: 1, G: g}
-			m := logp.NewMachine(lp, logp.WithSeed(cfg.Seed), logp.WithStrictStallFree(), logp.WithShards(cfg.Shards))
+			m := logp.NewMachine(lp, logp.WithSeed(cfg.Seed), logp.WithStrictStallFree())
 			res, err := m.Run(cbProgram)
 			must(err)
 			bound := collective.CBTimeBound(lp, pCount)
@@ -347,7 +347,7 @@ func E6Stalling(cfg Config) *Table {
 				p.Recv()
 			}
 		}
-		m := logp.NewMachine(lp, logp.WithSeed(cfg.Seed), logp.WithDeliveryPolicy(logp.DeliverMinLatency), logp.WithShards(cfg.Shards))
+		m := logp.NewMachine(lp, logp.WithSeed(cfg.Seed), logp.WithDeliveryPolicy(logp.DeliverMinLatency))
 		res, err := m.Run(prog)
 		must(err)
 		sim := &core.LogPOnBSP{LogP: lp}
@@ -436,7 +436,7 @@ func E8Offline(cfg Config) *Table {
 	rng := stats.NewRNG(cfg.Seed)
 	for _, h := range hs {
 		rel := relation.RandomRegular(rng, pCount, h)
-		sim := cfg.sim(core.BSPOnLogP{LogP: lp, Router: core.RouterOffline, Seed: cfg.Seed, StrictStallFree: true, Shards: cfg.Shards})
+		sim := cfg.sim(core.BSPOnLogP{LogP: lp, Router: core.RouterOffline, Seed: cfg.Seed, StrictStallFree: true})
 		res, err := sim.Run(relationProgram(rel, 0))
 		must(err)
 		opt := lp.HRelationTime(int64(h))

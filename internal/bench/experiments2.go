@@ -31,7 +31,7 @@ func E9RadixSkew(cfg Config) *Table {
 	const keyRange = 1 << 16
 	for _, skew := range []int{0, 50, 90, 99} {
 		keys := skewedKeys(cfg.Seed, pCount, perProc, skew, keyRange)
-		res, err := logp.NewMachine(params, logp.WithDeliveryPolicy(logp.DeliverMinLatency), logp.WithSeed(cfg.Seed), logp.WithShards(cfg.Shards)).
+		res, err := logp.NewMachine(params, logp.WithDeliveryPolicy(logp.DeliverMinLatency), logp.WithSeed(cfg.Seed)).
 			Run(bucketSortProgram(keys, keyRange))
 		must(err)
 		t.AddRow(pCount, pCount*perProc, skew, res.Time, res.StallEvents, res.StallCycles, res.MaxBufferDepth)
@@ -116,10 +116,9 @@ func bucketSortProgram(keys [][]int64, keyRange int) logp.Program {
 // on both paths).
 //
 // All per-processor state lives in id-indexed slots (the procshare
-// discipline: the sharded scheduler calls Next for different
-// processors concurrently) and the per-processor bucket counts are
-// precomputed at construction, so Next stays O(1) amortized per
-// operation and allocation-free.
+// discipline of the logp.Script contract) and the per-processor bucket
+// counts are precomputed at construction, so Next stays O(1) amortized
+// per operation and allocation-free.
 type bucketSortScript struct {
 	p        int
 	keyRange int

@@ -72,9 +72,9 @@ func E11Partitionability(cfg Config) *Table {
 		}
 		return m
 	}
-	idleRes, err := logp.NewMachine(lp, logp.WithSeed(cfg.Seed), logp.WithShards(cfg.Shards)).Run(logpProg(false))
+	idleRes, err := logp.NewMachine(lp, logp.WithSeed(cfg.Seed)).Run(logpProg(false))
 	must(err)
-	heavyRes, err := logp.NewMachine(lp, logp.WithSeed(cfg.Seed), logp.WithShards(cfg.Shards)).Run(logpProg(true))
+	heavyRes, err := logp.NewMachine(lp, logp.WithSeed(cfg.Seed)).Run(logpProg(true))
 	must(err)
 	aIdle, aHeavy := groupATime(idleRes), groupATime(heavyRes)
 	if aIdle != aHeavy {
@@ -174,7 +174,7 @@ func E12ParameterPortability(cfg Config) *Table {
 		{P: pCount, L: 16, O: 2, G: 16}, // capacity 1
 	} {
 		lsums := make([]int64, pCount)
-		lres, err := logp.NewMachine(params, logp.WithSeed(cfg.Seed), logp.WithShards(cfg.Shards)).Run(logpProg(lsums))
+		lres, err := logp.NewMachine(params, logp.WithSeed(cfg.Seed)).Run(logpProg(lsums))
 		must(err)
 		bsums := make([]int64, pCount)
 		bres, err := bsp.NewMachine(bsp.Params{P: pCount, G: params.G, L: params.L}).Run(bspProg(bsums))

@@ -21,7 +21,7 @@ import (
 //
 // The scripts keep all per-processor state in slices indexed by the
 // processor id, so Next(id, ...) touches only processor id's slots —
-// the procshare discipline the sharded scheduler requires.
+// the procshare discipline of the logp.Script contract.
 
 // scaleLogP are the guest parameters of the scale experiments:
 // capacity ceil(L/G) = 8, the CB tree arity of the Theorem 2 barrier.
@@ -231,8 +231,8 @@ func (s *scaleRouteScript) Next(id int, prev logp.ScriptResult) logp.ScriptOp {
 // counters meet.
 //
 // All per-processor state lives in id-indexed slots; the stream is
-// shared read-only (Pair is a pure lookup), which the sharded
-// scheduler's procshare discipline permits.
+// shared read-only (Pair is a pure lookup), which the procshare
+// discipline permits.
 type scaleRandScript struct {
 	p, h, w int
 	rel     *relation.RandomRegularStream

@@ -21,14 +21,12 @@ func e9Config() (logp.Params, int, int, int) {
 
 // TestBucketSortScriptMatchesProgramForms pins the native-engine
 // byte-identity: at every E9 skew level the Program form, the dense
-// oracle Run(ScriptAsProgram), the sparse RunScript, and the 4-shard
-// RunScript produce bit-for-bit the same logp.Result.
+// oracle Run(ScriptAsProgram), and the sparse RunScript produce
+// bit-for-bit the same logp.Result.
 func TestBucketSortScriptMatchesProgramForms(t *testing.T) {
 	params, pCount, perProc, keyRange := e9Config()
-	opts := func(extra ...logp.Option) []logp.Option {
-		return append([]logp.Option{
-			logp.WithDeliveryPolicy(logp.DeliverMinLatency), logp.WithSeed(1),
-		}, extra...)
+	opts := func() []logp.Option {
+		return []logp.Option{logp.WithDeliveryPolicy(logp.DeliverMinLatency), logp.WithSeed(1)}
 	}
 	for _, skew := range []int{0, 50, 90, 99} {
 		t.Run(fmt.Sprintf("skew=%d", skew), func(t *testing.T) {
@@ -52,14 +50,6 @@ func TestBucketSortScriptMatchesProgramForms(t *testing.T) {
 			}
 			if !reflect.DeepEqual(prog, sparse) {
 				t.Fatalf("RunScript diverged from the Program form:\nprogram %+v\nsparse  %+v", prog, sparse)
-			}
-			sharded, err := logp.NewMachine(params, opts(logp.WithShards(4))...).
-				RunScript(newBucketSortScript(keys, keyRange))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(prog, sharded) {
-				t.Fatalf("sharded RunScript diverged from the Program form:\nprogram %+v\nsharded %+v", prog, sharded)
 			}
 		})
 	}

@@ -105,14 +105,9 @@ type Config struct {
 	Quick bool
 	// Seed drives every random choice.
 	Seed uint64
-	// Shards, when >= 2, runs the LogP engines on the sharded
-	// conservative-parallel scheduler (logp.WithShards). Measured
-	// tables, traces, and audit summaries are byte-identical to the
-	// sequential engine; only wall-clock throughput changes.
-	Shards int
 	// Warm, when non-nil, caches cross-simulators and packet networks
 	// across runs (see Warm); tables are byte-identical with or
-	// without it. Not safe for concurrent use — one Warm per worker.
+	// without it. Not safe for concurrent use.
 	Warm *Warm
 }
 

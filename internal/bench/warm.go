@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/logp"
@@ -13,21 +11,20 @@ import (
 // Warm is a cross-run cache of the expensive simulation state an
 // experiment builds before it can measure anything: BSP-on-LogP
 // cross-simulators (whose machine/sim/adapter pools already survive
-// across Runs of one value) and packet-network simulators (one
-// Network per topology). A resident server hands each pool worker its
-// own Warm so consecutive jobs on that worker skip reconstruction —
-// the warm-machine-pool half of service mode.
+// across Runs of one value), native LogP machines, Theorem 1 replays,
+// and packet-network simulators (one Network per topology). RunBench
+// gives each experiment its own Warm, so benchmark repetitions past
+// the first measure the steady state instead of construction.
 //
 // A Warm is NOT safe for concurrent use: the cached cross-simulators
 // are single-threaded by contract (BSPOnLogP.Run reads its public
-// fields un-locked). Give each worker goroutine its own Warm.
+// fields un-locked).
 //
 // Determinism: a cache hit only ever skips allocation, never state.
-// BSPOnLogP reseeds its machine on every Run (the PR-4 cross-Run
-// reuse contract, locked by the differential fuzzer), and a Network's
-// measurement entry points take their seeds per call, so a job's
-// bytes are identical on a cold and a warm worker — the property the
-// serve determinism tests pin.
+// BSPOnLogP reseeds its machine on every Run (its cross-Run reuse
+// contract, locked by the differential fuzzer), and a Network's
+// measurement entry points take their seeds per call, so an
+// experiment's table is byte-identical on a cold and a warm cache.
 type Warm struct {
 	sims     map[simKey]*core.BSPOnLogP
 	nets     map[string]*netsim.Network
@@ -46,7 +43,6 @@ type simKey struct {
 	sort   core.SortAlgo
 	guest  bsp.Params
 	strict bool
-	shards int
 }
 
 // machKey identifies a native LogP machine by everything that outlives
@@ -58,7 +54,6 @@ type machKey struct {
 	lp     logp.Params
 	policy logp.DeliveryPolicy
 	accept logp.AcceptOrder
-	shards int
 }
 
 // thm1Key identifies a Theorem 1 cross-simulator by its public
@@ -99,7 +94,6 @@ func (w *Warm) Sim(spec core.BSPOnLogP) *core.BSPOnLogP {
 		sort:   spec.Sort,
 		guest:  spec.Guest,
 		strict: spec.StrictStallFree,
-		shards: spec.Shards,
 	}
 	if s, ok := w.sims[k]; ok {
 		s.Seed = spec.Seed
@@ -117,9 +111,9 @@ func (w *Warm) Sim(spec core.BSPOnLogP) *core.BSPOnLogP {
 // arena, record slab, and heaps; SetSeed restarts its run counter, so
 // the next Run replays exactly the bytes a fresh machine built with
 // WithSeed(seed) would produce — the property the scale alloc guards
-// and the serve determinism tests rely on.
-func (w *Warm) Machine(lp logp.Params, policy logp.DeliveryPolicy, accept logp.AcceptOrder, seed uint64, shards int) *logp.Machine {
-	k := machKey{lp: lp, policy: policy, accept: accept, shards: shards}
+// rely on.
+func (w *Warm) Machine(lp logp.Params, policy logp.DeliveryPolicy, accept logp.AcceptOrder, seed uint64) *logp.Machine {
+	k := machKey{lp: lp, policy: policy, accept: accept}
 	if m, ok := w.machines[k]; ok {
 		// The benchmark harness reseeds between jobs exactly as the
 		// engine-family caches do, never mid-run, so the trace always
@@ -128,15 +122,7 @@ func (w *Warm) Machine(lp logp.Params, policy logp.DeliveryPolicy, accept logp.A
 		m.SetSeed(seed)
 		return m
 	}
-	opts := []logp.Option{
-		logp.WithDeliveryPolicy(policy),
-		logp.WithAcceptOrder(accept),
-		logp.WithSeed(seed),
-	}
-	if shards >= 2 {
-		opts = append(opts, logp.WithShards(shards))
-	}
-	m := logp.NewMachine(lp, opts...)
+	m := logp.NewMachine(lp, logp.WithDeliveryPolicy(policy), logp.WithAcceptOrder(accept), logp.WithSeed(seed))
 	w.machines[k] = m
 	return m
 }
@@ -183,17 +169,9 @@ func (cfg Config) sim(spec core.BSPOnLogP) *core.BSPOnLogP {
 // two are byte-identical by the WithSeed contract.
 func (cfg Config) scriptMachine(lp logp.Params, policy logp.DeliveryPolicy, accept logp.AcceptOrder, seed uint64) *logp.Machine {
 	if cfg.Warm != nil {
-		return cfg.Warm.Machine(lp, policy, accept, seed, cfg.Shards)
+		return cfg.Warm.Machine(lp, policy, accept, seed)
 	}
-	opts := []logp.Option{
-		logp.WithDeliveryPolicy(policy),
-		logp.WithAcceptOrder(accept),
-		logp.WithSeed(seed),
-	}
-	if cfg.Shards >= 2 {
-		opts = append(opts, logp.WithShards(cfg.Shards))
-	}
-	return logp.NewMachine(lp, opts...)
+	return logp.NewMachine(lp, logp.WithDeliveryPolicy(policy), logp.WithAcceptOrder(accept), logp.WithSeed(seed))
 }
 
 // thm1 is the experiment-side constructor for Theorem 1 replays.
@@ -211,33 +189,4 @@ func (cfg Config) network(g *topology.Graph) *netsim.Network {
 		return cfg.Warm.Network(g)
 	}
 	return netsim.New(g)
-}
-
-// RunJob looks up and runs one experiment under cfg — the job-shaped
-// entry point service mode multiplexes: a (Config, id) pair in, a
-// rendered table out. The table is a pure function of (id, cfg.Quick,
-// cfg.Seed); cfg.Shards and cfg.Warm only change how fast it arrives.
-func RunJob(cfg Config, id string) (*Table, error) {
-	e, ok := Lookup(id)
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown experiment %q", id)
-	}
-	return e.Run(cfg), nil
-}
-
-// RunAuditJob runs one experiment under the process-wide streaming
-// LogP invariant auditor and returns both its table and the audit
-// summary (RequireAcquired, the suite's policy). The audit hook is
-// process-global, so the caller must ensure no other LogP machines run
-// concurrently — service mode serializes audit jobs behind an
-// exclusive gate for exactly this reason.
-func RunAuditJob(cfg Config, id string) (*Table, logp.AuditSummary, error) {
-	e, ok := Lookup(id)
-	if !ok {
-		return nil, logp.AuditSummary{}, fmt.Errorf("bench: unknown experiment %q", id)
-	}
-	logp.EnableAudit(logp.AuditConfig{RequireAcquired: true})
-	defer logp.DisableAudit()
-	tab := e.Run(cfg)
-	return tab, logp.TakeAuditSummary(), nil
 }

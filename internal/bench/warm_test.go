@@ -17,7 +17,7 @@ func benchSpec(p int, seed uint64) core.BSPOnLogP {
 	}
 }
 
-// TestWarmCacheDeterministic pins the service-mode warm-pool property:
+// TestWarmCacheDeterministic pins the warm-pool property RunBench uses:
 // running an experiment on a fresh Config and re-running it twice on
 // one shared Warm (cold hit, then warm hit reusing cached
 // cross-simulators and networks) must render byte-identical tables.
@@ -78,34 +78,5 @@ func TestWarmNetworkKeyedByName(t *testing.T) {
 	}
 	if warm.Network(gs[2]) == n1 {
 		t.Fatal("different topologies must not share a network")
-	}
-}
-
-func TestRunJob(t *testing.T) {
-	tab, err := RunJob(Config{Quick: true, Seed: 1}, "E6")
-	if err != nil || tab.ID != "E6" {
-		t.Fatalf("RunJob: tab=%v err=%v", tab, err)
-	}
-	if _, err := RunJob(Config{}, "E99"); err == nil {
-		t.Fatal("RunJob(E99) must fail")
-	}
-}
-
-func TestRunAuditJob(t *testing.T) {
-	tab, sum, err := RunAuditJob(Config{Quick: true, Seed: 1}, "E3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.ID != "E3" || len(tab.Rows) == 0 {
-		t.Fatalf("audit job table: %+v", tab)
-	}
-	if sum.Runs == 0 {
-		t.Fatal("audit summary recorded no runs")
-	}
-	if sum.ViolationCount != 0 {
-		t.Fatalf("E3 audited with violations: %v", sum.Violations)
-	}
-	if _, _, err := RunAuditJob(Config{}, "E99"); err == nil {
-		t.Fatal("RunAuditJob(E99) must fail")
 	}
 }

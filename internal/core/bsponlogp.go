@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/bsp"
 	"repro/internal/collective"
@@ -76,11 +75,6 @@ type BSPOnLogP struct {
 	// EventLog, when non-nil, receives every host-machine event
 	// (message lifecycle tracing; see logp.WithEventLog).
 	EventLog func(logp.Event)
-	// Shards, when >= 2, runs the host machine on the sharded
-	// conservative-parallel scheduler (see logp.WithShards). Results,
-	// traces, and audit summaries are byte-identical to the sequential
-	// engine at any setting.
-	Shards int
 
 	// Cached cross-Run state: the host machine and the simulation's
 	// adapter/step pools are rebuilt only when the fields they depend
@@ -92,7 +86,6 @@ type BSPOnLogP struct {
 	machParams logp.Params
 	machPolicy logp.DeliveryPolicy
 	machStrict bool
-	machShards int
 	sim        *bspSim
 }
 
@@ -191,12 +184,10 @@ func (s *BSPOnLogP) Run(prog bsp.Program) (Thm2Result, error) {
 	}
 	m := s.mach
 	if m == nil || s.EventLog != nil || s.machParams != s.LogP ||
-		s.machPolicy != s.Policy || s.machStrict != s.StrictStallFree ||
-		s.machShards != s.Shards {
+		s.machPolicy != s.Policy || s.machStrict != s.StrictStallFree {
 		opts := []logp.Option{
 			logp.WithDeliveryPolicy(s.Policy),
 			logp.WithSeed(s.Seed),
-			logp.WithShards(s.Shards),
 		}
 		if s.StrictStallFree {
 			opts = append(opts, logp.WithStrictStallFree())
@@ -208,7 +199,6 @@ func (s *BSPOnLogP) Run(prog bsp.Program) (Thm2Result, error) {
 		if s.EventLog == nil {
 			s.mach, s.machParams = m, s.LogP
 			s.machPolicy, s.machStrict = s.Policy, s.StrictStallFree
-			s.machShards = s.Shards
 		} else {
 			// An event sink cannot be compared across Runs, so runs
 			// with tracing attached never enter the cache.
@@ -242,21 +232,16 @@ func (s *BSPOnLogP) Run(prog bsp.Program) (Thm2Result, error) {
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// bspSim is the shared meta-state of one cross-simulation. Under the
-// sharded host scheduler (BSPOnLogP.Shards) processors run
-// concurrently, so mu guards everything cross-processor: the step map
-// and pools, per-step registration and aggregates, the column-sort
-// schedule cache, and the committed result slices. Determinism
-// survives the lock because every guarded mutation is either
-// order-independent (maxima, counters, per-id slots) or sequenced by
-// the simulation's own barrier causality: all P finishStep(k) calls
-// precede every finishStep(k+1), so the commit order of supersteps —
-// and hence guestCosts, stepH, and breakdowns — is the same under any
-// worker interleaving. Reads of a step's immutable-after-ensureMeta
-// aggregates are ordered by the lock acquisition inside metaFor /
-// decompositionFor.
+// bspSim is the shared meta-state of one cross-simulation: the step
+// map and pools, per-step registration and aggregates, the column-sort
+// schedule cache, and the committed result slices. The host engine
+// runs one guest processor at a time, so these need no locking. Every
+// cross-processor mutation is either order-independent (maxima,
+// counters, per-id slots) or sequenced by the simulation's own barrier
+// causality: all P finishStep(k) calls precede every finishStep(k+1),
+// so the commit order of supersteps — and hence guestCosts, stepH,
+// and breakdowns — is fixed.
 type bspSim struct {
-	mu       sync.Mutex
 	spec     *BSPOnLogP
 	lp       logp.Params
 	guest    bsp.Params
@@ -333,12 +318,6 @@ type stepState struct {
 }
 
 func (sim *bspSim) step(k int) *stepState {
-	sim.mu.Lock()
-	defer sim.mu.Unlock()
-	return sim.stepLocked(k)
-}
-
-func (sim *bspSim) stepLocked(k int) *stepState {
 	st := sim.steps[k]
 	if st == nil {
 		p := sim.lp.P
@@ -374,9 +353,7 @@ func (st *stepState) reset() {
 }
 
 func (sim *bspSim) register(k, id int, outbox []bsp.Message, work int64) {
-	sim.mu.Lock()
-	defer sim.mu.Unlock()
-	st := sim.stepLocked(k)
+	st := sim.step(k)
 	nSelf := 0
 	for i := range outbox {
 		if outbox[i].Dst == id {
@@ -471,27 +448,9 @@ func (st *stepState) ensureDecomposition(p int) {
 	}
 }
 
-// metaFor computes (or finds computed) the relation aggregates for st;
-// after it returns, st's post-ensureMeta fields are immutable and the
-// lock round trip has ordered them for the caller.
-func (sim *bspSim) metaFor(st *stepState) {
-	sim.mu.Lock()
-	defer sim.mu.Unlock()
-	st.ensureMeta(sim.lp.P)
-}
-
-// decompositionFor is metaFor plus the off-line Hall decomposition.
-func (sim *bspSim) decompositionFor(st *stepState) {
-	sim.mu.Lock()
-	defer sim.mu.Unlock()
-	st.ensureDecomposition(sim.lp.P)
-}
-
 // recordPhases folds one processor's measured superstep phase spans
 // into the step's cross-processor maxima.
 func (sim *bspSim) recordPhases(st *stepState, compute, barrier, route, measured int64) {
-	sim.mu.Lock()
-	defer sim.mu.Unlock()
 	if compute > st.computeMax {
 		st.computeMax = compute
 	}
@@ -509,8 +468,6 @@ func (sim *bspSim) recordPhases(st *stepState, compute, barrier, route, measured
 // finishStep releases per-step state once every processor is done with
 // it, committing the guest-side cost.
 func (sim *bspSim) finishStep(k int) {
-	sim.mu.Lock()
-	defer sim.mu.Unlock()
 	st := sim.steps[k]
 	st.finished++
 	if st.finished < sim.lp.P {
@@ -762,7 +719,7 @@ func (a *bspAdapter) deliverWindowed(sched map[int64]*bsp.Message, h, base int64
 // premise), decomposed into h 1-relations by Hall's theorem, and
 // routed pipelined in 2o + G(h-1) + L.
 func (a *bspAdapter) routeOffline(st *stepState, dtag int32) []logp.Message {
-	a.sim.decompositionFor(st)
+	st.ensureDecomposition(a.sim.lp.P)
 	if st.h == 0 {
 		return nil
 	}
@@ -783,7 +740,7 @@ func (a *bspAdapter) routeOffline(st *stepState, dtag int32) []logp.Message {
 // go out in a cleanup phase that may stall.
 func (a *bspAdapter) routeRandomized(st *stepState, dtag int32) []logp.Message {
 	lp := a.lp
-	a.sim.metaFor(st)
+	st.ensureMeta(a.sim.lp.P)
 	if st.h == 0 {
 		return nil
 	}

@@ -345,6 +345,32 @@ func TestBSPOnLogPReproducible(t *testing.T) {
 		if times[0] != times[1] {
 			t.Fatalf("%v: host times differ across identical runs: %v", router, times)
 		}
+		// A reused BSPOnLogP value keeps its cached host machine while
+		// the machine settings hold, replays the fresh value's result,
+		// and rebuilds the host when a setting changes.
+		sim := &BSPOnLogP{LogP: lp, Router: router, Seed: 5}
+		var first *logp.Machine
+		for round := 0; round < 2; round++ {
+			res, err := sim.Run(exchangeProgram(make([][]int64, lp.P)))
+			if err != nil {
+				t.Fatalf("%v reused round %d: %v", router, round, err)
+			}
+			if res.HostTime != times[0] {
+				t.Fatalf("%v reused round %d: host time %d, fresh %d", router, round, res.HostTime, times[0])
+			}
+			if round == 0 {
+				first = sim.mach
+			} else if sim.mach != first {
+				t.Fatalf("%v: unchanged settings rebuilt the host machine", router)
+			}
+		}
+		sim.Policy = logp.DeliverMinLatency
+		if _, err := sim.Run(exchangeProgram(make([][]int64, lp.P))); err != nil {
+			t.Fatalf("%v: %v", router, err)
+		}
+		if sim.mach == first {
+			t.Fatalf("%v: changed policy did not rebuild the host machine", router)
+		}
 	}
 }
 

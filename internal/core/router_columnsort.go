@@ -120,8 +120,6 @@ func buildColumnSched(p, r int) *columnSched {
 }
 
 func (sim *bspSim) columnSchedFor(p, r int) *columnSched {
-	sim.mu.Lock()
-	defer sim.mu.Unlock()
 	if sim.colScheds == nil {
 		sim.colScheds = map[int]*columnSched{}
 	}

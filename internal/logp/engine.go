@@ -265,12 +265,6 @@ type Machine struct {
 
 	procErr error
 
-	// Sharded conservative-parallel scheduler (WithShards): shardsOpt
-	// is the requested shard count; par is non-nil for a Run exactly
-	// when the parallel scheduler is active (see resetPar).
-	shardsOpt int
-	par       *parEngine
-
 	// liveProcs counts program goroutines/coroutines between start and
 	// epilogue; Run leaves it at zero on every path (the shutdown
 	// regression tests assert this). liveWG tracks the slow-path
@@ -296,7 +290,6 @@ type Machine struct {
 //
 //hot:cold per-Run epilogue
 func (m *Machine) shutdown() {
-	m.shutdownParallel()
 	for _, p := range m.procs {
 		if p == nil {
 			continue
@@ -420,14 +413,7 @@ func (m *Machine) Run(prog Program) (Result, error) {
 	m.curProg = prog
 	defer func() { m.curProg = nil }()
 
-	var err error
-	if m.par != nil {
-		m.startParallel(prog)
-		err = m.loopParallel()
-	} else {
-		err = m.runSequential(prog)
-	}
-	if err != nil {
+	if err := m.runSequential(prog); err != nil {
 		return Result{}, err
 	}
 	return m.finishRun()
@@ -484,10 +470,9 @@ func (m *Machine) finishRun() (Result, error) {
 	return res, nil
 }
 
-// runSequential is the original single-goroutine scheduler: start the
+// runSequential is the single-goroutine scheduler: start the
 // processors one at a time, then interleave instants and operations
-// from one commit loop. It remains the differential oracle the
-// parallel scheduler must match byte for byte.
+// from one commit loop.
 //
 //hot:cold per-Run startup: coroutine and goroutine launch may allocate
 func (m *Machine) runSequential(prog Program) error {
@@ -684,7 +669,6 @@ func (m *Machine) reset() {
 	m.msgSeq = 0
 	m.auditor = newRunAuditor(m.params)
 	m.emitOn = m.auditor != nil || m.eventLog != nil
-	m.resetPar()
 }
 
 // slotTaken reports whether delivery instant d is reserved at dst.
@@ -817,14 +801,6 @@ func (m *Machine) localWatermark() int64 {
 	if m.resumeFloor != math.MaxInt64 && m.resumeFloor+1 < w {
 		w = m.resumeFloor + 1
 	}
-	if m.par != nil {
-		// A running segment dispatched at bound c acts at clock >= c,
-		// so its earliest possible submission commits at or after c and
-		// the resulting delivery lands at c+1 or later.
-		if bc, _, ok := m.minRunning(); ok && bc+1 < w {
-			w = bc + 1
-		}
-	}
 	return w
 }
 
@@ -953,13 +929,6 @@ func (m *Machine) siftDownReady() {
 func (m *Machine) resume(p *proc, r response) {
 	if p.fast {
 		p.resp = r
-		if m.par != nil {
-			// Sharded scheduler: hand the next segment to p's shard
-			// worker instead of running it inline; dispatch computes
-			// the watermark itself.
-			m.dispatch(p)
-			return
-		}
 		p.watermark = m.localWatermark()
 		m.await(p)
 		return
@@ -1108,31 +1077,6 @@ func (m *Machine) processInstant(t int64) {
 				}
 				m.recSlab[ref.idx] = msgRec{next: m.recFree}
 				m.recFree = ref.idx
-			} else if p.state == stateRunning {
-				// p's program is running ahead on its shard worker, and
-				// its local buffer view must stay frozen mid-segment
-				// (the segment's failing polls resolved against the
-				// view it was dispatched with). Stage the arrival;
-				// collect merges it before the engine can execute p's
-				// next operation. The arrival is above p's dispatch
-				// watermark, so the frozen view never lies to the
-				// segment. Staged records chain intrusively through the
-				// slab's next field (unused between delivery and the
-				// input-FIFO append), so staging allocates nothing.
-				// bufLen itself cannot change while p runs, so bufLen
-				// plus the staged count is the depth the sequential
-				// engine would have recorded here.
-				rec.next = -1
-				if p.stageTail >= 0 {
-					m.recSlab[p.stageTail].next = ref.idx
-				} else {
-					p.stageHead = ref.idx
-				}
-				p.stageTail = ref.idx
-				p.stageLen++
-				if d := p.bufLen + int(p.stageLen); d > m.maxBuf {
-					m.maxBuf = d
-				}
 			} else {
 				m.appendBuf(p, ref.idx)
 				if p.bufLen > m.maxBuf {

@@ -216,15 +216,36 @@ func TestDeadlockDetected(t *testing.T) {
 }
 
 func TestPanicPropagates(t *testing.T) {
-	params := Params{P: 2, L: 8, O: 1, G: 2}
-	m := NewMachine(params)
-	_, err := m.Run(func(p Proc) {
-		if p.ID() == 0 {
-			panic("boom")
+	for _, tc := range []struct {
+		name   string
+		params Params
+		prog   Program
+		want   string
+	}{
+		{"single", Params{P: 2, L: 8, O: 1, G: 2}, func(p Proc) {
+			if p.ID() == 0 {
+				panic("boom")
+			}
+		}, "processor 0 panicked: boom"},
+		// Several processors panic in one run: the report is the first
+		// panic in commit order, on every repetition.
+		{"first-of-many", Params{P: 6, L: 8, O: 1, G: 2}, func(p Proc) {
+			p.Compute(int64(1 + p.ID()))
+			if p.ID()%2 == 1 {
+				panic("boom")
+			}
+			p.Compute(50)
+		}, "processor 1 panicked: boom"},
+	} {
+		for _, slow := range []bool{false, true} {
+			m := NewMachine(tc.params, func(mm *Machine) { mm.slowPath = slow })
+			for i := 0; i < 3; i++ {
+				_, err := m.Run(tc.prog)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("%s slow=%v run %d: error %v, want %q", tc.name, slow, i, err, tc.want)
+				}
+			}
 		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("expected panic error, got %v", err)
 	}
 }
 

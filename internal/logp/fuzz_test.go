@@ -97,15 +97,13 @@ func runOnce(t *testing.T, params Params, prog Program, opts ...Option) (Result,
 }
 
 // checkFastSlowEquivalence runs the decoded program on the fast-path
-// engine, on the WithSlowPath oracle, and on the sharded parallel
-// scheduler, under every delivery policy and a sweep of parameter
-// sets including the degenerate corners (G == L pins the capacity to
-// 1 and keeps the delivery watermark hugging the clocks; O == G == L
-// aligns every operation to instant boundaries). It asserts
-// bit-for-bit identical Results, traces, and audit metrics across all
-// three engines. This is the tentpole's correctness contract:
-// batching, pooling, buffered emission, and shard-parallel run-ahead
-// must all be unobservable.
+// engine and on the WithSlowPath oracle, under every delivery policy
+// and a sweep of parameter sets including the degenerate corners
+// (G == L pins the capacity to 1 and keeps the delivery watermark
+// hugging the clocks; O == G == L aligns every operation to instant
+// boundaries). It asserts bit-for-bit identical Results, traces, and
+// audit metrics across the two engines: batching, pooling, buffered
+// emission, and proc-side run-ahead must all be unobservable.
 func checkFastSlowEquivalence(t *testing.T, data []byte) {
 	t.Helper()
 	prog, p := decodeFuzzProgram(data)
@@ -120,7 +118,6 @@ func checkFastSlowEquivalence(t *testing.T, data []byte) {
 		{P: p, L: 2, O: 1, G: 2}, // G == L: capacity 1
 		{P: p, L: 2, O: 2, G: 2}, // O == G == L
 	}
-	shards := 2 + int(seed%uint64(p)) // 2..P+1, clamped to P by the engine
 	for _, params := range paramSets {
 		for _, policy := range []DeliveryPolicy{DeliverMaxLatency, DeliverMinLatency, DeliverRandom} {
 			opts := []Option{WithDeliveryPolicy(policy), WithSeed(seed)}
@@ -131,37 +128,29 @@ func checkFastSlowEquivalence(t *testing.T, data []byte) {
 				opts = append(opts, WithAcceptOrder(AcceptRandom))
 			}
 			fastRes, fastTrace, fastMetrics, fastErr := runOnce(t, params, prog, opts...)
-			for _, alt := range []struct {
-				name string
-				opt  Option
-			}{
-				{"slow", WithSlowPath()},
-				{"parallel", WithShards(shards)},
-			} {
-				altRes, altTrace, altMetrics, altErr := runOnce(t, params, prog, append(opts, alt.opt)...)
-				if (fastErr == nil) != (altErr == nil) ||
-					(fastErr != nil && fastErr.Error() != altErr.Error()) {
-					t.Fatalf("%v/%v %s: error mismatch: fast %v, %s %v", params, policy, alt.name, fastErr, alt.name, altErr)
+			slowRes, slowTrace, slowMetrics, slowErr := runOnce(t, params, prog, append(opts, WithSlowPath())...)
+			if (fastErr == nil) != (slowErr == nil) ||
+				(fastErr != nil && fastErr.Error() != slowErr.Error()) {
+				t.Fatalf("%v/%v: error mismatch: fast %v, slow %v", params, policy, fastErr, slowErr)
+			}
+			if fastErr != nil {
+				continue
+			}
+			if !reflect.DeepEqual(fastRes, slowRes) {
+				t.Fatalf("%v/%v: Result mismatch:\nfast %+v\nslow %+v", params, policy, fastRes, slowRes)
+			}
+			if !reflect.DeepEqual(fastTrace, slowTrace) {
+				if len(fastTrace) != len(slowTrace) {
+					t.Fatalf("%v/%v: trace length mismatch: fast %d, slow %d", params, policy, len(fastTrace), len(slowTrace))
 				}
-				if fastErr != nil {
-					continue
-				}
-				if !reflect.DeepEqual(fastRes, altRes) {
-					t.Fatalf("%v/%v: Result mismatch:\nfast %+v\n%s %+v", params, policy, fastRes, alt.name, altRes)
-				}
-				if !reflect.DeepEqual(fastTrace, altTrace) {
-					if len(fastTrace) != len(altTrace) {
-						t.Fatalf("%v/%v: trace length mismatch: fast %d, %s %d", params, policy, len(fastTrace), alt.name, len(altTrace))
-					}
-					for i := range fastTrace {
-						if !reflect.DeepEqual(fastTrace[i], altTrace[i]) {
-							t.Fatalf("%v/%v: trace diverges at event %d:\nfast %+v\n%s %+v", params, policy, i, fastTrace[i], alt.name, altTrace[i])
-						}
+				for i := range fastTrace {
+					if !reflect.DeepEqual(fastTrace[i], slowTrace[i]) {
+						t.Fatalf("%v/%v: trace diverges at event %d:\nfast %+v\nslow %+v", params, policy, i, fastTrace[i], slowTrace[i])
 					}
 				}
-				if !reflect.DeepEqual(fastMetrics, altMetrics) {
-					t.Fatalf("%v/%v: audit metrics mismatch:\nfast %+v\n%s %+v", params, policy, fastMetrics, alt.name, altMetrics)
-				}
+			}
+			if !reflect.DeepEqual(fastMetrics, slowMetrics) {
+				t.Fatalf("%v/%v: audit metrics mismatch:\nfast %+v\nslow %+v", params, policy, fastMetrics, slowMetrics)
 			}
 		}
 	}

@@ -93,11 +93,6 @@ const (
 	stateWaitAccept
 	stateWaitMsg
 	stateDone
-	// stateRunning marks a processor whose program segment is in flight
-	// on a shard worker (sharded scheduler only): it is in neither the
-	// ready heap nor a blocked state, and the engine must not touch its
-	// input buffer until collect re-parks it.
-	stateRunning
 )
 
 // msgRec is one message's slab record (Machine.recSlab), reused across
@@ -178,20 +173,6 @@ type proc struct {
 	// rejected there, because deferring them past startup would not
 	// commute with the rest of the machine.
 	prefix bool
-
-	// Sharded scheduler bookkeeping, touched only by the commit loop
-	// (never by the segment running on a shard worker). parBound is the
-	// clock this proc was dispatched at — a lower bound on where its
-	// next request can park. parSeq is the dispatch sequence number,
-	// used to order panic reports deterministically. stageHead/stageTail
-	// chain deliveries committed while the segment was in flight through
-	// the record slab's next links (-1 when empty); collect merges them
-	// into the input FIFO before the engine acts on the proc again.
-	parBound  int64
-	parSeq    int64
-	stageHead int32
-	stageTail int32
-	stageLen  int32
 
 	// Slow path (WithSlowPath): the original per-op channel
 	// rendezvous, kept alive as a differential-testing oracle.
@@ -355,7 +336,4 @@ func (p *proc) reinit(slow bool) {
 	p.resp = response{}
 	p.fast = !slow
 	p.prefix = false
-	p.parBound = 0
-	p.parSeq = 0
-	p.stageHead, p.stageTail, p.stageLen = -1, -1, 0
 }

@@ -16,8 +16,7 @@ import (
 // ~200-byte proc record.
 //
 // Next must be deterministic and, like a Program, may only touch state
-// owned by processor id (the bsplogpvet procshare rule): the sharded
-// scheduler runs Next for different processors concurrently.
+// owned by processor id (the bsplogpvet procshare rule).
 //
 // Active declares which processors have work of their own at time 0.
 // A processor with Active(id) == false is passive: it is represented
@@ -140,14 +139,7 @@ func (m *Machine) RunScript(s Script) (Result, error) {
 	m.reset()
 	defer m.shutdown()
 
-	var err error
-	if m.par != nil {
-		m.startParallelScript(s)
-		err = m.loopParallel()
-	} else {
-		err = m.runSequentialScript(s)
-	}
-	if err != nil {
+	if err := m.runSequentialScript(s); err != nil {
 		return Result{}, err
 	}
 	return m.finishRun()

@@ -164,50 +164,43 @@ func runScriptOnce(t *testing.T, params Params, mk func() Script, opts ...Option
 	return res, events, a.Metrics(), nil
 }
 
-// checkScriptEquivalence asserts that the sparse scripted engine —
-// sequential and sharded — produces bit-for-bit the Results, traces,
-// and audit metrics of the dense coroutine oracle Run(ScriptAsProgram)
-// across delivery policies. mk must return a fresh Script each call
-// (scripts carry mutable per-processor state).
-func checkScriptEquivalence(t *testing.T, params Params, mk func() Script, shards []int) {
+// checkScriptEquivalence asserts that the sparse scripted engine
+// produces bit-for-bit the Results, traces, and audit metrics of the
+// dense coroutine oracle Run(ScriptAsProgram) under every delivery
+// policy (random delivery paired with random acceptance), seeded with
+// seed. mk must return a fresh Script each call (scripts carry mutable
+// per-processor state).
+func checkScriptEquivalence(t *testing.T, params Params, mk func() Script, seed uint64) {
 	t.Helper()
 	for _, policy := range []DeliveryPolicy{DeliverMaxLatency, DeliverMinLatency, DeliverRandom} {
-		opts := []Option{WithDeliveryPolicy(policy), WithSeed(99)}
+		opts := []Option{WithDeliveryPolicy(policy), WithSeed(seed)}
 		if policy == DeliverRandom {
 			opts = append(opts, WithAcceptOrder(AcceptRandom))
 		}
 		denseRes, denseTrace, denseMetrics, denseErr := runOnce(t, params, ScriptAsProgram(mk()), opts...)
-		for _, n := range shards {
-			name := fmt.Sprintf("sparse/%d-shard", n)
-			altOpts := opts
-			if n > 1 {
-				altOpts = append(append([]Option{}, opts...), WithShards(n))
-			}
-			altRes, altTrace, altMetrics, altErr := runScriptOnce(t, params, mk, altOpts...)
-			if (denseErr == nil) != (altErr == nil) ||
-				(denseErr != nil && denseErr.Error() != altErr.Error()) {
-				t.Fatalf("%v/%v %s: error mismatch: dense %v, sparse %v", params, policy, name, denseErr, altErr)
-			}
-			if denseErr != nil {
-				continue
-			}
-			if !reflect.DeepEqual(denseRes, altRes) {
-				t.Fatalf("%v/%v %s: Result mismatch:\ndense  %+v\nsparse %+v", params, policy, name, denseRes, altRes)
-			}
-			if !reflect.DeepEqual(denseTrace, altTrace) {
-				t.Fatalf("%v/%v %s: trace mismatch (%d vs %d events)", params, policy, name, len(denseTrace), len(altTrace))
-			}
-			if !reflect.DeepEqual(denseMetrics, altMetrics) {
-				t.Fatalf("%v/%v %s: audit metrics mismatch:\ndense  %+v\nsparse %+v", params, policy, name, denseMetrics, altMetrics)
-			}
+		sparseRes, sparseTrace, sparseMetrics, sparseErr := runScriptOnce(t, params, mk, opts...)
+		if (denseErr == nil) != (sparseErr == nil) ||
+			(denseErr != nil && denseErr.Error() != sparseErr.Error()) {
+			t.Fatalf("%v/%v: error mismatch: dense %v, sparse %v", params, policy, denseErr, sparseErr)
+		}
+		if denseErr != nil {
+			continue
+		}
+		if !reflect.DeepEqual(denseRes, sparseRes) {
+			t.Fatalf("%v/%v: Result mismatch:\ndense  %+v\nsparse %+v", params, policy, denseRes, sparseRes)
+		}
+		if !reflect.DeepEqual(denseTrace, sparseTrace) {
+			t.Fatalf("%v/%v: trace mismatch (%d vs %d events)", params, policy, len(denseTrace), len(sparseTrace))
+		}
+		if !reflect.DeepEqual(denseMetrics, sparseMetrics) {
+			t.Fatalf("%v/%v: audit metrics mismatch:\ndense  %+v\nsparse %+v", params, policy, denseMetrics, sparseMetrics)
 		}
 	}
 }
 
-// TestScriptEquivalence is the tentpole's correctness contract at the
-// issue's pinned sizes: the lazy scripted engine must be byte-identical
-// to the dense coroutine path at p ∈ {16, 128, 1024}, sequentially and
-// sharded.
+// TestScriptEquivalence is the scripted engine's correctness contract
+// at pinned sizes: the lazy scripted engine must be byte-identical
+// to the dense coroutine path at p ∈ {16, 128, 1024}.
 func TestScriptEquivalence(t *testing.T) {
 	paramsFor := func(p int) []Params {
 		return []Params{
@@ -218,15 +211,14 @@ func TestScriptEquivalence(t *testing.T) {
 	for _, p := range []int{16, 128, 1024} {
 		p := p
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			shards := []int{1, 2, 8}
 			for _, params := range paramsFor(p) {
-				checkScriptEquivalence(t, params, func() Script { return newRingScript(p, 3) }, shards)
-				checkScriptEquivalence(t, params, func() Script { return newBcastScript(p) }, shards)
-				checkScriptEquivalence(t, params, func() Script { return newPrefixScript(p) }, shards)
+				checkScriptEquivalence(t, params, func() Script { return newRingScript(p, 3) }, 99)
+				checkScriptEquivalence(t, params, func() Script { return newBcastScript(p) }, 99)
+				checkScriptEquivalence(t, params, func() Script { return newPrefixScript(p) }, 99)
 			}
 			// The halt-flood stalls heavily; one param set keeps it fast.
 			checkScriptEquivalence(t, Params{P: p, L: 8, O: 1, G: 2},
-				func() Script { return newHaltFloodScript(p, 3) }, shards)
+				func() Script { return newHaltFloodScript(p, 3) }, 99)
 		})
 	}
 }
@@ -348,7 +340,7 @@ func passiveProgram(pr Proc) {
 
 // TestWithPassiveStartEquivalence: the coroutine form with lazily
 // started passive processors must match the eager dense run, including
-// under shards and with the slow path (where the option is ignored).
+// with the slow path (where the option is ignored).
 func TestWithPassiveStartEquivalence(t *testing.T) {
 	passive := func(id int) bool { return id%2 == 1 }
 	for _, p := range []int{4, 16, 128} {
@@ -359,7 +351,6 @@ func TestWithPassiveStartEquivalence(t *testing.T) {
 		}
 		for _, extra := range [][]Option{
 			{WithPassiveStart(passive)},
-			{WithPassiveStart(passive), WithShards(4)},
 			{WithPassiveStart(passive), WithSlowPath()},
 		} {
 			altRes, altTrace, altMetrics, altErr := runOnce(t, params, passiveProgram, extra...)
@@ -514,8 +505,8 @@ func (s *fuzzScript) Next(id int, prev ScriptResult) ScriptOp {
 }
 
 // checkScriptFuzzEquivalence runs a decoded fuzz script on the sparse
-// sequential engine, the sparse sharded engine, and the dense coroutine
-// oracle across policies and parameter corners.
+// scripted engine and the dense coroutine oracle across policies and
+// parameter corners.
 func checkScriptFuzzEquivalence(t *testing.T, data []byte) {
 	t.Helper()
 	mk, p := decodeFuzzScript(data)
@@ -525,43 +516,11 @@ func checkScriptFuzzEquivalence(t *testing.T, data []byte) {
 	h := fnv.New64a()
 	h.Write(data)
 	seed := h.Sum64() | 1
-	shards := 2 + int(seed%uint64(p))
 	for _, params := range []Params{
 		{P: p, L: 8, O: 1, G: 2},
 		{P: p, L: 2, O: 1, G: 2},
 	} {
-		for _, policy := range []DeliveryPolicy{DeliverMaxLatency, DeliverMinLatency, DeliverRandom} {
-			opts := []Option{WithDeliveryPolicy(policy), WithSeed(seed)}
-			if policy == DeliverRandom {
-				opts = append(opts, WithAcceptOrder(AcceptRandom))
-			}
-			denseRes, denseTrace, denseMetrics, denseErr := runOnce(t, params, ScriptAsProgram(mk()), opts...)
-			for _, alt := range []struct {
-				name string
-				opts []Option
-			}{
-				{"sparse", opts},
-				{"sparse-sharded", append(append([]Option{}, opts...), WithShards(shards))},
-			} {
-				altRes, altTrace, altMetrics, altErr := runScriptOnce(t, params, mk, alt.opts...)
-				if (denseErr == nil) != (altErr == nil) ||
-					(denseErr != nil && denseErr.Error() != altErr.Error()) {
-					t.Fatalf("%v/%v %s: error mismatch: dense %v, %s %v", params, policy, alt.name, denseErr, alt.name, altErr)
-				}
-				if denseErr != nil {
-					continue
-				}
-				if !reflect.DeepEqual(denseRes, altRes) {
-					t.Fatalf("%v/%v %s: Result mismatch:\ndense %+v\n%s %+v", params, policy, alt.name, denseRes, alt.name, altRes)
-				}
-				if !reflect.DeepEqual(denseTrace, altTrace) {
-					t.Fatalf("%v/%v %s: trace mismatch (%d vs %d events)", params, policy, alt.name, len(denseTrace), len(altTrace))
-				}
-				if !reflect.DeepEqual(denseMetrics, altMetrics) {
-					t.Fatalf("%v/%v %s: audit metrics mismatch", params, policy, alt.name)
-				}
-			}
-		}
+		checkScriptEquivalence(t, params, mk, seed)
 	}
 }
 

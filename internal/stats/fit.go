@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // LinearFit holds the result of an ordinary least-squares fit of
 // y = Intercept + Slope*x, together with the coefficient of
@@ -112,24 +109,4 @@ func GeoMean(xs []float64) float64 {
 		logSum += math.Log(x)
 	}
 	return math.Exp(logSum / float64(len(xs)))
-}
-
-// Percentile returns the q-quantile (0 <= q <= 1) of xs by the
-// nearest-rank method, so the returned value is always an observed
-// sample: q = 0 is the minimum, q = 1 the maximum, q = 0.5 the lower
-// median. The load harness uses it for p50/p99 job latency. xs is
-// scratch and gets reordered; an empty sample yields 0.
-func Percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if q < 0 || q > 1 {
-		panic("stats: Percentile needs 0 <= q <= 1")
-	}
-	sort.Float64s(xs)
-	rank := int(math.Ceil(q * float64(len(xs))))
-	if rank < 1 {
-		rank = 1
-	}
-	return xs[rank-1]
 }

@@ -125,36 +125,3 @@ func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
 	}()
 	GeoMean([]float64{1, 0, 2})
 }
-
-func TestPercentileNearestRank(t *testing.T) {
-	xs := []float64{9, 1, 7, 3, 5}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Fatalf("p0 = %v, want 1", got)
-	}
-	if got := Percentile(xs, 0.5); got != 5 {
-		t.Fatalf("p50 = %v, want 5", got)
-	}
-	if got := Percentile(xs, 0.99); got != 9 {
-		t.Fatalf("p99 = %v, want 9", got)
-	}
-	if got := Percentile(xs, 1); got != 9 {
-		t.Fatalf("p100 = %v, want 9", got)
-	}
-	// The nearest-rank value is always an observed sample even for
-	// ranks that fall between points.
-	if got := Percentile([]float64{10, 20, 30, 40}, 0.6); got != 30 {
-		t.Fatalf("p60 of 4 = %v, want 30", got)
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Fatalf("empty sample = %v, want 0", got)
-	}
-}
-
-func TestPercentileBadQPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Percentile(q=2) did not panic")
-		}
-	}()
-	Percentile([]float64{1}, 2)
-}
