@@ -225,10 +225,11 @@ func TestCLISameSeedOutputIdentical(t *testing.T) {
 func TestCLIBenchSubsetMergePreservesRows(t *testing.T) {
 	// A -bench run over a subset of the registry (here a single
 	// -experiment) must extend the existing report, not replace it:
-	// re-benchmarking E3 used to discard the E6 row wholesale.
+	// re-benchmarking E3 used to discard the E6 row wholesale. Each kept
+	// row also keeps its own repetition count.
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-bench", "-quick", "-experiment", "E6", "-benchout", path}, &out, &errOut); code != 0 {
+	if code := run([]string{"-bench", "-quick", "-experiment", "E6", "-benchcount", "2", "-benchout", path}, &out, &errOut); code != 0 {
 		t.Fatalf("seeding run: exit %d: %s", code, errOut.String())
 	}
 	out.Reset()
@@ -245,6 +246,8 @@ func TestCLIBenchSubsetMergePreservesRows(t *testing.T) {
 		Results        []struct {
 			ID        string `json:"id"`
 			WallNanos int64  `json:"wallNanos"`
+			Quick     bool   `json:"quick"`
+			Count     int    `json:"count"`
 		} `json:"results"`
 	}
 	if err := json.Unmarshal(data, &rep); err != nil {
@@ -255,6 +258,9 @@ func TestCLIBenchSubsetMergePreservesRows(t *testing.T) {
 	for _, r := range rep.Results {
 		ids[r.ID] = true
 		sum += r.WallNanos
+		if want := map[string]int{"E6": 2, "E3": 1}[r.ID]; !r.Quick || r.Count != want {
+			t.Errorf("%s row provenance quick=%v count=%d, want quick=true count=%d", r.ID, r.Quick, r.Count, want)
+		}
 	}
 	if !ids["E6"] || !ids["E3"] {
 		t.Fatalf("subset -bench run clobbered the report: rows %v, want E6 and E3", ids)

@@ -20,8 +20,14 @@ import (
 // traversals per second likewise via netsim.SimHopCount), and heap
 // traffic.
 type BenchResult struct {
-	ID           string  `json:"id"`
-	Name         string  `json:"name"`
+	ID   string `json:"id"`
+	Name string `json:"name"`
+	// Quick and Count are the row's own provenance: whether it was
+	// measured at the -quick sizes, and how many repetitions its
+	// figures are the median of. A merged report mixes rows from
+	// several runs, so the report header cannot vouch for them.
+	Quick        bool    `json:"quick"`
+	Count        int     `json:"count"`
 	WallNanos    int64   `json:"wallNanos"`
 	SimEvents    int64   `json:"simEvents"`
 	EventsPerSec float64 `json:"eventsPerSec"`
@@ -51,8 +57,10 @@ type BenchResult struct {
 // BenchReport is the top-level schema of BENCH_logp.json. Reports from
 // different checkouts or machines are compared result by result, keyed
 // on experiment ID; wallNanos and eventsPerSec carry the trajectory,
-// allocs/allocBytes explain it. Count is the number of repetitions
-// each result's wall time is the median of.
+// allocs/allocBytes explain it. The header (Go version, Quick, Count,
+// StartedAt) describes the run that last wrote the report; each result
+// carries its own Quick and Count, since MergeReports keeps rows from
+// earlier runs.
 type BenchReport struct {
 	GoVersion      string        `json:"goVersion"`
 	GOOS           string        `json:"goos"`
@@ -150,6 +158,8 @@ func RunBench(cfg Config, ids []string, count int) (*BenchReport, error) {
 			r = BenchResult{
 				ID:        e.ID,
 				Name:      e.Name,
+				Quick:     cfg.Quick,
+				Count:     count,
 				SimEvents: ev1 - ev0,
 				NetHops:   hp1 - hp0,
 				Rows:      len(tab.Rows),
@@ -192,8 +202,10 @@ func medianUint64(xs []uint64) uint64 {
 // occurrence when next carries duplicates), new IDs are appended once
 // in next's order, and everything else of base — including results
 // next did not re-run — is kept. TotalWallNanos is recomputed over the
-// merged rows. The metadata (Go version, timestamps, repetition count)
-// comes from next, the run that actually produced the fresh numbers.
+// merged rows. The header metadata (Go version, timestamp, quick,
+// repetition count) comes from next, the run that actually produced the
+// fresh numbers; every row keeps its own Quick and Count, so rows kept
+// from base still say how they were measured.
 // It lets any subset run — a single -experiment, the -scale suite —
 // extend the checked-in BENCH_logp.json without discarding the other
 // rows.

@@ -102,3 +102,46 @@ func TestMergeReportsTotalWallRecomputed(t *testing.T) {
 		t.Fatalf("TotalWallNanos %d, want 11", m.TotalWallNanos)
 	}
 }
+
+// TestMergeReportsRowProvenance pins per-row provenance across a merge:
+// a quick, median-of-5 base extended by a full, single-repetition run
+// must keep every row's own Quick and Count, whatever the merged header
+// says.
+func TestMergeReportsRowProvenance(t *testing.T) {
+	base := &BenchReport{Quick: true, Count: 5, Results: []BenchResult{
+		{ID: "E1", Quick: true, Count: 5},
+		{ID: "E3", Quick: true, Count: 5},
+		{ID: "E14.p1m", Quick: false, Count: 2},
+	}}
+	next := &BenchReport{Quick: false, Count: 1, Results: []BenchResult{
+		{ID: "E14.p1m", Quick: false, Count: 1},
+		{ID: "E17.p2k", Quick: false, Count: 1},
+	}}
+	m := MergeReports(base, next)
+	if m.Quick || m.Count != 1 {
+		t.Fatalf("header quick=%v count=%d, want next's false/1", m.Quick, m.Count)
+	}
+	for _, tc := range []struct {
+		id    string
+		quick bool
+		count int
+	}{
+		{"E1", true, 5},
+		{"E3", true, 5},
+		{"E14.p1m", false, 1},
+		{"E17.p2k", false, 1},
+	} {
+		var got *BenchResult
+		for i := range m.Results {
+			if m.Results[i].ID == tc.id {
+				got = &m.Results[i]
+			}
+		}
+		if got == nil {
+			t.Fatalf("%s missing from merge %v", tc.id, mergeIDs(m))
+		}
+		if got.Quick != tc.quick || got.Count != tc.count {
+			t.Errorf("%s: quick=%v count=%d, want quick=%v count=%d", tc.id, got.Quick, got.Count, tc.quick, tc.count)
+		}
+	}
+}

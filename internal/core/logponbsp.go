@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"iter"
@@ -123,9 +124,9 @@ func (s *LogPOnBSP) params() (logp.Params, bsp.Params, int64, int) {
 //
 // Run and RunScript may be called repeatedly on one LogPOnBSP: the
 // replay engine's slabs (guest records, message records, count
-// columns, heaps) are retained across calls and reset wholesale, so a
-// warm simulator replays with near-zero steady-state allocation. A
-// LogPOnBSP is therefore not safe for concurrent use.
+// columns, run queues) are retained across calls and reset wholesale,
+// so a warm simulator replays with near-zero steady-state allocation.
+// A LogPOnBSP is therefore not safe for concurrent use.
 func (s *LogPOnBSP) Run(prog logp.Program) (Thm1Result, error) {
 	return s.execute(prog, nil)
 }
@@ -160,9 +161,9 @@ func (s *LogPOnBSP) execute(prog logp.Program, sc logp.Script) (Thm1Result, erro
 		s.eng = &cycleEngine{}
 	}
 	eng := s.eng
-	// The executed stalling extension needs a cycle's message pairs; it
-	// only runs for the unfolded power-of-two replay, so pairs are
-	// retained only there — everything else keeps O(1) per message.
+	// The executed stalling extension needs an overloaded cycle's message
+	// pairs; it only runs for the unfolded power-of-two replay, so pairs
+	// are retained only there, and only for overloaded cycles.
 	eng.reset(lp, cycleLen, fold, fold == 1 && isPow2(lp.P))
 	defer eng.shutdown()
 	var err error
@@ -186,21 +187,24 @@ func (s *LogPOnBSP) execute(prog logp.Program, sc logp.Script) (Thm1Result, erro
 // freeing. Guests live in one dense []cycleProc slab (no per-guest
 // allocation, stable &procs[i] pointers); each message occupies one
 // cycleRec slab record for its whole lifecycle, referenced by int32
-// index from the event heap and chained intrusively into its
-// destination's input FIFO, so heap sifts move 20-byte refs instead of
-// 70-byte events and delivery allocates nothing. Per-guest fan-in/out
+// index from the event queue and chained intrusively into its
+// destination's input FIFO, so the queue moves 24-byte refs instead of
+// 72-byte records and delivery allocates nothing. Per-guest fan-in/out
 // counts — formerly flat maps keyed cycle*p+id — are flat int32
 // columns held in a sliding window of live cycles (see colsFor):
 // submissions commit in nondecreasing parked-clock order, so once the
 // committing guest's clock passes a cycle's end that cycle can never
 // be counted or queried again and its columns retire to a pool. The
 // per-cycle aggregates result() needs — the relation degree and the
-// overload flag — are folded in incrementally at submission time.
-// Runnable guests sit in a (clock, id) min-heap of value refs, so each
-// scheduling step costs O(log p) and chases no pointers. Together
-// these keep a p = 10^6 replay's cost proportional to its traffic, not
-// to p times its length, with near-zero steady-state allocation on a
-// warm simulator.
+// overload flag — are folded in incrementally at submission time, and
+// message pairs are kept only for overloaded cycles, recovered from the
+// in-flight records when a cycle first exceeds capacity (see
+// recoverPairs), so a stall-free replay keeps none. Runnable guests and
+// in-flight messages sit in monotone run queues of value refs (see
+// cycleRunQueue): nearly every scheduling step is an O(1) ring append
+// or pop that chases no pointers. Together these keep a p = 10^6
+// replay's cost proportional to its traffic, not to p times its
+// length, with near-zero steady-state allocation on a warm simulator.
 type cycleEngine struct {
 	lp       logp.Params
 	cycleLen int64
@@ -212,8 +216,8 @@ type cycleEngine struct {
 	script logp.Script
 
 	procs  []cycleProc
-	ready  cycleReadyHeap
-	events cycleEventHeap
+	ready  cycleRunQueue // runnable guests by (clock, id)
+	events cycleRunQueue // in-flight messages by (arrival, seq)
 	seq    int64
 
 	// recs backs every in-flight or buffered message's single record;
@@ -233,8 +237,11 @@ type cycleEngine struct {
 	maxH     []int64 // per cycle: running relation-degree maximum
 	overload []bool  // per cycle: some guest fan-in exceeded capacity
 
+	// keepPairs enables the executed extension's pair retention: msgs
+	// holds the message pairs of every overloaded cycle, and only those
+	// (see recoverPairs). It stays nil for a stall-free replay.
 	keepPairs bool
-	msgs      map[int64][]relation.Pair // cycle -> message slots (executed extension)
+	msgs      map[int64][]relation.Pair
 
 	wake []int32 // deliverInstant scratch: guest ids to wake, in id order
 
@@ -280,15 +287,11 @@ type cycleProc struct {
 
 // reinit prepares a slab record for a fresh run.
 func (p *cycleProc) reinit(id int, e *cycleEngine) {
+	*p = cycleProc{}
 	p.id = id
 	p.eng = e
-	p.clock, p.nextComm = 0, 0
-	p.bufHead, p.bufTail, p.bufLen = -1, -1, 0
+	p.bufHead, p.bufTail = -1, -1
 	p.state = cycleReady
-	p.pending = cycleReq{}
-	p.next, p.stop, p.yield = nil, nil, nil
-	p.out, p.final = cycleReq{}, cycleReq{}
-	p.resp = cycleRes{}
 }
 
 // cycleRec is one message's slab record: in flight, it is referenced
@@ -299,6 +302,11 @@ type cycleRec struct {
 	msg  logp.Message
 	at   int64
 	next int32
+	// cycle is the submission cycle, read by recoverPairs. It is int32
+	// to fit the record's padding; recoverPairs compares truncated
+	// values, which stays exact while no in-flight message is 2^32
+	// cycles older than the committer's.
+	cycle int32
 }
 
 // cycleCols is one cycle's fan-in/out count columns. rcvd (per guest)
@@ -410,103 +418,138 @@ func (p *cycleProc) Buffered() int {
 	return int(p.call(cycleReq{op: cycleBuffered}).n)
 }
 
-// cycleEventRef is one event-heap entry: the (time, seq) sort key plus
-// the slab index of the message record it delivers. Sifts move these
-// 20-byte values instead of full messages, and the hand-rolled heap
-// avoids container/heap's per-push interface boxing (an allocation per
-// event at p = 10^6 scale).
-type cycleEventRef struct {
-	time int64
-	seq  int64
-	idx  int32
+// cycleRunRef is one run-queue entry: the (at, tie) sort key plus a
+// slab index. The ready queue keys runnable guests by (clock, id) — the
+// commit order of the replay — with idx the guest id; the event queue
+// keys deliveries by (arrival time, submission seq) with idx the message
+// record. Keys are unique within a queue. A guest's clock never changes
+// while it is queued — clocks move only in exec (guest popped first) and
+// completeRecv (guest parked in cycleWaitMsg, outside the queue) — so a
+// copied key never goes stale.
+type cycleRunRef struct {
+	at  int64
+	tie int64
+	idx int32
 }
 
-type cycleEventHeap []cycleEventRef
-
-func cycleEvBefore(a, b cycleEventRef) bool {
-	if a.time != b.time {
-		return a.time < b.time
+func (a cycleRunRef) before(b cycleRunRef) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return a.seq < b.seq
+	return a.tie < b.tie
 }
 
-func (h *cycleEventHeap) push(ref cycleEventRef) {
-	a := append(*h, ref)
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !cycleEvBefore(a[i], a[parent]) {
-			break
-		}
-		a[i], a[parent] = a[parent], a[i]
-		i = parent
-	}
-	*h = a
+// cycleRunQueue is the min-queue behind both the ready and the event
+// queue: a sorted FIFO in a power-of-two ring buffer, with a binary heap
+// as fallback. A push at or after the ring's tail is appended to the
+// ring; any other push goes to the heap. The ring therefore stays
+// sorted, so the queue's minimum is the smaller of the ring's head and
+// the heap's top, and with unique keys the pop order is exactly a
+// single heap's. That holds for any push sequence; monotonicity only
+// decides how cheap the queue is.
+//
+// Both queues are monotone: they pop in nondecreasing key order and
+// every push is at or after the last popped key. A guest re-parks at a
+// clock no earlier than the one it was popped at, and a woken guest's
+// clock is at least the delivery instant, which is at most the ready
+// minimum it was delivered under (see loop). A new arrival is later
+// than its submitter's clock, which is at least every instant already
+// delivered. In the replay almost every push is also at or after the
+// queue's tail — startup parks guests in id order at clock 0, a
+// committed guest re-parks later than the guests behind it, and a
+// cycle's submissions share one boundary arrival in seq order — so
+// nearly every operation is an O(1) ring append or pop, and only
+// out-of-order pushes (wakes whose clocks interleave, messages after a
+// capacity-spread delivery) pay O(log n) in the heap.
+type cycleRunQueue struct {
+	ring []cycleRunRef // len(ring) is a power of two, or 0
+	head int           // index of the ring's first entry
+	n    int           // ring occupancy
+	heap []cycleRunRef // min-heap of the pushes that missed the ring's tail
 }
 
-func (h *cycleEventHeap) popMin() cycleEventRef {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a = a[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && cycleEvBefore(a[l], a[min]) {
-			min = l
-		}
-		if r < n && cycleEvBefore(a[r], a[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		a[i], a[min] = a[min], a[i]
-		i = min
+func (q *cycleRunQueue) len() int { return q.n + len(q.heap) }
+
+// reset empties the queue, keeping both backings for the next run.
+func (q *cycleRunQueue) reset() {
+	q.head, q.n = 0, 0
+	q.heap = q.heap[:0]
+}
+
+// heapFirst reports whether the smallest entry is the heap's top
+// rather than the ring's head; the queue must not be empty.
+func (q *cycleRunQueue) heapFirst() bool {
+	return q.n == 0 || len(q.heap) > 0 && q.heap[0].before(q.ring[q.head])
+}
+
+// min returns the smallest entry; the queue must not be empty.
+func (q *cycleRunQueue) min() cycleRunRef {
+	if q.heapFirst() {
+		return q.heap[0]
 	}
-	*h = a
+	return q.ring[q.head]
+}
+
+func (q *cycleRunQueue) push(ref cycleRunRef) {
+	mask := len(q.ring) - 1
+	if q.n > 0 && ref.before(q.ring[(q.head+q.n-1)&mask]) {
+		q.heapPush(ref)
+		return
+	}
+	if q.n == len(q.ring) {
+		q.grow()
+		mask = len(q.ring) - 1
+	}
+	q.ring[(q.head+q.n)&mask] = ref
+	q.n++
+}
+
+// popMin removes and returns the smallest entry; the queue must not be
+// empty.
+func (q *cycleRunQueue) popMin() cycleRunRef {
+	if q.heapFirst() {
+		return q.heapPop()
+	}
+	top := q.ring[q.head]
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
 	return top
 }
 
-// cycleReadyRef is one ready-heap entry: the (clock, id) commit key,
-// copied out of the guest at push time. A guest's clock never changes
-// while it sits in the heap — clocks move only in exec (guest popped
-// first) and completeRecv (guest parked in cycleWaitMsg, outside the
-// heap) — so the copied key never goes stale.
-type cycleReadyRef struct {
-	clock int64
-	id    int32
+// grow doubles the full ring, unwrapping it to start at index 0.
+//
+//hot:cold ring growth: the ring reaches its high-water capacity once and is reused across runs
+func (q *cycleRunQueue) grow() {
+	ring := make([]cycleRunRef, max(16, 2*len(q.ring)))
+	k := copy(ring, q.ring[q.head:])
+	copy(ring[k:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
 }
 
-// cycleReadyHeap orders runnable guests by (clock, id) — the commit
-// order of the replay.
-type cycleReadyHeap []cycleReadyRef
-
-func cycleReadyBefore(a, b cycleReadyRef) bool {
-	if a.clock != b.clock {
-		return a.clock < b.clock
+// appendAll appends every queued entry to dst, in no particular order.
+func (q *cycleRunQueue) appendAll(dst []cycleRunRef) []cycleRunRef {
+	for i := 0; i < q.n; i++ {
+		dst = append(dst, q.ring[(q.head+i)&(len(q.ring)-1)])
 	}
-	return a.id < b.id
+	return append(dst, q.heap...)
 }
 
-func (h *cycleReadyHeap) push(ref cycleReadyRef) {
-	a := append(*h, ref)
+func (q *cycleRunQueue) heapPush(ref cycleRunRef) {
+	a := append(q.heap, ref)
 	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !cycleReadyBefore(a[i], a[parent]) {
+		if !a[i].before(a[parent]) {
 			break
 		}
 		a[i], a[parent] = a[parent], a[i]
 		i = parent
 	}
-	*h = a
+	q.heap = a
 }
 
-func (h *cycleReadyHeap) popMin() cycleReadyRef {
-	a := *h
+func (q *cycleRunQueue) heapPop() cycleRunRef {
+	a := q.heap
 	top := a[0]
 	n := len(a) - 1
 	a[0] = a[n]
@@ -515,10 +558,10 @@ func (h *cycleReadyHeap) popMin() cycleReadyRef {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < n && cycleReadyBefore(a[l], a[min]) {
+		if l < n && a[l].before(a[min]) {
 			min = l
 		}
-		if r < n && cycleReadyBefore(a[r], a[min]) {
+		if r < n && a[r].before(a[min]) {
 			min = r
 		}
 		if min == i {
@@ -527,7 +570,7 @@ func (h *cycleReadyHeap) popMin() cycleReadyRef {
 		a[i], a[min] = a[min], a[i]
 		i = min
 	}
-	*h = a
+	q.heap = a
 	return top
 }
 
@@ -552,7 +595,7 @@ func (p *cycleProc) scriptSegment() {
 		op := s.Next(p.id, res)
 		switch op.Kind {
 		case logp.ScriptHalt:
-			p.pending = cycleReq{op: cycleOpDone}
+			p.request(cycleOpDone, 0)
 			return
 		case logp.ScriptCompute:
 			if op.N < 0 {
@@ -562,10 +605,10 @@ func (p *cycleProc) scriptSegment() {
 				res = logp.ScriptResult{Now: p.clock}
 				continue
 			}
-			p.pending = cycleReq{op: cycleCompute, n: op.N}
+			p.request(cycleCompute, op.N)
 			return
 		case logp.ScriptWait:
-			p.pending = cycleReq{op: cycleIdle, n: op.N}
+			p.request(cycleIdle, op.N)
 			return
 		case logp.ScriptSend:
 			if op.Dst < 0 || op.Dst >= p.eng.lp.P {
@@ -574,23 +617,33 @@ func (p *cycleProc) scriptSegment() {
 			if op.Dst == p.id {
 				panic("core: Send to self; use local state instead")
 			}
-			p.pending = cycleReq{op: cycleSend, msg: logp.Message{
-				Src: p.id, Dst: op.Dst, Tag: op.Tag, Payload: op.Payload, Aux: op.Aux,
-			}}
+			p.request(cycleSend, 0)
+			m := &p.pending.msg
+			m.Src, m.Dst, m.Tag, m.Payload, m.Aux = p.id, op.Dst, op.Tag, op.Payload, op.Aux
 			return
 		case logp.ScriptRecv:
-			p.pending = cycleReq{op: cycleRecv}
+			p.request(cycleRecv, 0)
 			return
 		case logp.ScriptTryRecv:
-			p.pending = cycleReq{op: cycleTryRecv}
+			p.request(cycleTryRecv, 0)
 			return
 		case logp.ScriptBuffered:
-			p.pending = cycleReq{op: cycleBuffered}
+			p.request(cycleBuffered, 0)
 			return
 		default:
 			panic(fmt.Sprintf("core: unknown script op kind %d", op.Kind))
 		}
 	}
+}
+
+// request records a scripted guest's next request in place. Building a
+// whole cycleReq instead costs a stack temporary and a block copy per
+// operation; here only the fields op reads are written — n for
+// compute and idle, msg for send (the caller fills it) — and a
+// scripted message never carries a Body, so the stale ones are inert.
+func (p *cycleProc) request(op cycleOp, n int64) {
+	p.pending.op = op
+	p.pending.n = n
 }
 
 // sequence adapts prog to the coroutine protocol; see cycleProc.
@@ -634,8 +687,8 @@ func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs 
 	if len(e.procs) != lp.P {
 		e.procs = make([]cycleProc, lp.P)
 	}
-	e.ready = e.ready[:0]
-	e.events = e.events[:0]
+	e.ready.reset()
+	e.events.reset()
 	e.seq = 0
 	for i := range e.recs {
 		e.recs[i] = cycleRec{}
@@ -660,9 +713,6 @@ func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs 
 	e.overload = e.overload[:0]
 	e.keepPairs = keepPairs
 	e.msgs = nil
-	if keepPairs {
-		e.msgs = make(map[int64][]relation.Pair)
-	}
 	e.wake = e.wake[:0]
 	e.guestTime = 0
 	e.totalMsgs = 0
@@ -675,6 +725,12 @@ func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs 
 //
 //hot:cold per-Run epilogue
 func (e *cycleEngine) shutdown() {
+	if e.script != nil {
+		// Scripted guests hold no closures and their requests carry no
+		// bodies; only the script itself is dropped.
+		e.script = nil
+		return
+	}
 	for i := range e.procs {
 		p := &e.procs[i]
 		if p.stop != nil {
@@ -713,23 +769,26 @@ func (e *cycleEngine) runScript(sc logp.Script) error {
 	return e.loop()
 }
 
-// loop is the commit loop shared by both guest forms. The ready heap
-// realizes exactly the order the former O(p) scan picked — the
-// runnable guest with the smallest clock, lowest id on ties — at
-// O(log p) per step.
+// loop is the commit loop shared by both guest forms. It commits the
+// runnable guest with the smallest clock, lowest id on ties, after
+// delivering every instant up to that clock. Delivered instants are
+// therefore at most every later committer's clock: a guest woken at
+// instant t resumes at a clock of at least t.
 //
 //hot:path the Theorem 1 cycle engine's per-event commit loop
 func (e *cycleEngine) loop() error {
 	for {
 		horizon := int64(math.MaxInt64)
-		if len(e.ready) > 0 {
-			horizon = e.ready[0].clock
+		if e.ready.len() > 0 {
+			horizon = e.ready.min().at
 		}
-		if len(e.events) > 0 && e.events[0].time <= horizon {
-			e.deliverInstant(e.events[0].time)
-			continue
+		if e.events.len() > 0 {
+			if t := e.events.min().at; t <= horizon {
+				e.deliverInstant(t)
+				continue
+			}
 		}
-		if len(e.ready) == 0 {
+		if e.ready.len() == 0 {
 			allDone := true
 			for i := range e.procs {
 				if e.procs[i].state != cycleDone {
@@ -746,11 +805,11 @@ func (e *cycleEngine) loop() error {
 			return e.deadlockError()
 		}
 		ref := e.ready.popMin()
-		e.exec(&e.procs[ref.id])
+		e.exec(&e.procs[ref.idx])
 	}
 
-	for len(e.events) > 0 {
-		e.deliverInstant(e.events[0].time)
+	for e.events.len() > 0 {
+		e.deliverInstant(e.events.min().at)
 	}
 	for i := range e.procs {
 		if c := e.procs[i].clock; c > e.guestTime {
@@ -776,7 +835,7 @@ func (e *cycleEngine) deadlockError() error {
 
 // await obtains p's next request — resuming the coroutine or running
 // the script segment — and, if the guest stays runnable, parks it in
-// the ready heap. Every caller has p out of the heap (startup, or just
+// the ready queue. Every caller has p out of the queue (startup, or just
 // popped by exec's committer), so the push cannot duplicate.
 func (e *cycleEngine) await(p *cycleProc) {
 	if p.next == nil {
@@ -790,21 +849,25 @@ func (e *cycleEngine) await(p *cycleProc) {
 				e.procErr = p.pending.err
 			}
 		default:
-			p.state = cycleReady
-			e.ready.push(cycleReadyRef{clock: p.clock, id: int32(p.id)})
+			e.park(p)
 		}
 		return
 	}
 	if _, ok := p.next(); ok {
 		p.pending = p.out
-		p.state = cycleReady
-		e.ready.push(cycleReadyRef{clock: p.clock, id: int32(p.id)})
+		e.park(p)
 		return
 	}
 	p.state = cycleDone
 	if p.final.op == cycleOpPanic && e.procErr == nil {
 		e.procErr = p.final.err
 	}
+}
+
+// park marks p runnable and queues it under its (clock, id) key.
+func (e *cycleEngine) park(p *cycleProc) {
+	p.state = cycleReady
+	e.ready.push(cycleRunRef{at: p.clock, tie: int64(p.id), idx: int32(p.id)})
 }
 
 func (e *cycleEngine) resume(p *cycleProc, r cycleRes) {
@@ -921,8 +984,11 @@ func (e *cycleEngine) countSend(cycle int64, msg logp.Message) {
 	c := e.colsFor(cycle)
 	c.rcvd[msg.Dst]++
 	in := int64(c.rcvd[msg.Dst])
-	if in > e.capacity {
+	if in > e.capacity && !e.overload[cycle] {
 		e.overload[cycle] = true
+		if e.keepPairs {
+			e.recoverPairs(cycle)
+		}
 	}
 	if e.fold == 1 {
 		c.sent[msg.Src]++
@@ -936,9 +1002,34 @@ func (e *cycleEngine) countSend(cycle int64, msg logp.Message) {
 		c.rcvdX[msg.Dst/e.fold]++
 		e.noteH(cycle, int64(c.rcvdX[msg.Dst/e.fold]))
 	}
-	if e.keepPairs {
+	if e.keepPairs && e.overload[cycle] {
 		e.msgs[cycle] = append(e.msgs[cycle], relation.Pair{Src: msg.Src, Dst: msg.Dst})
 	}
+}
+
+// recoverPairs starts pair retention for cycle, whose fan-in has just
+// exceeded capacity: it gathers the pairs of cycle's earlier
+// submissions, in submission (seq) order, before countSend appends the
+// current one. Every such submission is still in flight. Its arrival is
+// at least cycle's end boundary, while the committing guest's clock
+// lies inside cycle, and loop never delivers an instant past the
+// committer's clock. So the event queue's records hold them all.
+//
+//hot:cold runs once per overloaded cycle; a stall-free replay never reaches it
+func (e *cycleEngine) recoverPairs(cycle int64) {
+	inCycle := slices.DeleteFunc(e.events.appendAll(nil), func(ref cycleRunRef) bool {
+		return e.recs[ref.idx].cycle != int32(cycle)
+	})
+	slices.SortFunc(inCycle, func(a, b cycleRunRef) int { return cmp.Compare(a.tie, b.tie) })
+	pairs := make([]relation.Pair, len(inCycle))
+	for i, ref := range inCycle {
+		m := &e.recs[ref.idx].msg
+		pairs[i] = relation.Pair{Src: m.Src, Dst: m.Dst}
+	}
+	if e.msgs == nil {
+		e.msgs = make(map[int64][]relation.Pair)
+	}
+	e.msgs[cycle] = pairs
 }
 
 // cycleFanIn returns how many messages this cycle has already directed
@@ -952,8 +1043,9 @@ func (e *cycleEngine) cycleFanIn(cycle int64, dst int) int64 {
 	return int64(e.colLive[idx].rcvd[dst])
 }
 
-// newRec takes a slab record for msg, reusing the free list first.
-func (e *cycleEngine) newRec(msg logp.Message) int32 {
+// newRec takes a slab record for msg, submitted in cycle, reusing the
+// free list first.
+func (e *cycleEngine) newRec(msg logp.Message, cycle int64) int32 {
 	if e.recFree >= 0 {
 		idx := e.recFree
 		r := &e.recs[idx]
@@ -961,9 +1053,10 @@ func (e *cycleEngine) newRec(msg logp.Message) int32 {
 		r.msg = msg
 		r.at = 0
 		r.next = -1
+		r.cycle = int32(cycle)
 		return idx
 	}
-	e.recs = append(e.recs, cycleRec{msg: msg, next: -1})
+	e.recs = append(e.recs, cycleRec{msg: msg, next: -1, cycle: int32(cycle)})
 	return int32(len(e.recs) - 1)
 }
 
@@ -999,7 +1092,8 @@ func (e *cycleEngine) popBufFree(p *cycleProc) logp.Message {
 }
 
 func (e *cycleEngine) exec(p *cycleProc) {
-	req := p.pending
+	// Read in place: every case consumes req before resume overwrites it.
+	req := &p.pending
 	switch req.op {
 	case cycleCompute:
 		p.clock += req.n
@@ -1042,7 +1136,7 @@ func (e *cycleEngine) exec(p *cycleProc) {
 		e.countSend(cycle, req.msg)
 		e.totalMsgs++
 		e.seq++
-		e.events.push(cycleEventRef{time: arrival, seq: e.seq, idx: e.newRec(req.msg)})
+		e.events.push(cycleRunRef{at: arrival, tie: e.seq, idx: e.newRec(req.msg, cycle)})
 		if arrival > e.guestTime {
 			e.guestTime = arrival
 		}
@@ -1086,7 +1180,7 @@ func (e *cycleEngine) completeRecv(p *cycleProc) {
 
 func (e *cycleEngine) deliverInstant(t int64) {
 	wake := e.wake[:0]
-	for len(e.events) > 0 && e.events[0].time == t {
+	for e.events.len() > 0 && e.events.min().at == t {
 		ev := e.events.popMin()
 		dst := e.recs[ev.idx].msg.Dst
 		p := &e.procs[dst]

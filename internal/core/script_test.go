@@ -183,3 +183,23 @@ func TestThm1HotSpotStallsBothForms(t *testing.T) {
 		t.Fatalf("extension time %d not above plain BSP time %d", res.ExtensionTime, res.BSPTime)
 	}
 }
+
+// BenchmarkThm1RunScriptRing measures the warm scripted cycle engine on
+// a stall-free 2-round ring at p = 32768, the size of the benchmark
+// module's thm1-replay-p32k workload.
+func BenchmarkThm1RunScriptRing(b *testing.B) {
+	const p = 1 << 15
+	sim := &LogPOnBSP{LogP: logp.Params{P: p, L: 32, O: 2, G: 4}}
+	sc := newThm1RingScript(p, 2)
+	if _, err := sim.RunScript(sc); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(sc.step)
+		if _, err := sim.RunScript(sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
