@@ -25,11 +25,13 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# Differential fuzzing of the LogP engine: the fast path and the
-# WithSlowPath oracle must produce identical Results, traces, and
+# Differential fuzzing of the LogP engine against the reference
+# interpreter (internal/logp/reference): the Program form and the
+# Script form must each produce the reference's Results, traces, and
 # audit metrics.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzFastPathEquivalence -fuzztime 20s ./internal/logp/
+	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime 20s ./internal/logp/
+	$(GO) test -run '^$$' -fuzz FuzzScriptEquivalence -fuzztime 10s ./internal/logp/
 
 # Run the quick experiment suite under the streaming LogP invariant
 # auditor; fails on any model-invariant violation (see EXPERIMENTS.md).

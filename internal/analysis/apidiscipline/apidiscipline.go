@@ -7,10 +7,9 @@
 //     silently conflates "drained one message" with "inbox was empty",
 //     which corrupts h-relation accounting downstream;
 //   - engine-internal identifiers reached from outside the engine
-//     family: a few exported hooks (Machine.SetSeed for cross-simulator
-//     reuse, WithSlowPath as the differential-fuzzing oracle) exist for
-//     the engines and their tests, and leak nondeterminism or
-//     double-charging when called from experiment code;
+//     family: an exported hook (Machine.SetSeed, for cross-simulator
+//     reuse) exists for the engines and their tests, and leaks
+//     nondeterminism when called from experiment code;
 //   - audit hooks attached after a machine run has already happened in
 //     the same function: logp.EnableAudit feeds on events emitted
 //     during Run, so enabling it afterwards yields a summary that
@@ -48,7 +47,6 @@ var enginePrefixes = []string{
 // truth the analyzer checks.
 var engineInternal = map[string]string{
 	"(repro/internal/logp.Machine).SetSeed": "reseeding mid-experiment silently forks the trace from the configured seed; pass logp.WithSeed at construction instead",
-	"repro/internal/logp.WithSlowPath":      "the slow path exists as the differential-fuzzing oracle; experiments must measure the shipped fast path",
 }
 
 func run(pass *kit.Pass) {

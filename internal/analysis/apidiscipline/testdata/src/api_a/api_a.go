@@ -23,9 +23,6 @@ func droppedResults(p bsp.Proc, mb mailbox) {
 
 func internalReach(m *logp.Machine) {
 	m.SetSeed(42) // want `SetSeed is engine-internal`
-	m2 := logp.NewMachine(logp.Params{P: 2, L: 8, O: 1, G: 2},
-		logp.WithSlowPath()) // want `WithSlowPath is engine-internal`
-	_ = m2
 }
 
 func lateAudit(m *logp.Machine, prog logp.Program) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/logp"
+	"repro/internal/logp/reference"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files from the current engine")
@@ -88,7 +89,26 @@ func allToAllProgram(p logp.Proc) {
 	}
 }
 
-func goldenCases() (keys []string, run map[string]func() (logp.Result, error)) {
+// goldenCase is one recorded configuration: a workload on a machine
+// under one delivery policy, acceptance order, and seed.
+type goldenCase struct {
+	params logp.Params
+	policy logp.DeliveryPolicy
+	order  logp.AcceptOrder
+	seed   uint64
+	prog   logp.Program
+}
+
+// run executes the case on a fresh engine Machine.
+func (c goldenCase) run() (logp.Result, error) {
+	m := logp.NewMachine(c.params,
+		logp.WithDeliveryPolicy(c.policy),
+		logp.WithAcceptOrder(c.order),
+		logp.WithSeed(c.seed))
+	return m.Run(c.prog)
+}
+
+func goldenCases() (keys []string, cases map[string]goldenCase) {
 	programs := []struct {
 		name string
 		prog logp.Program
@@ -108,7 +128,7 @@ func goldenCases() (keys []string, run map[string]func() (logp.Result, error)) {
 	policies := []logp.DeliveryPolicy{logp.DeliverMaxLatency, logp.DeliverMinLatency, logp.DeliverRandom}
 	orders := []logp.AcceptOrder{logp.AcceptFIFO, logp.AcceptLIFO, logp.AcceptRandom}
 
-	run = map[string]func() (logp.Result, error){}
+	cases = map[string]goldenCase{}
 	for _, pr := range programs {
 		for _, pc := range []int{4, 64} {
 			for _, ps := range paramSets {
@@ -118,14 +138,7 @@ func goldenCases() (keys []string, run map[string]func() (logp.Result, error)) {
 						for _, seed := range []uint64{1, 2} {
 							key := fmt.Sprintf("%s/p=%d/L=%d/o=%d/G=%d/%s/%s/seed=%d",
 								pr.name, pc, ps.L, ps.O, ps.G, pol, ord, seed)
-							lp, pol, ord, seed, prog := lp, pol, ord, seed, pr.prog
-							run[key] = func() (logp.Result, error) {
-								m := logp.NewMachine(lp,
-									logp.WithDeliveryPolicy(pol),
-									logp.WithAcceptOrder(ord),
-									logp.WithSeed(seed))
-								return m.Run(prog)
-							}
+							cases[key] = goldenCase{params: lp, policy: pol, order: ord, seed: seed, prog: pr.prog}
 							keys = append(keys, key)
 						}
 					}
@@ -134,7 +147,7 @@ func goldenCases() (keys []string, run map[string]func() (logp.Result, error)) {
 		}
 	}
 	sort.Strings(keys)
-	return keys, run
+	return keys, cases
 }
 
 const goldenResultsFile = "testdata/golden_logp.json"
@@ -144,12 +157,12 @@ const goldenResultsFile = "testdata/golden_logp.json"
 // -update to re-record (only legitimate when the model semantics
 // intentionally change, never for a "behavior-preserving" refactor).
 func TestGoldenEquivalence(t *testing.T) {
-	keys, runs := goldenCases()
+	keys, cases := goldenCases()
 
 	if *update {
 		got := map[string]goldenResult{}
 		for _, k := range keys {
-			res, err := runs[k]()
+			res, err := cases[k].run()
 			if err != nil {
 				t.Fatalf("%s: %v", k, err)
 			}
@@ -159,6 +172,45 @@ func TestGoldenEquivalence(t *testing.T) {
 		return
 	}
 
+	want := readGoldenResults(t, keys)
+	for _, k := range keys {
+		k := k
+		t.Run(k, func(t *testing.T) {
+			res, err := cases[k].run()
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if g := toGolden(res); g != want[k] {
+				t.Errorf("result diverged from recorded golden:\n got %+v\nwant %+v", g, want[k])
+			}
+		})
+	}
+}
+
+// TestGoldenReferenceAgrees checks the recorded Results against the
+// reference interpreter, which shares no code with the engine. It
+// never rewrites the file, so a -update that re-records changed engine
+// semantics fails here instead of passing silently.
+func TestGoldenReferenceAgrees(t *testing.T) {
+	keys, cases := goldenCases()
+	want := readGoldenResults(t, keys)
+	for _, k := range keys {
+		c := cases[k]
+		res, err := reference.Run(c.params, c.prog, reference.Config{Policy: c.policy, Order: c.order, Seed: c.seed})
+		if err != nil {
+			t.Errorf("%s: reference run: %v", k, err)
+			continue
+		}
+		if g := toGolden(res); g != want[k] {
+			t.Errorf("%s: reference interpreter disagrees with the recorded golden:\n got %+v\nwant %+v", k, g, want[k])
+		}
+	}
+}
+
+// readGoldenResults loads the recorded Results and checks that they
+// cover exactly the suite's cases.
+func readGoldenResults(t *testing.T, keys []string) map[string]goldenResult {
+	t.Helper()
 	data, err := os.ReadFile(goldenResultsFile)
 	if err != nil {
 		t.Fatalf("read golden file (regenerate with -update): %v", err)
@@ -171,21 +223,11 @@ func TestGoldenEquivalence(t *testing.T) {
 		t.Fatalf("golden file has %d cases, suite defines %d (regenerate with -update)", len(want), len(keys))
 	}
 	for _, k := range keys {
-		k := k
-		t.Run(k, func(t *testing.T) {
-			w, ok := want[k]
-			if !ok {
-				t.Fatalf("case missing from golden file (regenerate with -update)")
-			}
-			res, err := runs[k]()
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			if g := toGolden(res); g != w {
-				t.Errorf("result diverged from recorded golden:\n got %+v\nwant %+v", g, w)
-			}
-		})
+		if _, ok := want[k]; !ok {
+			t.Fatalf("%s: case missing from golden file (regenerate with -update)", k)
+		}
 	}
+	return want
 }
 
 // TestGoldenExperimentTables locks the full rendered output of the

@@ -14,15 +14,13 @@ package logp
 // PR 4/8 keying) reaches zero steady-state proc allocation.
 //
 // Records are reused, not reconstructed: ensureProc reinits every
-// record it hands out, and the slow-path rendezvous channels stored in
-// a record deliberately survive reset so repeated WithSlowPath runs
-// reuse them too. Pointers into the arena stay valid until the next
-// reset — the recycle freelist (Machine.procFree) and the procs table
+// record it hands out. Pointers into the arena stay valid until the
+// next reset — the recycle freelist (Machine.procFree) and the procs table
 // both hold *proc into chunks — and must not be retained across Runs,
 // which the engine's reset discipline already guarantees.
 
 // procChunkBits sizes arena chunks at 1<<procChunkBits records
-// (~1.3 MB per chunk at the current proc size): large enough that a
+// (under 2 MB per chunk at the current proc size): large enough that a
 // million-processor startup allocates only a few hundred chunks, small
 // enough that sparse runs do not overcommit.
 const procChunkBits = 12

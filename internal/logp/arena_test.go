@@ -8,9 +8,8 @@ import (
 // The arena's contract has three load-bearing properties: records are
 // handed out densely in chunk order (the cache-friendly id-order
 // layout), reset re-hands the identical records in the identical order
-// without growing (positional reuse, which is what lets slow-path
-// channels survive across Runs), and a machine at its high-water size
-// allocates nothing. These tests pin each one directly on procArena,
+// without growing (positional reuse), and a machine at its high-water
+// size allocates nothing. These tests pin each one directly on procArena,
 // below the engine.
 
 func TestArenaChunkGrowth(t *testing.T) {
@@ -66,26 +65,6 @@ func TestArenaResetReuse(t *testing.T) {
 	}
 	if len(a.chunks) != chunks {
 		t.Fatalf("reset-then-realloc grew chunks %d -> %d", chunks, len(a.chunks))
-	}
-}
-
-// TestArenaFieldsSurviveReset pins the reuse contract ensureProc
-// depends on: a record's previous-run state — specifically the
-// slow-path rendezvous channels — is still there when the record is
-// re-handed, so repeated WithSlowPath runs reuse the channels instead
-// of remaking them.
-func TestArenaFieldsSurviveReset(t *testing.T) {
-	var a procArena
-	r := a.alloc()
-	ch := make(chan request)
-	r.req = ch
-	a.reset()
-	got := a.alloc()
-	if got != r {
-		t.Fatal("first post-reset record is not the first pre-reset record")
-	}
-	if got.req != ch {
-		t.Fatal("slow-path channel did not survive reset")
 	}
 }
 

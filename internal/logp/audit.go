@@ -123,13 +123,15 @@ type auditMsg struct {
 // events globally nondecreasing in time with same-instant deliveries
 // first, and each processor's communication operations (its submissions
 // and acquisitions) nondecreasing in time. Hand-built streams fed in
-// another order should use CheckTrace, which sorts first.
+// another order should use CheckTrace, which sorts first and then
+// replays them through an Auditor.
 //
-// The checks mirror CheckTrace exactly: lifecycle ordering, the
+// The checks are the ones CheckTrace documents: lifecycle ordering, the
 // delivery window (accept, accept+L], the combined per-processor gap,
 // per-destination capacity occupancy, one delivery per destination per
-// instant, and (under TraceOptions.RequireAcquired) no message left
-// unacquired in a buffer.
+// instant, processor ids in range, and (under
+// TraceOptions.RequireAcquired) no message left unacquired in a
+// buffer.
 type Auditor struct {
 	params Params
 	opts   TraceOptions
@@ -194,9 +196,23 @@ func (a *Auditor) comm(proc int, t int64, kind EventKind) {
 }
 
 // Observe consumes one event. It is the machine's event sink: pass it
-// to WithEventLog.
+// to WithEventLog. An event naming a processor outside [0, P) is a
+// violation and is otherwise skipped.
 func (a *Auditor) Observe(ev Event) {
 	a.metrics.Events++
+	if src, dst := ev.Msg.Src, ev.Msg.Dst; src < 0 || src >= a.params.P || dst < 0 || dst >= a.params.P {
+		a.fail("message %d %s at t=%d names processors %d->%d outside [0, %d)", ev.Seq, ev.Kind, ev.Time, src, dst, a.params.P)
+	} else {
+		a.check(ev)
+	}
+	if a.sink != nil {
+		a.sink(ev)
+	}
+}
+
+// check applies ev to the lifecycle, gap, capacity, and accounting
+// state.
+func (a *Auditor) check(ev Event) {
 	switch ev.Kind {
 	case EvSubmit:
 		if _, dup := a.msgs[ev.Seq]; dup {
@@ -283,21 +299,39 @@ func (a *Auditor) Observe(ev Event) {
 		a.metrics.Acquired++
 		delete(a.msgs, ev.Seq)
 	}
-	if a.sink != nil {
-		a.sink(ev)
-	}
 }
 
-// Finish runs the end-of-trace sweep (undelivered messages always
-// fail; delivered-but-unacquired ones fail under RequireAcquired) and
-// cross-checks the trace-derived accounting against the engine's
-// Result. It returns the first violation observed over the whole run,
-// or nil.
+// Finish runs the end-of-trace sweep and cross-checks the
+// trace-derived accounting against the engine's Result. It returns the
+// first violation observed over the whole run, or nil.
 func (a *Auditor) Finish(res Result) error {
 	if a.finished {
 		return a.Err()
 	}
 	a.finished = true
+	a.sweep()
+	if a.metrics.Messages != res.MessagesSent {
+		a.fail("trace has %d submissions, Result.MessagesSent = %d", a.metrics.Messages, res.MessagesSent)
+	}
+	if a.metrics.StallEvents != res.StallEvents {
+		a.fail("trace shows %d stalled acceptances, Result.StallEvents = %d", a.metrics.StallEvents, res.StallEvents)
+	}
+	if a.metrics.StallCycles != res.StallCycles {
+		a.fail("trace shows %d stall cycles, Result.StallCycles = %d", a.metrics.StallCycles, res.StallCycles)
+	}
+	if a.metrics.MaxBufferDepth != int64(res.MaxBufferDepth) {
+		a.fail("trace buffer high-water %d, Result.MaxBufferDepth = %d", a.metrics.MaxBufferDepth, res.MaxBufferDepth)
+	}
+	if a.metrics.Delivered > 0 && a.maxDeliver != res.LastDelivery {
+		a.fail("trace last delivery at %d, Result.LastDelivery = %d", a.maxDeliver, res.LastDelivery)
+	}
+	return a.Err()
+}
+
+// sweep is the end-of-trace check: undelivered messages always fail,
+// delivered-but-unacquired ones fail under RequireAcquired, and each
+// report names the lowest such message.
+func (a *Auditor) sweep() {
 	var undelivered, unacquired int64
 	firstUndelivered, firstUnacquired := int64(-1), int64(-1)
 	for seq, st := range a.msgs {
@@ -319,22 +353,6 @@ func (a *Auditor) Finish(res Result) error {
 	if unacquired > 0 {
 		a.fail("%d messages delivered but never acquired (first: message %d)", unacquired, firstUnacquired)
 	}
-	if a.metrics.Messages != res.MessagesSent {
-		a.fail("trace has %d submissions, Result.MessagesSent = %d", a.metrics.Messages, res.MessagesSent)
-	}
-	if a.metrics.StallEvents != res.StallEvents {
-		a.fail("trace shows %d stalled acceptances, Result.StallEvents = %d", a.metrics.StallEvents, res.StallEvents)
-	}
-	if a.metrics.StallCycles != res.StallCycles {
-		a.fail("trace shows %d stall cycles, Result.StallCycles = %d", a.metrics.StallCycles, res.StallCycles)
-	}
-	if a.metrics.MaxBufferDepth != int64(res.MaxBufferDepth) {
-		a.fail("trace buffer high-water %d, Result.MaxBufferDepth = %d", a.metrics.MaxBufferDepth, res.MaxBufferDepth)
-	}
-	if a.metrics.Delivered > 0 && a.maxDeliver != res.LastDelivery {
-		a.fail("trace last delivery at %d, Result.LastDelivery = %d", a.maxDeliver, res.LastDelivery)
-	}
-	return a.Err()
 }
 
 // Err returns the first violation observed so far, or nil.

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/stats"
@@ -100,20 +99,6 @@ func WithStrictStallFree() Option {
 	return func(m *Machine) { m.strictStallFree = true }
 }
 
-// WithSlowPath disables the coroutine handshake and the proc-local
-// fast path, forcing every processor operation through the original
-// per-op channel rendezvous on a dedicated goroutine. Observable
-// behavior is identical; the differential fuzz test and the golden
-// suite use this engine as the oracle the fast path must match
-// bit for bit.
-//
-// bsplogpvet: engine-internal. The slow path exists as the fuzzing
-// oracle; experiments must measure the shipped fast path, so the
-// apidiscipline analyzer flags uses outside internal/logp.
-func WithSlowPath() Option {
-	return func(m *Machine) { m.slowPath = true }
-}
-
 // AcceptOrder selects which waiting submissions the Stalling Rule
 // accepts first when a destination has fewer free slots than waiting
 // messages. The paper fixes only the count min(k, s); "the order in
@@ -157,7 +142,6 @@ type Machine struct {
 	policy          DeliveryPolicy
 	seed            uint64
 	strictStallFree bool
-	slowPath        bool
 	acceptOrder     AcceptOrder
 	eventLog        func(Event)
 	auditor         *Auditor // per-run, when the process-wide audit hook is on
@@ -174,17 +158,13 @@ type Machine struct {
 	arena procArena
 
 	// Scale-mode machinery (see lazy.go and script.go). script is the
-	// Script driving the current RunScript, curProg the Program of the
-	// current Run (for lazy coroutine instantiation), passiveStart the
-	// WithPassiveStart predicate. procFree pools recycled processor
-	// structs; startedBits marks ids ever materialized this run, so a
-	// nil procs slot is a template when clear and a recycled halted
-	// processor when set. procTimes, doneStall and doneBufLen retire
-	// the still-observable facts of recycled processors; doneCount and
-	// templateCount replace the O(P) completion scan.
+	// Script driving the current RunScript. procFree pools recycled
+	// processor structs; startedBits marks ids ever materialized this
+	// run, so a nil procs slot is a template when clear and a recycled
+	// halted processor when set. procTimes, doneStall and doneBufLen
+	// retire the still-observable facts of recycled processors;
+	// doneCount and templateCount replace the O(P) completion scan.
 	script        Script
-	curProg       Program
-	passiveStart  func(int) bool
 	procFree      []*proc
 	startedBits   []uint64
 	templateCount int
@@ -263,48 +243,35 @@ type Machine struct {
 	stallEvents  int64
 	simEvents    int64 // committed medium events + executed processor ops
 
+	// procErr is the run's processor failure: the one at the earliest
+	// local clock (errAt), lowest id (errID) among ties (see failProc).
 	procErr error
+	errAt   int64
+	errID   int
 
-	// liveProcs counts program goroutines/coroutines between start and
-	// epilogue; Run leaves it at zero on every path (the shutdown
-	// regression tests assert this). liveWG tracks the slow-path
-	// goroutines so shutdown can wait for poisoned ones to finish
-	// unwinding before Run returns.
+	// liveProcs counts program coroutines between start and epilogue;
+	// Run leaves it at zero on every path (the shutdown regression
+	// tests assert this).
 	liveProcs atomic.Int64
-	liveWG    sync.WaitGroup
 
 	runs uint64 // completed Run calls, mixed into the per-run reseed
 }
 
-// shutdown unwinds every still-live program at the end of a Run. A
-// fast-path coroutine is stopped (its parked yield reports false and
-// the program unwinds through errStopped); stop is synchronous, so the
-// coroutine has fully unwound when it returns, and stopping an already
-// finished coroutine is a no-op. A slow-path goroutine is parked in
-// call's response receive (the engine answered or consumed every
-// request before returning), so a single poison response releases it;
-// the WaitGroup then holds Run until every goroutine's unwind — the
-// panic recovery and epilogue, not just the receive — has completed,
-// so a failed Run never leaks program goroutines into the caller's
-// world (or into this machine's next Run).
+// shutdown unwinds every still-live program at the end of a Run: each
+// coroutine is stopped (its parked yield reports false and the program
+// unwinds through errStopped). stop is synchronous, so the coroutine
+// has fully unwound — panic recovery and epilogue included — when it
+// returns, and stopping an already finished coroutine is a no-op; a
+// failed Run never leaks a parked program into the caller's world (or
+// into this machine's next Run).
 //
 //hot:cold per-Run epilogue
 func (m *Machine) shutdown() {
 	for _, p := range m.procs {
-		if p == nil {
-			continue
-		}
-		if p.fast {
-			if p.stop != nil {
-				p.stop()
-			}
-			continue
-		}
-		if p.state != stateDone {
-			p.res <- response{poison: true}
+		if p != nil && p.stop != nil {
+			p.stop()
 		}
 	}
-	m.liveWG.Wait()
 }
 
 // NewMachine builds a machine with the given parameters, which must
@@ -342,7 +309,7 @@ func (m *Machine) SetSeed(seed uint64) {
 	m.runs = 0
 }
 
-// errStopped is panicked into program goroutines when the engine shuts
+// errStopped is panicked into program coroutines when the engine shuts
 // down, unwinding them cleanly.
 var errStopped = errors.New("logp: machine stopped")
 
@@ -359,7 +326,6 @@ func isStopped(r interface{}) bool {
 // when next() reports false. A coroutine unwound by stop() returns
 // through the errStopped arm without recording anything.
 func (p *proc) sequence(prog Program) iter.Seq[token] {
-	//lint:ignore allocdiscipline one iterator closure per processor coroutine, created at startup or lazy instantiation, not per event
 	return func(yield func(token) bool) {
 		p.yield = yield
 		p.m.liveProcs.Add(1)
@@ -378,40 +344,19 @@ func (p *proc) sequence(prog Program) iter.Seq[token] {
 	}
 }
 
-// runner hosts one slow-path program goroutine. Its terminal sends
-// need no shutdown select: program code (including this deferred
-// epilogue) only runs while the engine is parked in await(p), which
-// consumes the send. A goroutine unwound by a poison response returns
-// through the errStopped arm without sending anything.
-func runner(p *proc, prog Program) {
-	defer p.m.liveWG.Done()
-	defer p.m.liveProcs.Add(-1)
-	defer func() {
-		r := recover()
-		if r == nil {
-			p.req <- request{kind: opDone}
-			return
-		}
-		if isStopped(r) {
-			return
-		}
-		p.req <- request{kind: opPanic, err: fmt.Errorf("logp: processor %d panicked: %v", p.id, r)}
-	}()
-	prog(p)
-}
-
 // Run executes prog on every processor and returns the measured
 // Result. Run may be called repeatedly; the i-th call re-seeds from
 // (seed, i) per the WithSeed determinism contract, so repeated trials
 // under DeliverRandom or AcceptRandom sample distinct admissible
-// executions while remaining reproducible from the machine seed.
+// executions while remaining reproducible from the machine seed. A
+// processor that panics halts; the rest of the machine runs on, and
+// the error names the panic at the earliest local clock, lowest id
+// among ties.
 //
 //hot:path entry to the per-event engines; setup/epilogue callees are //hot:cold
 func (m *Machine) Run(prog Program) (Result, error) {
 	m.reset()
 	defer m.shutdown()
-	m.curProg = prog
-	defer func() { m.curProg = nil }()
 
 	if err := m.runSequential(prog); err != nil {
 		return Result{}, err
@@ -474,7 +419,7 @@ func (m *Machine) finishRun() (Result, error) {
 // processors one at a time, then interleave instants and operations
 // from one commit loop.
 //
-//hot:cold per-Run startup: coroutine and goroutine launch may allocate
+//hot:cold per-Run startup: coroutine launch may allocate
 func (m *Machine) runSequential(prog Program) error {
 	// Start processors one at a time so that the code before each
 	// program's first engine call is serialized like everything else.
@@ -482,24 +427,10 @@ func (m *Machine) runSequential(prog Program) error {
 	// advertises to the fast path of the ones already running.
 	m.resumeFloor = 0
 	for i := 0; i < m.params.P; i++ {
-		if m.passiveStart != nil && !m.slowPath && m.passiveStart(i) {
-			m.templateCount++
-			continue
-		}
 		p := m.ensureProc(i)
-		p.reinit(m.slowPath)
-		if p.fast {
-			p.watermark = m.localWatermark()
-			p.next, p.stop = iter.Pull(p.sequence(prog))
-		} else {
-			if p.req == nil {
-				p.req = make(chan request)
-				p.res = make(chan response)
-			}
-			m.liveProcs.Add(1)
-			m.liveWG.Add(1)
-			go runner(p, prog)
-		}
+		p.reinit()
+		p.watermark = m.localWatermark()
+		p.next, p.stop = iter.Pull(p.sequence(prog))
 		m.await(p)
 		if p.state == stateReady {
 			m.pushReady(p)
@@ -527,7 +458,7 @@ func (m *Machine) commitLoop() error {
 		}
 		if len(m.ready) == 0 {
 			if m.templateCount > 0 {
-				// Nothing can deliver to the remaining passive
+				// Nothing can deliver to the remaining passive scripted
 				// processors anymore; run their prefixes as the dense
 				// startup sweep would have, then re-judge completion.
 				m.finalizeTemplates()
@@ -804,18 +735,13 @@ func (m *Machine) localWatermark() int64 {
 	return w
 }
 
-// await obtains the next request from p's program and records it. The
-// fast path resumes the coroutine (running the program inline until
-// its next engine call); the slow path reads the request channel.
-// Local operations the program resolved proc-side since the last
-// crossing are folded into simEvents here, preserving the per-op
-// accounting of the serialized engine.
+// await obtains the next request from p's program and records it,
+// running the program inline until its next engine call. Local
+// operations the program resolved proc-side since the last crossing
+// are folded into simEvents here, preserving the per-op accounting of
+// the serialized engine.
 func (m *Machine) await(p *proc) {
-	if p.fast {
-		p.advance()
-	} else {
-		p.pending = <-p.req
-	}
+	p.advance()
 	if p.localOps != 0 {
 		m.simEvents += p.localOps
 		p.localOps = 0
@@ -826,14 +752,24 @@ func (m *Machine) await(p *proc) {
 		m.doneCount++
 		m.maybeRecycle(p)
 	case opPanic:
-		if m.procErr == nil {
-			m.procErr = p.pending.err
-		}
+		m.failProc(p, p.pending.err)
 		p.state = stateDone
 		m.doneCount++
 		m.maybeRecycle(p)
 	default:
 		p.state = stateReady
+	}
+}
+
+// failProc records err, processor p's failure at its current clock, as
+// the run's error unless an earlier one is already recorded: the
+// earliest failure in simulated time wins, lowest id among ties. The
+// order in which the engine observes failures is not that order — a
+// program runs ahead of the engine through its local operations before
+// it panics — so the report is pinned to the model instead.
+func (m *Machine) failProc(p *proc, err error) {
+	if m.procErr == nil || p.clock < m.errAt || p.clock == m.errAt && p.id < m.errID {
+		m.procErr, m.errAt, m.errID = err, p.clock, p.id
 	}
 }
 
@@ -922,18 +858,13 @@ func (m *Machine) siftDownReady() {
 	}
 }
 
-// resume answers p's pending request and obtains the next one. The
-// fast path refreshes p's delivery watermark first: the program is
-// about to run ahead of the engine and needs to know below which
-// instant its local view of the input buffer is complete.
+// resume answers p's pending request and obtains the next one. It
+// refreshes p's delivery watermark first: the program is about to run
+// ahead of the engine and needs to know below which instant its local
+// view of the input buffer is complete.
 func (m *Machine) resume(p *proc, r response) {
-	if p.fast {
-		p.resp = r
-		p.watermark = m.localWatermark()
-		m.await(p)
-		return
-	}
-	p.res <- r
+	p.resp = r
+	p.watermark = m.localWatermark()
 	m.await(p)
 }
 
@@ -945,16 +876,6 @@ func (m *Machine) exec(p *proc) {
 	m.simEvents++
 	req := p.pending
 	switch req.kind {
-	case opCompute:
-		p.clock += req.n
-		m.resume(p, response{})
-
-	case opIdle:
-		if req.n > p.clock {
-			p.clock = req.n
-		}
-		m.resume(p, response{})
-
 	case opBuffered:
 		n := int64(0)
 		for i := p.bufHead; i >= 0; i = m.recSlab[i].next {
@@ -1058,9 +979,10 @@ func (m *Machine) processInstant(t int64) {
 			}
 			p := m.procs[dst]
 			if p == nil && !m.started(dst) {
-				// First message for a passive template: materialize it
-				// and run its local prefix now (unobservable by the
-				// passivity contract), then deliver as usual.
+				// First message for a passive scripted template:
+				// materialize it and run its local prefix now
+				// (unobservable by the passivity contract), then
+				// deliver as usual.
 				m.instantiateLazy(dst, t)
 				p = m.procs[dst] // nil again if the prefix halted and was recycled
 			}

@@ -227,8 +227,8 @@ func TestPanicPropagates(t *testing.T) {
 				panic("boom")
 			}
 		}, "processor 0 panicked: boom"},
-		// Several processors panic in one run: the report is the first
-		// panic in commit order, on every repetition.
+		// Several processors panic in one run: the report is the
+		// earliest panic in simulated time, on every repetition.
 		{"first-of-many", Params{P: 6, L: 8, O: 1, G: 2}, func(p Proc) {
 			p.Compute(int64(1 + p.ID()))
 			if p.ID()%2 == 1 {
@@ -237,13 +237,11 @@ func TestPanicPropagates(t *testing.T) {
 			p.Compute(50)
 		}, "processor 1 panicked: boom"},
 	} {
-		for _, slow := range []bool{false, true} {
-			m := NewMachine(tc.params, func(mm *Machine) { mm.slowPath = slow })
-			for i := 0; i < 3; i++ {
-				_, err := m.Run(tc.prog)
-				if err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("%s slow=%v run %d: error %v, want %q", tc.name, slow, i, err, tc.want)
-				}
+		m := NewMachine(tc.params)
+		for i := 0; i < 3; i++ {
+			_, err := m.Run(tc.prog)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s run %d: error %v, want %q", tc.name, i, err, tc.want)
 			}
 		}
 	}

@@ -1,9 +1,14 @@
-package logp
+package logp_test
 
 import (
+	"fmt"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/logp"
+	"repro/internal/logp/reference"
 )
 
 // fuzzOp is one decoded instruction of a generated processor script.
@@ -22,8 +27,8 @@ type fuzzOp struct {
 // admissible execution — the property that lets the differential
 // harness compare complete runs. Received payloads feed back into
 // Compute amounts so the interleaving is data-dependent, exercising
-// the fast path's run-ahead in input-sensitive programs.
-func decodeFuzzProgram(data []byte) (Program, int) {
+// the engine's run-ahead in input-sensitive programs.
+func decodeFuzzProgram(data []byte) (logp.Program, int) {
 	if len(data) < 2 {
 		return nil, 0
 	}
@@ -46,7 +51,7 @@ func decodeFuzzProgram(data []byte) (Program, int) {
 		data = data[3:]
 		proc = (proc + 1) % p
 	}
-	prog := func(pr Proc) {
+	prog := func(pr logp.Proc) {
 		got := 0
 		for _, op := range scripts[pr.ID()] {
 			switch op.kind {
@@ -74,92 +79,142 @@ func decodeFuzzProgram(data []byte) (Program, int) {
 	return prog, p
 }
 
-// runOnce executes prog on a fresh machine and captures everything
-// observable: the Result, the emitted trace, and the streaming
-// auditor's structured metrics.
-func runOnce(t *testing.T, params Params, prog Program, opts ...Option) (Result, []Event, *Metrics, error) {
-	t.Helper()
-	a := NewAuditor(params, TraceOptions{RequireAcquired: false})
-	var events []Event
-	opts = append(opts, WithEventLog(func(ev Event) {
-		events = append(events, ev)
-		a.Observe(ev)
-	}))
-	m := NewMachine(params, opts...)
-	res, err := m.Run(prog)
-	if err != nil {
-		return res, events, nil, err
-	}
-	if err := a.Finish(res); err != nil {
-		t.Fatalf("auditor rejected an engine run: %v (all: %v)", err, a.Violations())
-	}
-	return res, events, a.Metrics(), nil
+// variant is one admissible execution: a delivery policy, an
+// acceptance order, and the seed their random choices draw from.
+type variant struct {
+	policy logp.DeliveryPolicy
+	order  logp.AcceptOrder
+	seed   uint64
 }
 
-// checkFastSlowEquivalence runs the decoded program on the fast-path
-// engine and on the WithSlowPath oracle, under every delivery policy
-// and a sweep of parameter sets including the degenerate corners
-// (G == L pins the capacity to 1 and keeps the delivery watermark
+func (v variant) String() string { return fmt.Sprintf("%v/%v", v.policy, v.order) }
+
+// variants sweeps every delivery policy against every acceptance order,
+// so each ordering rule meets each slot rule, and random acceptance and
+// random delivery share the seeded stream both with and without each
+// other.
+func variants(seed uint64) []variant {
+	var vs []variant
+	for _, policy := range []logp.DeliveryPolicy{logp.DeliverMaxLatency, logp.DeliverMinLatency, logp.DeliverRandom} {
+		for _, order := range []logp.AcceptOrder{logp.AcceptFIFO, logp.AcceptLIFO, logp.AcceptRandom} {
+			vs = append(vs, variant{policy: policy, order: order, seed: seed})
+		}
+	}
+	return vs
+}
+
+// observation is everything a run exposes: its Result and error, the
+// emitted trace, and the streaming auditor's metrics over that trace.
+type observation struct {
+	res     logp.Result
+	err     error
+	trace   []logp.Event
+	metrics *logp.Metrics
+}
+
+// observe performs one run with a recording, auditing event sink. A run
+// that completes must also satisfy the auditor, Result cross-checks
+// included.
+func observe(t *testing.T, params logp.Params, run func(sink func(logp.Event)) (logp.Result, error)) observation {
+	t.Helper()
+	a := logp.NewAuditor(params, logp.TraceOptions{})
+	var o observation
+	o.res, o.err = run(func(ev logp.Event) {
+		o.trace = append(o.trace, ev)
+		a.Observe(ev)
+	})
+	if o.err == nil {
+		if err := a.Finish(o.res); err != nil {
+			t.Fatalf("auditor rejected a run: %v (all: %v)", err, a.Violations())
+		}
+		o.metrics = a.Metrics()
+	}
+	return o
+}
+
+// engineRun observes run on a fresh Machine configured as v.
+func engineRun(t *testing.T, params logp.Params, v variant, run func(*logp.Machine) (logp.Result, error)) observation {
+	t.Helper()
+	return observe(t, params, func(sink func(logp.Event)) (logp.Result, error) {
+		return run(logp.NewMachine(params, logp.WithDeliveryPolicy(v.policy),
+			logp.WithAcceptOrder(v.order), logp.WithSeed(v.seed), logp.WithEventLog(sink)))
+	})
+}
+
+// referenceRun observes prog on the reference interpreter configured
+// as v.
+func referenceRun(t *testing.T, params logp.Params, v variant, prog logp.Program) observation {
+	t.Helper()
+	return observe(t, params, func(sink func(logp.Event)) (logp.Result, error) {
+		return reference.Run(params, prog, reference.Config{
+			Policy: v.policy, Order: v.order, Seed: v.seed, Sink: sink,
+		})
+	})
+}
+
+// mustMatch fails unless got reproduces want bit for bit: error text,
+// Result, every trace event in order, and the audit metrics.
+func mustMatch(t *testing.T, label string, want, got observation) {
+	t.Helper()
+	if fmt.Sprint(want.err) != fmt.Sprint(got.err) {
+		t.Fatalf("%s: error mismatch:\nwant %v\n got %v", label, want.err, got.err)
+	}
+	if !reflect.DeepEqual(want.res, got.res) {
+		t.Fatalf("%s: Result mismatch:\nwant %+v\n got %+v", label, want.res, got.res)
+	}
+	for i := range min(len(want.trace), len(got.trace)) {
+		if !reflect.DeepEqual(want.trace[i], got.trace[i]) {
+			t.Fatalf("%s: trace diverges at event %d:\nwant %+v\n got %+v", label, i, want.trace[i], got.trace[i])
+		}
+	}
+	if len(want.trace) != len(got.trace) {
+		t.Fatalf("%s: trace length mismatch: want %d, got %d", label, len(want.trace), len(got.trace))
+	}
+	if !reflect.DeepEqual(want.metrics, got.metrics) {
+		t.Fatalf("%s: audit metrics mismatch:\nwant %+v\n got %+v", label, want.metrics, got.metrics)
+	}
+}
+
+// fuzzSeed derives a run seed from the fuzz input.
+func fuzzSeed(data []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(data)
+	return h.Sum64() | 1
+}
+
+// checkEngineMatchesReference runs the decoded program on the engine
+// and on the reference interpreter under every policy and acceptance
+// order, over parameter sets including the degenerate corners (G == L
+// pins the capacity to 1 and keeps the engine's delivery watermark
 // hugging the clocks; O == G == L aligns every operation to instant
-// boundaries). It asserts bit-for-bit identical Results, traces, and
-// audit metrics across the two engines: batching, pooling, buffered
-// emission, and proc-side run-ahead must all be unobservable.
-func checkFastSlowEquivalence(t *testing.T, data []byte) {
+// boundaries; L = 9, o = 3, G = 4 leaves a partial capacity window).
+// Batching, pooling, buffered emission, and proc-side run-ahead must
+// all be unobservable.
+func checkEngineMatchesReference(t *testing.T, data []byte) {
 	t.Helper()
 	prog, p := decodeFuzzProgram(data)
 	if prog == nil {
 		return
 	}
-	h := fnv.New64a()
-	h.Write(data)
-	seed := h.Sum64() | 1
-	paramSets := []Params{
+	for _, params := range []logp.Params{
 		{P: p, L: 8, O: 1, G: 2},
 		{P: p, L: 2, O: 1, G: 2}, // G == L: capacity 1
 		{P: p, L: 2, O: 2, G: 2}, // O == G == L
-	}
-	for _, params := range paramSets {
-		for _, policy := range []DeliveryPolicy{DeliverMaxLatency, DeliverMinLatency, DeliverRandom} {
-			opts := []Option{WithDeliveryPolicy(policy), WithSeed(seed)}
-			if policy == DeliverRandom {
-				// Random delivery shares the rng with random acceptance;
-				// exercise both consumers so a fast-path reordering of rng
-				// draws cannot hide.
-				opts = append(opts, WithAcceptOrder(AcceptRandom))
-			}
-			fastRes, fastTrace, fastMetrics, fastErr := runOnce(t, params, prog, opts...)
-			slowRes, slowTrace, slowMetrics, slowErr := runOnce(t, params, prog, append(opts, WithSlowPath())...)
-			if (fastErr == nil) != (slowErr == nil) ||
-				(fastErr != nil && fastErr.Error() != slowErr.Error()) {
-				t.Fatalf("%v/%v: error mismatch: fast %v, slow %v", params, policy, fastErr, slowErr)
-			}
-			if fastErr != nil {
-				continue
-			}
-			if !reflect.DeepEqual(fastRes, slowRes) {
-				t.Fatalf("%v/%v: Result mismatch:\nfast %+v\nslow %+v", params, policy, fastRes, slowRes)
-			}
-			if !reflect.DeepEqual(fastTrace, slowTrace) {
-				if len(fastTrace) != len(slowTrace) {
-					t.Fatalf("%v/%v: trace length mismatch: fast %d, slow %d", params, policy, len(fastTrace), len(slowTrace))
-				}
-				for i := range fastTrace {
-					if !reflect.DeepEqual(fastTrace[i], slowTrace[i]) {
-						t.Fatalf("%v/%v: trace diverges at event %d:\nfast %+v\nslow %+v", params, policy, i, fastTrace[i], slowTrace[i])
-					}
-				}
-			}
-			if !reflect.DeepEqual(fastMetrics, slowMetrics) {
-				t.Fatalf("%v/%v: audit metrics mismatch:\nfast %+v\nslow %+v", params, policy, fastMetrics, slowMetrics)
-			}
+		{P: p, L: 9, O: 3, G: 4}, // capacity 3, L not a multiple of G
+	} {
+		for _, v := range variants(fuzzSeed(data)) {
+			want := referenceRun(t, params, v, prog)
+			got := engineRun(t, params, v, func(m *logp.Machine) (logp.Result, error) { return m.Run(prog) })
+			mustMatch(t, fmt.Sprintf("%v/%v", params, v), want, got)
 		}
 	}
 }
 
-// FuzzFastPathEquivalence differentially fuzzes the coroutine fast
-// path against the slow-path oracle. `go test` replays the seed corpus
-// deterministically; `go test -fuzz=FuzzFastPathEquivalence` explores.
-func FuzzFastPathEquivalence(f *testing.F) {
+// FuzzEngineMatchesReference differentially fuzzes the engine's
+// Program form against the reference interpreter. `go test` replays
+// the seed corpus deterministically; `go test
+// -fuzz=FuzzEngineMatchesReference` explores.
+func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 2, 0, 0, 2, 1, 3, 2, 2, 2})
 	// Dense senders: every third op is a send, driving stalls.
@@ -180,13 +235,13 @@ func FuzzFastPathEquivalence(f *testing.F) {
 		if len(data) > 512 {
 			data = data[:512]
 		}
-		checkFastSlowEquivalence(t, data)
+		checkEngineMatchesReference(t, data)
 	})
 }
 
 // TestFastPathEquivalenceCorpus pins a few structured cases (beyond
-// the fuzz seed corpus) so the differential check runs on plain
-// `go test` even when fuzzing is unavailable.
+// the fuzz seed corpus) so the engine-versus-reference check runs on
+// plain `go test` even when fuzzing is unavailable.
 func TestFastPathEquivalenceCorpus(t *testing.T) {
 	cases := [][]byte{
 		{0, 2, 1, 1, 2, 3, 3, 0, 5, 5, 4, 2, 2, 2, 9, 9},
@@ -194,6 +249,97 @@ func TestFastPathEquivalenceCorpus(t *testing.T) {
 		{2, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6},
 	}
 	for _, data := range cases {
-		checkFastSlowEquivalence(t, data)
+		checkEngineMatchesReference(t, data)
+	}
+}
+
+// TestEngineMatchesReferenceOnErrors holds the engine's failure reports
+// to the reference: a deadlock, the earliest processor panic in
+// simulated time, Send and Compute validation, and a strict stall-free
+// run that stalls must give the same error text, Result, and trace.
+func TestEngineMatchesReferenceOnErrors(t *testing.T) {
+	params := logp.Params{P: 4, L: 8, O: 1, G: 2}
+	for _, tc := range []struct {
+		name   string
+		prog   logp.Program
+		strict bool
+		want   string
+	}{
+		{"deadlock", func(p logp.Proc) {
+			if p.ID() == 0 {
+				p.Send(1, 0, 7, 0)
+			}
+			if p.ID() == 1 {
+				p.Recv()
+				p.Recv() // nobody sends a second message
+			}
+		}, false, "deadlock: processors [1] blocked on Recv"},
+		{"first-panic", func(p logp.Proc) {
+			p.Compute(int64(1 + p.ID()))
+			if p.ID()%2 == 1 {
+				panic("boom")
+			}
+			p.Compute(50)
+		}, false, "processor 1 panicked: boom"},
+		// Processor 1 is woken at t=9 and runs ahead through Compute(10)
+		// into its panic before processor 2, woken at the same instant,
+		// acquires and panics at clock 10; 1's panic is at clock 19.
+		{"panic-after-local-work", func(p logp.Proc) {
+			switch p.ID() {
+			case 0:
+				p.Send(2, 0, 1, 0) // accepted at 1, delivered at 9
+			case 1:
+				p.WaitUntil(8)
+				p.Send(3, 0, 1, 0) // accepted at 9
+				p.Compute(10)
+				panic("late")
+			case 2:
+				p.Recv()
+				panic("early")
+			case 3:
+				p.Recv()
+			}
+		}, false, "processor 2 panicked: early"},
+		{"invalid-destination", func(p logp.Proc) {
+			if p.ID() == 2 {
+				p.Send(9, 0, 0, 0)
+			}
+		}, false, "processor 2 panicked: logp: Send to invalid destination 9 (P=4)"},
+		{"self-send", func(p logp.Proc) {
+			if p.ID() == 3 {
+				p.Send(3, 0, 0, 0)
+			}
+		}, false, "processor 3 panicked: logp: Send to self"},
+		{"negative-compute", func(p logp.Proc) {
+			if p.ID() == 0 {
+				p.Compute(-1)
+			}
+		}, false, "processor 0 panicked: logp: Compute(-1) with negative cycles"},
+		{"strict-stall-free", func(p logp.Proc) {
+			if p.ID() < 3 {
+				for k := 0; k < 4; k++ {
+					p.Send(3, 0, int64(k), 0) // 12 messages at capacity 4
+				}
+				return
+			}
+			for i := 0; i < 12; i++ {
+				p.Recv()
+			}
+		}, true, "under WithStrictStallFree"},
+	} {
+		want := observe(t, params, func(sink func(logp.Event)) (logp.Result, error) {
+			return reference.Run(params, tc.prog, reference.Config{Seed: 1, StrictStallFree: tc.strict, Sink: sink})
+		})
+		got := observe(t, params, func(sink func(logp.Event)) (logp.Result, error) {
+			opts := []logp.Option{logp.WithEventLog(sink)}
+			if tc.strict {
+				opts = append(opts, logp.WithStrictStallFree())
+			}
+			return logp.NewMachine(params, opts...).Run(tc.prog)
+		})
+		if want.err == nil || !strings.Contains(want.err.Error(), tc.want) {
+			t.Fatalf("%s: reference error %v, want one containing %q", tc.name, want.err, tc.want)
+		}
+		mustMatch(t, tc.name, want, got)
 	}
 }

@@ -2,35 +2,22 @@ package logp
 
 import (
 	"fmt"
-	"iter"
 	"math"
 )
 
-// Lazy processor lifecycle for the scale mode. Processors that have no
-// work before their first message (Script.Active(id) == false, or
-// WithPassiveStart for the coroutine form) are never materialized at
-// startup: the nil slot in Machine.procs together with a clear
-// startedBits bit is the whole template. A template is instantiated
-// when its first message is delivered — its local prefix runs then,
-// which the passivity contract makes unobservable — or by the
-// finalization sweep at termination, so deadlock reports and completion
-// checks see exactly the processors the dense engine would. Halted
-// scripted processors are recycled back into the struct pool
-// (procFree), with the few still-observable facts (final clock, stall
-// cycles, buffered depth) retired into dense/side structures, so a
-// long run's live footprint follows the active set, not P.
-
-// WithPassiveStart declares processors passive for the coroutine
-// Program form: f(id) reporting true marks id as having no work before
-// its first message, so the engine defers creating its coroutine until
-// a message arrives for it. The program must uphold the same passivity
-// contract as Script.Active — the operations before a passive
-// processor's first Recv must be Compute or WaitUntil only. Under
-// WithSlowPath the option is ignored and every processor starts
-// eagerly; the slow path stays the dense oracle.
-func WithPassiveStart(f func(id int) bool) Option {
-	return func(m *Machine) { m.passiveStart = f }
-}
+// Lazy processor lifecycle for the scripted scale mode. Processors that
+// have no work before their first message (Script.Active(id) == false)
+// are never materialized at startup: the nil slot in Machine.procs
+// together with a clear startedBits bit is the whole template. A
+// template is instantiated when its first message is delivered — its
+// local prefix runs then, which the passivity contract makes
+// unobservable — or by the finalization sweep at termination, so
+// deadlock reports and completion checks see exactly the processors
+// the dense engine would. Halted scripted processors are recycled back
+// into the struct pool (procFree), with the few still-observable facts
+// (final clock, stall cycles, buffered depth) retired into dense/side
+// structures, so a long run's live footprint follows the active set,
+// not P.
 
 // started reports whether processor id was ever materialized this run.
 // procs[id] == nil then distinguishes a template (not started) from a
@@ -105,13 +92,9 @@ func (m *Machine) maybeRecycle(p *proc) {
 func (m *Machine) instantiateLazy(id int, t int64) {
 	m.templateCount--
 	p := m.ensureProc(id)
-	p.reinit(false)
+	p.reinit()
 	p.watermark = m.localWatermark()
 	p.prefix = true
-	if m.script == nil {
-		//lint:ignore allocdiscipline one coroutine per lazily instantiated processor; the dense engine pays the same closure at startup
-		p.next, p.stop = iter.Pull(p.sequence(m.curProg))
-	}
 	m.await(p)
 	p.prefix = false
 	switch p.pending.kind {
@@ -129,9 +112,7 @@ func (m *Machine) instantiateLazy(id int, t int64) {
 	case opDone, opPanic:
 		// await recorded the outcome (and recycled a scripted proc).
 	default:
-		if m.procErr == nil {
-			m.procErr = fmt.Errorf("logp: processor %d declared passive performed a non-local operation before its first Recv", id)
-		}
+		m.failProc(p, fmt.Errorf("logp: processor %d declared passive performed a non-local operation before its first Recv", id))
 		p.state = stateDone
 		m.doneCount++
 		m.maybeRecycle(p)

@@ -16,10 +16,13 @@
 // implementation accepts them in FIFO order by submission instant,
 // breaking ties by processor id).
 //
-// Each simulated processor runs its Program in a goroutine that
-// converses with a sequential, conservative discrete-event engine, so a
-// run is deterministic for a fixed seed while programs are written in
-// ordinary imperative style against the Proc interface.
+// Each simulated processor runs its Program as a coroutine of a
+// sequential, conservative discrete-event engine, so a run is
+// deterministic for a fixed seed while programs are written in ordinary
+// imperative style against the Proc interface. The subpackage reference
+// is a deliberately naive interpreter of the same model, independent of
+// the engine's code; the differential tests hold the engine to it bit
+// for bit.
 package logp
 
 import "fmt"

@@ -3,10 +3,10 @@ package logp
 import "fmt"
 
 // Proc is the interface a LogP program uses to drive its processor.
-// Programs are ordinary Go functions of type Program; each runs in its
-// own goroutine but the engine interleaves them deterministically, so
-// closures may share data structures indexed by processor id without
-// additional locking.
+// Programs are ordinary Go functions of type Program; each runs as a
+// coroutine of the engine's single sequential loop, which interleaves
+// them deterministically, so closures may share data structures indexed
+// by processor id without additional locking.
 //
 // Proc is an interface rather than a concrete type so that the
 // cross-simulators in internal/core can execute unmodified LogP
@@ -55,9 +55,7 @@ type Program func(p Proc)
 type opKind uint8
 
 const (
-	opCompute opKind = iota
-	opIdle
-	opSend
+	opSend opKind = iota
 	opRecv
 	opTryRecv
 	opBuffered
@@ -67,7 +65,6 @@ const (
 
 type request struct {
 	kind opKind
-	n    int64
 	msg  Message
 	err  error
 }
@@ -76,13 +73,9 @@ type response struct {
 	msg Message
 	ok  bool
 	n   int64
-	// poison tells a slow-path program goroutine to unwind: the
-	// engine is shutting down and will never answer another request.
-	poison bool
 }
 
-// token is the zero-size value exchanged over the fast path's
-// coroutine switch; the actual request and response ride in proc
+// token is the zero-size value exchanged over the coroutine switch; the actual request and response ride in proc
 // fields (see proc.out and proc.resp).
 type token = struct{}
 
@@ -110,7 +103,7 @@ type msgRec struct {
 }
 
 // proc is the engine-side representation of a processor; it also
-// implements Proc for the program goroutine.
+// implements Proc for the program coroutine.
 type proc struct {
 	id int
 	m  *Machine
@@ -152,32 +145,27 @@ type proc struct {
 	stallCycles int64
 	stallEvents int64
 
-	// Fast path: the program runs as a coroutine. yield parks the
-	// program until the engine answers in resp; next resumes the
-	// program until its next request; stop unwinds it. The request
-	// itself travels through the out field rather than the yield
-	// value — yielding a zero-size token keeps the ~90-byte request
-	// struct from being copied through the iter.Pull plumbing twice
-	// per crossing. Exactly one of (engine, program) runs at any time
-	// and the coroutine switch orders their memory accesses, so these
-	// unsynchronized fields are race-free.
+	// The program runs as a coroutine (nil for a scripted processor,
+	// which runs inline in scriptSegment). yield parks the program
+	// until the engine answers in resp; next resumes the program until
+	// its next request; stop unwinds it. The request itself travels
+	// through the out field rather than the yield value — yielding a
+	// zero-size token keeps the ~80-byte request struct from being
+	// copied through the iter.Pull plumbing twice per crossing. Exactly
+	// one of (engine, program) runs at any time and the coroutine
+	// switch orders their memory accesses, so these unsynchronized
+	// fields are race-free.
 	next  func() (token, bool)
 	stop  func()
 	yield func(token) bool
 	out   request
 	resp  response
-	fast  bool
 
-	// prefix is set while a lazily instantiated passive processor runs
-	// its pre-Recv prefix (see lazy.go): locally resolving polls are
-	// rejected there, because deferring them past startup would not
-	// commute with the rest of the machine.
+	// prefix is set while a lazily instantiated passive scripted
+	// processor runs its pre-Recv prefix (see lazy.go): locally
+	// resolving polls are rejected there, because deferring them past
+	// startup would not commute with the rest of the machine.
 	prefix bool
-
-	// Slow path (WithSlowPath): the original per-op channel
-	// rendezvous, kept alive as a differential-testing oracle.
-	req chan request
-	res chan response
 }
 
 var _ Proc = (*proc)(nil)
@@ -187,26 +175,15 @@ func (p *proc) P() int         { return p.m.params.P }
 func (p *proc) Params() Params { return p.m.params }
 func (p *proc) Now() int64     { return p.clock }
 
-// call hands r to the engine and blocks for the answer. On the fast
-// path that is one coroutine switch; on the slow path, plain channel
-// operations suffice — no select on a shutdown channel — because the
-// engine is always parked awaiting p while p's program code runs, so
-// the request send cannot block past shutdown, and a response always
-// arrives: either a real one or the shutdown sweep's poison.
+// call hands r to the engine and blocks for the answer: one coroutine
+// switch. A false yield means the engine is shutting down, and the
+// program unwinds.
 func (p *proc) call(r request) response {
-	if p.fast {
-		p.out = r
-		if !p.yield(token{}) {
-			panic(errStopped)
-		}
-		return p.resp
-	}
-	p.req <- r
-	v := <-p.res
-	if v.poison {
+	p.out = r
+	if !p.yield(token{}) {
 		panic(errStopped)
 	}
-	return v
+	return p.resp
 }
 
 // Compute is the per-event local-work operation of the fast path.
@@ -219,29 +196,20 @@ func (p *proc) Compute(n int64) {
 	if n == 0 {
 		return
 	}
-	if p.fast {
-		// Local work touches only this processor's clock; it commutes
-		// with every other processor's operations, so it never needs
-		// the engine.
-		p.clock += n
-		p.localOps++
-		return
-	}
-	p.call(request{kind: opCompute, n: n})
+	// Local work touches only this processor's clock; it commutes with
+	// every other processor's operations, so it never needs the engine.
+	p.clock += n
+	p.localOps++
 }
 
 // WaitUntil advances the local clock to t.
 //
 //hot:path program-side fast-path operation
 func (p *proc) WaitUntil(t int64) {
-	if p.fast {
-		if t > p.clock {
-			p.clock = t
-		}
-		p.localOps++
-		return
+	if t > p.clock {
+		p.clock = t
 	}
-	p.call(request{kind: opIdle, n: t})
+	p.localOps++
 }
 
 // Send submits a message for delivery to dst.
@@ -277,28 +245,23 @@ func (p *proc) Recv() Message {
 //
 //hot:path program-side fast-path operation
 func (p *proc) TryRecv() (Message, bool) {
-	if p.fast {
-		if p.bufLen > 0 {
-			// The buffer only grows while the program runs ahead, and
-			// arrivals keep at <= clock (engine invariant), so a
-			// locally visible head decides the poll: success must
-			// cross into the engine (it mutates the buffer and emits
-			// the acquisition), but a gap violation fails locally no
-			// matter what else arrives.
-			if p.nextComm > p.clock {
-				p.failIfPrefix("TryRecv")
-				p.clock++ // one polling cycle
-				p.localOps++
-				return Message{}, false
-			}
-		} else if p.clock < p.watermark {
-			// Nothing buffered and nothing can arrive below the
-			// watermark: the poll fails without consulting the engine.
-			p.failIfPrefix("TryRecv")
-			p.clock++
+	if p.bufLen > 0 {
+		// The buffer only grows while the program runs ahead, and
+		// arrivals keep at <= clock (engine invariant), so a locally
+		// visible head decides the poll: success must cross into the
+		// engine (it mutates the buffer and emits the acquisition), but
+		// a gap violation fails locally no matter what else arrives.
+		if p.nextComm > p.clock {
+			p.clock++ // one polling cycle
 			p.localOps++
 			return Message{}, false
 		}
+	} else if p.clock < p.watermark {
+		// Nothing buffered and nothing can arrive below the watermark:
+		// the poll fails without consulting the engine.
+		p.clock++
+		p.localOps++
+		return Message{}, false
 	}
 	r := p.call(request{kind: opTryRecv})
 	return r.msg, r.ok
@@ -308,12 +271,11 @@ func (p *proc) TryRecv() (Message, bool) {
 //
 //hot:path program-side fast-path operation
 func (p *proc) Buffered() int {
-	if p.fast && p.clock < p.watermark {
+	if p.clock < p.watermark {
 		// Every arrival at or before clock is already in the local
 		// view (none can land below the watermark), and buffered
 		// arrivals never exceed the owner's clock, so the list length
 		// is the answer.
-		p.failIfPrefix("Buffered")
 		p.localOps++
 		return p.bufLen
 	}
@@ -321,7 +283,7 @@ func (p *proc) Buffered() int {
 }
 
 // reinit prepares the pooled proc struct for a fresh Run.
-func (p *proc) reinit(slow bool) {
+func (p *proc) reinit() {
 	p.clock = 0
 	p.nextComm = 0
 	p.watermark = 0
@@ -334,6 +296,5 @@ func (p *proc) reinit(slow bool) {
 	p.stallCycles, p.stallEvents = 0, 0
 	p.next, p.stop, p.yield = nil, nil, nil
 	p.resp = response{}
-	p.fast = !slow
 	p.prefix = false
 }

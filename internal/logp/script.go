@@ -81,12 +81,13 @@ type ScriptResult struct {
 
 // ScriptAsProgram adapts a Script to the coroutine Program form. The
 // adapter issues exactly the Proc calls the engine-side scripted
-// executor performs and rebuilds results the same way, so
-// Run(ScriptAsProgram(s)) is the dense differential oracle for
-// RunScript(s): traces, audit metrics, and Results must match byte for
-// byte.
+// executor performs and rebuilds results the same way, so any
+// Program-form runner executes the Script as RunScript(s) would: the
+// dense Run(ScriptAsProgram(s)) and the reference interpreter's run of
+// it must match RunScript's traces, audit metrics, and Results byte
+// for byte.
 //
-//hot:cold adapter constructor: builds one Program closure per Run for the dense oracle path; its operations are the Proc fast-path methods, rooted separately
+//hot:cold adapter constructor: builds one Program closure per Run for the dense path; its operations are the Proc fast-path methods, rooted separately
 func ScriptAsProgram(s Script) Program {
 	return func(p Proc) {
 		id := p.ID()
@@ -125,15 +126,10 @@ func ScriptAsProgram(s Script) Program {
 // instantiation of passive processors, and recycling of halted ones,
 // so cost is O(active processors) in memory while every observable —
 // Result, trace, audit metrics — is byte-identical to
-// Run(ScriptAsProgram(s)). Under WithSlowPath the call literally
-// redirects there, keeping the slow path the one oracle.
+// Run(ScriptAsProgram(s)).
 //
 //hot:path entry to the scripted engine; setup/epilogue callees are //hot:cold
 func (m *Machine) RunScript(s Script) (Result, error) {
-	if m.slowPath {
-		//lint:ignore allocdiscipline the dense-oracle redirect builds one adapter closure per Run, not per event
-		return m.Run(ScriptAsProgram(s))
-	}
 	m.script = s
 	defer func() { m.script = nil }()
 	m.reset()
@@ -158,7 +154,7 @@ func (m *Machine) runSequentialScript(s Script) error {
 			continue
 		}
 		p := m.ensureProc(i)
-		p.reinit(false)
+		p.reinit()
 		p.watermark = m.localWatermark()
 		m.await(p)
 		if p.state == stateReady {

@@ -1,11 +1,12 @@
-package logp
+package logp_test
 
 import (
 	"fmt"
-	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/logp"
 )
 
 // ringScriptState is one processor's progress through the ring script.
@@ -24,17 +25,17 @@ func newRingScript(p, rounds int) *ringScript {
 
 func (s *ringScript) Active(int) bool { return true }
 
-func (s *ringScript) Next(id int, prev ScriptResult) ScriptOp {
+func (s *ringScript) Next(id int, prev logp.ScriptResult) logp.ScriptOp {
 	st := &s.st[id]
 	if st.sent < s.rounds {
 		st.sent++
-		return ScriptOp{Kind: ScriptSend, Dst: (id + 1) % s.p, Tag: 1, Payload: int64(st.sent), Aux: int64(id)}
+		return logp.ScriptOp{Kind: logp.ScriptSend, Dst: (id + 1) % s.p, Tag: 1, Payload: int64(st.sent), Aux: int64(id)}
 	}
 	if st.recvd < s.rounds {
 		st.recvd++
-		return ScriptOp{Kind: ScriptRecv}
+		return logp.ScriptOp{Kind: logp.ScriptRecv}
 	}
-	return ScriptOp{Kind: ScriptHalt}
+	return logp.ScriptOp{Kind: logp.ScriptHalt}
 }
 
 // bcastScript is the binomial span-halving broadcast: only the root is
@@ -58,7 +59,7 @@ func newBcastScript(p int) *bcastScript {
 
 func (s *bcastScript) Active(id int) bool { return id == 0 }
 
-func (s *bcastScript) Next(id int, prev ScriptResult) ScriptOp {
+func (s *bcastScript) Next(id int, prev logp.ScriptResult) logp.ScriptOp {
 	st := &s.st[id]
 	if !st.received {
 		if id == 0 {
@@ -66,7 +67,7 @@ func (s *bcastScript) Next(id int, prev ScriptResult) ScriptOp {
 			st.hi = s.p
 		} else {
 			if !prev.OK {
-				return ScriptOp{Kind: ScriptRecv}
+				return logp.ScriptOp{Kind: logp.ScriptRecv}
 			}
 			st.received = true
 			st.hi = int(prev.Msg.Payload)
@@ -74,11 +75,11 @@ func (s *bcastScript) Next(id int, prev ScriptResult) ScriptOp {
 	}
 	if st.hi-id > 1 {
 		mid := id + (st.hi-id+1)/2
-		op := ScriptOp{Kind: ScriptSend, Dst: mid, Tag: 2, Payload: int64(st.hi), Aux: int64(id)}
+		op := logp.ScriptOp{Kind: logp.ScriptSend, Dst: mid, Tag: 2, Payload: int64(st.hi), Aux: int64(id)}
 		st.hi = mid
 		return op
 	}
-	return ScriptOp{Kind: ScriptHalt}
+	return logp.ScriptOp{Kind: logp.ScriptHalt}
 }
 
 // haltFloodScript: processor 0 halts immediately; every other
@@ -96,15 +97,15 @@ func newHaltFloodScript(p, k int) *haltFloodScript {
 
 func (s *haltFloodScript) Active(int) bool { return true }
 
-func (s *haltFloodScript) Next(id int, prev ScriptResult) ScriptOp {
+func (s *haltFloodScript) Next(id int, prev logp.ScriptResult) logp.ScriptOp {
 	if id == 0 {
-		return ScriptOp{Kind: ScriptHalt}
+		return logp.ScriptOp{Kind: logp.ScriptHalt}
 	}
 	if s.sent[id] < s.k {
 		s.sent[id]++
-		return ScriptOp{Kind: ScriptSend, Dst: 0, Tag: 3, Payload: int64(s.sent[id]), Aux: 0}
+		return logp.ScriptOp{Kind: logp.ScriptSend, Dst: 0, Tag: 3, Payload: int64(s.sent[id]), Aux: 0}
 	}
-	return ScriptOp{Kind: ScriptHalt}
+	return logp.ScriptOp{Kind: logp.ScriptHalt}
 }
 
 // prefixScript exercises the passivity contract's legal prefix: odd
@@ -119,91 +120,55 @@ func newPrefixScript(p int) *prefixScript { return &prefixScript{p: p, st: make(
 
 func (s *prefixScript) Active(id int) bool { return id%2 == 0 }
 
-func (s *prefixScript) Next(id int, prev ScriptResult) ScriptOp {
+func (s *prefixScript) Next(id int, prev logp.ScriptResult) logp.ScriptOp {
 	st := &s.st[id]
 	if id%2 == 0 {
 		if *st == 0 {
 			*st = 1
-			return ScriptOp{Kind: ScriptSend, Dst: (id + 1) % s.p, Tag: 4, Payload: int64(id), Aux: 7}
+			return logp.ScriptOp{Kind: logp.ScriptSend, Dst: (id + 1) % s.p, Tag: 4, Payload: int64(id), Aux: 7}
 		}
-		return ScriptOp{Kind: ScriptHalt}
+		return logp.ScriptOp{Kind: logp.ScriptHalt}
 	}
 	switch *st {
 	case 0:
 		*st = 1
-		return ScriptOp{Kind: ScriptCompute, N: int64(3 + id%5)}
+		return logp.ScriptOp{Kind: logp.ScriptCompute, N: int64(3 + id%5)}
 	case 1:
 		*st = 2
-		return ScriptOp{Kind: ScriptWait, N: prev.Now + 2}
+		return logp.ScriptOp{Kind: logp.ScriptWait, N: prev.Now + 2}
 	case 2:
 		*st = 3
-		return ScriptOp{Kind: ScriptRecv}
+		return logp.ScriptOp{Kind: logp.ScriptRecv}
 	default:
-		return ScriptOp{Kind: ScriptHalt}
+		return logp.ScriptOp{Kind: logp.ScriptHalt}
 	}
-}
-
-// runScriptOnce executes mk()'s script via RunScript and captures
-// everything observable, mirroring runOnce for the Program form.
-func runScriptOnce(t *testing.T, params Params, mk func() Script, opts ...Option) (Result, []Event, *Metrics, error) {
-	t.Helper()
-	a := NewAuditor(params, TraceOptions{RequireAcquired: false})
-	var events []Event
-	opts = append(opts, WithEventLog(func(ev Event) {
-		events = append(events, ev)
-		a.Observe(ev)
-	}))
-	m := NewMachine(params, opts...)
-	res, err := m.RunScript(mk())
-	if err != nil {
-		return res, events, nil, err
-	}
-	if err := a.Finish(res); err != nil {
-		t.Fatalf("auditor rejected an engine run: %v (all: %v)", err, a.Violations())
-	}
-	return res, events, a.Metrics(), nil
 }
 
 // checkScriptEquivalence asserts that the sparse scripted engine
-// produces bit-for-bit the Results, traces, and audit metrics of the
-// dense coroutine oracle Run(ScriptAsProgram) under every delivery
-// policy (random delivery paired with random acceptance), seeded with
-// seed. mk must return a fresh Script each call (scripts carry mutable
-// per-processor state).
-func checkScriptEquivalence(t *testing.T, params Params, mk func() Script, seed uint64) {
+// produces bit for bit the Results, traces, and audit metrics of the
+// reference interpreter running the Script's Program form, and of the
+// dense engine path Run(ScriptAsProgram), under every delivery policy
+// and acceptance order, seeded with seed. mk must return a fresh Script
+// each call (scripts carry mutable per-processor state).
+func checkScriptEquivalence(t *testing.T, params logp.Params, mk func() logp.Script, seed uint64) {
 	t.Helper()
-	for _, policy := range []DeliveryPolicy{DeliverMaxLatency, DeliverMinLatency, DeliverRandom} {
-		opts := []Option{WithDeliveryPolicy(policy), WithSeed(seed)}
-		if policy == DeliverRandom {
-			opts = append(opts, WithAcceptOrder(AcceptRandom))
-		}
-		denseRes, denseTrace, denseMetrics, denseErr := runOnce(t, params, ScriptAsProgram(mk()), opts...)
-		sparseRes, sparseTrace, sparseMetrics, sparseErr := runScriptOnce(t, params, mk, opts...)
-		if (denseErr == nil) != (sparseErr == nil) ||
-			(denseErr != nil && denseErr.Error() != sparseErr.Error()) {
-			t.Fatalf("%v/%v: error mismatch: dense %v, sparse %v", params, policy, denseErr, sparseErr)
-		}
-		if denseErr != nil {
-			continue
-		}
-		if !reflect.DeepEqual(denseRes, sparseRes) {
-			t.Fatalf("%v/%v: Result mismatch:\ndense  %+v\nsparse %+v", params, policy, denseRes, sparseRes)
-		}
-		if !reflect.DeepEqual(denseTrace, sparseTrace) {
-			t.Fatalf("%v/%v: trace mismatch (%d vs %d events)", params, policy, len(denseTrace), len(sparseTrace))
-		}
-		if !reflect.DeepEqual(denseMetrics, sparseMetrics) {
-			t.Fatalf("%v/%v: audit metrics mismatch:\ndense  %+v\nsparse %+v", params, policy, denseMetrics, sparseMetrics)
-		}
+	for _, v := range variants(seed) {
+		label := fmt.Sprintf("%v/%v", params, v)
+		want := referenceRun(t, params, v, logp.ScriptAsProgram(mk()))
+		dense := engineRun(t, params, v, func(m *logp.Machine) (logp.Result, error) { return m.Run(logp.ScriptAsProgram(mk())) })
+		sparse := engineRun(t, params, v, func(m *logp.Machine) (logp.Result, error) { return m.RunScript(mk()) })
+		mustMatch(t, label+" reference vs RunScript", want, sparse)
+		mustMatch(t, label+" Run(ScriptAsProgram) vs RunScript", dense, sparse)
 	}
 }
 
 // TestScriptEquivalence is the scripted engine's correctness contract
-// at pinned sizes: the lazy scripted engine must be byte-identical
-// to the dense coroutine path at p ∈ {16, 128, 1024}.
+// at pinned sizes: the lazy scripted engine must be byte-identical to
+// the reference interpreter and to the dense coroutine path at
+// p ∈ {16, 128, 1024}.
 func TestScriptEquivalence(t *testing.T) {
-	paramsFor := func(p int) []Params {
-		return []Params{
+	paramsFor := func(p int) []logp.Params {
+		return []logp.Params{
 			{P: p, L: 32, O: 2, G: 4}, // the E2 machine
 			{P: p, L: 4, O: 1, G: 4},  // G == L: capacity 1 (E3's tight corner)
 		}
@@ -212,13 +177,13 @@ func TestScriptEquivalence(t *testing.T) {
 		p := p
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			for _, params := range paramsFor(p) {
-				checkScriptEquivalence(t, params, func() Script { return newRingScript(p, 3) }, 99)
-				checkScriptEquivalence(t, params, func() Script { return newBcastScript(p) }, 99)
-				checkScriptEquivalence(t, params, func() Script { return newPrefixScript(p) }, 99)
+				checkScriptEquivalence(t, params, func() logp.Script { return newRingScript(p, 3) }, 99)
+				checkScriptEquivalence(t, params, func() logp.Script { return newBcastScript(p) }, 99)
+				checkScriptEquivalence(t, params, func() logp.Script { return newPrefixScript(p) }, 99)
 			}
 			// The halt-flood stalls heavily; one param set keeps it fast.
-			checkScriptEquivalence(t, Params{P: p, L: 8, O: 1, G: 2},
-				func() Script { return newHaltFloodScript(p, 3) }, 99)
+			checkScriptEquivalence(t, logp.Params{P: p, L: 8, O: 1, G: 2},
+				func() logp.Script { return newHaltFloodScript(p, 3) }, 99)
 		})
 	}
 }
@@ -228,12 +193,12 @@ func TestScriptEquivalence(t *testing.T) {
 // MaxBufferDepth exactly as the dense engine's ever-growing buffer
 // does.
 func TestScriptRecycledBufferDepth(t *testing.T) {
-	params := Params{P: 5, L: 8, O: 1, G: 2}
-	dense, err := NewMachine(params).Run(ScriptAsProgram(newHaltFloodScript(5, 4)))
+	params := logp.Params{P: 5, L: 8, O: 1, G: 2}
+	dense, err := logp.NewMachine(params).Run(logp.ScriptAsProgram(newHaltFloodScript(5, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := NewMachine(params).RunScript(newHaltFloodScript(5, 4))
+	sparse, err := logp.NewMachine(params).RunScript(newHaltFloodScript(5, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,29 +213,29 @@ func TestScriptRecycledBufferDepth(t *testing.T) {
 // violationScript breaks the passivity contract in a configurable way.
 type violationScript struct {
 	p    int
-	kind ScriptKind // the illegal op the passive processor leads with
+	kind logp.ScriptKind // the illegal op the passive processor leads with
 	st   []bool
 }
 
 func (s *violationScript) Active(id int) bool { return id == 0 }
 
-func (s *violationScript) Next(id int, prev ScriptResult) ScriptOp {
+func (s *violationScript) Next(id int, prev logp.ScriptResult) logp.ScriptOp {
 	if id == 0 {
 		if !s.st[0] {
 			s.st[0] = true
-			return ScriptOp{Kind: ScriptSend, Dst: 1, Tag: 1, Payload: 1, Aux: 1}
+			return logp.ScriptOp{Kind: logp.ScriptSend, Dst: 1, Tag: 1, Payload: 1, Aux: 1}
 		}
-		return ScriptOp{Kind: ScriptHalt}
+		return logp.ScriptOp{Kind: logp.ScriptHalt}
 	}
 	if !s.st[id] {
 		s.st[id] = true
-		return ScriptOp{Kind: s.kind, Dst: (id + 1) % s.p, N: 1}
+		return logp.ScriptOp{Kind: s.kind, Dst: (id + 1) % s.p, N: 1}
 	}
-	if s.kind == ScriptTryRecv || s.kind == ScriptBuffered {
+	if s.kind == logp.ScriptTryRecv || s.kind == logp.ScriptBuffered {
 		// Reachable only under the dense oracle, which runs the poll.
-		return ScriptOp{Kind: ScriptHalt}
+		return logp.ScriptOp{Kind: logp.ScriptHalt}
 	}
-	return ScriptOp{Kind: ScriptRecv}
+	return logp.ScriptOp{Kind: logp.ScriptRecv}
 }
 
 // TestScriptPassivityViolation: a passive processor whose pre-Recv
@@ -278,16 +243,16 @@ func (s *violationScript) Next(id int, prev ScriptResult) ScriptOp {
 // than silently diverge from the dense engine.
 func TestScriptPassivityViolation(t *testing.T) {
 	cases := []struct {
-		kind ScriptKind
+		kind logp.ScriptKind
 		want string
 	}{
-		{ScriptSend, "declared passive performed a non-local operation"},
-		{ScriptTryRecv, "performed TryRecv before its first Recv"},
-		{ScriptBuffered, "performed Buffered before its first Recv"},
+		{logp.ScriptSend, "declared passive performed a non-local operation"},
+		{logp.ScriptTryRecv, "performed TryRecv before its first Recv"},
+		{logp.ScriptBuffered, "performed Buffered before its first Recv"},
 	}
 	for _, c := range cases {
 		s := &violationScript{p: 4, kind: c.kind, st: make([]bool, 4)}
-		_, err := NewMachine(Params{P: 4, L: 8, O: 1, G: 2}).RunScript(s)
+		_, err := logp.NewMachine(logp.Params{P: 4, L: 8, O: 1, G: 2}).RunScript(s)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("kind %d: error %v, want contains %q", c.kind, err, c.want)
 		}
@@ -298,14 +263,14 @@ func TestScriptPassivityViolation(t *testing.T) {
 // messaged parks on Recv at finalization, and the deadlock report must
 // name the same processors as the dense engine's.
 func TestScriptDeadlockMatchesDense(t *testing.T) {
-	mk := func() Script {
+	mk := func() logp.Script {
 		s := newPrefixScript(6)
 		// Overwrite: nobody sends, so every passive processor deadlocks.
 		return &starvedScript{prefixScript: s}
 	}
-	params := Params{P: 6, L: 8, O: 1, G: 2}
-	_, denseErr := NewMachine(params).Run(ScriptAsProgram(mk()))
-	_, sparseErr := NewMachine(params).RunScript(mk())
+	params := logp.Params{P: 6, L: 8, O: 1, G: 2}
+	_, denseErr := logp.NewMachine(params).Run(logp.ScriptAsProgram(mk()))
+	_, sparseErr := logp.NewMachine(params).RunScript(mk())
 	if denseErr == nil || sparseErr == nil {
 		t.Fatalf("expected deadlock from both engines, got dense %v, sparse %v", denseErr, sparseErr)
 	}
@@ -318,79 +283,18 @@ func TestScriptDeadlockMatchesDense(t *testing.T) {
 // immediately, starving the passive receivers.
 type starvedScript struct{ *prefixScript }
 
-func (s *starvedScript) Next(id int, prev ScriptResult) ScriptOp {
+func (s *starvedScript) Next(id int, prev logp.ScriptResult) logp.ScriptOp {
 	if id%2 == 0 {
-		return ScriptOp{Kind: ScriptHalt}
+		return logp.ScriptOp{Kind: logp.ScriptHalt}
 	}
 	return s.prefixScript.Next(id, prev)
-}
-
-// passiveProgram is the coroutine-form analogue of prefixScript, for
-// WithPassiveStart coverage.
-func passiveProgram(pr Proc) {
-	id := pr.ID()
-	if id%2 == 0 {
-		pr.Send((id+1)%pr.P(), 4, int64(id), 7)
-		return
-	}
-	pr.Compute(int64(3 + id%5))
-	pr.WaitUntil(pr.Now() + 2)
-	pr.Recv()
-}
-
-// TestWithPassiveStartEquivalence: the coroutine form with lazily
-// started passive processors must match the eager dense run, including
-// with the slow path (where the option is ignored).
-func TestWithPassiveStartEquivalence(t *testing.T) {
-	passive := func(id int) bool { return id%2 == 1 }
-	for _, p := range []int{4, 16, 128} {
-		params := Params{P: p, L: 32, O: 2, G: 4}
-		res, trace, metrics, err := runOnce(t, params, passiveProgram)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, extra := range [][]Option{
-			{WithPassiveStart(passive)},
-			{WithPassiveStart(passive), WithSlowPath()},
-		} {
-			altRes, altTrace, altMetrics, altErr := runOnce(t, params, passiveProgram, extra...)
-			if altErr != nil {
-				t.Fatal(altErr)
-			}
-			if !reflect.DeepEqual(res, altRes) {
-				t.Fatalf("p=%d: Result mismatch:\neager %+v\nlazy  %+v", p, res, altRes)
-			}
-			if !reflect.DeepEqual(trace, altTrace) {
-				t.Fatalf("p=%d: trace mismatch (%d vs %d events)", p, len(trace), len(altTrace))
-			}
-			if !reflect.DeepEqual(metrics, altMetrics) {
-				t.Fatalf("p=%d: metrics mismatch", p)
-			}
-		}
-	}
-}
-
-// TestWithPassiveStartViolation: a coroutine-form passive processor
-// that polls before its first Recv must fail, not diverge.
-func TestWithPassiveStartViolation(t *testing.T) {
-	prog := func(pr Proc) {
-		if pr.ID() == 1 {
-			pr.TryRecv()
-			return
-		}
-	}
-	m := NewMachine(Params{P: 2, L: 8, O: 1, G: 2}, WithPassiveStart(func(id int) bool { return id == 1 }))
-	_, err := m.Run(prog)
-	if err == nil || !strings.Contains(err.Error(), "before its first Recv") {
-		t.Fatalf("error %v, want passivity violation", err)
-	}
 }
 
 // TestRunScriptReuse: repeated RunScript calls on one machine recycle
 // the processor pool across runs without cross-run contamination.
 func TestRunScriptReuse(t *testing.T) {
-	m := NewMachine(Params{P: 64, L: 32, O: 2, G: 4})
-	var first Result
+	m := logp.NewMachine(logp.Params{P: 64, L: 32, O: 2, G: 4})
+	var first logp.Result
 	for i := 0; i < 3; i++ {
 		res, err := m.RunScript(newBcastScript(64))
 		if err != nil {
@@ -403,7 +307,7 @@ func TestRunScriptReuse(t *testing.T) {
 		}
 	}
 	// Alternate forms on the same machine: the pool must serve both.
-	progRes, err := m.Run(ScriptAsProgram(newBcastScript(64)))
+	progRes, err := m.Run(logp.ScriptAsProgram(newBcastScript(64)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +321,7 @@ func TestRunScriptReuse(t *testing.T) {
 // whose script is empty lead with Recv (or halt), which makes them
 // contract-compliant passives — the fuzzer explores lazy instantiation
 // and template finalization for free.
-func decodeFuzzScript(data []byte) (func() Script, int) {
+func decodeFuzzScript(data []byte) (func() logp.Script, int) {
 	if len(data) < 2 {
 		return nil, 0
 	}
@@ -438,7 +342,7 @@ func decodeFuzzScript(data []byte) (func() Script, int) {
 		data = data[3:]
 		proc = (proc + 1) % p
 	}
-	return func() Script {
+	return func() logp.Script {
 		return &fuzzScript{scripts: scripts, inDeg: inDeg, st: make([]fuzzScriptState, p)}
 	}, p
 }
@@ -457,7 +361,7 @@ type fuzzScript struct {
 
 func (s *fuzzScript) Active(id int) bool { return len(s.scripts[id]) > 0 }
 
-func (s *fuzzScript) Next(id int, prev ScriptResult) ScriptOp {
+func (s *fuzzScript) Next(id int, prev logp.ScriptResult) logp.ScriptOp {
 	st := &s.st[id]
 	switch st.resume {
 	case 1:
@@ -465,16 +369,16 @@ func (s *fuzzScript) Next(id int, prev ScriptResult) ScriptOp {
 		st.pc++
 		if prev.OK {
 			st.got++
-			return ScriptOp{Kind: ScriptCompute, N: 1 + prev.Msg.Payload%5}
+			return logp.ScriptOp{Kind: logp.ScriptCompute, N: 1 + prev.Msg.Payload%5}
 		}
 	case 2:
 		st.resume = 0
 		st.pc++
-		return ScriptOp{Kind: ScriptCompute, N: prev.N%3 + 1}
+		return logp.ScriptOp{Kind: logp.ScriptCompute, N: prev.N%3 + 1}
 	case 3:
 		st.resume = 0
 		st.got++
-		return ScriptOp{Kind: ScriptCompute, N: 1 + prev.Msg.Payload%7}
+		return logp.ScriptOp{Kind: logp.ScriptCompute, N: 1 + prev.Msg.Payload%7}
 	}
 	ops := s.scripts[id]
 	if st.pc < len(ops) {
@@ -482,50 +386,49 @@ func (s *fuzzScript) Next(id int, prev ScriptResult) ScriptOp {
 		switch op.kind {
 		case 0:
 			st.pc++
-			return ScriptOp{Kind: ScriptCompute, N: 1 + op.a%8}
+			return logp.ScriptOp{Kind: logp.ScriptCompute, N: 1 + op.a%8}
 		case 1:
 			st.pc++
-			return ScriptOp{Kind: ScriptWait, N: prev.Now + op.a%16}
+			return logp.ScriptOp{Kind: logp.ScriptWait, N: prev.Now + op.a%16}
 		case 2:
 			st.pc++
-			return ScriptOp{Kind: ScriptSend, Dst: op.dst, Tag: int32(op.a % 4), Payload: op.b, Aux: op.a}
+			return logp.ScriptOp{Kind: logp.ScriptSend, Dst: op.dst, Tag: int32(op.a % 4), Payload: op.b, Aux: op.a}
 		case 3:
 			st.resume = 1
-			return ScriptOp{Kind: ScriptTryRecv}
+			return logp.ScriptOp{Kind: logp.ScriptTryRecv}
 		default:
 			st.resume = 2
-			return ScriptOp{Kind: ScriptBuffered}
+			return logp.ScriptOp{Kind: logp.ScriptBuffered}
 		}
 	}
 	if st.got < s.inDeg[id] {
 		st.resume = 3
-		return ScriptOp{Kind: ScriptRecv}
+		return logp.ScriptOp{Kind: logp.ScriptRecv}
 	}
-	return ScriptOp{Kind: ScriptHalt}
+	return logp.ScriptOp{Kind: logp.ScriptHalt}
 }
 
 // checkScriptFuzzEquivalence runs a decoded fuzz script on the sparse
-// scripted engine and the dense coroutine oracle across policies and
-// parameter corners.
+// scripted engine, the dense engine path, and the reference
+// interpreter across policies, acceptance orders, and parameter
+// corners.
 func checkScriptFuzzEquivalence(t *testing.T, data []byte) {
 	t.Helper()
 	mk, p := decodeFuzzScript(data)
 	if mk == nil {
 		return
 	}
-	h := fnv.New64a()
-	h.Write(data)
-	seed := h.Sum64() | 1
-	for _, params := range []Params{
+	for _, params := range []logp.Params{
 		{P: p, L: 8, O: 1, G: 2},
 		{P: p, L: 2, O: 1, G: 2},
 	} {
-		checkScriptEquivalence(t, params, mk, seed)
+		checkScriptEquivalence(t, params, mk, fuzzSeed(data))
 	}
 }
 
 // FuzzScriptEquivalence differentially fuzzes the sparse scripted
-// engine against the dense coroutine oracle. The seed corpus leans on
+// engine against the reference interpreter and the dense engine path.
+// The seed corpus leans on
 // short inputs, which leave trailing processors passive (empty
 // scripts), and send-heavy ones, which exercise delivery-time
 // instantiation and post-halt delivery.

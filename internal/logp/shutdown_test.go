@@ -35,9 +35,9 @@ func panicAllStatesProgram(p Proc) {
 
 // TestPanicUnwindsAllFastPathStates is the regression test for the
 // batched-commit shutdown path: a processor panic must surface as
-// Run's error with every peer coroutine/goroutine unwound (no leak)
-// and no half-committed batched state left in the pooled procs — the
-// same machine must produce a bit-identical clean run afterwards.
+// Run's error with every peer coroutine unwound (no leak) and no
+// half-committed batched state left in the pooled procs — the same
+// machine must produce a bit-identical clean run afterwards.
 func TestPanicUnwindsAllFastPathStates(t *testing.T) {
 	params := Params{P: 4, L: 8, O: 1, G: 2}
 	clean := func(p Proc) {
@@ -48,45 +48,37 @@ func TestPanicUnwindsAllFastPathStates(t *testing.T) {
 			p.Recv()
 		}
 	}
-	for _, slow := range []bool{false, true} {
-		name := "fast"
-		opts := []Option{WithSeed(11)}
-		if slow {
-			name = "slow"
-			opts = append(opts, WithSlowPath())
+	t.Run("fast", func(t *testing.T) {
+		m := NewMachine(params, WithSeed(11))
+		_, err := m.Run(panicAllStatesProgram)
+		if err == nil || !strings.Contains(err.Error(), "processor 0 panicked") {
+			t.Fatalf("want processor 0 panic error, got %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			m := NewMachine(params, opts...)
-			_, err := m.Run(panicAllStatesProgram)
-			if err == nil || !strings.Contains(err.Error(), "processor 0 panicked") {
-				t.Fatalf("want processor 0 panic error, got %v", err)
-			}
-			if n := m.liveProcs.Load(); n != 0 {
-				t.Fatalf("%d program routines still live after failed Run", n)
-			}
-			// The pooled procs must carry nothing across: a clean run on
-			// the same machine equals the second run of a fresh machine
-			// that failed the same way (Run counts, so seeds align).
-			got, err := m.Run(clean)
-			if err != nil {
-				t.Fatalf("clean run after panic: %v", err)
-			}
-			ref := NewMachine(params, opts...)
-			if _, err := ref.Run(panicAllStatesProgram); err == nil {
-				t.Fatal("reference machine did not fail")
-			}
-			want, err := ref.Run(clean)
-			if err != nil {
-				t.Fatalf("reference clean run: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("post-panic run diverged:\ngot  %+v\nwant %+v", got, want)
-			}
-			if n := m.liveProcs.Load(); n != 0 {
-				t.Fatalf("%d program routines live after clean run", n)
-			}
-		})
-	}
+		if n := m.liveProcs.Load(); n != 0 {
+			t.Fatalf("%d program routines still live after failed Run", n)
+		}
+		// The pooled procs must carry nothing across: a clean run on the
+		// same machine equals the second run of a fresh machine that
+		// failed the same way (Run counts, so seeds align).
+		got, err := m.Run(clean)
+		if err != nil {
+			t.Fatalf("clean run after panic: %v", err)
+		}
+		ref := NewMachine(params, WithSeed(11))
+		if _, err := ref.Run(panicAllStatesProgram); err == nil {
+			t.Fatal("reference machine did not fail")
+		}
+		want, err := ref.Run(clean)
+		if err != nil {
+			t.Fatalf("reference clean run: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("post-panic run diverged:\ngot  %+v\nwant %+v", got, want)
+		}
+		if n := m.liveProcs.Load(); n != 0 {
+			t.Fatalf("%d program routines live after clean run", n)
+		}
+	})
 }
 
 // TestPanicEachProcEachState rotates the panicking processor through
@@ -95,41 +87,39 @@ func TestPanicUnwindsAllFastPathStates(t *testing.T) {
 func TestPanicEachProcEachState(t *testing.T) {
 	params := Params{P: 4, L: 8, O: 1, G: 2}
 	for panicker := 0; panicker < 4; panicker++ {
-		for _, slow := range []bool{false, true} {
-			m := NewMachine(params, WithSeed(uint64(panicker+1)), func(mm *Machine) { mm.slowPath = slow })
-			_, err := m.Run(func(p Proc) {
-				id := p.ID()
-				if id == panicker {
-					p.Compute(30)
-					panic("rotating boom")
-				}
-				switch (id - panicker + 4) % 4 {
-				case 1: // immediate block
-					p.Recv()
-				case 2: // stall on a hot spot, then block
-					dst := (id + 1) % 4
-					if dst == panicker {
-						dst = (dst + 1) % 4
-					}
-					for i := 0; i < 6; i++ {
-						p.Send(dst, 2, int64(i), 0)
-					}
-					p.Recv()
-				default: // run ahead locally, then drain forever
-					for i := 0; i < 32; i++ {
-						p.Compute(2)
-					}
-					for {
-						p.Recv()
-					}
-				}
-			})
-			if err == nil || !strings.Contains(err.Error(), "panicked") {
-				t.Fatalf("panicker %d slow=%v: want panic error, got %v", panicker, slow, err)
+		m := NewMachine(params, WithSeed(uint64(panicker+1)))
+		_, err := m.Run(func(p Proc) {
+			id := p.ID()
+			if id == panicker {
+				p.Compute(30)
+				panic("rotating boom")
 			}
-			if n := m.liveProcs.Load(); n != 0 {
-				t.Fatalf("panicker %d slow=%v: %d routines leaked", panicker, slow, n)
+			switch (id - panicker + 4) % 4 {
+			case 1: // immediate block
+				p.Recv()
+			case 2: // stall on a hot spot, then block
+				dst := (id + 1) % 4
+				if dst == panicker {
+					dst = (dst + 1) % 4
+				}
+				for i := 0; i < 6; i++ {
+					p.Send(dst, 2, int64(i), 0)
+				}
+				p.Recv()
+			default: // run ahead locally, then drain forever
+				for i := 0; i < 32; i++ {
+					p.Compute(2)
+				}
+				for {
+					p.Recv()
+				}
 			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("panicker %d: want panic error, got %v", panicker, err)
+		}
+		if n := m.liveProcs.Load(); n != 0 {
+			t.Fatalf("panicker %d: %d routines leaked", panicker, n)
 		}
 	}
 }

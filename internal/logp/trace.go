@@ -1,8 +1,9 @@
 package logp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -92,23 +93,36 @@ type TraceOptions struct {
 //     acquisitions combined) of one processor are >= G apart;
 //   - at any instant at most Capacity() accepted-but-undelivered
 //     messages target one destination;
-//   - at most one message is delivered per destination per instant.
+//   - at most one message is delivered per destination per instant;
+//   - every event names processors in [0, P).
 //
 // It returns the first violation found, or nil. The machine enforces
 // all of this internally; CheckTrace exists so that tests (and users
 // instrumenting their own programs) can verify it end to end.
 //
-// Events are re-sorted by time before checking (the engine emits them
-// in commit order, which interleaves instants); ties within an instant
-// follow the model's evaluation order: deliveries free capacity before
-// submissions queue and acceptances take slots.
+// Events are re-sorted into the model's evaluation order (modelOrder)
+// and replayed through an Auditor, so the post-hoc check and the
+// streaming one are a single implementation of the invariant set.
 func CheckTrace(params Params, events []Event) error {
 	return CheckTraceOpts(params, events, TraceOptions{})
 }
 
 // CheckTraceOpts is CheckTrace with an explicit end-state policy.
 func CheckTraceOpts(params Params, events []Event, opts TraceOptions) error {
-	sorted := append([]Event(nil), events...)
+	a := NewAuditor(params, opts)
+	for _, ev := range modelOrder(events) {
+		a.Observe(ev)
+	}
+	a.sweep()
+	return a.Err()
+}
+
+// modelOrder returns a copy of events stably sorted by time (the
+// engine emits them in commit order, which interleaves instants), with
+// ties within an instant in the model's evaluation order: deliveries
+// free capacity before submissions queue, acceptances take slots, and
+// acquisitions come last.
+func modelOrder(events []Event) []Event {
 	rank := func(k EventKind) int {
 		switch k {
 		case EvDeliver:
@@ -121,108 +135,22 @@ func CheckTraceOpts(params Params, events []Event, opts TraceOptions) error {
 			return 3
 		}
 	}
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Time != sorted[j].Time {
-			return sorted[i].Time < sorted[j].Time
+	sorted := slices.Clone(events)
+	slices.SortStableFunc(sorted, func(a, b Event) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
 		}
-		return rank(sorted[i].Kind) < rank(sorted[j].Kind)
+		return cmp.Compare(rank(a.Kind), rank(b.Kind))
 	})
-	events = sorted
-
-	type msgState struct {
-		submit, accept, deliver int64
-		stage                   int
-	}
-	msgs := map[int64]*msgState{}
-	// One gap stream per processor: submissions (as source) and
-	// acquisitions (as destination) are a single sequence of
-	// communication operations, any two consecutive ones >= G apart.
-	lastComm := map[int]int64{}
-	commGap := func(i int, proc int, t int64, kind EventKind) error {
-		if prev, ok := lastComm[proc]; ok && t-prev < params.G {
-			return fmt.Errorf("event %d: processor %d communication operations %d apart at %s, gap %d required", i, proc, t-prev, kind, params.G)
-		}
-		lastComm[proc] = t
-		return nil
-	}
-	inTransit := map[int]int64{}
-	lastDeliver := map[int]int64{}
-
-	for i, ev := range events {
-		st := msgs[ev.Seq]
-		switch ev.Kind {
-		case EvSubmit:
-			if st != nil {
-				return fmt.Errorf("event %d: message %d submitted twice", i, ev.Seq)
-			}
-			msgs[ev.Seq] = &msgState{submit: ev.Time, stage: 1}
-			if err := commGap(i, ev.Msg.Src, ev.Time, ev.Kind); err != nil {
-				return err
-			}
-		case EvAccept:
-			if st == nil || st.stage != 1 {
-				return fmt.Errorf("event %d: message %d accepted out of order", i, ev.Seq)
-			}
-			if ev.Time < st.submit {
-				return fmt.Errorf("event %d: message %d accepted before submission", i, ev.Seq)
-			}
-			st.accept = ev.Time
-			st.stage = 2
-			inTransit[ev.Msg.Dst]++
-			if inTransit[ev.Msg.Dst] > params.Capacity() {
-				return fmt.Errorf("event %d: %d messages in transit to processor %d, capacity %d", i, inTransit[ev.Msg.Dst], ev.Msg.Dst, params.Capacity())
-			}
-		case EvDeliver:
-			if st == nil || st.stage != 2 {
-				return fmt.Errorf("event %d: message %d delivered out of order", i, ev.Seq)
-			}
-			if ev.Time <= st.accept || ev.Time > st.accept+params.L {
-				return fmt.Errorf("event %d: message %d delivered at %d, accepted at %d, outside (accept, accept+L]", i, ev.Seq, ev.Time, st.accept)
-			}
-			if prev, ok := lastDeliver[ev.Msg.Dst]; ok && prev == ev.Time {
-				return fmt.Errorf("event %d: two deliveries to processor %d at instant %d", i, ev.Msg.Dst, ev.Time)
-			}
-			lastDeliver[ev.Msg.Dst] = ev.Time
-			st.deliver = ev.Time
-			st.stage = 3
-			inTransit[ev.Msg.Dst]--
-		case EvAcquire:
-			if st == nil || st.stage != 3 {
-				return fmt.Errorf("event %d: message %d acquired out of order", i, ev.Seq)
-			}
-			if ev.Time < st.deliver {
-				return fmt.Errorf("event %d: message %d acquired before delivery", i, ev.Seq)
-			}
-			if err := commGap(i, ev.Msg.Dst, ev.Time, ev.Kind); err != nil {
-				return err
-			}
-			st.stage = 4
-		}
-	}
-	for seq, st := range msgs {
-		if st.stage < 3 {
-			return fmt.Errorf("message %d never delivered (stage %d)", seq, st.stage)
-		}
-		if opts.RequireAcquired && st.stage == 3 {
-			return fmt.Errorf("message %d delivered but never acquired", seq)
-		}
-	}
-	return nil
+	return sorted
 }
 
 // FormatTrace renders an event stream chronologically, one line per
 // event, for debugging and documentation. Events are sorted the same
 // way CheckTrace sorts them.
 func FormatTrace(events []Event) string {
-	sorted := append([]Event(nil), events...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Time != sorted[j].Time {
-			return sorted[i].Time < sorted[j].Time
-		}
-		return sorted[i].Seq < sorted[j].Seq
-	})
 	var b strings.Builder
-	for _, e := range sorted {
+	for _, e := range modelOrder(events) {
 		fmt.Fprintf(&b, "t=%-6d %-8s msg#%-4d %d->%d tag=%d payload=%d\n",
 			e.Time, e.Kind, e.Seq, e.Msg.Src, e.Msg.Dst, e.Msg.Tag, e.Msg.Payload)
 	}

@@ -314,3 +314,50 @@ func TestFormatTrace(t *testing.T) {
 		t.Fatalf("expected 4 lines, got %d", lines)
 	}
 }
+
+// TestCheckTraceNamesLowestUndelivered: with several messages never
+// delivered, the end-of-trace report must be a function of the trace,
+// not of map iteration order — every call names the lowest one.
+func TestCheckTraceNamesLowestUndelivered(t *testing.T) {
+	params := Params{P: 4, L: 8, O: 1, G: 2}
+	events := []Event{
+		{Time: 1, Kind: EvSubmit, Seq: 7, Msg: Message{Src: 0, Dst: 3}},
+		{Time: 1, Kind: EvAccept, Seq: 7, Msg: Message{Src: 0, Dst: 3}},
+		{Time: 1, Kind: EvSubmit, Seq: 3, Msg: Message{Src: 1, Dst: 3}},
+		{Time: 1, Kind: EvAccept, Seq: 3, Msg: Message{Src: 1, Dst: 3}},
+		{Time: 2, Kind: EvSubmit, Seq: 5, Msg: Message{Src: 2, Dst: 3}},
+		{Time: 2, Kind: EvAccept, Seq: 5, Msg: Message{Src: 2, Dst: 3}},
+	}
+	first := CheckTrace(params, events)
+	if first == nil || !strings.Contains(first.Error(), "never delivered") || !strings.Contains(first.Error(), "message 3") {
+		t.Fatalf("want a never-delivered report naming message 3, got %v", first)
+	}
+	for i := 0; i < 50; i++ {
+		if err := CheckTrace(params, events); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d reported %v, first call %v", i, err, first)
+		}
+	}
+}
+
+// TestCheckTraceRejectsOutOfRangeProcessor: an event naming a processor
+// outside [0, P) is a violation for CheckTrace, and the streaming
+// Auditor records it instead of indexing out of range.
+func TestCheckTraceRejectsOutOfRangeProcessor(t *testing.T) {
+	params := Params{P: 2, L: 8, O: 1, G: 2}
+	events := []Event{
+		{Time: 1, Kind: EvSubmit, Seq: 1, Msg: Message{Src: 0, Dst: 5}},
+		{Time: 1, Kind: EvAccept, Seq: 1, Msg: Message{Src: 0, Dst: 5}},
+		{Time: 9, Kind: EvDeliver, Seq: 1, Msg: Message{Src: 0, Dst: 5}},
+		{Time: 9, Kind: EvAcquire, Seq: 1, Msg: Message{Src: 0, Dst: 5}},
+	}
+	if err := CheckTrace(params, events); err == nil || !strings.Contains(err.Error(), "outside [0, 2)") {
+		t.Fatalf("want an out-of-range processor violation, got %v", err)
+	}
+	a := NewAuditor(params, TraceOptions{})
+	for _, ev := range events {
+		a.Observe(ev)
+	}
+	if a.ViolationCount() != int64(len(events)) {
+		t.Fatalf("ViolationCount = %d, want one per event (%d): %v", a.ViolationCount(), len(events), a.Violations())
+	}
+}
