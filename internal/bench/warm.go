@@ -41,7 +41,6 @@ type simKey struct {
 	router core.Router
 	policy logp.DeliveryPolicy
 	sort   core.SortAlgo
-	guest  bsp.Params
 	strict bool
 }
 
@@ -78,21 +77,13 @@ func NewWarm() *Warm {
 
 // Sim returns a cross-simulator matching spec, reusing a cached one
 // when the cache-relevant fields match (Seed and Beta are rewritten on
-// the cached value; they are per-Run inputs). Specs carrying an
-// EventLog never enter the cache — an event sink cannot be compared
-// across runs, the same rule BSPOnLogP's internal machine cache
-// applies.
+// the cached value; they are per-Run inputs).
 func (w *Warm) Sim(spec core.BSPOnLogP) *core.BSPOnLogP {
-	if spec.EventLog != nil {
-		s := spec
-		return &s
-	}
 	k := simKey{
 		lp:     spec.LogP,
 		router: spec.Router,
 		policy: spec.Policy,
 		sort:   spec.Sort,
-		guest:  spec.Guest,
 		strict: spec.StrictStallFree,
 	}
 	if s, ok := w.sims[k]; ok {

@@ -226,7 +226,9 @@ func (p *proc) Sync() {
 // Run executes prog on every processor and returns the accumulated
 // cost. Programs on distinct processors run concurrently between
 // barriers; they must not share mutable state except through messages
-// or per-processor slots.
+// or per-processor slots. The run is deterministic all the same: an
+// input pool lists its messages by source id, then send order, and
+// the error reported is the lowest-id panic of the earliest barrier.
 func (m *Machine) Run(prog Program) (Result, error) {
 	n := m.params.P
 	reports := make(chan syncReport, n)
@@ -252,8 +254,15 @@ func (m *Machine) Run(prog Program) (Result, error) {
 
 	var res Result
 	var firstErr error
-	active := n
-	finished := make([]bool, n)
+	// Reports arrive in whatever order the goroutines reach their
+	// barriers; the coordinator indexes them by processor id and reads
+	// them in id order, so pools and the reported error do not depend
+	// on the host's scheduling.
+	byID := make([]syncReport, n)
+	active := make([]int, n)
+	for i := range active {
+		active[i] = i
+	}
 	// The inbox matrices alternate between barriers: at barrier k the
 	// coordinator fills inboxBufs[k%2] while every processor still
 	// consuming its previous pool reads from inboxBufs[(k-1)%2]; a
@@ -265,19 +274,21 @@ func (m *Machine) Run(prog Program) (Result, error) {
 	inboxBufs[0] = make([][]Message, n)
 	inboxBufs[1] = make([][]Message, n)
 	synced := make([]int, 0, n)
-	for barrier := 0; active > 0; barrier++ {
+	for barrier := 0; len(active) > 0; barrier++ {
 		// Collect exactly one report (Sync or finish) per active
 		// processor; this is the barrier.
+		for range active {
+			rep := <-reports
+			byID[rep.id] = rep
+		}
 		inboxes := inboxBufs[barrier&1]
 		for d := range inboxes {
 			inboxes[d] = inboxes[d][:0]
 		}
 		var cost SuperstepCost
 		synced = synced[:0]
-		got := 0
-		for got < active {
-			rep := <-reports
-			got++
+		for _, id := range active {
+			rep := &byID[id]
 			if rep.err != nil && firstErr == nil {
 				firstErr = rep.err
 			}
@@ -291,10 +302,8 @@ func (m *Machine) Run(prog Program) (Result, error) {
 				inboxes[msg.Dst] = append(inboxes[msg.Dst], msg)
 				res.MessagesSent++
 			}
-			if rep.finished {
-				finished[rep.id] = true
-			} else {
-				synced = append(synced, rep.id)
+			if !rep.finished {
+				synced = append(synced, id)
 			}
 		}
 		for _, in := range inboxes {
@@ -310,7 +319,7 @@ func (m *Machine) Run(prog Program) (Result, error) {
 		for _, id := range synced {
 			procs[id].release <- inboxes[id]
 		}
-		active = len(synced)
+		active, synced = synced, active
 	}
 
 	if firstErr != nil {

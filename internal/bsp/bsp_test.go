@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -352,4 +353,52 @@ func TestNewMachinePanicsOnInvalidParams(t *testing.T) {
 		}
 	}()
 	NewMachine(Params{P: 0, G: 1, L: 1})
+}
+
+// TestPoolOrderIsSourceOrder pins the input pool's order: messages by
+// source id, then send order, however the senders' goroutines reach
+// the barrier. Every run must see the same order.
+func TestPoolOrderIsSourceOrder(t *testing.T) {
+	const p = 8
+	want := []int64{10, 11, 20, 21, 30, 31, 40, 41, 50, 51, 60, 61, 70, 71}
+	for trial := 0; trial < 50; trial++ {
+		var got []int64
+		run(t, Params{P: p, G: 1, L: 1}, func(pr Proc) {
+			if pr.ID() != 0 {
+				pr.Send(0, 0, int64(10*pr.ID()), 0)
+				pr.Send(0, 0, int64(10*pr.ID()+1), 0)
+			}
+			pr.Sync()
+			if pr.ID() == 0 {
+				for m, ok := pr.Recv(); ok; m, ok = pr.Recv() {
+					got = append(got, m.Payload)
+				}
+			}
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: pool order %v, want %v", trial, got, want)
+		}
+	}
+}
+
+// TestErrorIsLowestIDOfEarliestBarrier pins which panic Run reports
+// when several processors panic: the lowest id among those that panic
+// before the earliest barrier, not the first report to arrive.
+func TestErrorIsLowestIDOfEarliestBarrier(t *testing.T) {
+	const p = 8
+	for trial := 0; trial < 50; trial++ {
+		_, err := NewMachine(Params{P: p, G: 1, L: 1}).Run(func(pr Proc) {
+			switch pr.ID() {
+			case 1: // panics only after the first barrier
+				pr.Sync()
+				panic("late")
+			case 2, 5, 7:
+				panic("early")
+			}
+			pr.Sync()
+		})
+		if err == nil || err.Error() != "bsp: processor 2 panicked: early" {
+			t.Fatalf("trial %d: got %v, want processor 2's panic", trial, err)
+		}
+	}
 }

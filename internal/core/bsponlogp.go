@@ -66,15 +66,9 @@ type BSPOnLogP struct {
 	// Sort selects the deterministic router's oblivious sorting
 	// algorithm (default SortAuto).
 	Sort SortAlgo
-	// Guest holds the guest BSP parameters used for native-cost
-	// accounting; the zero value selects matched g = G, l = L.
-	Guest bsp.Params
 	// StrictStallFree makes Run fail if the host execution stalls;
 	// used to certify Theorem 2's stall-freedom.
 	StrictStallFree bool
-	// EventLog, when non-nil, receives every host-machine event
-	// (message lifecycle tracing; see logp.WithEventLog).
-	EventLog func(logp.Event)
 
 	// Cached cross-Run state: the host machine and the simulation's
 	// adapter/step pools are rebuilt only when the fields they depend
@@ -148,10 +142,9 @@ func (r Thm2Result) Slowdown() float64 {
 	return float64(r.HostTime) / float64(r.GuestTime)
 }
 
+// guestParams returns the guest BSP parameters of the native-cost
+// accounting: matched g = G, l = L.
 func (s *BSPOnLogP) guestParams() bsp.Params {
-	if s.Guest.P != 0 {
-		return s.Guest
-	}
 	g, l := matchedParams(s.LogP)
 	return bsp.Params{P: s.LogP.P, G: g, L: l}
 }
@@ -165,11 +158,8 @@ func (s *BSPOnLogP) Run(prog bsp.Program) (Thm2Result, error) {
 		return Thm2Result{}, fmt.Errorf("core: the bitonic network needs a power-of-two p, got %d (use SortAuto or SortColumnsort)", s.LogP.P)
 	}
 	guest := s.guestParams()
-	if guest.P != s.LogP.P {
-		return Thm2Result{}, fmt.Errorf("core: guest has %d processors, host %d", guest.P, s.LogP.P)
-	}
 	sim := s.sim
-	if sim == nil || sim.lp != s.LogP || sim.guest != guest {
+	if sim == nil || sim.lp != s.LogP {
 		sim = &bspSim{
 			spec:     s,
 			lp:       s.LogP,
@@ -183,7 +173,7 @@ func (s *BSPOnLogP) Run(prog bsp.Program) (Thm2Result, error) {
 		sim.reset(s)
 	}
 	m := s.mach
-	if m == nil || s.EventLog != nil || s.machParams != s.LogP ||
+	if m == nil || s.machParams != s.LogP ||
 		s.machPolicy != s.Policy || s.machStrict != s.StrictStallFree {
 		opts := []logp.Option{
 			logp.WithDeliveryPolicy(s.Policy),
@@ -192,18 +182,9 @@ func (s *BSPOnLogP) Run(prog bsp.Program) (Thm2Result, error) {
 		if s.StrictStallFree {
 			opts = append(opts, logp.WithStrictStallFree())
 		}
-		if s.EventLog != nil {
-			opts = append(opts, logp.WithEventLog(s.EventLog))
-		}
 		m = logp.NewMachine(s.LogP, opts...)
-		if s.EventLog == nil {
-			s.mach, s.machParams = m, s.LogP
-			s.machPolicy, s.machStrict = s.Policy, s.StrictStallFree
-		} else {
-			// An event sink cannot be compared across Runs, so runs
-			// with tracing attached never enter the cache.
-			s.mach = nil
-		}
+		s.mach, s.machParams = m, s.LogP
+		s.machPolicy, s.machStrict = s.Policy, s.StrictStallFree
 	} else {
 		m.SetSeed(s.Seed)
 	}

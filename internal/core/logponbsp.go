@@ -2,9 +2,7 @@ package core
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
-	"iter"
 	"math"
 	"slices"
 
@@ -127,23 +125,25 @@ func (s *LogPOnBSP) params() (logp.Params, bsp.Params, int64, int) {
 // columns, run queues) are retained across calls and reset wholesale,
 // so a warm simulator replays with near-zero steady-state allocation.
 // A LogPOnBSP is therefore not safe for concurrent use.
+//
+// The engine executes Scripts only: Run drives prog through
+// logp.ProgramAsScript, and the programs a failed replay leaves parked
+// are unwound before Run returns.
 func (s *LogPOnBSP) Run(prog logp.Program) (Thm1Result, error) {
-	return s.execute(prog, nil)
+	sc := logp.ProgramAsScript(s.LogP, prog)
+	defer sc.Stop()
+	return s.RunScript(sc)
 }
 
 // RunScript executes a logp.Script under the same Theorem 1
-// construction. The scripted form drives every guest as an explicit
-// state machine instead of a parked coroutine, so the replay fits at
-// p = 10^6: per guest the engine holds one small cycleProc record and
-// no goroutine stack. Script.Active is ignored here — every guest is
-// started eagerly, which by the passivity contract is indistinguishable
-// from lazy instantiation — and the replayed cost is identical to
+// construction. Every guest is an explicit state machine rather than a
+// parked coroutine, so the replay fits at p = 10^6: per guest the
+// engine holds one small cycleProc record and no goroutine stack.
+// Script.Active is ignored here — every guest is started eagerly, which
+// by the passivity contract is indistinguishable from lazy
+// instantiation — and the replayed cost is identical to
 // Run(logp.ScriptAsProgram(s)).
 func (s *LogPOnBSP) RunScript(sc logp.Script) (Thm1Result, error) {
-	return s.execute(nil, sc)
-}
-
-func (s *LogPOnBSP) execute(prog logp.Program, sc logp.Script) (Thm1Result, error) {
 	lp, bp, cycleLen, fold := s.params()
 	if err := lp.Validate(); err != nil {
 		return Thm1Result{}, err
@@ -166,13 +166,7 @@ func (s *LogPOnBSP) execute(prog logp.Program, sc logp.Script) (Thm1Result, erro
 	// are retained only there, and only for overloaded cycles.
 	eng.reset(lp, cycleLen, fold, fold == 1 && isPow2(lp.P))
 	defer eng.shutdown()
-	var err error
-	if sc != nil {
-		err = eng.runScript(sc)
-	} else {
-		err = eng.run(prog)
-	}
-	if err != nil {
+	if err := eng.run(sc); err != nil {
 		return Thm1Result{}, err
 	}
 	return eng.result(bp), nil
@@ -211,8 +205,8 @@ type cycleEngine struct {
 	fold     int
 	capacity int64 // lp.Capacity(), cached off the per-send path
 
-	// script is non-nil for the coroutine-free form (runScript): guests
-	// are advanced by scriptSegment instead of an iter.Pull resume.
+	// script drives every guest (see scriptSegment); it is set for the
+	// duration of one run.
 	script logp.Script
 
 	procs  []cycleProc
@@ -269,20 +263,11 @@ type cycleProc struct {
 	bufTail int32
 	bufLen  int32
 	state   cycleState
+	// pending is the guest's next request, written by scriptSegment;
+	// resp is the engine's answer to the previous one, which the next
+	// segment hands to Script.Next.
 	pending cycleReq
-	// The program runs as an iter.Pull coroutine, as in the logp
-	// engine's fast path: next resumes the program until its next
-	// engine call, which stores the request in out, yields, and reads
-	// the answer from resp; stop unwinds a still-parked program. A
-	// finished coroutine cannot yield its terminal state, so the
-	// epilogue records it in final. Exactly one of (engine, program)
-	// runs at any time, so the unsynchronized fields are race-free.
-	next  func() (token, bool)
-	stop  func()
-	yield func(token) bool
-	out   cycleReq
-	resp  cycleRes
-	final cycleReq
+	resp    cycleRes
 }
 
 // reinit prepares a slab record for a fresh run.
@@ -352,70 +337,6 @@ type cycleRes struct {
 	msg logp.Message
 	ok  bool
 	n   int64
-}
-
-var errCycleStopped = errors.New("core: cycle engine stopped")
-
-// token is the zero-size value exchanged over the coroutine switch;
-// requests and responses ride in cycleProc fields instead of being
-// copied through the iter.Pull plumbing.
-type token = struct{}
-
-// cycleProc implements logp.Proc.
-var _ logp.Proc = (*cycleProc)(nil)
-
-func (p *cycleProc) ID() int             { return p.id }
-func (p *cycleProc) P() int              { return p.eng.lp.P }
-func (p *cycleProc) Params() logp.Params { return p.eng.lp }
-func (p *cycleProc) Now() int64          { return p.clock }
-
-func (p *cycleProc) call(r cycleReq) cycleRes {
-	p.out = r
-	if !p.yield(token{}) {
-		panic(errCycleStopped)
-	}
-	return p.resp
-}
-
-func (p *cycleProc) Compute(n int64) {
-	if n < 0 {
-		panic(fmt.Sprintf("core: Compute(%d) with negative cycles", n))
-	}
-	if n == 0 {
-		return
-	}
-	p.call(cycleReq{op: cycleCompute, n: n})
-}
-
-func (p *cycleProc) WaitUntil(t int64) { p.call(cycleReq{op: cycleIdle, n: t}) }
-
-func (p *cycleProc) Send(dst int, tag int32, payload, aux int64) {
-	p.SendBody(dst, tag, payload, aux, nil)
-}
-
-func (p *cycleProc) SendBody(dst int, tag int32, payload, aux int64, body interface{}) {
-	if dst < 0 || dst >= p.eng.lp.P {
-		panic(fmt.Sprintf("core: Send to invalid destination %d (P=%d)", dst, p.eng.lp.P))
-	}
-	if dst == p.id {
-		panic("core: Send to self; use local state instead")
-	}
-	p.call(cycleReq{op: cycleSend, msg: logp.Message{
-		Src: p.id, Dst: dst, Tag: tag, Payload: payload, Aux: aux, Body: body,
-	}})
-}
-
-func (p *cycleProc) Recv() logp.Message {
-	return p.call(cycleReq{op: cycleRecv}).msg
-}
-
-func (p *cycleProc) TryRecv() (logp.Message, bool) {
-	r := p.call(cycleReq{op: cycleTryRecv})
-	return r.msg, r.ok
-}
-
-func (p *cycleProc) Buffered() int {
-	return int(p.call(cycleReq{op: cycleBuffered}).n)
 }
 
 // cycleRunRef is one run-queue entry: the (at, tie) sort key plus a
@@ -574,15 +495,14 @@ func (q *cycleRunQueue) heapPop() cycleRunRef {
 	return top
 }
 
-// scriptSegment advances a scripted guest to its next engine request,
-// mirroring the coroutine form exactly: the cycle engine has no
-// guest-side fast path, so every operation crosses except Halt and
-// Compute(0) — which logp.Proc.Compute resolves without a call — and
-// the segment performs the same validation panics the Proc methods
-// would raise, recovered into the same wrapped error the coroutine
-// epilogue records. The result fed to Next is rebuilt from the last
-// response just as logp.ScriptAsProgram rebuilds it from the Proc
-// calls, so both forms replay identically.
+// scriptSegment advances a guest to its next engine request. The cycle
+// engine has no guest-side fast path, so every operation crosses except
+// Halt and Compute(0), which has no effect. A panic out of Next — the
+// script's own, a Program's through logp.ProgramAsScript, or one of the
+// segment's validation panics — is recovered into the guest's
+// processor-panicked error. The result fed to Next is rebuilt from the
+// last response just as logp.ScriptAsProgram rebuilds it from the Proc
+// calls, so a Script and its Program form replay identically.
 func (p *cycleProc) scriptSegment() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -619,7 +539,7 @@ func (p *cycleProc) scriptSegment() {
 			}
 			p.request(cycleSend, 0)
 			m := &p.pending.msg
-			m.Src, m.Dst, m.Tag, m.Payload, m.Aux = p.id, op.Dst, op.Tag, op.Payload, op.Aux
+			m.Src, m.Dst, m.Tag, m.Payload, m.Aux, m.Body = p.id, op.Dst, op.Tag, op.Payload, op.Aux, op.Body
 			return
 		case logp.ScriptRecv:
 			p.request(cycleRecv, 0)
@@ -636,37 +556,14 @@ func (p *cycleProc) scriptSegment() {
 	}
 }
 
-// request records a scripted guest's next request in place. Building a
-// whole cycleReq instead costs a stack temporary and a block copy per
-// operation; here only the fields op reads are written — n for
-// compute and idle, msg for send (the caller fills it) — and a
-// scripted message never carries a Body, so the stale ones are inert.
+// request records a guest's next request in place. Building a whole
+// cycleReq instead costs a stack temporary and a block copy per
+// operation; here only the fields op reads are written — n for compute
+// and idle, msg for send (the caller fills all of it, Body included) —
+// so the stale ones are inert.
 func (p *cycleProc) request(op cycleOp, n int64) {
 	p.pending.op = op
 	p.pending.n = n
-}
-
-// sequence adapts prog to the coroutine protocol; see cycleProc.
-func (p *cycleProc) sequence(prog logp.Program) iter.Seq[token] {
-	return func(yield func(token) bool) {
-		p.yield = yield
-		defer func() {
-			switch r := recover(); {
-			case r == nil:
-				p.final = cycleReq{op: cycleOpDone}
-			case isCycleStopped(r):
-				// Unwound by shutdown; the engine no longer reads.
-			default:
-				p.final = cycleReq{op: cycleOpPanic, err: fmt.Errorf("core: processor %d panicked: %v", p.id, r)}
-			}
-		}()
-		prog(p)
-	}
-}
-
-func isCycleStopped(r interface{}) bool {
-	err, ok := r.(error)
-	return ok && errors.Is(err, errCycleStopped)
 }
 
 // reset prepares the retained engine for a fresh replay with the given
@@ -683,7 +580,6 @@ func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs 
 	e.cycleLen = cycleLen
 	e.fold = fold
 	e.capacity = lp.Capacity()
-	e.script = nil
 	if len(e.procs) != lp.P {
 		e.procs = make([]cycleProc, lp.P)
 	}
@@ -719,47 +615,18 @@ func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs 
 	e.procErr = nil
 }
 
-// shutdown unwinds still-parked coroutines and drops per-guest
-// closures and requests, so the retained slab pins no program state
-// (closures, message bodies) between runs.
+// shutdown drops the run's script, so the retained engine does not pin
+// it between runs.
 //
 //hot:cold per-Run epilogue
 func (e *cycleEngine) shutdown() {
-	if e.script != nil {
-		// Scripted guests hold no closures and their requests carry no
-		// bodies; only the script itself is dropped.
-		e.script = nil
-		return
-	}
-	for i := range e.procs {
-		p := &e.procs[i]
-		if p.stop != nil {
-			p.stop()
-		}
-		p.next, p.stop, p.yield = nil, nil, nil
-		p.pending, p.out, p.final = cycleReq{}, cycleReq{}, cycleReq{}
-		p.resp = cycleRes{}
-	}
+	e.script = nil
 }
 
-// run starts every coroutine guest and hands off to the commit loop.
+// run starts every guest and hands off to the commit loop.
 //
 //hot:cold per-Run startup
-func (e *cycleEngine) run(prog logp.Program) error {
-	for i := range e.procs {
-		p := &e.procs[i]
-		p.reinit(i, e)
-		p.next, p.stop = iter.Pull(p.sequence(prog))
-		e.await(p)
-	}
-	return e.loop()
-}
-
-// runScript starts every scripted guest and hands off to the commit
-// loop.
-//
-//hot:cold per-Run startup
-func (e *cycleEngine) runScript(sc logp.Script) error {
+func (e *cycleEngine) run(sc logp.Script) error {
 	e.script = sc
 	for i := range e.procs {
 		p := &e.procs[i]
@@ -769,11 +636,11 @@ func (e *cycleEngine) runScript(sc logp.Script) error {
 	return e.loop()
 }
 
-// loop is the commit loop shared by both guest forms. It commits the
-// runnable guest with the smallest clock, lowest id on ties, after
-// delivering every instant up to that clock. Delivered instants are
-// therefore at most every later committer's clock: a guest woken at
-// instant t resumes at a clock of at least t.
+// loop is the replay's commit loop. It commits the runnable guest with
+// the smallest clock, lowest id on ties, after delivering every instant
+// up to that clock. Delivered instants are therefore at most every
+// later committer's clock: a guest woken at instant t resumes at a
+// clock of at least t.
 //
 //hot:path the Theorem 1 cycle engine's per-event commit loop
 func (e *cycleEngine) loop() error {
@@ -833,34 +700,22 @@ func (e *cycleEngine) deadlockError() error {
 	return fmt.Errorf("core: deadlock in Theorem 1 replay: processors %v blocked on Recv", blocked)
 }
 
-// await obtains p's next request — resuming the coroutine or running
-// the script segment — and, if the guest stays runnable, parks it in
-// the ready queue. Every caller has p out of the queue (startup, or just
-// popped by exec's committer), so the push cannot duplicate.
+// await runs p's script segment to obtain its next request and, if the
+// guest stays runnable, parks it in the ready queue. Every caller has p
+// out of the queue (startup, or just popped by exec's committer), so
+// the push cannot duplicate.
 func (e *cycleEngine) await(p *cycleProc) {
-	if p.next == nil {
-		p.scriptSegment()
-		switch p.pending.op {
-		case cycleOpDone:
-			p.state = cycleDone
-		case cycleOpPanic:
-			p.state = cycleDone
-			if e.procErr == nil {
-				e.procErr = p.pending.err
-			}
-		default:
-			e.park(p)
+	p.scriptSegment()
+	switch p.pending.op {
+	case cycleOpDone:
+		p.state = cycleDone
+	case cycleOpPanic:
+		p.state = cycleDone
+		if e.procErr == nil {
+			e.procErr = p.pending.err
 		}
-		return
-	}
-	if _, ok := p.next(); ok {
-		p.pending = p.out
+	default:
 		e.park(p)
-		return
-	}
-	p.state = cycleDone
-	if p.final.op == cycleOpPanic && e.procErr == nil {
-		e.procErr = p.final.err
 	}
 }
 

@@ -430,3 +430,42 @@ func TestThm1StallingDeliverySpread(t *testing.T) {
 		t.Fatalf("last acquisition at %d; expected spread past %d", last, boundary+4*lp.G)
 	}
 }
+
+func TestThm1DeadlockUnwindsParkedPrograms(t *testing.T) {
+	lp := logp.Params{P: 4, L: 8, O: 1, G: 2}
+	unwound := make([]bool, lp.P)
+	sim := &LogPOnBSP{LogP: lp}
+	_, err := sim.Run(func(p logp.Proc) {
+		defer func() { unwound[p.ID()] = true }()
+		if p.ID()%2 == 1 {
+			p.Recv() // nobody sends: parked here by the deadlock
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("expected deadlock error, got %v", err)
+	}
+	for id, ok := range unwound {
+		if !ok {
+			t.Fatalf("processor %d's deferred function had not run when Run returned", id)
+		}
+	}
+}
+
+func TestThm1SendBodyDelivered(t *testing.T) {
+	lp := logp.Params{P: 2, L: 8, O: 1, G: 2}
+	body := new(int)
+	var got interface{}
+	sim := &LogPOnBSP{LogP: lp}
+	if _, err := sim.Run(func(p logp.Proc) {
+		if p.ID() == 0 {
+			p.SendBody(1, 0, 0, 0, body)
+		} else {
+			got = p.Recv().Body
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got != body {
+		t.Fatalf("received body %v, want the sent %p", got, body)
+	}
+}

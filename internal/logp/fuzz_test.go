@@ -189,7 +189,8 @@ func fuzzSeed(data []byte) uint64 {
 // hugging the clocks; O == G == L aligns every operation to instant
 // boundaries; L = 9, o = 3, G = 4 leaves a partial capacity window).
 // Batching, pooling, buffered emission, and proc-side run-ahead must
-// all be unobservable.
+// all be unobservable. The program driven through ProgramAsScript on
+// the Script engine must in turn reproduce the Program engine's run.
 func checkEngineMatchesReference(t *testing.T, data []byte) {
 	t.Helper()
 	prog, p := decodeFuzzProgram(data)
@@ -206,6 +207,12 @@ func checkEngineMatchesReference(t *testing.T, data []byte) {
 			want := referenceRun(t, params, v, prog)
 			got := engineRun(t, params, v, func(m *logp.Machine) (logp.Result, error) { return m.Run(prog) })
 			mustMatch(t, fmt.Sprintf("%v/%v", params, v), want, got)
+			bridged := engineRun(t, params, v, func(m *logp.Machine) (logp.Result, error) {
+				sc := logp.ProgramAsScript(params, prog)
+				defer sc.Stop()
+				return m.RunScript(sc)
+			})
+			mustMatch(t, fmt.Sprintf("%v/%v bridge", params, v), got, bridged)
 		}
 	}
 }
@@ -256,7 +263,8 @@ func TestFastPathEquivalenceCorpus(t *testing.T) {
 // TestEngineMatchesReferenceOnErrors holds the engine's failure reports
 // to the reference: a deadlock, the earliest processor panic in
 // simulated time, Send and Compute validation, and a strict stall-free
-// run that stalls must give the same error text, Result, and trace.
+// run that stalls must give the same error text, Result, and trace, on
+// the Program engine and through ProgramAsScript on the Script engine.
 func TestEngineMatchesReferenceOnErrors(t *testing.T) {
 	params := logp.Params{P: 4, L: 8, O: 1, G: 2}
 	for _, tc := range []struct {
@@ -337,9 +345,19 @@ func TestEngineMatchesReferenceOnErrors(t *testing.T) {
 			}
 			return logp.NewMachine(params, opts...).Run(tc.prog)
 		})
+		bridged := observe(t, params, func(sink func(logp.Event)) (logp.Result, error) {
+			opts := []logp.Option{logp.WithEventLog(sink)}
+			if tc.strict {
+				opts = append(opts, logp.WithStrictStallFree())
+			}
+			sc := logp.ProgramAsScript(params, tc.prog)
+			defer sc.Stop()
+			return logp.NewMachine(params, opts...).RunScript(sc)
+		})
 		if want.err == nil || !strings.Contains(want.err.Error(), tc.want) {
 			t.Fatalf("%s: reference error %v, want one containing %q", tc.name, want.err, tc.want)
 		}
 		mustMatch(t, tc.name, want, got)
+		mustMatch(t, tc.name+" bridge", got, bridged)
 	}
 }

@@ -8,10 +8,11 @@ import "fmt"
 // them deterministically, so closures may share data structures indexed
 // by processor id without additional locking.
 //
-// Proc is an interface rather than a concrete type so that the
-// cross-simulators in internal/core can execute unmodified LogP
-// programs on a different substrate (Theorem 1 runs them on a BSP
-// machine).
+// Proc is an interface rather than a concrete type so that unmodified
+// LogP programs run on other substrates too: ProgramAsScript implements
+// it to drive a Program as a Script, which is how the Theorem 1 cycle
+// engine (internal/core) and the netlogp co-simulation execute
+// Programs, and the reference interpreter implements it as well.
 type Proc interface {
 	// ID returns this processor's identifier in [0, P()).
 	ID() int

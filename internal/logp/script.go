@@ -2,6 +2,7 @@ package logp
 
 import (
 	"fmt"
+	"iter"
 	"math"
 )
 
@@ -51,8 +52,8 @@ const (
 	ScriptCompute
 	// ScriptWait idles until the local clock is at least N.
 	ScriptWait
-	// ScriptSend submits a message to Dst with Tag/Payload/Aux.
-	// Scripted messages carry no opaque Body.
+	// ScriptSend submits a message to Dst with Tag/Payload/Aux and
+	// the opaque Body.
 	ScriptSend
 	// ScriptRecv blocks until a message is acquired.
 	ScriptRecv
@@ -69,6 +70,7 @@ type ScriptOp struct {
 	Dst          int
 	Tag          int32
 	Payload, Aux int64
+	Body         interface{}
 }
 
 // ScriptResult reports a completed scripted operation back to Next.
@@ -104,7 +106,7 @@ func ScriptAsProgram(s Script) Program {
 				p.WaitUntil(op.N)
 				res = ScriptResult{Now: p.Now()}
 			case ScriptSend:
-				p.Send(op.Dst, op.Tag, op.Payload, op.Aux)
+				p.SendBody(op.Dst, op.Tag, op.Payload, op.Aux, op.Body)
 				res = ScriptResult{Now: p.Now()}
 			case ScriptRecv:
 				m := p.Recv()
@@ -120,6 +122,134 @@ func ScriptAsProgram(s Script) Program {
 			}
 		}
 	}
+}
+
+// ProgramAsScript adapts a Program to the Script form, the inverse of
+// ScriptAsProgram, so an engine that executes only Scripts (the
+// Theorem 1 cycle engine, the netlogp co-simulation) runs any Program.
+// Next resumes processor id's program as an iter.Pull coroutine until
+// its next Proc call and returns that call as a ScriptOp:
+//
+//   - every call except Compute(0), which has no effect, is one Next,
+//     passed through unvalidated (an invalid Send or a negative
+//     Compute is the engine's to reject, in its own words);
+//   - the program returning is ScriptHalt;
+//   - a program panic propagates out of Next, where the engine
+//     reports it as the processor's panic.
+//
+// Every processor is active. The caller must call Stop when the run
+// ends, however it ends: it unwinds the programs still parked in a
+// call (a deadlock leaves them parked in Recv), running their deferred
+// functions.
+func ProgramAsScript(params Params, prog Program) *ProgramScript {
+	return &ProgramScript{params: params, prog: prog, procs: make([]bridgeProc, max(params.P, 0))}
+}
+
+// ProgramScript is a Program driven as a Script; see ProgramAsScript.
+type ProgramScript struct {
+	params Params
+	prog   Program
+	procs  []bridgeProc
+}
+
+// bridgeProc is one processor of a ProgramScript: the Proc its program
+// runs against. The program parks in call with the operation in op;
+// Next resumes it with the engine's answer in res. Exactly one of
+// (engine, program) runs at any time, so the fields are race-free.
+type bridgeProc struct {
+	s        *ProgramScript
+	id       int
+	next     func() (token, bool)
+	stop     func()
+	yield    func(token) bool
+	op       ScriptOp
+	res      ScriptResult
+	stopping bool
+}
+
+// Active reports every processor active: a Program starts at time 0.
+func (s *ProgramScript) Active(int) bool { return true }
+
+// Next resumes processor id's program with prev, the result of its
+// pending call, and returns the program's next call.
+func (s *ProgramScript) Next(id int, prev ScriptResult) ScriptOp {
+	b := &s.procs[id]
+	if b.next == nil {
+		b.s, b.id = s, id
+		b.next, b.stop = iter.Pull(b.body)
+	}
+	b.res = prev
+	if _, ok := b.next(); !ok {
+		return ScriptOp{Kind: ScriptHalt}
+	}
+	return b.op
+}
+
+// Stop unwinds every program still parked in a call. It returns once
+// their deferred functions have run.
+func (s *ProgramScript) Stop() {
+	for i := range s.procs {
+		if b := &s.procs[i]; b.stop != nil {
+			b.stopping = true
+			b.stop()
+		}
+	}
+}
+
+// body is processor b's coroutine. A program unwound by Stop ends here;
+// any other panic propagates to the engine through Next.
+func (b *bridgeProc) body(yield func(token) bool) {
+	b.yield = yield
+	defer func() {
+		if b.stopping {
+			recover() // nothing reads a stopped program's outcome
+		}
+	}()
+	b.s.prog(b)
+}
+
+// call hands op to the engine and parks until Next resumes the program.
+func (b *bridgeProc) call(op ScriptOp) {
+	b.op = op
+	if !b.yield(token{}) {
+		panic(errStopped)
+	}
+}
+
+func (b *bridgeProc) ID() int        { return b.id }
+func (b *bridgeProc) P() int         { return b.s.params.P }
+func (b *bridgeProc) Params() Params { return b.s.params }
+func (b *bridgeProc) Now() int64     { return b.res.Now }
+
+func (b *bridgeProc) Compute(n int64) {
+	if n != 0 {
+		b.call(ScriptOp{Kind: ScriptCompute, N: n})
+	}
+}
+
+func (b *bridgeProc) WaitUntil(t int64) { b.call(ScriptOp{Kind: ScriptWait, N: t}) }
+
+func (b *bridgeProc) Send(dst int, tag int32, payload, aux int64) {
+	b.SendBody(dst, tag, payload, aux, nil)
+}
+
+func (b *bridgeProc) SendBody(dst int, tag int32, payload, aux int64, body interface{}) {
+	b.call(ScriptOp{Kind: ScriptSend, Dst: dst, Tag: tag, Payload: payload, Aux: aux, Body: body})
+}
+
+func (b *bridgeProc) Recv() Message {
+	b.call(ScriptOp{Kind: ScriptRecv})
+	return b.res.Msg
+}
+
+func (b *bridgeProc) TryRecv() (Message, bool) {
+	b.call(ScriptOp{Kind: ScriptTryRecv})
+	return b.res.Msg, b.res.OK
+}
+
+func (b *bridgeProc) Buffered() int {
+	b.call(ScriptOp{Kind: ScriptBuffered})
+	return int(b.res.N)
 }
 
 // RunScript executes s with the scripted engine: no coroutines, lazy
@@ -215,7 +345,7 @@ func (p *proc) scriptSegment() {
 				panic("logp: Send to self; use local state instead")
 			}
 			p.pending = request{kind: opSend, msg: Message{
-				Src: p.id, Dst: op.Dst, Tag: op.Tag, Payload: op.Payload, Aux: op.Aux,
+				Src: p.id, Dst: op.Dst, Tag: op.Tag, Payload: op.Payload, Aux: op.Aux, Body: op.Body,
 			}}
 			return
 

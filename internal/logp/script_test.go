@@ -465,3 +465,86 @@ func TestScriptEquivalenceCorpus(t *testing.T) {
 		checkScriptFuzzEquivalence(t, data)
 	}
 }
+
+// TestProgramAsScript drives the bridge by hand: each Proc call but
+// Compute(0) is one Next, results flow back into the program, SendBody
+// keeps its body, a return is ScriptHalt, and a panic leaves through
+// Next.
+func TestProgramAsScript(t *testing.T) {
+	params := logp.Params{P: 2, L: 8, O: 1, G: 2}
+	body := new(int)
+	in := logp.Message{Src: 0, Dst: 1, Tag: 2, Payload: 3, Body: body}
+	var (
+		now  []int64
+		msg  logp.Message
+		ok   bool
+		nbuf int
+	)
+	sc := logp.ProgramAsScript(params, func(p logp.Proc) {
+		if p.ID() == 0 {
+			return
+		}
+		p.Compute(0)
+		p.Compute(3)
+		now = append(now, p.Now())
+		p.WaitUntil(9)
+		now = append(now, p.Now())
+		p.SendBody(0, 4, 5, 6, body)
+		msg = p.Recv()
+		_, ok = p.TryRecv()
+		nbuf = p.Buffered()
+		panic("bridge boom")
+	})
+	defer sc.Stop()
+	if !sc.Active(0) || !sc.Active(1) {
+		t.Fatal("a Program's processors must all be active")
+	}
+	if op := sc.Next(0, logp.ScriptResult{}); op.Kind != logp.ScriptHalt {
+		t.Fatalf("returning program: got %+v, want ScriptHalt", op)
+	}
+	for i, step := range []struct {
+		prev logp.ScriptResult
+		want logp.ScriptOp
+	}{
+		{logp.ScriptResult{}, logp.ScriptOp{Kind: logp.ScriptCompute, N: 3}},
+		{logp.ScriptResult{Now: 3}, logp.ScriptOp{Kind: logp.ScriptWait, N: 9}},
+		{logp.ScriptResult{Now: 9}, logp.ScriptOp{Kind: logp.ScriptSend, Dst: 0, Tag: 4, Payload: 5, Aux: 6, Body: body}},
+		{logp.ScriptResult{Now: 10}, logp.ScriptOp{Kind: logp.ScriptRecv}},
+		{logp.ScriptResult{Msg: in, OK: true, Now: 20}, logp.ScriptOp{Kind: logp.ScriptTryRecv}},
+		{logp.ScriptResult{Now: 21}, logp.ScriptOp{Kind: logp.ScriptBuffered}},
+	} {
+		if op := sc.Next(1, step.prev); op != step.want {
+			t.Fatalf("step %d: got %+v, want %+v", i, op, step.want)
+		}
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "bridge boom" {
+				t.Fatalf("Next recovered %v, want the program's panic", r)
+			}
+		}()
+		sc.Next(1, logp.ScriptResult{N: 7, Now: 21})
+		t.Fatal("Next returned past the program's panic")
+	}()
+	if !reflect.DeepEqual(now, []int64{3, 9}) || msg != in || ok || nbuf != 7 {
+		t.Fatalf("program saw now=%v msg=%+v ok=%v buffered=%d", now, msg, ok, nbuf)
+	}
+}
+
+// TestProgramAsScriptStop checks that Stop unwinds a program parked in
+// a call, running its deferred functions before Stop returns.
+func TestProgramAsScriptStop(t *testing.T) {
+	unwound := false
+	sc := logp.ProgramAsScript(logp.Params{P: 2, L: 8, O: 1, G: 2}, func(p logp.Proc) {
+		defer func() { unwound = true }()
+		p.Recv()
+		t.Error("Recv returned after Stop")
+	})
+	if op := sc.Next(0, logp.ScriptResult{}); op.Kind != logp.ScriptRecv {
+		t.Fatalf("got %+v, want ScriptRecv", op)
+	}
+	sc.Stop()
+	if !unwound {
+		t.Fatal("Stop returned before the parked program unwound")
+	}
+}

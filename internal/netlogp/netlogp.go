@@ -15,9 +15,7 @@ package netlogp
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
-	"iter"
 	"math"
 	"sort"
 
@@ -59,14 +57,18 @@ type Result struct {
 	ProcTimes []int64
 }
 
-// Run executes prog. The simulation is deterministic.
+// Run executes prog. The simulation is deterministic. The engine
+// drives prog as a Script through logp.ProgramAsScript, and the
+// programs a failed run leaves parked are unwound before Run returns.
 func (m *Machine) Run(prog logp.Program) (Result, error) {
+	sc := logp.ProgramAsScript(m.params, prog)
+	defer sc.Stop()
 	eng := &engine{
 		params:  m.params,
 		stepper: m.net.NewStepper(),
+		script:  sc,
 	}
-	defer eng.shutdown()
-	if err := eng.run(prog); err != nil {
+	if err := eng.run(); err != nil {
 		return Result{}, err
 	}
 	res := Result{
@@ -86,14 +88,15 @@ func (m *Machine) Run(prog logp.Program) (Result, error) {
 	return res, nil
 }
 
-// engine is the co-simulation core: the same coroutine-style
-// conservative scheduler as the other engines, with the packet network
-// as the medium. The network clock is advanced lazily: before a
+// engine is the co-simulation core: a conservative scheduler that
+// commits the processor with the smallest clock, with the packet
+// network as the medium. The network clock is advanced lazily: before a
 // processor acts at time T, every network step up to T has been
 // performed, injecting queued submissions at their instants.
 type engine struct {
 	params  logp.Params
 	stepper *netsim.Stepper
+	script  *logp.ProgramScript
 	procs   []*nproc
 
 	injections injHeap // submissions not yet handed to the network
@@ -148,7 +151,6 @@ type narrived struct {
 
 type nproc struct {
 	id    int
-	eng   *engine
 	clock int64
 	// nextComm is the earliest instant of the next communication
 	// operation: submissions and acquisitions share one per-processor
@@ -156,143 +158,19 @@ type nproc struct {
 	nextComm int64
 	buf      []narrived
 	state    nstate
-	pending  nreq
-	// The program runs as an iter.Pull coroutine, as in the logp
-	// engine's fast path: next resumes the program until its next
-	// engine call, which stores the request in out, yields, and reads
-	// the answer from resp; stop unwinds a still-parked program. A
-	// finished coroutine cannot yield its terminal state, so the
-	// epilogue records it in final. Exactly one of (engine, program)
-	// runs at any time, so the unsynchronized fields are race-free.
-	next  func() (token, bool)
-	stop  func()
-	yield func(token) bool
-	out   nreq
-	resp  nres
-	final nreq
+	// op is the pending operation; res answers the previous one and is
+	// passed to the next Next call.
+	op  logp.ScriptOp
+	res logp.ScriptResult
 }
 
-// token is the zero-size value exchanged over the coroutine switch;
-// requests and responses ride in nproc fields instead of being copied
-// through the iter.Pull plumbing.
-type token = struct{}
-
-type nop uint8
-
-const (
-	nCompute nop = iota
-	nIdle
-	nSend
-	nRecv
-	nTryRecv
-	nBuffered
-	nOpDone
-	nOpPanic
-)
-
-type nreq struct {
-	op  nop
-	n   int64
-	msg logp.Message
-	err error
-}
-
-type nres struct {
-	msg logp.Message
-	ok  bool
-	n   int64
-}
-
-var errStopped = errors.New("netlogp: machine stopped")
-
-var _ logp.Proc = (*nproc)(nil)
-
-func (p *nproc) ID() int             { return p.id }
-func (p *nproc) P() int              { return p.eng.params.P }
-func (p *nproc) Params() logp.Params { return p.eng.params }
-func (p *nproc) Now() int64          { return p.clock }
-func (p *nproc) WaitUntil(t int64)   { p.call(nreq{op: nIdle, n: t}) }
-func (p *nproc) Recv() logp.Message  { return p.call(nreq{op: nRecv}).msg }
-func (p *nproc) Buffered() int       { return int(p.call(nreq{op: nBuffered}).n) }
-
-func (p *nproc) call(r nreq) nres {
-	p.out = r
-	if !p.yield(token{}) {
-		panic(errStopped)
-	}
-	return p.resp
-}
-
-// sequence adapts prog to the coroutine protocol; see nproc.
-func (p *nproc) sequence(prog logp.Program) iter.Seq[token] {
-	return func(yield func(token) bool) {
-		p.yield = yield
-		defer func() {
-			switch r := recover(); {
-			case r == nil:
-				p.final = nreq{op: nOpDone}
-			case isStopped(r):
-				// Unwound by shutdown; the engine no longer reads.
-			default:
-				p.final = nreq{op: nOpPanic, err: fmt.Errorf("netlogp: processor %d panicked: %v", p.id, r)}
-			}
-		}()
-		prog(p)
-	}
-}
-
-func isStopped(r interface{}) bool {
-	err, ok := r.(error)
-	return ok && errors.Is(err, errStopped)
-}
-
-func (e *engine) shutdown() {
-	for _, p := range e.procs {
-		if p.stop != nil {
-			p.stop()
-		}
-	}
-}
-
-func (p *nproc) Compute(n int64) {
-	if n < 0 {
-		panic(fmt.Sprintf("netlogp: Compute(%d) with negative cycles", n))
-	}
-	if n == 0 {
-		return
-	}
-	p.call(nreq{op: nCompute, n: n})
-}
-
-func (p *nproc) Send(dst int, tag int32, payload, aux int64) {
-	p.SendBody(dst, tag, payload, aux, nil)
-}
-
-func (p *nproc) SendBody(dst int, tag int32, payload, aux int64, body interface{}) {
-	if dst < 0 || dst >= p.eng.params.P {
-		panic(fmt.Sprintf("netlogp: Send to invalid destination %d (P=%d)", dst, p.eng.params.P))
-	}
-	if dst == p.id {
-		panic("netlogp: Send to self; use local state instead")
-	}
-	p.call(nreq{op: nSend, msg: logp.Message{
-		Src: p.id, Dst: dst, Tag: tag, Payload: payload, Aux: aux, Body: body,
-	}})
-}
-
-func (p *nproc) TryRecv() (logp.Message, bool) {
-	r := p.call(nreq{op: nTryRecv})
-	return r.msg, r.ok
-}
-
-func (e *engine) run(prog logp.Program) error {
+func (e *engine) run() error {
 	n := e.params.P
 	e.procs = make([]*nproc, n)
 	e.inFlight = map[int64]flight{}
 	for i := 0; i < n; i++ {
-		p := &nproc{id: i, eng: e}
+		p := &nproc{id: i}
 		e.procs[i] = p
-		p.next, p.stop = iter.Pull(p.sequence(prog))
 		e.await(p)
 	}
 
@@ -336,7 +214,16 @@ func (e *engine) run(prog logp.Program) error {
 		e.advanceTo(next.clock)
 		e.exec(next)
 	}
-	return e.procErr
+	if e.procErr != nil {
+		return e.procErr
+	}
+	// Messages still in flight when the last processor halts count in
+	// Messages; deliver them so they count in the latency statistics
+	// too, as the logp engine drains its in-flight deliveries.
+	for len(e.injections) > 0 || e.stepper.Pending() > 0 {
+		e.advanceTo(e.stepper.Step() + 1)
+	}
+	return nil
 }
 
 // advanceTo steps the network to the given time, injecting queued
@@ -374,35 +261,69 @@ func (e *engine) advanceTo(t int64) {
 	}
 }
 
+// await obtains p's next operation and marks p ready, or done when its
+// program returns or panics.
 func (e *engine) await(p *nproc) {
-	if _, ok := p.next(); ok {
-		p.pending = p.out
-		p.state = nReady
+	if err := e.next(p); err != nil {
+		p.state = nDone
+		if e.procErr == nil {
+			e.procErr = err
+		}
 		return
 	}
-	p.state = nDone
-	if p.final.op == nOpPanic && e.procErr == nil {
-		e.procErr = p.final.err
+	if p.op.Kind == logp.ScriptHalt {
+		p.state = nDone
+		return
 	}
+	p.state = nReady
 }
 
-func (e *engine) resume(p *nproc, r nres) {
-	p.resp = r
+// next resumes p's program for its next operation and validates it as
+// a Proc would. A panic out of the program, or a rejected operation,
+// becomes the processor's error.
+func (e *engine) next(p *nproc) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("netlogp: processor %d panicked: %v", p.id, r)
+		}
+	}()
+	p.res.Now = p.clock
+	op := e.script.Next(p.id, p.res)
+	switch op.Kind {
+	case logp.ScriptCompute:
+		if op.N < 0 {
+			panic(fmt.Sprintf("netlogp: Compute(%d) with negative cycles", op.N))
+		}
+	case logp.ScriptSend:
+		if op.Dst < 0 || op.Dst >= e.params.P {
+			panic(fmt.Sprintf("netlogp: Send to invalid destination %d (P=%d)", op.Dst, e.params.P))
+		}
+		if op.Dst == p.id {
+			panic("netlogp: Send to self; use local state instead")
+		}
+	}
+	p.op = op
+	return nil
+}
+
+// resume answers p's pending operation with r and obtains the next one.
+func (e *engine) resume(p *nproc, r logp.ScriptResult) {
+	p.res = r
 	e.await(p)
 }
 
 func (e *engine) exec(p *nproc) {
-	req := p.pending
-	switch req.op {
-	case nCompute:
-		p.clock += req.n
-		e.resume(p, nres{})
-	case nIdle:
-		if req.n > p.clock {
-			p.clock = req.n
+	op := &p.op
+	switch op.Kind {
+	case logp.ScriptCompute:
+		p.clock += op.N
+		e.resume(p, logp.ScriptResult{})
+	case logp.ScriptWait:
+		if op.N > p.clock {
+			p.clock = op.N
 		}
-		e.resume(p, nres{})
-	case nBuffered:
+		e.resume(p, logp.ScriptResult{})
+	case logp.ScriptBuffered:
 		cnt := int64(0)
 		for _, a := range p.buf {
 			if a.at > p.clock {
@@ -410,8 +331,8 @@ func (e *engine) exec(p *nproc) {
 			}
 			cnt++
 		}
-		e.resume(p, nres{n: cnt})
-	case nSend:
+		e.resume(p, logp.ScriptResult{N: cnt})
+	case logp.ScriptSend:
 		s := p.clock + e.params.O
 		if s < p.nextComm {
 			s = p.nextComm
@@ -420,28 +341,27 @@ func (e *engine) exec(p *nproc) {
 		p.clock = s
 		e.msgSeq++
 		e.totalMsgs++
-		heap.Push(&e.injections, injection{at: s, id: e.msgSeq, msg: req.msg})
-		e.resume(p, nres{})
-	case nRecv:
+		msg := logp.Message{Src: p.id, Dst: op.Dst, Tag: op.Tag, Payload: op.Payload, Aux: op.Aux, Body: op.Body}
+		heap.Push(&e.injections, injection{at: s, id: e.msgSeq, msg: msg})
+		e.resume(p, logp.ScriptResult{})
+	case logp.ScriptRecv:
 		if len(p.buf) > 0 {
 			e.completeRecv(p)
 		} else {
 			p.state = nWaitMsg
 		}
-	case nTryRecv:
+	case logp.ScriptTryRecv:
 		if len(p.buf) > 0 && p.buf[0].at <= p.clock && p.nextComm <= p.clock {
 			head := p.buf[0]
 			p.buf = p.buf[1:]
 			r := p.clock
 			p.clock = r + e.params.O
 			p.nextComm = r + e.params.G
-			e.resume(p, nres{msg: head.msg, ok: true})
+			e.resume(p, logp.ScriptResult{Msg: head.msg, OK: true})
 		} else {
 			p.clock++
-			e.resume(p, nres{})
+			e.resume(p, logp.ScriptResult{})
 		}
-	default:
-		panic(fmt.Sprintf("netlogp: unexpected op %d", req.op))
 	}
 }
 
@@ -458,5 +378,5 @@ func (e *engine) completeRecv(p *nproc) {
 	p.clock = r + e.params.O
 	p.nextComm = r + e.params.G
 	p.state = nReady
-	e.resume(p, nres{msg: head.msg, ok: true})
+	e.resume(p, logp.ScriptResult{Msg: head.msg, OK: true})
 }

@@ -265,3 +265,65 @@ func TestNewMachineValidation(t *testing.T) {
 	}()
 	NewMachine(logp.Params{P: 4, L: 8, O: 1, G: 2}, netsim.New(g))
 }
+
+func TestUndeliveredMessageCountsInLatency(t *testing.T) {
+	// 0 -> 3 is 2 hops on the 2-cube. A message still in flight when
+	// the last processor halts is delivered after the run, so it counts
+	// in the latency statistics as it does in Messages.
+	for _, recv := range []bool{false, true} {
+		res, err := cubeMachine(4).Run(func(p logp.Proc) {
+			switch p.ID() {
+			case 0:
+				p.Send(3, 0, 1, 0)
+			case 3:
+				if recv {
+					p.Recv()
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Messages != 1 || res.MaxMsgLatency != 2 || res.MeanMsgLatency != 2 {
+			t.Fatalf("received=%v: messages %d, max latency %d, mean %v; want 1, 2, 2",
+				recv, res.Messages, res.MaxMsgLatency, res.MeanMsgLatency)
+		}
+	}
+}
+
+func TestDeadlockUnwindsParkedPrograms(t *testing.T) {
+	const p = 4
+	unwound := make([]bool, p)
+	_, err := cubeMachine(p).Run(func(pr logp.Proc) {
+		defer func() { unwound[pr.ID()] = true }()
+		if pr.ID()%2 == 1 {
+			pr.Recv() // nobody sends: parked here by the deadlock
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("expected deadlock error, got %v", err)
+	}
+	for id, ok := range unwound {
+		if !ok {
+			t.Fatalf("processor %d's deferred function had not run when Run returned", id)
+		}
+	}
+}
+
+func TestSendBodyDelivered(t *testing.T) {
+	body := new(int)
+	var got interface{}
+	if _, err := cubeMachine(4).Run(func(p logp.Proc) {
+		switch p.ID() {
+		case 0:
+			p.SendBody(3, 0, 0, 0, body)
+		case 3:
+			got = p.Recv().Body
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got != body {
+		t.Fatalf("received body %v, want the sent %p", got, body)
+	}
+}
