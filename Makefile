@@ -28,10 +28,14 @@ race:
 # Differential fuzzing of the LogP engine against the reference
 # interpreter (internal/logp/reference): the Program form and the
 # Script form must each produce the reference's Results, traces, and
-# audit metrics.
+# audit metrics. The engines' scheduling structures — the shared
+# ring-plus-heap run queue and the logp timing wheel — are fuzzed
+# against plain binary heaps.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime 20s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzScriptEquivalence -fuzztime 10s ./internal/logp/
+	$(GO) test -run '^$$' -fuzz FuzzEventWheel -fuzztime 10s ./internal/logp/
+	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 10s ./internal/runq/
 
 # Run the quick experiment suite under the streaming LogP invariant
 # auditor; fails on any model-invariant violation (see EXPERIMENTS.md).

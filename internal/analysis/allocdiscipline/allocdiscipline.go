@@ -39,8 +39,8 @@ var Analyzer = &kit.Analyzer{
 		"map range, and interface boxing inside the //hot:path hot set",
 	Scope: []string{
 		"repro/internal/logp", "repro/internal/core",
-		"repro/internal/netsim", "repro/internal/relation",
-		"repro/internal/bench",
+		"repro/internal/runq", "repro/internal/netsim",
+		"repro/internal/relation", "repro/internal/bench",
 	},
 	Run: run,
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bsp"
 	"repro/internal/logp"
 	"repro/internal/relation"
+	"repro/internal/runq"
 )
 
 // LogPOnBSP executes LogP programs under BSP cost semantics, following
@@ -195,7 +196,7 @@ func (s *LogPOnBSP) RunScript(sc logp.Script) (Thm1Result, error) {
 // in-flight records when a cycle first exceeds capacity (see
 // recoverPairs), so a stall-free replay keeps none. Runnable guests and
 // in-flight messages sit in monotone run queues of value refs (see
-// cycleRunQueue): nearly every scheduling step is an O(1) ring append
+// runq.Queue): nearly every scheduling step is an O(1) ring append
 // or pop that chases no pointers. Together these keep a p = 10^6
 // replay's cost proportional to its traffic, not to p times its
 // length, with near-zero steady-state allocation on a warm simulator.
@@ -209,9 +210,18 @@ type cycleEngine struct {
 	// duration of one run.
 	script logp.Script
 
-	procs  []cycleProc
-	ready  cycleRunQueue // runnable guests by (clock, id)
-	events cycleRunQueue // in-flight messages by (arrival, seq)
+	procs []cycleProc
+	// ready and events are monotone: each pops in nondecreasing key
+	// order, and every push is at or after its last popped key. A guest
+	// re-parks at a clock no earlier than the one it was popped at, and
+	// a woken guest's clock is at least the delivery instant, which is
+	// at most the ready minimum it was delivered under (see loop). A new
+	// arrival is later than its submitter's clock, which is at least
+	// every instant already delivered. A guest's clock moves only in
+	// exec (popped first) and completeRecv (parked outside the queue),
+	// so a queued key never goes stale.
+	ready  runq.Queue // runnable guests by (clock, id)
+	events runq.Queue // in-flight messages by (arrival, seq)
 	seq    int64
 
 	// recs backs every in-flight or buffered message's single record;
@@ -339,162 +349,6 @@ type cycleRes struct {
 	n   int64
 }
 
-// cycleRunRef is one run-queue entry: the (at, tie) sort key plus a
-// slab index. The ready queue keys runnable guests by (clock, id) — the
-// commit order of the replay — with idx the guest id; the event queue
-// keys deliveries by (arrival time, submission seq) with idx the message
-// record. Keys are unique within a queue. A guest's clock never changes
-// while it is queued — clocks move only in exec (guest popped first) and
-// completeRecv (guest parked in cycleWaitMsg, outside the queue) — so a
-// copied key never goes stale.
-type cycleRunRef struct {
-	at  int64
-	tie int64
-	idx int32
-}
-
-func (a cycleRunRef) before(b cycleRunRef) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.tie < b.tie
-}
-
-// cycleRunQueue is the min-queue behind both the ready and the event
-// queue: a sorted FIFO in a power-of-two ring buffer, with a binary heap
-// as fallback. A push at or after the ring's tail is appended to the
-// ring; any other push goes to the heap. The ring therefore stays
-// sorted, so the queue's minimum is the smaller of the ring's head and
-// the heap's top, and with unique keys the pop order is exactly a
-// single heap's. That holds for any push sequence; monotonicity only
-// decides how cheap the queue is.
-//
-// Both queues are monotone: they pop in nondecreasing key order and
-// every push is at or after the last popped key. A guest re-parks at a
-// clock no earlier than the one it was popped at, and a woken guest's
-// clock is at least the delivery instant, which is at most the ready
-// minimum it was delivered under (see loop). A new arrival is later
-// than its submitter's clock, which is at least every instant already
-// delivered. In the replay almost every push is also at or after the
-// queue's tail — startup parks guests in id order at clock 0, a
-// committed guest re-parks later than the guests behind it, and a
-// cycle's submissions share one boundary arrival in seq order — so
-// nearly every operation is an O(1) ring append or pop, and only
-// out-of-order pushes (wakes whose clocks interleave, messages after a
-// capacity-spread delivery) pay O(log n) in the heap.
-type cycleRunQueue struct {
-	ring []cycleRunRef // len(ring) is a power of two, or 0
-	head int           // index of the ring's first entry
-	n    int           // ring occupancy
-	heap []cycleRunRef // min-heap of the pushes that missed the ring's tail
-}
-
-func (q *cycleRunQueue) len() int { return q.n + len(q.heap) }
-
-// reset empties the queue, keeping both backings for the next run.
-func (q *cycleRunQueue) reset() {
-	q.head, q.n = 0, 0
-	q.heap = q.heap[:0]
-}
-
-// heapFirst reports whether the smallest entry is the heap's top
-// rather than the ring's head; the queue must not be empty.
-func (q *cycleRunQueue) heapFirst() bool {
-	return q.n == 0 || len(q.heap) > 0 && q.heap[0].before(q.ring[q.head])
-}
-
-// min returns the smallest entry; the queue must not be empty.
-func (q *cycleRunQueue) min() cycleRunRef {
-	if q.heapFirst() {
-		return q.heap[0]
-	}
-	return q.ring[q.head]
-}
-
-func (q *cycleRunQueue) push(ref cycleRunRef) {
-	mask := len(q.ring) - 1
-	if q.n > 0 && ref.before(q.ring[(q.head+q.n-1)&mask]) {
-		q.heapPush(ref)
-		return
-	}
-	if q.n == len(q.ring) {
-		q.grow()
-		mask = len(q.ring) - 1
-	}
-	q.ring[(q.head+q.n)&mask] = ref
-	q.n++
-}
-
-// popMin removes and returns the smallest entry; the queue must not be
-// empty.
-func (q *cycleRunQueue) popMin() cycleRunRef {
-	if q.heapFirst() {
-		return q.heapPop()
-	}
-	top := q.ring[q.head]
-	q.head = (q.head + 1) & (len(q.ring) - 1)
-	q.n--
-	return top
-}
-
-// grow doubles the full ring, unwrapping it to start at index 0.
-//
-//hot:cold ring growth: the ring reaches its high-water capacity once and is reused across runs
-func (q *cycleRunQueue) grow() {
-	ring := make([]cycleRunRef, max(16, 2*len(q.ring)))
-	k := copy(ring, q.ring[q.head:])
-	copy(ring[k:], q.ring[:q.head])
-	q.ring, q.head = ring, 0
-}
-
-// appendAll appends every queued entry to dst, in no particular order.
-func (q *cycleRunQueue) appendAll(dst []cycleRunRef) []cycleRunRef {
-	for i := 0; i < q.n; i++ {
-		dst = append(dst, q.ring[(q.head+i)&(len(q.ring)-1)])
-	}
-	return append(dst, q.heap...)
-}
-
-func (q *cycleRunQueue) heapPush(ref cycleRunRef) {
-	a := append(q.heap, ref)
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !a[i].before(a[parent]) {
-			break
-		}
-		a[i], a[parent] = a[parent], a[i]
-		i = parent
-	}
-	q.heap = a
-}
-
-func (q *cycleRunQueue) heapPop() cycleRunRef {
-	a := q.heap
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a = a[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && a[l].before(a[min]) {
-			min = l
-		}
-		if r < n && a[r].before(a[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		a[i], a[min] = a[min], a[i]
-		i = min
-	}
-	q.heap = a
-	return top
-}
-
 // scriptSegment advances a guest to its next engine request. The cycle
 // engine has no guest-side fast path, so every operation crosses except
 // Halt and Compute(0), which has no effect. A panic out of Next — the
@@ -583,8 +437,8 @@ func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs 
 	if len(e.procs) != lp.P {
 		e.procs = make([]cycleProc, lp.P)
 	}
-	e.ready.reset()
-	e.events.reset()
+	e.ready.Reset()
+	e.events.Reset()
 	e.seq = 0
 	for i := range e.recs {
 		e.recs[i] = cycleRec{}
@@ -646,16 +500,16 @@ func (e *cycleEngine) run(sc logp.Script) error {
 func (e *cycleEngine) loop() error {
 	for {
 		horizon := int64(math.MaxInt64)
-		if e.ready.len() > 0 {
-			horizon = e.ready.min().at
+		if e.ready.Len() > 0 {
+			horizon = e.ready.Min().At
 		}
-		if e.events.len() > 0 {
-			if t := e.events.min().at; t <= horizon {
+		if e.events.Len() > 0 {
+			if t := e.events.Min().At; t <= horizon {
 				e.deliverInstant(t)
 				continue
 			}
 		}
-		if e.ready.len() == 0 {
+		if e.ready.Len() == 0 {
 			allDone := true
 			for i := range e.procs {
 				if e.procs[i].state != cycleDone {
@@ -671,12 +525,12 @@ func (e *cycleEngine) loop() error {
 			}
 			return e.deadlockError()
 		}
-		ref := e.ready.popMin()
-		e.exec(&e.procs[ref.idx])
+		ref := e.ready.PopMin()
+		e.exec(&e.procs[ref.Idx])
 	}
 
-	for e.events.len() > 0 {
-		e.deliverInstant(e.events.min().at)
+	for e.events.Len() > 0 {
+		e.deliverInstant(e.events.Min().At)
 	}
 	for i := range e.procs {
 		if c := e.procs[i].clock; c > e.guestTime {
@@ -722,7 +576,7 @@ func (e *cycleEngine) await(p *cycleProc) {
 // park marks p runnable and queues it under its (clock, id) key.
 func (e *cycleEngine) park(p *cycleProc) {
 	p.state = cycleReady
-	e.ready.push(cycleRunRef{at: p.clock, tie: int64(p.id), idx: int32(p.id)})
+	e.ready.Push(runq.Ref{At: p.clock, Tie: int64(p.id), Idx: int32(p.id)})
 }
 
 func (e *cycleEngine) resume(p *cycleProc, r cycleRes) {
@@ -872,13 +726,13 @@ func (e *cycleEngine) countSend(cycle int64, msg logp.Message) {
 //
 //hot:cold runs once per overloaded cycle; a stall-free replay never reaches it
 func (e *cycleEngine) recoverPairs(cycle int64) {
-	inCycle := slices.DeleteFunc(e.events.appendAll(nil), func(ref cycleRunRef) bool {
-		return e.recs[ref.idx].cycle != int32(cycle)
+	inCycle := slices.DeleteFunc(e.events.AppendAll(nil), func(ref runq.Ref) bool {
+		return e.recs[ref.Idx].cycle != int32(cycle)
 	})
-	slices.SortFunc(inCycle, func(a, b cycleRunRef) int { return cmp.Compare(a.tie, b.tie) })
+	slices.SortFunc(inCycle, func(a, b runq.Ref) int { return cmp.Compare(a.Tie, b.Tie) })
 	pairs := make([]relation.Pair, len(inCycle))
 	for i, ref := range inCycle {
-		m := &e.recs[ref.idx].msg
+		m := &e.recs[ref.Idx].msg
 		pairs[i] = relation.Pair{Src: m.Src, Dst: m.Dst}
 	}
 	if e.msgs == nil {
@@ -991,7 +845,7 @@ func (e *cycleEngine) exec(p *cycleProc) {
 		e.countSend(cycle, req.msg)
 		e.totalMsgs++
 		e.seq++
-		e.events.push(cycleRunRef{at: arrival, tie: e.seq, idx: e.newRec(req.msg, cycle)})
+		e.events.Push(runq.Ref{At: arrival, Tie: e.seq, Idx: e.newRec(req.msg, cycle)})
 		if arrival > e.guestTime {
 			e.guestTime = arrival
 		}
@@ -1035,11 +889,11 @@ func (e *cycleEngine) completeRecv(p *cycleProc) {
 
 func (e *cycleEngine) deliverInstant(t int64) {
 	wake := e.wake[:0]
-	for e.events.len() > 0 && e.events.min().at == t {
-		ev := e.events.popMin()
-		dst := e.recs[ev.idx].msg.Dst
+	for e.events.Len() > 0 && e.events.Min().At == t {
+		ev := e.events.PopMin()
+		dst := e.recs[ev.Idx].msg.Dst
 		p := &e.procs[dst]
-		e.appendBuf(p, ev.idx, t)
+		e.appendBuf(p, ev.Idx, t)
 		if p.state == cycleWaitMsg {
 			//lint:ignore hotloop wake-list staging reuses e.wake via [:0]; growth is bounded by the per-instant delivery high-water
 			wake = append(wake, int32(dst))

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/runq"
 	"repro/internal/stats"
 )
 
@@ -173,19 +174,21 @@ type Machine struct {
 	doneStall     int64
 	doneBufLen    map[int]int
 
-	events eventHeap
-	seq    int64
+	// events holds the pending medium events: submissions waiting for
+	// their instant and accepted messages in flight (see eventWheel).
+	events eventWheel
 
-	// ready is a binary min-heap of runnable processors keyed by
-	// (clock, id); it replaces the per-step O(P) scan of the first
-	// engine version. A processor is in the heap exactly while its
-	// state is stateReady and the scheduler is not already committed
-	// to running it. Entries are 16-byte (clock, id) values rather
-	// than *proc — a processor's clock only advances while it is out
-	// of the heap, so the copied key never goes stale, and the sift
-	// loops compare dense cache lines instead of chasing per-proc
-	// pointers.
-	ready []readyRef
+	// ready holds the runnable processors keyed by (clock, id), the
+	// commit order. A processor is queued exactly while its state is
+	// stateReady and the scheduler is not already committed to running
+	// it. Entries are (clock, id) values rather than *proc: a
+	// processor's clock only advances while it is out of the queue, so
+	// the copied key never goes stale. The queue is monotone — pops are
+	// nondecreasing, a processor re-parks at or after the clock it was
+	// popped at, and a woken one at or after an instant that exceeds
+	// every clock already popped — so nearly every push is an O(1) ring
+	// append (see runq.Queue).
+	ready runq.Queue
 
 	pendingQ  [][]int32 // per destination: recSlab indices, FIFO by (subAt, src)
 	inTransit []int64   // per destination
@@ -201,15 +204,17 @@ type Machine struct {
 
 	// Reserved delivery instants, one ring-buffer bitset per
 	// destination instead of the first version's map[int64]struct{}.
-	// Instant d occupies bit (d mod window) of destination dst's
+	// Instant d occupies bit (d & slotMask) of destination dst's
 	// slotWords words at slotBits[dst*slotWords:]. All live
 	// reservations for a destination lie within a span of at most L
 	// instants (they sit in (a, a+L] for the latest acceptance time a,
-	// and the delivery event at each instant clears its bit), so a
-	// window of L+1 instants can never alias two live reservations.
+	// and the delivery event at each instant clears its bit), so any
+	// window of at least L+1 instants can never alias two live
+	// reservations. The window is the event wheel's W, a power of two,
+	// so the index is a mask rather than a division.
 	slotBits  []uint64
 	slotWords int
-	window    int64
+	slotMask  int64
 
 	// Per-instant scratch, reused across processInstant calls so the
 	// hot path does not allocate: one bit per processor id, consumed in
@@ -224,7 +229,7 @@ type Machine struct {
 
 	// resumeFloor is a lower bound on the clock at which any processor
 	// that the scheduler is about to re-enter — but which is not yet
-	// in the ready heap — may next act. It is 0 during the startup
+	// in the ready queue — may next act. It is 0 during the startup
 	// sweep (unstarted programs begin at clock 0), the current instant
 	// during processInstant's wake sweeps, and MaxInt64 otherwise.
 	// localWatermark folds it into the fast-path delivery watermark.
@@ -449,14 +454,14 @@ func (m *Machine) runSequential(prog Program) error {
 func (m *Machine) commitLoop() error {
 	for {
 		horizon := int64(math.MaxInt64)
-		if len(m.ready) > 0 {
-			horizon = m.ready[0].clock
+		if m.ready.Len() > 0 {
+			horizon = m.ready.Min().At
 		}
 		if m.events.len() > 0 && m.events.minTime() <= horizon {
 			m.processInstant(m.events.minTime())
 			continue
 		}
-		if len(m.ready) == 0 {
+		if m.ready.Len() == 0 {
 			if m.templateCount > 0 {
 				// Nothing can deliver to the remaining passive scripted
 				// processors anymore; run their prefixes as the dense
@@ -478,9 +483,9 @@ func (m *Machine) commitLoop() error {
 		// Run the minimum-(clock, id) processor, and keep running
 		// whichever processor is the scheduler's next choice without
 		// returning to the outer loop: consecutive operations of one
-		// processor skip the heap entirely, and a handover to another
-		// ready processor is a single top-replacement sift instead of
-		// a push/pop pair.
+		// processor skip the ready queue entirely, and only a handover
+		// to another ready processor pops it and re-parks the current
+		// one.
 		p := m.popReady()
 		for {
 			m.exec(p)
@@ -491,10 +496,9 @@ func (m *Machine) commitLoop() error {
 				m.pushReady(p)
 				break
 			}
-			if len(m.ready) > 0 && readyBefore(m.ready[0], readyRef{clock: p.clock, id: int32(p.id)}) {
-				next := m.procs[m.ready[0].id]
-				m.ready[0] = readyRef{clock: p.clock, id: int32(p.id)}
-				m.siftDownReady()
+			if m.ready.Len() > 0 && m.ready.Min().Before(readyKey(p)) {
+				next := m.popReady()
+				m.pushReady(p)
 				p = next
 			}
 		}
@@ -547,9 +551,8 @@ func (m *Machine) reset() {
 	if m.script != nil && len(m.procTimes) != p {
 		m.procTimes = make([]int64, p)
 	}
-	m.events = m.events[:0]
-	m.seq = 0
-	m.ready = m.ready[:0]
+	m.events.reset(m.params.L)
+	m.ready.Reset()
 	if len(m.pendingQ) == p {
 		for i := range m.pendingQ {
 			m.pendingQ[i] = m.pendingQ[i][:0]
@@ -572,10 +575,11 @@ func (m *Machine) reset() {
 	m.recSlab = m.recSlab[:0]
 	m.recFree = -1
 
-	// Ring bitsets: one window of L+1 instants per destination, laid
-	// out as a single flat word slice reused across runs.
-	m.window = m.params.L + 1
-	m.slotWords = int((m.window + 63) / 64)
+	// Ring bitsets: one window of W instants per destination, W being
+	// the event wheel's power-of-two size (a multiple of 64), laid out
+	// as a single flat word slice reused across runs.
+	m.slotMask = m.events.mask
+	m.slotWords = int(m.events.mask+1) / 64
 	if need := p * m.slotWords; cap(m.slotBits) >= need {
 		m.slotBits = m.slotBits[:need]
 		for i := range m.slotBits {
@@ -604,19 +608,19 @@ func (m *Machine) reset() {
 
 // slotTaken reports whether delivery instant d is reserved at dst.
 func (m *Machine) slotTaken(dst int, d int64) bool {
-	idx := int(d % m.window)
+	idx := int(d & m.slotMask)
 	return m.slotBits[dst*m.slotWords+idx>>6]&(1<<uint(idx&63)) != 0
 }
 
 // reserveSlot marks delivery instant d as reserved at dst.
 func (m *Machine) reserveSlot(dst int, d int64) {
-	idx := int(d % m.window)
+	idx := int(d & m.slotMask)
 	m.slotBits[dst*m.slotWords+idx>>6] |= 1 << uint(idx&63)
 }
 
 // releaseSlot clears the reservation for instant d at dst.
 func (m *Machine) releaseSlot(dst int, d int64) {
-	idx := int(d % m.window)
+	idx := int(d & m.slotMask)
 	m.slotBits[dst*m.slotWords+idx>>6] &^= 1 << uint(idx&63)
 }
 
@@ -649,16 +653,16 @@ func (m *Machine) drainEmit() {
 	m.evBuf = m.evBuf[:0]
 }
 
-// newRec stores r into the slab and returns its index, reusing a
-// free-listed record when one exists.
-func (m *Machine) newRec(r msgRec) int32 {
-	r.next = -1
+// newRec returns the index of a zeroed slab record for the caller to
+// fill in place, reusing a free-listed record when one exists (freed
+// records are zeroed on their way to the free list).
+func (m *Machine) newRec() int32 {
 	if i := m.recFree; i >= 0 {
 		m.recFree = m.recSlab[i].next
-		m.recSlab[i] = r
+		m.recSlab[i].next = -1
 		return i
 	}
-	m.recSlab = append(m.recSlab, r)
+	m.recSlab = append(m.recSlab, msgRec{next: -1})
 	return int32(len(m.recSlab) - 1)
 }
 
@@ -715,19 +719,23 @@ func (m *Machine) deadlockError() error {
 // instant strictly below the returned value, so Buffered and failing
 // TryRecv resolve proc-side while the local clock stays below it.
 // Three sources bound it. Committed-but-unprocessed events can place a
-// delivery no earlier than the event heap's minimum time. Another
+// delivery no earlier than the event wheel's minimum time. Another
 // ready processor at clock c submits no earlier than c, and every
 // delivery lands strictly after its acceptance, hence at c+1 or later.
 // resumeFloor covers processors the scheduler knows are about to act
-// at a given clock but has not yet re-entered into the ready heap
-// (program startup and the per-instant wake sweeps).
+// at a given clock but has not yet re-entered into the ready queue
+// (program startup and the per-instant wake sweeps). The wheel caches
+// its minimum and the ready queue keeps its at a ring or heap head, so
+// this is O(1).
 func (m *Machine) localWatermark() int64 {
 	w := int64(math.MaxInt64)
 	if m.events.len() > 0 {
 		w = m.events.minTime()
 	}
-	if len(m.ready) > 0 && m.ready[0].clock+1 < w {
-		w = m.ready[0].clock + 1
+	if m.ready.Len() > 0 {
+		if c := m.ready.Min().At; c+1 < w {
+			w = c + 1
+		}
 	}
 	if m.resumeFloor != math.MaxInt64 && m.resumeFloor+1 < w {
 		w = m.resumeFloor + 1
@@ -788,74 +796,23 @@ func (p *proc) advance() {
 	}
 }
 
-// readyRef is one ready-heap entry: the (clock, id) scheduling key,
-// copied out of the proc at push time. The copy is sound because a
-// processor's clock only advances while it is out of the heap (inside
-// exec or blocked), so the key never goes stale.
-type readyRef struct {
-	clock int64
-	id    int32
+// readyKey is p's ready-queue entry: the (clock, id) commit-order key,
+// copied out of the proc at push time. The id tie-break reproduces the
+// first engine's linear scan, which kept the lowest-id processor among
+// clock ties.
+func readyKey(p *proc) runq.Ref {
+	return runq.Ref{At: p.clock, Tie: int64(p.id), Idx: int32(p.id)}
 }
 
-// readyBefore orders the ready heap by (clock, id); the id tie-break
-// reproduces the old linear scan, which kept the lowest-id processor
-// among clock ties.
-func readyBefore(a, b readyRef) bool {
-	if a.clock != b.clock {
-		return a.clock < b.clock
-	}
-	return a.id < b.id
-}
-
-// pushReady inserts p into the ready heap.
+// pushReady queues p as runnable.
 func (m *Machine) pushReady(p *proc) {
-	h := append(m.ready, readyRef{clock: p.clock, id: int32(p.id)})
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !readyBefore(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	m.ready = h
+	m.ready.Push(readyKey(p))
 }
 
 // popReady removes and returns the ready processor with the minimum
 // (clock, id).
 func (m *Machine) popReady() *proc {
-	h := m.ready
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	m.ready = h[:n]
-	m.siftDownReady()
-	return m.procs[top.id]
-}
-
-// siftDownReady restores the heap property after the root element was
-// replaced (by popReady's tail promotion or by the scheduler's
-// top-replacement handover).
-func (m *Machine) siftDownReady() {
-	h := m.ready
-	n := len(h)
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && readyBefore(h[l], h[min]) {
-			min = l
-		}
-		if r < n && readyBefore(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
+	return m.procs[m.ready.PopMin().Idx]
 }
 
 // resume answers p's pending request and obtains the next one. It
@@ -871,11 +828,11 @@ func (m *Machine) resume(p *proc, r response) {
 // exec performs p's pending operation. p must be the ready processor
 // with the minimum local clock, which guarantees that every medium
 // event at or before p.clock has been committed. Note that exec does
-// not re-enter p into the ready heap; its caller does.
+// not re-enter p into the ready queue; its caller does. The pending
+// request is read in place, not copied.
 func (m *Machine) exec(p *proc) {
 	m.simEvents++
-	req := p.pending
-	switch req.kind {
+	switch p.pending.kind {
 	case opBuffered:
 		n := int64(0)
 		for i := p.bufHead; i >= 0; i = m.recSlab[i].next {
@@ -897,9 +854,14 @@ func (m *Machine) exec(p *proc) {
 		m.totalMsgs++
 		m.msgSeq++
 		if m.emitOn {
-			m.emit(Event{Time: s, Kind: EvSubmit, Seq: m.msgSeq, Msg: req.msg})
+			m.emit(Event{Time: s, Kind: EvSubmit, Seq: m.msgSeq, Msg: p.pending.msg})
 		}
-		m.pushEvent(s, evSubmission, m.newRec(msgRec{msg: req.msg, at: s, msgID: m.msgSeq}))
+		idx := m.newRec()
+		rec := &m.recSlab[idx]
+		rec.msg = p.pending.msg
+		rec.at = s
+		rec.msgID = m.msgSeq
+		m.events.push(m.recSlab, s, evSubmission, idx)
 
 	case opRecv:
 		if p.bufLen > 0 {
@@ -927,7 +889,7 @@ func (m *Machine) exec(p *proc) {
 		}
 
 	default:
-		panic(fmt.Sprintf("logp: unexpected pending op %d", req.kind))
+		panic(fmt.Sprintf("logp: unexpected pending op %d", p.pending.kind))
 	}
 }
 
@@ -963,15 +925,15 @@ func (m *Machine) completeRecv(p *proc) {
 func (m *Machine) processInstant(t int64) {
 	capacity := m.capacity
 	// Processors woken below act at instant t; until each is back in
-	// the ready heap, the floor keeps run-ahead peers honest.
+	// the ready queue, the floor keeps run-ahead peers honest.
 	m.resumeFloor = t
 
 	for m.events.len() > 0 && m.events.minTime() == t {
-		ref := m.events.popMin()
+		ri, kind := m.events.popMin(m.recSlab)
 		m.simEvents++
-		rec := &m.recSlab[ref.idx]
+		rec := &m.recSlab[ri]
 		dst := rec.msg.Dst
-		if ref.eventKind() == evDelivery {
+		if kind == evDelivery {
 			m.inTransit[dst]--
 			m.releaseSlot(dst, t)
 			if m.emitOn {
@@ -997,10 +959,10 @@ func (m *Machine) processInstant(t int64) {
 				if n > m.maxBuf {
 					m.maxBuf = n
 				}
-				m.recSlab[ref.idx] = msgRec{next: m.recFree}
-				m.recFree = ref.idx
+				m.recSlab[ri] = msgRec{next: m.recFree}
+				m.recFree = ri
 			} else {
-				m.appendBuf(p, ref.idx)
+				m.appendBuf(p, ri)
 				if p.bufLen > m.maxBuf {
 					m.maxBuf = p.bufLen
 				}
@@ -1015,13 +977,13 @@ func (m *Machine) processInstant(t int64) {
 			// submission instant while the record waits for acceptance.
 			q := m.pendingQ[dst]
 			i := len(q)
-			for i > 0 && m.subBefore(ref.idx, q[i-1]) {
+			for i > 0 && m.subBefore(ri, q[i-1]) {
 				i--
 			}
 			//lint:ignore hotloop FIFO insert into the retained per-destination pending queue; capacity reaches the in-flight high-water and is reused across instants
 			q = append(q, 0)
 			copy(q[i+1:], q[i:])
-			q[i] = ref.idx
+			q[i] = ri
 			m.pendingQ[dst] = q
 			m.dirtyBits[dst>>6] |= 1 << (uint(dst) & 63)
 		}
@@ -1037,10 +999,10 @@ func (m *Machine) processInstant(t int64) {
 			case AcceptRandom:
 				idx = m.rng.Intn(len(q))
 			}
-			ri := q[idx]
+			ai := q[idx]
 			copy(q[idx:], q[idx+1:])
 			m.pendingQ[dst] = q[:len(q)-1]
-			sub := &m.recSlab[ri]
+			sub := &m.recSlab[ai]
 			sender := m.procs[sub.msg.Src]
 			if t > sub.at {
 				sender.stallCycles += t - sub.at
@@ -1056,7 +1018,7 @@ func (m *Machine) processInstant(t int64) {
 			if m.emitOn {
 				m.emit(Event{Time: t, Kind: EvAccept, Seq: sub.msgID, Msg: sub.msg})
 			}
-			m.pushEvent(d, evDelivery, ri)
+			m.events.push(m.recSlab, d, evDelivery, ai)
 			sid := sub.msg.Src
 			m.wakeSendBits[sid>>6] |= 1 << (uint(sid) & 63)
 		}
@@ -1173,87 +1135,4 @@ func (m *Machine) chooseSlot(dst int, a int64) int64 {
 		}
 	}
 	panic(fmt.Sprintf("logp: no free delivery slot for destination %d at time %d (capacity accounting bug)", dst, a))
-}
-
-type eventKind uint8
-
-const (
-	evDelivery eventKind = iota
-	evSubmission
-)
-
-// eventRef is a heap entry: the (time, kind, seq) sort key plus the
-// slab index of the message record the event concerns. Sift operations
-// move these 24-byte entries instead of full message records, so the
-// heap neither copies Messages around nor allocates per event. ks
-// packs kind and commit sequence into one comparison: kind occupies
-// bit 62 (deliveries before submissions within an instant) above the
-// per-run commit counter, which resets every Run and cannot reach
-// 2^62.
-type eventRef struct {
-	time int64
-	ks   int64
-	idx  int32
-}
-
-func (r eventRef) eventKind() eventKind { return eventKind(r.ks >> 62) }
-
-type eventHeap []eventRef
-
-func (h eventHeap) len() int { return len(h) }
-
-// minTime returns the earliest pending event time; the heap must be
-// non-empty.
-func (h eventHeap) minTime() int64 { return h[0].time }
-
-func refBefore(a, b eventRef) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.ks < b.ks
-}
-
-func (h *eventHeap) push(ref eventRef) {
-	a := append(*h, ref)
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !refBefore(a[i], a[parent]) {
-			break
-		}
-		a[i], a[parent] = a[parent], a[i]
-		i = parent
-	}
-	*h = a
-}
-
-func (h *eventHeap) popMin() eventRef {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a = a[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && refBefore(a[l], a[min]) {
-			min = l
-		}
-		if r < n && refBefore(a[r], a[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		a[i], a[min] = a[min], a[i]
-		i = min
-	}
-	*h = a
-	return top
-}
-
-func (m *Machine) pushEvent(t int64, kind eventKind, idx int32) {
-	m.events.push(eventRef{time: t, ks: int64(kind)<<62 | m.seq, idx: idx})
-	m.seq++
 }

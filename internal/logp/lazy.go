@@ -85,7 +85,7 @@ func (m *Machine) maybeRecycle(p *proc) {
 // already have taken the processor: a Recv parked at clock < t would
 // have executed — on an empty buffer — before this instant, so the
 // processor is left waiting for a message; a Recv at clock >= t is
-// still pending in commit order, so it goes into the ready heap for
+// still pending in commit order, so it goes into the ready queue for
 // the commit loop to execute at its proper (clock, id) turn. The
 // distinction keeps acquisition events in exactly the dense trace
 // order.
