@@ -238,9 +238,10 @@ func BenchmarkAblationCycleLen(b *testing.B) {
 }
 
 func relationBench(rel relation.Relation) bsp.Program {
-	bySrc := rel.BySource()
+	var bySrc relation.Grouping
+	bySrc.Group(rel)
 	return func(p bsp.Proc) {
-		for _, pr := range bySrc[p.ID()] {
+		for _, pr := range bySrc.Source(p.ID()) {
 			p.Send(pr.Dst, 0, 1, 0)
 		}
 		p.Sync()

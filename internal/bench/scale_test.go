@@ -38,7 +38,9 @@ func scaleWorkloads(p int) []struct {
 		// E16's randomized relation; the stream redraws identically per
 		// mk() call, so every engine form routes the same permutations.
 		{"rand-h4", func() logp.Script {
-			return newScaleRandScript(relation.NewRandomRegularStream(stats.NewRNG(7), p, 4), scaleRandWindow)
+			rel := &relation.RandomRegularStream{}
+			rel.Reset(stats.NewRNG(7), p, 4)
+			return newScaleRandScript(rel, scaleRandWindow)
 		}},
 	}
 }

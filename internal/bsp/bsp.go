@@ -128,16 +128,6 @@ type Result struct {
 	Costs []SuperstepCost
 }
 
-// HSum returns the sum of h over all supersteps, the quantity the
-// randomized simulation of Theorem 3 bounds by O(G * sum h_i).
-func (r Result) HSum() int64 {
-	var s int64
-	for _, c := range r.Costs {
-		s += c.H
-	}
-	return s
-}
-
 // Machine is an executable BSP virtual machine. It is not safe for
 // concurrent use; a single Run executes at a time.
 type Machine struct {

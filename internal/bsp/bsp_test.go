@@ -339,13 +339,6 @@ func TestTotalExchangeProperty(t *testing.T) {
 	}
 }
 
-func TestHSum(t *testing.T) {
-	r := Result{Costs: []SuperstepCost{{H: 2}, {H: 5}, {H: 0}}}
-	if r.HSum() != 7 {
-		t.Fatalf("HSum = %d, want 7", r.HSum())
-	}
-}
-
 func TestNewMachinePanicsOnInvalidParams(t *testing.T) {
 	defer func() {
 		if recover() == nil {

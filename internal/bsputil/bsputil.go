@@ -1,8 +1,7 @@
 // Package bsputil is a library of bulk-synchronous collective
 // operations in the style of the BSPlib proposal the paper cites
 // (Goudreau et al., "A proposal for the BSP worldwide standard
-// library"): broadcast (direct and the two-phase scatter/allgather
-// optimization), reduction, prefix sums, gather, and total exchange.
+// library"): broadcast, all-reduce, prefix sums and total exchange.
 //
 // Every collective is written against bsp.Proc, so the same call runs
 // on the native BSP machine and — through internal/core's Theorem 2/3
@@ -64,80 +63,9 @@ func Broadcast(p bsp.Proc, tag int32, root int, data []int64) []int64 {
 	return collectIndexed(p, tag)
 }
 
-// BroadcastTwoPhase is the classic BSP broadcast optimization: the
-// root scatters data in p chunks (superstep 1), then every processor
-// re-broadcasts its chunk to everyone (superstep 2). Per-processor
-// h drops from n*(p-1) to about 2n. Cost: 2 supersteps.
-func BroadcastTwoPhase(p bsp.Proc, tag int32, root int, data []int64) []int64 {
-	n := p.P()
-	id := p.ID()
-	total := len(data)
-	// Phase 1: scatter chunk j to processor j (indices carried in
-	// Aux so chunks reassemble positionally).
-	if id == root {
-		for dst := 0; dst < n; dst++ {
-			lo, hi := chunkBounds(total, n, dst)
-			if dst == root {
-				continue
-			}
-			for i := lo; i < hi; i++ {
-				p.Send(dst, tag, data[i], int64(i))
-			}
-		}
-	}
-	p.Sync()
-	var chunk []indexed
-	if id == root {
-		lo, hi := chunkBounds(total, n, root)
-		for i := lo; i < hi; i++ {
-			chunk = append(chunk, indexed{idx: int64(i), val: data[i]})
-		}
-	} else {
-		for {
-			m, ok := p.Recv()
-			if !ok {
-				break
-			}
-			if m.Tag == tag {
-				chunk = append(chunk, indexed{idx: m.Aux, val: m.Payload})
-			}
-		}
-	}
-	// Phase 2: all-gather the chunks.
-	for dst := 0; dst < n; dst++ {
-		if dst == id {
-			continue
-		}
-		for _, c := range chunk {
-			p.Send(dst, tag, c.val, c.idx)
-		}
-	}
-	p.Sync()
-	out := make([]int64, total)
-	for _, c := range chunk {
-		out[c.idx] = c.val
-	}
-	for {
-		m, ok := p.Recv()
-		if !ok {
-			break
-		}
-		if m.Tag == tag {
-			out[m.Aux] = m.Payload
-		}
-	}
-	return out
-}
-
 type indexed struct {
 	idx int64
 	val int64
-}
-
-func chunkBounds(total, parts, k int) (lo, hi int) {
-	lo = k * total / parts
-	hi = (k + 1) * total / parts
-	return lo, hi
 }
 
 func collectIndexed(p bsp.Proc, tag int32) []int64 {
@@ -161,30 +89,6 @@ func collectIndexed(p bsp.Proc, tag int32) []int64 {
 		out[it.idx] = it.val
 	}
 	return out
-}
-
-// Reduce combines one value per processor at the root in one
-// superstep (direct fan-in, h = p-1 at the root); only the root's
-// return value is meaningful. Cost: 1 superstep.
-func Reduce(p bsp.Proc, tag int32, root int, op Op, x int64) int64 {
-	if p.ID() != root {
-		p.Send(root, tag, x, 0)
-	}
-	p.Sync()
-	acc := x
-	if p.ID() == root {
-		for {
-			m, ok := p.Recv()
-			if !ok {
-				break
-			}
-			if m.Tag == tag {
-				acc = op(acc, m.Payload)
-				p.Compute(1)
-			}
-		}
-	}
-	return acc
 }
 
 // AllReduce combines one value per processor and returns the result
@@ -239,31 +143,6 @@ func PrefixSums(p bsp.Proc, tag int32, op Op, x, id0 int64) int64 {
 		}
 	}
 	return excl
-}
-
-// Gather collects one value per processor at the root, returned in
-// processor order (meaningful only at the root). Cost: 1 superstep,
-// h = p-1 at the root.
-func Gather(p bsp.Proc, tag int32, root int, x int64) []int64 {
-	if p.ID() != root {
-		p.Send(root, tag, x, int64(p.ID()))
-	}
-	p.Sync()
-	if p.ID() != root {
-		return nil
-	}
-	out := make([]int64, p.P())
-	out[root] = x
-	for {
-		m, ok := p.Recv()
-		if !ok {
-			break
-		}
-		if m.Tag == tag {
-			out[m.Aux] = m.Payload
-		}
-	}
-	return out
 }
 
 // AllToAll performs a total exchange: send[j] goes to processor j,

@@ -43,66 +43,6 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
-func TestBroadcastTwoPhaseMatchesDirect(t *testing.T) {
-	data := make([]int64, 24)
-	for i := range data {
-		data[i] = int64(i * 3)
-	}
-	const n = 6
-	got := make([][]int64, n)
-	res := runBSP(t, n, func(p bsp.Proc) {
-		got[p.ID()] = BroadcastTwoPhase(p, 1, 0, append([]int64(nil), data...))
-	})
-	for i, g := range got {
-		if len(g) != len(data) {
-			t.Fatalf("proc %d got %d values", i, len(g))
-		}
-		for j := range data {
-			if g[j] != data[j] {
-				t.Fatalf("proc %d value %d = %d, want %d", i, j, g[j], data[j])
-			}
-		}
-	}
-	if res.Supersteps != 2 {
-		t.Fatalf("supersteps = %d, want 2", res.Supersteps)
-	}
-	// The two-phase h per superstep is around n (chunk * (p-1)),
-	// far below the direct broadcast's n*(p-1).
-	direct := int64(len(data) * (n - 1))
-	for s, c := range res.Costs {
-		if c.H >= direct {
-			t.Fatalf("superstep %d h = %d not below direct %d", s, c.H, direct)
-		}
-	}
-}
-
-func TestBroadcastTwoPhaseCheaperForLargeData(t *testing.T) {
-	data := make([]int64, 64)
-	const n = 8
-	direct := runBSP(t, n, func(p bsp.Proc) {
-		Broadcast(p, 1, 0, append([]int64(nil), data...))
-	})
-	twoPhase := runBSP(t, n, func(p bsp.Proc) {
-		BroadcastTwoPhase(p, 1, 0, append([]int64(nil), data...))
-	})
-	if twoPhase.Time >= direct.Time {
-		t.Fatalf("two-phase (%d) not cheaper than direct (%d)", twoPhase.Time, direct.Time)
-	}
-}
-
-func TestReduce(t *testing.T) {
-	var got int64
-	runBSP(t, 7, func(p bsp.Proc) {
-		r := Reduce(p, 1, 3, OpSum, int64(p.ID()+1))
-		if p.ID() == 3 {
-			got = r
-		}
-	})
-	if got != 28 {
-		t.Fatalf("reduce = %d, want 28", got)
-	}
-}
-
 func TestAllReduce(t *testing.T) {
 	const n = 8
 	got := make([]int64, n)
@@ -143,25 +83,6 @@ func TestPrefixSums(t *testing.T) {
 			t.Fatalf("prefix[%d] = %d, want %d", i, got[i], want)
 		}
 		want += int64(i + 1)
-	}
-}
-
-func TestGather(t *testing.T) {
-	const n = 5
-	var got []int64
-	runBSP(t, n, func(p bsp.Proc) {
-		g := Gather(p, 1, 2, int64(p.ID()*11))
-		if p.ID() == 2 {
-			got = g
-		}
-	})
-	if len(got) != n {
-		t.Fatalf("gather returned %d values", len(got))
-	}
-	for i, v := range got {
-		if v != int64(i*11) {
-			t.Fatalf("gather[%d] = %d", i, v)
-		}
 	}
 }
 

@@ -21,25 +21,3 @@ func ExamplePrefixSums() {
 	// Output:
 	// [0 1 3 6 10 15 21 28]
 }
-
-// The two-phase broadcast: scatter then all-gather, dropping the
-// root's h from n*(p-1) to about 2n.
-func ExampleBroadcastTwoPhase() {
-	const p = 4
-	data := []int64{10, 20, 30, 40, 50, 60, 70, 80}
-	var at3 []int64
-	res, err := bsp.NewMachine(bsp.Params{P: p, G: 1, L: 4}).Run(func(pr bsp.Proc) {
-		out := bsputil.BroadcastTwoPhase(pr, 1, 0, append([]int64(nil), data...))
-		if pr.ID() == 3 {
-			at3 = out
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("processor 3 got:", at3)
-	fmt.Println("supersteps:", res.Supersteps)
-	// Output:
-	// processor 3 got: [10 20 30 40 50 60 70 80]
-	// supersteps: 2
-}

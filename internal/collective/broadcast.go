@@ -26,18 +26,6 @@ type BroadcastSchedule struct {
 	Informed []int64
 }
 
-// Depth returns the predicted completion time of the broadcast: the
-// maximum Informed time.
-func (s *BroadcastSchedule) Depth() int64 {
-	var d int64
-	for _, t := range s.Informed {
-		if t > d {
-			d = t
-		}
-	}
-	return d
-}
-
 type senderSlot struct {
 	next int64 // next submission instant
 	id   int
@@ -120,26 +108,4 @@ func RunBroadcast(mb *Mailbox, tag int32, sched *BroadcastSchedule, x int64) int
 		p.Send(target, tag, val, seq)
 	}
 	return val
-}
-
-// RunSummation combines one value per processor up the broadcast tree
-// reversed — Karp et al. observe that the optimal summation schedule
-// is the mirror image of the optimal broadcast schedule. The combined
-// value is returned at sched.Root; other processors return their
-// partial subtree combination. op must be associative and commutative
-// (children report in completion order).
-func RunSummation(mb *Mailbox, tag int32, sched *BroadcastSchedule, x int64, op Op) int64 {
-	p := mb.Proc
-	id := p.ID()
-	seq := mb.NextSeq(tag)
-	acc := x
-	for range sched.Targets[id] {
-		m := mb.RecvTagSeq(tag, seq)
-		acc = op(acc, m.Payload)
-		p.Compute(1)
-	}
-	if id != sched.Root {
-		p.Send(sched.Parent[id], tag, acc, seq)
-	}
-	return acc
 }

@@ -129,12 +129,6 @@ func CombineBroadcastArity(mb *Mailbox, tag int32, x int64, op Op, d int) int64 
 	return acc
 }
 
-// Barrier blocks until every processor has entered it, implemented as
-// CB with Boolean AND per Section 4.1. It uses tags tag and tag+1.
-func Barrier(mb *Mailbox, tag int32) {
-	CombineBroadcast(mb, tag, 1, OpAnd)
-}
-
 // TreeBroadcast sends root's value to every processor along the CB
 // tree (descend phase only) and returns it. It uses one tag.
 func TreeBroadcast(mb *Mailbox, tag int32, root int, x int64) int64 {

@@ -167,7 +167,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 			p.Compute(500)
 		}
 		mb := NewMailbox(p)
-		Barrier(mb, 20)
+		CombineBroadcast(mb, 20, 1, OpAnd) // the paper's barrier
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestBarrierTimeMeasuredFromLastJoiner(t *testing.T) {
 			p.Compute(late)
 		}
 		mb := NewMailbox(p)
-		Barrier(mb, 20)
+		CombineBroadcast(mb, 20, 1, OpAnd) // the paper's barrier
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,13 +333,16 @@ func TestMailboxHoldsAndReleases(t *testing.T) {
 			return
 		}
 		mb := NewMailbox(p)
+		tagIs := func(tag int32) func(logp.Message) bool {
+			return func(m logp.Message) bool { return m.Tag == tag }
+		}
 		// Ask for tag 2 first even though tag 1 arrives first.
-		m2 := mb.RecvTag(2)
+		m2 := mb.RecvWhere(tagIs(2))
 		order = append(order, m2.Tag)
-		if mb.Held() != 1 {
+		if len(mb.held) != 1 {
 			panic("expected one held message")
 		}
-		m1 := mb.RecvTag(1)
+		m1 := mb.RecvWhere(tagIs(1))
 		order = append(order, m1.Tag)
 		mb.AssertDrained()
 	})
@@ -379,80 +382,5 @@ func TestTreeArity(t *testing.T) {
 	}
 	if a := TreeArity(logp.Params{P: 4, L: 32, O: 1, G: 4}); a != 8 {
 		t.Fatalf("arity = %d, want 8", a)
-	}
-}
-
-func TestRunSummation(t *testing.T) {
-	params := logp.Params{P: 13, L: 12, O: 2, G: 3}
-	sched := BuildBroadcastSchedule(params, 0)
-	var want int64
-	for i := 0; i < params.P; i++ {
-		want += int64(i * 3)
-	}
-	for _, pol := range testPolicies {
-		var got int64
-		m := logp.NewMachine(params, logp.WithDeliveryPolicy(pol), logp.WithSeed(6))
-		_, err := m.Run(func(p logp.Proc) {
-			mb := NewMailbox(p)
-			r := RunSummation(mb, 50, sched, int64(p.ID()*3), OpSum)
-			if p.ID() == 0 {
-				got = r
-			}
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		if got != want {
-			t.Fatalf("%v: summation = %d, want %d", pol, got, want)
-		}
-	}
-}
-
-func TestRunSummationNonZeroRoot(t *testing.T) {
-	params := logp.Params{P: 9, L: 8, O: 1, G: 2}
-	sched := BuildBroadcastSchedule(params, 4)
-	var got int64
-	m := logp.NewMachine(params)
-	_, err := m.Run(func(p logp.Proc) {
-		mb := NewMailbox(p)
-		r := RunSummation(mb, 50, sched, 1, OpSum)
-		if p.ID() == 4 {
-			got = r
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != int64(params.P) {
-		t.Fatalf("summation = %d, want %d", got, params.P)
-	}
-}
-
-func TestSummationThenBroadcastRoundTrip(t *testing.T) {
-	// Sum up, broadcast the total back: every processor ends with
-	// the global sum — the CB-equivalent built from the two greedy
-	// schedules.
-	params := logp.Params{P: 16, L: 16, O: 2, G: 4}
-	sched := BuildBroadcastSchedule(params, 0)
-	got := make([]int64, params.P)
-	m := logp.NewMachine(params, logp.WithDeliveryPolicy(logp.DeliverRandom), logp.WithSeed(4))
-	res, err := m.Run(func(p logp.Proc) {
-		mb := NewMailbox(p)
-		sum := RunSummation(mb, 50, sched, int64(p.ID()+1), OpSum)
-		got[p.ID()] = RunBroadcast(mb, 52, sched, sum)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(params.P * (params.P + 1) / 2)
-	for i, v := range got {
-		if v != want {
-			t.Fatalf("proc %d got %d, want %d", i, v, want)
-		}
-	}
-	// The round trip should be within a small factor of two tree
-	// depths.
-	if res.Time > 6*sched.Depth() {
-		t.Fatalf("round trip %d far above 2x depth %d", res.Time, sched.Depth())
 	}
 }

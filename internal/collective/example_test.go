@@ -46,7 +46,7 @@ func ExampleBuildBroadcastSchedule() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("processor 7 got:", got[7], "predicted depth:", sched.Depth())
+	fmt.Println("processor 7 got:", got[7], "from:", sched.Parent[7], "predicted by:", sched.Informed[7])
 	// Output:
-	// processor 7 got: 99 predicted depth: 20
+	// processor 7 got: 99 from: 1 predicted by: 20
 }

@@ -1,18 +1,15 @@
 // Package collective implements the LogP collective operations the
 // paper builds its BSP-on-LogP simulation from: Combine-and-Broadcast
-// (CB) on a ceil(L/G)-ary tree (Section 4.1), the barrier derived from
-// it, and tree broadcasts, including the greedy LogP broadcast tree of
-// Karp et al. that the paper cites as the alternative optimal CB.
+// (CB) on a ceil(L/G)-ary tree (Section 4.1), which with OpAnd is the
+// paper's barrier, and tree broadcasts, including the greedy LogP
+// broadcast tree of Karp et al. that the paper cites as the alternative
+// optimal CB.
 //
 // All collectives are written against logp.Proc, so they run unchanged
 // on the native LogP machine and on the Theorem 1 cross-simulator.
 package collective
 
-import (
-	"fmt"
-
-	"repro/internal/logp"
-)
+import "repro/internal/logp"
 
 // Mailbox layers selective receive over a logp.Proc. LogP delivery
 // order is nondeterministic, so a protocol phase may acquire messages
@@ -98,28 +95,14 @@ func (mb *Mailbox) RecvTagSeq(tag int32, seq int64) logp.Message {
 	})
 }
 
-// RecvTag receives the next message with the given tag, regardless of
-// its Aux word.
-func (mb *Mailbox) RecvTag(tag int32) logp.Message {
-	return mb.RecvWhere(func(m logp.Message) bool { return m.Tag == tag })
-}
-
-// Held reports how many messages are parked for later phases.
-func (mb *Mailbox) Held() int { return len(mb.held) }
-
 // Hold parks a message acquired outside the mailbox (e.g. by a raw
 // TryRecv loop) so that a later RecvWhere can find it.
 func (mb *Mailbox) Hold(m logp.Message) { mb.held = append(mb.held, m) }
 
-// TakeMatching removes and returns every held message satisfying
-// match, preserving arrival order. It does not touch the machine
+// TakeMatchingInto removes every held message satisfying match and
+// appends it to out, preserving arrival order, so hot callers can
+// recycle a scratch buffer across calls. It does not touch the machine
 // buffer; callers polling with TryRecv combine both sources.
-func (mb *Mailbox) TakeMatching(match func(logp.Message) bool) []logp.Message {
-	return mb.TakeMatchingInto(match, nil)
-}
-
-// TakeMatchingInto is TakeMatching appending into out, so hot callers
-// can recycle a scratch buffer across calls.
 func (mb *Mailbox) TakeMatchingInto(match func(logp.Message) bool, out []logp.Message) []logp.Message {
 	rest := mb.held[:0]
 	for i := range mb.held {
@@ -131,12 +114,4 @@ func (mb *Mailbox) TakeMatchingInto(match func(logp.Message) bool, out []logp.Me
 	}
 	mb.held = rest
 	return out
-}
-
-// AssertDrained panics if messages are still held; protocols call it at
-// natural quiescence points in tests.
-func (mb *Mailbox) AssertDrained() {
-	if len(mb.held) != 0 {
-		panic(fmt.Sprintf("collective: processor %d mailbox still holds %d messages", mb.Proc.ID(), len(mb.held)))
-	}
 }

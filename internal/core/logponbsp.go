@@ -34,7 +34,7 @@ type LogPOnBSP struct {
 	// selects matched parameters g = G, l = L.
 	BSP bsp.Params
 	// CycleLen is the number of LogP time units replayed per
-	// superstep; 0 selects the paper's L/2.
+	// superstep, at most L; 0 selects the paper's L/2.
 	CycleLen int64
 	// Fold simulates the p LogP processors on a BSP host with only
 	// p/Fold processors, each replaying Fold guests per superstep —
@@ -80,17 +80,6 @@ func (r Thm1Result) Slowdown() float64 {
 		return 1
 	}
 	return float64(r.BSPTime) / float64(r.GuestTime)
-}
-
-// WorkRatio returns (hostP * BSPTime) / (guestP * GuestTime), the
-// inefficiency of the simulation as a work ratio; a work-preserving
-// simulation keeps it O(1 + g/G + l/L) independent of the folding
-// factor.
-func (r Thm1Result) WorkRatio(guestP, hostP int) float64 {
-	if r.GuestTime == 0 || guestP == 0 {
-		return 1
-	}
-	return float64(hostP) * float64(r.BSPTime) / (float64(guestP) * float64(r.GuestTime))
 }
 
 func (s *LogPOnBSP) params() (logp.Params, bsp.Params, int64, int) {
@@ -148,6 +137,14 @@ func (s *LogPOnBSP) RunScript(sc logp.Script) (Thm1Result, error) {
 	lp, bp, cycleLen, fold := s.params()
 	if err := lp.Validate(); err != nil {
 		return Thm1Result{}, err
+	}
+	// A cycle longer than L would hold deliveries past the latency
+	// bound, which no admissible LogP execution does.
+	if s.CycleLen < 0 || s.CycleLen > lp.L {
+		return Thm1Result{}, fmt.Errorf("core: cycle length %d outside [0, L = %d] (0 selects L/2)", s.CycleLen, lp.L)
+	}
+	if s.Fold < 0 {
+		return Thm1Result{}, fmt.Errorf("core: negative folding factor %d (0 or 1 selects the direct simulation)", s.Fold)
 	}
 	if err := bp.Validate(); err != nil {
 		return Thm1Result{}, err

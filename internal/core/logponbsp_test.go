@@ -9,6 +9,17 @@ import (
 	"repro/internal/logp"
 )
 
+// WorkRatio returns (hostP * BSPTime) / (guestP * GuestTime), the
+// inefficiency of the simulation as a work ratio; a work-preserving
+// simulation keeps it O(1 + g/G + l/L) independent of the folding
+// factor.
+func (r Thm1Result) WorkRatio(guestP, hostP int) float64 {
+	if r.GuestTime == 0 || guestP == 0 {
+		return 1
+	}
+	return float64(hostP) * float64(r.BSPTime) / (float64(guestP) * float64(r.GuestTime))
+}
+
 func TestThm1PingCorrectAndCosted(t *testing.T) {
 	lp := logp.Params{P: 2, L: 8, O: 1, G: 2}
 	sim := &LogPOnBSP{LogP: lp}
@@ -364,6 +375,39 @@ func TestThm1FoldValidation(t *testing.T) {
 	sim = &LogPOnBSP{LogP: lp, Fold: 2, BSP: bsp.Params{P: 6, G: 2, L: 8}}
 	if _, err := sim.Run(func(p logp.Proc) {}); err == nil || !strings.Contains(err.Error(), "p/fold") {
 		t.Fatalf("expected host-size error, got %v", err)
+	}
+}
+
+// TestThm1RejectsInvalidCycleSettings: a negative cycle length, one
+// longer than L, or a negative folding factor is a core: error, not
+// silently clamped; 0 keeps selecting the defaults, and a cycle of
+// exactly L is admissible.
+func TestThm1RejectsInvalidCycleSettings(t *testing.T) {
+	lp := logp.Params{P: 4, L: 8, O: 1, G: 2}
+	ring := func(p logp.Proc) {
+		p.Send((p.ID()+1)%p.P(), 0, 1, 0)
+		p.Recv()
+	}
+	for _, c := range []struct {
+		cycleLen int64
+		fold     int
+		wantErr  string
+	}{
+		{cycleLen: -5, wantErr: "cycle length -5"},
+		{cycleLen: lp.L + 16, wantErr: "cycle length 24"},
+		{fold: -2, wantErr: "negative folding factor -2"},
+		{},
+		{cycleLen: lp.L},
+		{cycleLen: 1, fold: 1},
+	} {
+		sim := &LogPOnBSP{LogP: lp, CycleLen: c.cycleLen, Fold: c.fold}
+		_, err := sim.Run(ring)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("CycleLen %d, Fold %d: %v", c.cycleLen, c.fold, err)
+		case c.wantErr != "" && (err == nil || !strings.HasPrefix(err.Error(), "core: ") || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("CycleLen %d, Fold %d: err = %v, want a core: error containing %q", c.cycleLen, c.fold, err, c.wantErr)
+		}
 	}
 }
 

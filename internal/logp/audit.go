@@ -174,10 +174,6 @@ func NewAuditor(params Params, opts TraceOptions) *Auditor {
 	return a
 }
 
-// SetSink installs a secondary consumer that receives every observed
-// event (after auditing), e.g. a JSONL trace writer.
-func (a *Auditor) SetSink(fn func(Event)) { a.sink = fn }
-
 func (a *Auditor) fail(format string, args ...interface{}) {
 	a.violCount++
 	if len(a.violations) < maxRecordedViolations {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 	"sync/atomic"
 )
 
@@ -143,16 +142,4 @@ func modelOrder(events []Event) []Event {
 		return cmp.Compare(rank(a.Kind), rank(b.Kind))
 	})
 	return sorted
-}
-
-// FormatTrace renders an event stream chronologically, one line per
-// event, for debugging and documentation. Events are sorted the same
-// way CheckTrace sorts them.
-func FormatTrace(events []Event) string {
-	var b strings.Builder
-	for _, e := range modelOrder(events) {
-		fmt.Fprintf(&b, "t=%-6d %-8s msg#%-4d %d->%d tag=%d payload=%d\n",
-			e.Time, e.Kind, e.Seq, e.Msg.Src, e.Msg.Dst, e.Msg.Tag, e.Msg.Payload)
-	}
-	return b.String()
 }

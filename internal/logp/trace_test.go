@@ -300,21 +300,6 @@ func TestTracePropertyRandomTraffic(t *testing.T) {
 	}
 }
 
-func TestFormatTrace(t *testing.T) {
-	params := Params{P: 2, L: 8, O: 1, G: 2}
-	events, _ := collectTrace(t, params, pingProgram)
-	out := FormatTrace(events)
-	for _, want := range []string{"submit", "accept", "deliver", "acquire", "0->1", "payload=42"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace output missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Count(out, "\n")
-	if lines != 4 {
-		t.Fatalf("expected 4 lines, got %d", lines)
-	}
-}
-
 // TestCheckTraceNamesLowestUndelivered: with several messages never
 // delivered, the end-of-trace report must be a function of the trace,
 // not of map iteration order — every call names the lowest one.

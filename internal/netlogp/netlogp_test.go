@@ -156,7 +156,7 @@ func TestCapacityPacedLatencyWithinLStar(t *testing.T) {
 	// bounded workload, the worst observed latency stays within the
 	// derived L*.
 	g := topology.Hypercube(32, true)
-	meas := netsim.MeasureGL(g, []int{1, 2, 4, 8}, 3, 7, false)
+	meas := netsim.New(g).MeasureGL([]int{1, 2, 4, 8}, 3, 7, false)
 	gStar, lStar := meas.LogPParams()
 	params := logp.Params{P: 32, L: int64(lStar), O: 1, G: int64(gStar)}
 	m := NewMachine(params, netsim.New(g))

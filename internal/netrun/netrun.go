@@ -1,9 +1,9 @@
 // Package netrun implements the BSP abstraction directly on the
 // point-to-point networks of Section 5: every superstep's message set
-// is routed packet-by-packet on the topology by internal/netsim, and
-// the barrier is charged the network diameter ("on any processor
-// network barrier synchronization can always be implemented in time
-// proportional to the diameter").
+// is routed packet-by-packet along the topology's shortest paths by
+// internal/netsim, and the barrier is charged the network diameter
+// ("on any processor network barrier synchronization can always be
+// implemented in time proportional to the diameter").
 //
 // Where internal/bsp charges the abstract cost w + g·h + l, netrun
 // measures what a concrete machine built on a mesh, hypercube,
@@ -17,10 +17,8 @@ import (
 	"fmt"
 
 	"repro/internal/bsp"
-	"repro/internal/logp"
 	"repro/internal/netsim"
 	"repro/internal/relation"
-	"repro/internal/topology"
 )
 
 // Machine executes BSP programs on a packet network. It reuses one
@@ -29,35 +27,12 @@ import (
 type Machine struct {
 	net    *netsim.Network
 	router *netsim.Router
-	// barrierCost is charged once per superstep; it defaults to the
-	// network diameter.
-	barrierCost int64
-	// valiant enables two-phase randomized routing.
-	valiant bool
-	seed    uint64
 }
 
-// Option configures a Machine.
-type Option func(*Machine)
-
-// WithBarrierCost overrides the per-superstep synchronization charge
-// (default: the network diameter).
-func WithBarrierCost(c int64) Option {
-	return func(m *Machine) { m.barrierCost = c }
-}
-
-// WithValiant routes each packet through a random intermediate.
-func WithValiant(seed uint64) Option {
-	return func(m *Machine) { m.valiant = true; m.seed = seed }
-}
-
-// NewMachine builds a BSP-on-network machine over net.
-func NewMachine(net *netsim.Network, opts ...Option) *Machine {
-	m := &Machine{net: net, router: net.NewRouter(), barrierCost: int64(net.Diameter())}
-	for _, o := range opts {
-		o(m)
-	}
-	return m
+// NewMachine builds a BSP-on-network machine over net. Packets follow
+// net's shortest-path next hops, with no Valiant intermediate.
+func NewMachine(net *netsim.Network) *Machine {
+	return &Machine{net: net, router: net.NewRouter()}
 }
 
 // SuperstepCost records one superstep's measured components.
@@ -138,6 +113,7 @@ func (m *Machine) Run(prog bsp.Program) (Result, error) {
 			maxSteps = len(l)
 		}
 	}
+	barrier := int64(m.net.Diameter())
 	res := Result{}
 	for s := 0; s < maxSteps; s++ {
 		var cost SuperstepCost
@@ -167,12 +143,12 @@ func (m *Machine) Run(prog bsp.Program) (Result, error) {
 			continue
 		}
 		if len(rel.Pairs) > 0 {
-			r := m.router.Route(rel, netsim.RouteOptions{Valiant: m.valiant, Seed: m.seed + uint64(s)})
+			r := m.router.Route(rel, netsim.RouteOptions{})
 			cost.RouteSteps = int64(r.Steps)
 			res.MessagesSent += int64(r.Packets)
 		}
 		res.Costs = append(res.Costs, cost)
-		res.Time += cost.W + cost.RouteSteps + m.barrierCost
+		res.Time += cost.W + cost.RouteSteps + barrier
 		res.Supersteps++
 	}
 	// Sanity: the native machine and the replay must agree on the
@@ -193,31 +169,4 @@ func (r Result) Predict(g, l int64) int64 {
 		t += c.W + g*c.H + l
 	}
 	return t
-}
-
-// DeriveLogP measures a topology's routing curve and returns integer
-// LogP parameters a machine built on it could guarantee, completing
-// Section 5's other direction: netsim.MeasureGL gives the attainable
-// BSP parameters, LogPParams the attainable (G*, L*), and this helper
-// packages them (with the supplied overhead o) as a valid logp.Params
-// for running LogP programs "as if on this network".
-func DeriveLogP(g *topology.Graph, o int64, seed uint64) logp.Params {
-	hs := []int{1, 2, 4, 8}
-	m := netsim.MeasureGL(g, hs, 3, seed, false)
-	gStar, lStar := m.LogPParams()
-	G := int64(gStar + 0.999)
-	L := int64(lStar + 0.999)
-	if o < 1 {
-		o = 1
-	}
-	if G < 2 {
-		G = 2
-	}
-	if G < o {
-		G = o
-	}
-	if L < G {
-		L = G
-	}
-	return logp.Params{P: g.P(), L: L, O: o, G: G}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bsp"
-	"repro/internal/logp"
 	"repro/internal/netsim"
 	"repro/internal/topology"
 )
@@ -121,7 +120,7 @@ func TestPredictTracksMeasurement(t *testing.T) {
 	// With (g, l) fitted for the topology, the abstract prediction
 	// should track the measured time within a small factor.
 	g := topology.Hypercube(32, true)
-	meas := netsim.MeasureGL(g, []int{1, 2, 4, 8}, 3, 2, false)
+	meas := netsim.New(g).MeasureGL([]int{1, 2, 4, 8}, 3, 2, false)
 	m := NewMachine(netsim.New(g))
 	prog := func(pr bsp.Proc) {
 		n := pr.P()
@@ -174,35 +173,6 @@ func TestWorkOnlySuperstepChargesBarrier(t *testing.T) {
 	}
 }
 
-func TestBarrierCostOverride(t *testing.T) {
-	m := NewMachine(netsim.New(topology.Hypercube(4, true)), WithBarrierCost(100))
-	res, err := m.Run(func(pr bsp.Proc) {
-		pr.Compute(1)
-		pr.Sync()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Time != 101 {
-		t.Fatalf("time = %d, want 101", res.Time)
-	}
-}
-
-func TestValiantOptionRuns(t *testing.T) {
-	m := NewMachine(netsim.New(topology.Array(4, 2, true)), WithValiant(9))
-	res, err := m.Run(func(pr bsp.Proc) {
-		pr.Send((pr.ID()+1)%pr.P(), 0, 1, 0)
-		pr.Sync()
-		pr.Recv()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MessagesSent != 16 {
-		t.Fatalf("messages = %d", res.MessagesSent)
-	}
-}
-
 func TestProgramErrorPropagates(t *testing.T) {
 	m := hypercubeMachine(t, 4)
 	_, err := m.Run(func(pr bsp.Proc) {
@@ -228,42 +198,5 @@ func TestUnevenTermination(t *testing.T) {
 	}
 	if res.Supersteps != 3 {
 		t.Fatalf("supersteps = %d, want 3", res.Supersteps)
-	}
-}
-
-func TestDeriveLogPValidAndOrdered(t *testing.T) {
-	mesh := DeriveLogP(topology.Array(8, 2, false), 2, 3)
-	cube := DeriveLogP(topology.Hypercube(64, true), 2, 3)
-	if err := mesh.Validate(); err != nil {
-		t.Fatalf("mesh params invalid: %v (%v)", err, mesh)
-	}
-	if err := cube.Validate(); err != nil {
-		t.Fatalf("cube params invalid: %v (%v)", err, cube)
-	}
-	// The mesh's bandwidth term must exceed the hypercube's at p=64.
-	if mesh.G <= cube.G {
-		t.Fatalf("mesh G = %d not above hypercube G = %d", mesh.G, cube.G)
-	}
-	// Running the same LogP collective under both parameter sets must
-	// order the machines like their networks.
-	prog := func(p logp.Proc) {
-		n := p.P()
-		for k := 1; k <= 4; k++ {
-			p.Send((p.ID()+k)%n, 0, 1, 0)
-		}
-		for k := 1; k <= 4; k++ {
-			p.Recv()
-		}
-	}
-	mres, err := logp.NewMachine(mesh).Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := logp.NewMachine(cube).Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mres.Time <= cres.Time {
-		t.Fatalf("mesh-derived machine (%d) not slower than hypercube-derived (%d)", mres.Time, cres.Time)
 	}
 }

@@ -76,7 +76,7 @@ func BenchmarkMeasureGL(b *testing.B) {
 	hs := []int{1, 2, 4, 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m := MeasureGL(g, hs, 3, uint64(i+1), false)
+		m := New(g).MeasureGL(hs, 3, uint64(i+1), false)
 		if m.G <= 0 {
 			b.Fatal("degenerate fit")
 		}

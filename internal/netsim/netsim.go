@@ -161,16 +161,6 @@ func New(g *topology.Graph) *Network {
 	return net
 }
 
-// NextHop returns the neighbor of u on a shortest path to d (u itself
-// when u == d).
-func (net *Network) NextHop(u, d int) int {
-	e := net.nextEdge[d*net.G.Nodes()+u]
-	if e < 0 {
-		return u
-	}
-	return int(net.edgeTo[e])
-}
-
 // Diameter returns the graph diameter, computed as a byproduct of the
 // routing-table BFS (no extra all-pairs pass, unlike G.Diameter()).
 func (net *Network) Diameter() int { return net.diam }
@@ -453,13 +443,7 @@ func trialSeed(seed uint64, h, trial int) uint64 {
 // runs are independent — each derives its RNG stream up front via
 // trialSeed — so they fan out across GOMAXPROCS workers; the result
 // is bit-identical to a sequential run regardless of worker count or
-// scheduling. Callers holding a Network should use the method form to
-// avoid rebuilding the routing tables.
-func MeasureGL(g *topology.Graph, hs []int, trials int, seed uint64, valiant bool) Measurement {
-	return New(g).MeasureGL(hs, trials, seed, valiant)
-}
-
-// MeasureGL is the method form over prebuilt routing tables.
+// scheduling.
 func (net *Network) MeasureGL(hs []int, trials int, seed uint64, valiant bool) Measurement {
 	return net.measureGL(hs, trials, seed, valiant, runtime.GOMAXPROCS(0))
 }

@@ -8,6 +8,40 @@ import (
 	"repro/internal/topology"
 )
 
+// NextHop reads the routing table: the neighbor of u on a shortest
+// path to d (u itself when u == d).
+func (net *Network) NextHop(u, d int) int {
+	e := net.nextEdge[d*net.G.Nodes()+u]
+	if e < 0 {
+		return u
+	}
+	return int(net.edgeTo[e])
+}
+
+// permutationRelation returns the 1-relation in which processor i sends
+// one message to perm[i].
+func permutationRelation(perm []int) relation.Relation {
+	r := relation.Relation{P: len(perm)}
+	for i, d := range perm {
+		r.Pairs = append(r.Pairs, relation.Pair{Src: i, Dst: d})
+	}
+	return r
+}
+
+// transposeRelation returns the side² processor matrix transposition:
+// processor (i,j) sends one message to (j,i).
+func transposeRelation(side int) relation.Relation {
+	r := relation.Relation{P: side * side}
+	for i := 0; i < side; i++ {
+		for j := 0; j < side; j++ {
+			if i != j {
+				r.Pairs = append(r.Pairs, relation.Pair{Src: i*side + j, Dst: j*side + i})
+			}
+		}
+	}
+	return r
+}
+
 func TestNextHopShortensDistance(t *testing.T) {
 	g := topology.Array(4, 2, false)
 	net := New(g)
@@ -31,7 +65,7 @@ func TestRouteSinglePermutationMesh(t *testing.T) {
 	g := topology.Array(4, 2, false)
 	net := New(g)
 	rng := stats.NewRNG(1)
-	rel := relation.RandomPermutation(rng, 16)
+	rel := permutationRelation(rng.Perm(16))
 	res := net.Route(rel, RouteOptions{})
 	if res.Packets != 16 {
 		t.Fatalf("packets = %d", res.Packets)
@@ -103,7 +137,7 @@ func TestValiantSmoothsAdversarialPattern(t *testing.T) {
 	// both complete and produce sane step counts.
 	g := topology.Array(8, 2, false)
 	net := New(g)
-	rel := relation.Transpose(64)
+	rel := transposeRelation(8)
 	det := net.Route(rel, RouteOptions{})
 	val := net.Route(rel, RouteOptions{Valiant: true, Seed: 9})
 	if det.Steps <= 0 || val.Steps <= 0 {
@@ -136,7 +170,7 @@ func TestRouteDeterministicGivenSeed(t *testing.T) {
 
 func TestMeasureGLMesh(t *testing.T) {
 	g := topology.Array(4, 2, true)
-	m := MeasureGL(g, []int{1, 2, 4, 8, 16}, 3, 99, false)
+	m := New(g).MeasureGL([]int{1, 2, 4, 8, 16}, 3, 99, false)
 	if m.G <= 0 {
 		t.Fatalf("fitted G = %v", m.G)
 	}
@@ -154,8 +188,8 @@ func TestMeasureGLOrdersTopologies(t *testing.T) {
 	// The multi-port hypercube must show a smaller fitted slope than
 	// the 2d mesh at comparable p (Table 1's gamma ordering).
 	hs := []int{1, 2, 4, 8}
-	hc := MeasureGL(topology.Hypercube(64, true), hs, 2, 1, false)
-	mesh := MeasureGL(topology.Array(8, 2, false), hs, 2, 1, false)
+	hc := New(topology.Hypercube(64, true)).MeasureGL(hs, 2, 1, false)
+	mesh := New(topology.Array(8, 2, false)).MeasureGL(hs, 2, 1, false)
 	if hc.G >= mesh.G {
 		t.Fatalf("hypercube slope %v not below mesh slope %v", hc.G, mesh.G)
 	}
@@ -184,7 +218,7 @@ func TestLogPParamsEmpiricalRequirement(t *testing.T) {
 	// End-to-end on a real topology: route a ceil(L*/G*)-relation
 	// and verify it completes within about L*.
 	g := topology.Hypercube(32, true)
-	m := MeasureGL(g, []int{1, 2, 4, 8}, 3, 5, false)
+	m := New(g).MeasureGL([]int{1, 2, 4, 8}, 3, 5, false)
 	gs, ls := m.LogPParams()
 	c := int(ls / gs)
 	if c < 1 {

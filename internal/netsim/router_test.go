@@ -109,7 +109,7 @@ func TestMeasureGLExportedMatchesSequential(t *testing.T) {
 	g := topology.Hypercube(16, false)
 	hs := []int{1, 2, 4}
 	seq := New(g).measureGL(hs, 2, 21, false, 1)
-	par := MeasureGL(g, hs, 2, 21, false)
+	par := New(g).MeasureGL(hs, 2, 21, false)
 	if seq.G != par.G || seq.L != par.L || seq.PermTime != par.PermTime {
 		t.Fatalf("MeasureGL (%v,%v,%v) != sequential (%v,%v,%v)", par.G, par.L, par.PermTime, seq.G, seq.L, seq.PermTime)
 	}
@@ -122,15 +122,15 @@ func TestPermTimeSmallestH(t *testing.T) {
 	g := topology.Hypercube(16, true)
 	// Grid without h=1, deliberately unsorted: the smallest measured
 	// h is 2.
-	m := MeasureGL(g, []int{8, 2, 4}, 3, 5, false)
-	ref := MeasureGL(g, []int{2}, 3, 5, false)
+	m := New(g).MeasureGL([]int{8, 2, 4}, 3, 5, false)
+	ref := New(g).MeasureGL([]int{2}, 3, 5, false)
 	if m.PermTime != ref.PermTime {
 		t.Fatalf("PermTime %v, want the h=2 mean %v", m.PermTime, ref.PermTime)
 	}
 	// With h=1 present the value is the permutation time, matching a
 	// 1-point measurement.
-	m1 := MeasureGL(g, []int{4, 1, 8}, 3, 5, false)
-	ref1 := MeasureGL(g, []int{1}, 3, 5, false)
+	m1 := New(g).MeasureGL([]int{4, 1, 8}, 3, 5, false)
+	ref1 := New(g).MeasureGL([]int{1}, 3, 5, false)
 	if m1.PermTime != ref1.PermTime {
 		t.Fatalf("PermTime %v, want the h=1 mean %v", m1.PermTime, ref1.PermTime)
 	}
@@ -144,7 +144,7 @@ func TestMeasureGLRejectsZeroTrials(t *testing.T) {
 			t.Fatal("MeasureGL with 0 trials did not panic")
 		}
 	}()
-	MeasureGL(topology.Hypercube(8, true), []int{1}, 0, 1, false)
+	New(topology.Hypercube(8, true)).MeasureGL([]int{1}, 0, 1, false)
 }
 
 // TestStepperInjectOutOfRangePanics: bad processor ids fail fast with

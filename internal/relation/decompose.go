@@ -2,10 +2,13 @@ package relation
 
 import "fmt"
 
-// Decompose splits the relation into exactly H() disjoint 1-relations
-// whose union is the original multiset of pairs. Each class is a
-// partial permutation: no two of its pairs share a source or a
-// destination.
+// DecomposeIndexed splits the relation into exactly h = r.H()
+// disjoint 1-relations whose union is the original multiset of pairs,
+// and returns, for every pair index in r.Pairs, the index of the
+// 1-relation (colour class) it belongs to. Each class is a partial
+// permutation: no two of its pairs share a source or a destination.
+// Routers use it to schedule the i-th pair of a known relation in
+// delivery cycle classOf[i].
 //
 // This is the constructive form of the paper's appeal to Hall's
 // theorem (Section 4.2): the bipartite communication multigraph is
@@ -14,23 +17,6 @@ import "fmt"
 // colour classes with the dummies removed are the 1-relations. Routing
 // the classes pipelined one per G steps realizes any off-line-known
 // h-relation in the optimal 2o + G(h-1) + L LogP time.
-func Decompose(r Relation) [][]Pair {
-	classOf, h := DecomposeIndexed(r)
-	if h == 0 {
-		return nil
-	}
-	classes := make([][]Pair, h)
-	for i, c := range classOf {
-		classes[c] = append(classes[c], r.Pairs[i])
-	}
-	return classes
-}
-
-// DecomposeIndexed performs the same decomposition as Decompose but
-// returns, for every pair index in r.Pairs, the index of the
-// 1-relation (colour class) it belongs to, together with the number of
-// classes h = r.H(). Routers use it to schedule the i-th pair of a
-// known relation in delivery cycle classOf[i].
 func DecomposeIndexed(r Relation) (classOf []int, h int) {
 	h = r.H()
 	if h == 0 {

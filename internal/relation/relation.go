@@ -3,19 +3,17 @@
 // message sets in which every processor is the source of at most h and
 // the destination of at most h messages.
 //
-// Besides workload generators for the benchmark harness, the package
-// provides the constructive counterpart of the paper's use of Hall's
-// theorem (Section 4.2): Decompose splits any h-relation into exactly h
+// Besides the random h-relation workload, as a pair list
+// (RandomRegular) and as the implicit RandomRegularStream that
+// million-processor runs regenerate in place, the package provides the
+// constructive counterpart of the paper's use of Hall's theorem
+// (Section 4.2): DecomposeIndexed splits any h-relation into exactly h
 // disjoint 1-relations (partial permutations) via bipartite edge
 // colouring, which lets an h-relation be routed off-line in optimal
 // 2o + G(h-1) + L time on LogP.
 package relation
 
-import (
-	"fmt"
-
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // Pair is a single message slot of a relation: a (source, destination)
 // edge of the bipartite communication multigraph.
@@ -27,19 +25,6 @@ type Pair struct {
 type Relation struct {
 	P     int
 	Pairs []Pair
-}
-
-// Validate checks that all endpoints lie in [0, P).
-func (r Relation) Validate() error {
-	if r.P < 1 {
-		return fmt.Errorf("relation: P = %d", r.P)
-	}
-	for i, pr := range r.Pairs {
-		if pr.Src < 0 || pr.Src >= r.P || pr.Dst < 0 || pr.Dst >= r.P {
-			return fmt.Errorf("relation: pair %d = %+v out of range [0,%d)", i, pr, r.P)
-		}
-	}
-	return nil
 }
 
 // Degrees returns the out-degree (messages sent) and in-degree
@@ -70,50 +55,11 @@ func (r Relation) H() int {
 	return h
 }
 
-// MaxOut returns r (the maximum out-degree), the quantity the
-// deterministic routing protocol of Section 4.2 computes in Step 1.
-func (r Relation) MaxOut() int {
-	fanOut, _ := r.Degrees()
-	m := 0
-	for _, d := range fanOut {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// DegreesInto is Degrees with caller-owned backing: it fills (growing
-// only when capacity is short) and returns the two degree slices, so a
-// caller measuring many relations of the same size allocates once.
-func (r Relation) DegreesInto(fanOut, fanIn []int) ([]int, []int) {
-	fanOut = growZeroed(fanOut, r.P)
-	fanIn = growZeroed(fanIn, r.P)
-	for _, pr := range r.Pairs {
-		fanOut[pr.Src]++
-		fanIn[pr.Dst]++
-	}
-	return fanOut, fanIn
-}
-
-// growZeroed returns a zeroed int slice of length n, reusing s's
-// backing when it is large enough.
-func growZeroed(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// Grouping is the reusable form of BySource: Group indexes a relation's
-// pairs by source into backing arrays owned by the Grouping, so hot
-// callers regrouping many relations (the bench harness, the stalling
-// auditor's extension replay) stop paying O(p) allocations per call.
-// The grouped views stay valid until the next Group call.
+// Grouping indexes a relation's pairs by source into backing arrays
+// owned by the Grouping, so hot callers regrouping many relations (the
+// bench harness, the stalling auditor's extension replay) stop paying
+// O(p) allocations per call. The grouped views stay valid until the
+// next Group call.
 type Grouping struct {
 	start []int32
 	pairs []Pair
@@ -161,41 +107,6 @@ func (g *Grouping) FanOut(i int) int {
 	return int(g.start[i+1] - g.start[i])
 }
 
-// BySource groups the pairs by source processor. The groups share one
-// backing array, sized by a counting pass, so the call allocates O(1)
-// slices however large the relation.
-func (r Relation) BySource() [][]Pair {
-	counts := make([]int, r.P)
-	for _, pr := range r.Pairs {
-		counts[pr.Src]++
-	}
-	backing := make([]Pair, 0, len(r.Pairs))
-	out := make([][]Pair, r.P)
-	for i := 0; i < r.P; i++ {
-		out[i] = backing[len(backing) : len(backing) : len(backing)+counts[i]]
-		backing = backing[:len(backing)+counts[i]]
-	}
-	for _, pr := range r.Pairs {
-		out[pr.Src] = append(out[pr.Src], pr)
-	}
-	return out
-}
-
-// Permutation returns a relation in which processor i sends one
-// message to perm[i].
-func Permutation(perm []int) Relation {
-	r := Relation{P: len(perm), Pairs: make([]Pair, 0, len(perm))}
-	for i, d := range perm {
-		r.Pairs = append(r.Pairs, Pair{Src: i, Dst: d})
-	}
-	return r
-}
-
-// RandomPermutation returns a uniformly random 1-relation.
-func RandomPermutation(rng *stats.RNG, p int) Relation {
-	return Permutation(rng.Perm(p))
-}
-
 // RandomRegular returns an h-relation in which every processor sends
 // exactly h and receives exactly h messages: the superimposition of h
 // independent random permutations.
@@ -205,84 +116,6 @@ func RandomRegular(rng *stats.RNG, p, h int) Relation {
 		perm := rng.Perm(p)
 		for i, d := range perm {
 			r.Pairs = append(r.Pairs, Pair{Src: i, Dst: d})
-		}
-	}
-	return r
-}
-
-// RandomIrregular returns a relation in which every processor sends
-// exactly h messages to independent uniform destinations; in-degrees
-// fluctuate around h, so the relation's degree H() is typically
-// somewhat above h. This is the "uniform traffic" workload used to
-// estimate network bandwidth parameters.
-//
-// The Pairs backing is sized by the exact pair count the generator
-// emits (p sources times h messages each), so no slack capacity
-// survives the call however sparse the relation.
-func RandomIrregular(rng *stats.RNG, p, h int) Relation {
-	r := Relation{P: p, Pairs: make([]Pair, 0, p*h)}
-	for i := 0; i < p; i++ {
-		for k := 0; k < h; k++ {
-			r.Pairs = append(r.Pairs, Pair{Src: i, Dst: rng.Intn(p)})
-		}
-	}
-	return r
-}
-
-// CyclicShift returns the 1-relation i -> (i+k) mod p.
-func CyclicShift(p, k int) Relation {
-	r := Relation{P: p, Pairs: make([]Pair, 0, p)}
-	for i := 0; i < p; i++ {
-		r.Pairs = append(r.Pairs, Pair{Src: i, Dst: ((i+k)%p + p) % p})
-	}
-	return r
-}
-
-// HotSpot returns a relation in which h distinct processors (cyclically
-// following target) each send one message to target: the canonical
-// stalling workload of Section 2.2.
-func HotSpot(p, h, target int) Relation {
-	if h >= p {
-		h = p - 1
-	}
-	r := Relation{P: p, Pairs: make([]Pair, 0, h)}
-	for k := 1; k <= h; k++ {
-		r.Pairs = append(r.Pairs, Pair{Src: (target + k) % p, Dst: target})
-	}
-	return r
-}
-
-// AllToAll returns the (p-1)-relation in which every processor sends
-// one message to every other processor.
-func AllToAll(p int) Relation {
-	r := Relation{P: p, Pairs: make([]Pair, 0, p*(p-1))}
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i != j {
-				r.Pairs = append(r.Pairs, Pair{Src: i, Dst: j})
-			}
-		}
-	}
-	return r
-}
-
-// Transpose returns the relation of a sqrt(p) x sqrt(p) matrix
-// transposition: processor (i,j) sends one message to (j,i). p must be
-// a perfect square.
-func Transpose(p int) Relation {
-	side := 1
-	for side*side < p {
-		side++
-	}
-	if side*side != p {
-		panic(fmt.Sprintf("relation: Transpose needs a square processor count, got %d", p))
-	}
-	r := Relation{P: p, Pairs: make([]Pair, 0, side*(side-1))}
-	for i := 0; i < side; i++ {
-		for j := 0; j < side; j++ {
-			if i != j {
-				r.Pairs = append(r.Pairs, Pair{Src: i*side + j, Dst: j*side + i})
-			}
 		}
 	}
 	return r

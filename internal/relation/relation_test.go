@@ -19,9 +19,6 @@ func TestDegreesAndH(t *testing.T) {
 	if r.H() != 3 {
 		t.Fatalf("H = %d, want 3 (receiver 1)", r.H())
 	}
-	if r.MaxOut() != 2 {
-		t.Fatalf("MaxOut = %d, want 2", r.MaxOut())
-	}
 }
 
 func TestEmptyRelation(t *testing.T) {
@@ -31,18 +28,6 @@ func TestEmptyRelation(t *testing.T) {
 	}
 	if got := Decompose(r); got != nil {
 		t.Fatalf("Decompose(empty) = %v, want nil", got)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	if err := (Relation{P: 2, Pairs: []Pair{{0, 1}}}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Relation{P: 2, Pairs: []Pair{{0, 5}}}).Validate(); err == nil {
-		t.Fatal("out-of-range destination accepted")
-	}
-	if err := (Relation{P: 0}).Validate(); err == nil {
-		t.Fatal("P=0 accepted")
 	}
 }
 
@@ -73,23 +58,6 @@ func TestRandomIrregularOutDegree(t *testing.T) {
 	}
 }
 
-func TestCyclicShift(t *testing.T) {
-	r := CyclicShift(5, 2)
-	if r.H() != 1 {
-		t.Fatalf("H = %d", r.H())
-	}
-	for _, pr := range r.Pairs {
-		if pr.Dst != (pr.Src+2)%5 {
-			t.Fatalf("bad pair %+v", pr)
-		}
-	}
-	// Negative shifts wrap too.
-	r = CyclicShift(5, -1)
-	if r.Pairs[0].Dst != 4 {
-		t.Fatalf("shift -1: %+v", r.Pairs[0])
-	}
-}
-
 func TestHotSpot(t *testing.T) {
 	r := HotSpot(8, 5, 3)
 	if len(r.Pairs) != 5 {
@@ -115,33 +83,6 @@ func TestAllToAll(t *testing.T) {
 	r := AllToAll(6)
 	if len(r.Pairs) != 30 || r.H() != 5 {
 		t.Fatalf("pairs=%d H=%d", len(r.Pairs), r.H())
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	r := Transpose(16)
-	if r.H() != 1 {
-		t.Fatalf("transpose H = %d, want 1", r.H())
-	}
-	for _, pr := range r.Pairs {
-		i, j := pr.Src/4, pr.Src%4
-		if pr.Dst != j*4+i {
-			t.Fatalf("bad transpose pair %+v", pr)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-square Transpose did not panic")
-		}
-	}()
-	Transpose(10)
-}
-
-func TestRandomPermutationIsPermutation(t *testing.T) {
-	rng := stats.NewRNG(9)
-	r := RandomPermutation(rng, 16)
-	if r.H() != 1 || len(r.Pairs) != 16 {
-		t.Fatalf("H=%d len=%d", r.H(), len(r.Pairs))
 	}
 }
 

@@ -1,162 +1,6 @@
 package relation
 
-import (
-	"fmt"
-
-	"repro/internal/stats"
-)
-
-// Stream is an implicit h-relation: the same communication pattern a
-// materialized Relation holds as a pair list, presented as per-source
-// generators instead. Streams exist for million-processor experiments,
-// where a pair list (16 bytes per message) and the O(p·h) scratch of
-// Degrees/Decompose dominate memory; a Stream answers every query in
-// O(1) and never materializes the pattern.
-//
-// The k index of Pair(src, k) doubles as a colour class for regular
-// streams: implementations guarantee that for fixed k the pairs
-// {(src, Pair(src, k).Dst) : SrcDegree(src) > k} form a partial
-// permutation, so the stream is born decomposed and routers can
-// schedule slot k in delivery cycle k without running Decompose.
-type Stream interface {
-	// P returns the processor count.
-	P() int
-	// SrcDegree returns processor src's out-degree in O(1).
-	SrcDegree(src int) int
-	// DstDegree returns processor dst's in-degree in O(1).
-	DstDegree(dst int) int
-	// Pair returns the k-th pair of source src, 0 <= k < SrcDegree(src).
-	Pair(src, k int) Pair
-	// H returns the relation degree (max fan-out/fan-in) in O(1).
-	H() int
-}
-
-// Materialize converts a Stream into a pair-list Relation, grouping
-// pairs by source. The result holds the same pair multiset as the
-// generator the stream mirrors (possibly in a different order), with
-// the backing array sized exactly.
-func Materialize(s Stream) Relation {
-	p := s.P()
-	total := 0
-	for i := 0; i < p; i++ {
-		total += s.SrcDegree(i)
-	}
-	r := Relation{P: p, Pairs: make([]Pair, 0, total)}
-	for i := 0; i < p; i++ {
-		for k := 0; k < s.SrcDegree(i); k++ {
-			r.Pairs = append(r.Pairs, s.Pair(i, k))
-		}
-	}
-	return r
-}
-
-// CyclicShiftStream is the implicit form of CyclicShift: the 1-relation
-// i -> (i+k) mod p.
-type CyclicShiftStream struct {
-	p, k int
-}
-
-// NewCyclicShiftStream returns the implicit i -> (i+k) mod p relation.
-func NewCyclicShiftStream(p, k int) CyclicShiftStream {
-	return CyclicShiftStream{p: p, k: k}
-}
-
-func (s CyclicShiftStream) P() int                { return s.p }
-func (s CyclicShiftStream) SrcDegree(src int) int { return 1 }
-func (s CyclicShiftStream) DstDegree(dst int) int { return 1 }
-func (s CyclicShiftStream) H() int                { return 1 }
-
-// Pair is the per-message generator the scale engines call once per send; it must stay O(1) and allocation-free.
-//
-//hot:path per-event dynamic-dispatch target: its own mark, since hotness does not propagate through interfaces
-func (s CyclicShiftStream) Pair(src, k int) Pair {
-	return Pair{Src: src, Dst: ((src+s.k)%s.p + s.p) % s.p}
-}
-
-// TransposeStream is the implicit form of Transpose: processor (i,j) of
-// a side x side grid sends one message to (j,i); the diagonal is idle.
-type TransposeStream struct {
-	p, side int
-}
-
-// NewTransposeStream returns the implicit matrix-transposition
-// relation. p must be a perfect square.
-func NewTransposeStream(p int) TransposeStream {
-	side := 1
-	for side*side < p {
-		side++
-	}
-	if side*side != p {
-		panic(fmt.Sprintf("relation: Transpose needs a square processor count, got %d", p))
-	}
-	return TransposeStream{p: p, side: side}
-}
-
-func (s TransposeStream) P() int { return s.p }
-
-func (s TransposeStream) SrcDegree(src int) int {
-	if src/s.side == src%s.side {
-		return 0
-	}
-	return 1
-}
-
-func (s TransposeStream) DstDegree(dst int) int { return s.SrcDegree(dst) }
-
-func (s TransposeStream) H() int {
-	if s.side > 1 {
-		return 1
-	}
-	return 0
-}
-
-// Pair is the per-message generator the scale engines call once per send; it must stay O(1) and allocation-free.
-//
-//hot:path per-event dynamic-dispatch target: its own mark, since hotness does not propagate through interfaces
-func (s TransposeStream) Pair(src, k int) Pair {
-	return Pair{Src: src, Dst: (src%s.side)*s.side + src/s.side}
-}
-
-// HotSpotStream is the implicit form of HotSpot: h distinct processors
-// cyclically following target each send one message to target.
-type HotSpotStream struct {
-	p, h, target int
-}
-
-// NewHotSpotStream returns the implicit hot-spot relation; h is clamped
-// to p-1 like HotSpot.
-func NewHotSpotStream(p, h, target int) HotSpotStream {
-	if h >= p {
-		h = p - 1
-	}
-	return HotSpotStream{p: p, h: h, target: target}
-}
-
-func (s HotSpotStream) P() int { return s.p }
-
-func (s HotSpotStream) SrcDegree(src int) int {
-	k := ((src-s.target)%s.p + s.p) % s.p
-	if k >= 1 && k <= s.h {
-		return 1
-	}
-	return 0
-}
-
-func (s HotSpotStream) DstDegree(dst int) int {
-	if dst == s.target && s.h > 0 {
-		return s.h
-	}
-	return 0
-}
-
-func (s HotSpotStream) H() int { return s.h }
-
-// Pair is the per-message generator the scale engines call once per send; it must stay O(1) and allocation-free.
-//
-//hot:path per-event dynamic-dispatch target: its own mark, since hotness does not propagate through interfaces
-func (s HotSpotStream) Pair(src, k int) Pair {
-	return Pair{Src: src, Dst: s.target}
-}
+import "repro/internal/stats"
 
 // RandomRegularStream is the implicit form of RandomRegular: the
 // superimposition of h independent random permutations, held as the h
@@ -172,20 +16,12 @@ type RandomRegularStream struct {
 	perms []int32
 }
 
-// NewRandomRegularStream draws the same h permutations as
-// RandomRegular(rng, p, h) would, so materializing it yields the same
-// pair multiset for the same rng state.
-func NewRandomRegularStream(rng *stats.RNG, p, h int) *RandomRegularStream {
-	s := &RandomRegularStream{}
-	s.Reset(rng, p, h)
-	return s
-}
-
 // Reset redraws the stream in place: the same h permutations
-// NewRandomRegularStream would draw from rng, written into the
-// retained backing (grown only when p*h exceeds every prior shape).
-// Benchmark reps regenerate a p = 10^6 workload for each seed; Reset
-// lets them do so with zero steady-state allocation.
+// RandomRegular(rng, p, h) would draw, written into the retained
+// backing (grown only when p*h exceeds every prior shape). Benchmark
+// reps regenerate a p = 10^6 workload for each seed; Reset lets them do
+// so with zero steady-state allocation. The zero RandomRegularStream is
+// ready for Reset.
 func (s *RandomRegularStream) Reset(rng *stats.RNG, p, h int) {
 	s.p, s.h = p, h
 	need := p * h
@@ -198,14 +34,18 @@ func (s *RandomRegularStream) Reset(rng *stats.RNG, p, h int) {
 	}
 }
 
-func (s *RandomRegularStream) P() int                { return s.p }
-func (s *RandomRegularStream) SrcDegree(src int) int { return s.h }
-func (s *RandomRegularStream) DstDegree(dst int) int { return s.h }
-func (s *RandomRegularStream) H() int                { return s.h }
+// P returns the processor count.
+func (s *RandomRegularStream) P() int { return s.p }
 
-// Pair is the per-message generator the scale engines call once per send; it must stay O(1) and allocation-free.
+// H returns the relation degree: every processor sends and receives h.
+func (s *RandomRegularStream) H() int { return s.h }
+
+// Pair returns the k-th pair of source src, 0 <= k < H(): slot k of
+// every source is permutation k. It is the per-message generator the
+// scale scripts call once per send; it must stay O(1) and
+// allocation-free.
 //
-//hot:path per-event dynamic-dispatch target: its own mark, since hotness does not propagate through interfaces
+//hot:path per-send callee of the scale scripts: hotness does not propagate across packages
 func (s *RandomRegularStream) Pair(src, k int) Pair {
 	return Pair{Src: src, Dst: int(s.perms[k*s.p+src])}
 }

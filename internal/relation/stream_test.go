@@ -1,99 +1,37 @@
 package relation
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/stats"
 )
 
-// sortedPairs returns a sorted copy for multiset comparison: streams
-// promise the same pair multiset as their materialized generators, not
-// the same emission order.
-func sortedPairs(pairs []Pair) []Pair {
-	out := append([]Pair(nil), pairs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}
-
-// checkStream verifies a stream against its materialized generator:
-// same pair multiset, per-node degrees matching SrcDegree/DstDegree,
-// and H agreement.
-func checkStream(t *testing.T, s Stream, want Relation) {
-	t.Helper()
-	got := Materialize(s)
-	if got.P != want.P {
-		t.Fatalf("P = %d, want %d", got.P, want.P)
-	}
-	gs, ws := sortedPairs(got.Pairs), sortedPairs(want.Pairs)
-	if len(gs) != len(ws) {
-		t.Fatalf("pair count %d, want %d", len(gs), len(ws))
-	}
-	for i := range gs {
-		if gs[i] != ws[i] {
-			t.Fatalf("pair multiset differs at %d: %+v vs %+v", i, gs[i], ws[i])
-		}
-	}
-	fanOut, fanIn := want.Degrees()
-	for i := 0; i < want.P; i++ {
-		if s.SrcDegree(i) != fanOut[i] {
-			t.Fatalf("SrcDegree(%d) = %d, want %d", i, s.SrcDegree(i), fanOut[i])
-		}
-		if s.DstDegree(i) != fanIn[i] {
-			t.Fatalf("DstDegree(%d) = %d, want %d", i, s.DstDegree(i), fanIn[i])
-		}
-	}
-	if s.H() != want.H() {
-		t.Fatalf("H = %d, want %d", s.H(), want.H())
-	}
-	if cap(got.Pairs) != len(got.Pairs) {
-		t.Fatalf("Materialize over-allocated: cap %d, len %d", cap(got.Pairs), len(got.Pairs))
-	}
-}
-
-func TestCyclicShiftStream(t *testing.T) {
-	for _, k := range []int{0, 1, 2, -1, 7} {
-		checkStream(t, NewCyclicShiftStream(5, k), CyclicShift(5, k))
-	}
-	checkStream(t, NewCyclicShiftStream(1, 3), CyclicShift(1, 3))
-}
-
-func TestTransposeStream(t *testing.T) {
-	for _, p := range []int{1, 4, 16, 25} {
-		checkStream(t, NewTransposeStream(p), Transpose(p))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-square NewTransposeStream did not panic")
-		}
-	}()
-	NewTransposeStream(10)
-}
-
-func TestHotSpotStream(t *testing.T) {
-	checkStream(t, NewHotSpotStream(8, 5, 3), HotSpot(8, 5, 3))
-	checkStream(t, NewHotSpotStream(8, 5, 6), HotSpot(8, 5, 6)) // sources wrap
-	checkStream(t, NewHotSpotStream(4, 99, 0), HotSpot(4, 99, 0))
-	checkStream(t, NewHotSpotStream(1, 1, 0), HotSpot(1, 1, 0))
-}
-
 func TestRandomRegularStream(t *testing.T) {
+	// Reset draws RandomRegular's permutations: slot k of source src is
+	// RandomRegular's pair k*p+src.
+	const p = 10
+	var s RandomRegularStream
 	for _, h := range []int{1, 3, 8} {
-		want := RandomRegular(stats.NewRNG(5), 10, h)
-		s := NewRandomRegularStream(stats.NewRNG(5), 10, h)
-		checkStream(t, s, want)
+		want := RandomRegular(stats.NewRNG(5), p, h)
+		s.Reset(stats.NewRNG(5), p, h)
+		if s.P() != p || s.H() != want.H() {
+			t.Fatalf("h=%d: P, H = %d, %d, want %d, %d", h, s.P(), s.H(), p, want.H())
+		}
+		for k := 0; k < h; k++ {
+			for src := 0; src < p; src++ {
+				if got := s.Pair(src, k); got != want.Pairs[k*p+src] {
+					t.Fatalf("h=%d: Pair(%d, %d) = %+v, want %+v", h, src, k, got, want.Pairs[k*p+src])
+				}
+			}
+		}
 	}
 }
 
 // TestRandomRegularStreamPreDecomposed pins the documented class
 // guarantee: slot k across all sources is a permutation.
 func TestRandomRegularStreamPreDecomposed(t *testing.T) {
-	s := NewRandomRegularStream(stats.NewRNG(11), 17, 4)
+	var s RandomRegularStream
+	s.Reset(stats.NewRNG(11), 17, 4)
 	for k := 0; k < s.H(); k++ {
 		seen := make([]bool, s.P())
 		for src := 0; src < s.P(); src++ {
@@ -107,53 +45,24 @@ func TestRandomRegularStreamPreDecomposed(t *testing.T) {
 }
 
 // TestStreamQueriesDoNotAllocate is the allocation-regression guard on
-// the streaming generators: every per-pair query must be free of
+// the streaming generator: every per-pair query must be free of
 // allocations, or a million-processor routing loop allocates millions
 // of times per relation.
 func TestStreamQueriesDoNotAllocate(t *testing.T) {
-	streams := []Stream{
-		NewCyclicShiftStream(64, 3),
-		NewTransposeStream(64),
-		NewHotSpotStream(64, 7, 5),
-		NewRandomRegularStream(stats.NewRNG(3), 64, 4),
-	}
-	for _, s := range streams {
-		s := s
-		sink := 0
-		allocs := testing.AllocsPerRun(100, func() {
-			for src := 0; src < s.P(); src++ {
-				for k := 0; k < s.SrcDegree(src); k++ {
-					sink += s.Pair(src, k).Dst
-				}
-				sink += s.DstDegree(src) + s.H()
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%T: %v allocs per sweep, want 0", s, allocs)
-		}
-		_ = sink
-	}
-}
-
-func TestDegreesInto(t *testing.T) {
-	r := Relation{P: 4, Pairs: []Pair{{0, 1}, {0, 2}, {3, 1}, {2, 1}}}
-	wantOut, wantIn := r.Degrees()
-	var fo, fi []int
-	for i := 0; i < 3; i++ { // reuse across calls, including stale contents
-		fo, fi = r.DegreesInto(fo, fi)
-		for j := 0; j < r.P; j++ {
-			if fo[j] != wantOut[j] || fi[j] != wantIn[j] {
-				t.Fatalf("call %d: DegreesInto = %v/%v, want %v/%v", i, fo, fi, wantOut, wantIn)
+	var s RandomRegularStream
+	s.Reset(stats.NewRNG(3), 64, 4)
+	sink := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for src := 0; src < s.P(); src++ {
+			for k := 0; k < s.H(); k++ {
+				sink += s.Pair(src, k).Dst
 			}
 		}
-	}
-	// Second call with large-enough backing must not allocate.
-	allocs := testing.AllocsPerRun(50, func() {
-		fo, fi = r.DegreesInto(fo, fi)
 	})
 	if allocs != 0 {
-		t.Errorf("DegreesInto reallocated: %v allocs per call", allocs)
+		t.Errorf("%v allocs per sweep, want 0", allocs)
 	}
+	_ = sink
 }
 
 func TestGroupingMatchesBySource(t *testing.T) {
@@ -192,33 +101,12 @@ func TestGroupingReuseDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestGeneratorCapacities pins the exact pre-sizing of every
+// TestGeneratorCapacities pins the exact pre-sizing of the
 // materializing generator: the Pairs backing is sized by the count the
-// generator actually emits, with no append-growth slack (the
-// RandomIrregular row doubles as the regression test for sizing by the
-// emitted count).
+// generator actually emits, with no append-growth slack.
 func TestGeneratorCapacities(t *testing.T) {
-	rng := stats.NewRNG(33)
-	cases := []struct {
-		name string
-		r    Relation
-	}{
-		{"Permutation", Permutation(rng.Perm(37))},
-		{"RandomRegular", RandomRegular(rng, 37, 5)},
-		{"RandomIrregular", RandomIrregular(rng, 37, 5)},
-		{"CyclicShift", CyclicShift(37, 4)},
-		{"HotSpot", HotSpot(37, 9, 6)},
-		{"HotSpotClamped", HotSpot(5, 99, 0)},
-		{"AllToAll", AllToAll(23)},
-		{"Transpose", Transpose(36)},
-	}
-	for _, c := range cases {
-		if cap(c.r.Pairs) != len(c.r.Pairs) {
-			t.Errorf("%s: cap %d != len %d (backing not sized by emitted count)",
-				c.name, cap(c.r.Pairs), len(c.r.Pairs))
-		}
-	}
-	if got := RandomIrregular(rng, 37, 5); len(got.Pairs) != 37*5 {
-		t.Errorf("RandomIrregular emitted %d pairs, want %d", len(got.Pairs), 37*5)
+	r := RandomRegular(stats.NewRNG(33), 37, 5)
+	if len(r.Pairs) != 37*5 || cap(r.Pairs) != len(r.Pairs) {
+		t.Errorf("RandomRegular: len %d cap %d, want both %d", len(r.Pairs), cap(r.Pairs), 37*5)
 	}
 }

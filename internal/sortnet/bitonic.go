@@ -14,7 +14,6 @@ package sortnet
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -85,60 +84,6 @@ func BitonicDepth(p int) int {
 		lg++
 	}
 	return lg * (lg + 1) / 2
-}
-
-// MergeSplit merges two sorted slices of equal length r and returns
-// the r smallest and r largest elements, both sorted. Inputs are not
-// modified.
-func MergeSplit(a, b []int64) (lo, hi []int64) {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("sortnet: MergeSplit length mismatch %d vs %d", len(a), len(b)))
-	}
-	r := len(a)
-	lo = make([]int64, 0, r)
-	hi = make([]int64, 0, r)
-	i, j := 0, 0
-	for len(lo) < r {
-		if j >= r || (i < r && a[i] <= b[j]) {
-			lo = append(lo, a[i])
-			i++
-		} else {
-			lo = append(lo, b[j])
-			j++
-		}
-	}
-	for len(hi) < r {
-		if j >= r || (i < r && a[i] <= b[j]) {
-			hi = append(hi, a[i])
-			i++
-		} else {
-			hi = append(hi, b[j])
-			j++
-		}
-	}
-	return lo, hi
-}
-
-// ApplySchedule runs a comparator schedule over per-processor blocks
-// sequentially (sorting each block first), mutating blocks in place.
-// It is the reference executor used by tests and by cost-model
-// calibration; the LogP router executes the same schedule with real
-// message traffic.
-func ApplySchedule(blocks [][]int64, rounds [][]Comparator) {
-	for _, b := range blocks {
-		sortInt64(b)
-	}
-	for _, round := range rounds {
-		for _, c := range round {
-			lo, hi := MergeSplit(blocks[c.A], blocks[c.B])
-			copy(blocks[c.A], lo)
-			copy(blocks[c.B], hi)
-		}
-	}
-}
-
-func sortInt64(xs []int64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
 
 // SeqSortCost returns the paper's charge for sorting r keys drawn from

@@ -1,7 +1,5 @@
 package sortnet
 
-import "fmt"
-
 // Columnsort (Leighton 1985) sorts an r x s matrix held one column per
 // processor, in a constant number of oblivious rounds, provided
 // s divides r and r >= 2(s-1)^2. It stands in for the paper's use of
@@ -52,71 +50,6 @@ func TransposeDest(r, s, col, idx int) (dstCol, dstIdx int) {
 func UntransposeDest(r, s, col, idx int) (dstCol, dstIdx int) {
 	q := idx*s + col
 	return q / r, q % r
-}
-
-// ColumnsortSequential sorts the columns in place; cols[j] is the
-// column held by processor j, all of equal length r. It panics if the
-// validity conditions fail. This is the reference executor; the LogP
-// router runs the same phases with real message traffic.
-func ColumnsortSequential(cols [][]int64) {
-	s := len(cols)
-	if s == 0 {
-		return
-	}
-	r := len(cols[0])
-	for j, c := range cols {
-		if len(c) != r {
-			panic(fmt.Sprintf("sortnet: column %d has %d elements, want %d", j, len(c), r))
-		}
-	}
-	if !ColumnsortValid(r, s) {
-		panic(fmt.Sprintf("sortnet: Columnsort invalid for r=%d s=%d (need s|r, r even, r >= 2(s-1)^2)", r, s))
-	}
-	if s == 1 {
-		sortInt64(cols[0])
-		return
-	}
-
-	redistribute := func(dest func(col, idx int) (int, int)) {
-		next := make([][]int64, s)
-		for j := range next {
-			next[j] = make([]int64, r)
-		}
-		for j := 0; j < s; j++ {
-			for i := 0; i < r; i++ {
-				dc, di := dest(j, i)
-				next[dc][di] = cols[j][i]
-			}
-		}
-		for j := range cols {
-			copy(cols[j], next[j])
-		}
-	}
-
-	// Phases 1-5.
-	for j := range cols {
-		sortInt64(cols[j])
-	}
-	redistribute(func(c, i int) (int, int) { return TransposeDest(r, s, c, i) })
-	for j := range cols {
-		sortInt64(cols[j])
-	}
-	redistribute(func(c, i int) (int, int) { return UntransposeDest(r, s, c, i) })
-	for j := range cols {
-		sortInt64(cols[j])
-	}
-
-	// Phase 6: boundary merges. Windows are disjoint, so process
-	// left to right.
-	half := r / 2
-	for j := 0; j+1 < s; j++ {
-		window := make([]int64, 0, r)
-		window = append(window, cols[j][half:]...)
-		window = append(window, cols[j+1][:half]...)
-		sortInt64(window)
-		copy(cols[j][half:], window[:half])
-		copy(cols[j+1][:half], window[half:])
-	}
 }
 
 // ColumnsortRounds is the number of communication rounds Columnsort

@@ -22,23 +22,6 @@ func ChernoffUpperTail(mu, delta float64) float64 {
 	return math.Exp(logB)
 }
 
-// Theorem3Beta returns the batch inflation factor beta used by the
-// randomized h-relation protocol of Theorem 3, chosen so that the
-// protocol succeeds with probability at least 1 - p^-c2 whenever
-// ceil(L/G) >= c1*log2(p). The paper's choice is
-// beta = e^(2*(c2+3)/c1) - 1 (capped below at 1 for the time bound's
-// constant to apply).
-func Theorem3Beta(c1, c2 float64) float64 {
-	if c1 <= 0 {
-		panic("stats: Theorem3Beta requires c1 > 0")
-	}
-	beta := math.Exp(2*(c2+3)/c1) - 1
-	if beta < 1 {
-		beta = 1
-	}
-	return beta
-}
-
 // Theorem3Rounds returns the number of batches R = (1+beta)*h/capacity
 // used by the randomized protocol, rounded up and at least 1.
 func Theorem3Rounds(h, capacity int, beta float64) int {

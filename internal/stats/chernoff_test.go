@@ -69,18 +69,6 @@ func TestChernoffDominatesSimulation(t *testing.T) {
 	}
 }
 
-func TestTheorem3Beta(t *testing.T) {
-	// c1 large makes the exponent small: beta floors at 1.
-	if b := Theorem3Beta(100, 1); b != 1 {
-		t.Fatalf("beta = %v, want floor 1", b)
-	}
-	// Paper formula for moderate c1.
-	want := math.Exp(2*(2.0+3.0)/4.0) - 1
-	if b := Theorem3Beta(4, 2); !almost(b, want, 1e-9) {
-		t.Fatalf("beta = %v, want %v", b, want)
-	}
-}
-
 func TestTheorem3Rounds(t *testing.T) {
 	if r := Theorem3Rounds(100, 10, 1); r != 20 {
 		t.Fatalf("rounds = %d, want 20", r)

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // LinearFit holds the result of an ordinary least-squares fit of
 // y = Intercept + Slope*x, together with the coefficient of
 // determination R2.
@@ -56,57 +54,4 @@ func FitLine(xs, ys []float64) LinearFit {
 		r2 = 1 - ssRes/syy
 	}
 	return LinearFit{Slope: slope, Intercept: intercept, R2: r2}
-}
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes descriptive statistics of xs. An empty sample
-// yields the zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Stddev = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	return s
-}
-
-// GeoMean returns the geometric mean of xs, which must all be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean requires positive values")
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }

@@ -79,49 +79,3 @@ func TestFitLinePanics(t *testing.T) {
 		})
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || !almost(s.Mean, 5, 1e-9) {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
-	}
-	// Sample stddev of this classic data set is sqrt(32/7).
-	if !almost(s.Stddev, math.Sqrt(32.0/7.0), 1e-9) {
-		t.Fatalf("stddev = %v", s.Stddev)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary = %+v", s)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s := Summarize([]float64{3.5})
-	if s.N != 1 || s.Mean != 3.5 || s.Stddev != 0 || s.Min != 3.5 || s.Max != 3.5 {
-		t.Fatalf("single summary = %+v", s)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4, 16}); !almost(g, 4, 1e-9) {
-		t.Fatalf("GeoMean = %v, want 4", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Fatalf("GeoMean(nil) = %v", g)
-	}
-}
-
-func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GeoMean with zero did not panic")
-		}
-	}()
-	GeoMean([]float64{1, 0, 2})
-}

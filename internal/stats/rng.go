@@ -77,11 +77,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Uint64n returns a uniform integer in [0, n) using Lemire's
 // multiply-shift rejection method. It panics if n == 0.
 func (r *RNG) Uint64n(n uint64) uint64 {

@@ -57,15 +57,6 @@ func (g *Graph) Degree() int {
 	return d
 }
 
-// Edges returns the number of undirected edges.
-func (g *Graph) Edges() int {
-	m := 0
-	for _, a := range g.Adj {
-		m += len(a)
-	}
-	return m / 2
-}
-
 // Diameter computes the exact graph diameter by BFS from every node.
 // It panics on a disconnected graph.
 func (g *Graph) Diameter() int {
@@ -397,57 +388,4 @@ func MeshOfTrees(side int) *Graph {
 		AnalyticDelta: 4 * math.Log2(float64(side)),
 	}
 	return g.validate()
-}
-
-// Table1Row describes one row of the paper's Table 1 for a concrete
-// processor count.
-type Table1Row struct {
-	Topology string
-	P        int
-	Gamma    float64
-	Delta    float64
-	Diameter int
-	Degree   int
-}
-
-// Table1 instantiates the paper's Table 1 topologies at roughly the
-// requested processor count and reports their analytic parameters
-// together with the exact diameter.
-func Table1(p int) []Table1Row {
-	lg := log2int(p)
-	if lg < 3 {
-		lg = 3
-	}
-	side2 := 1
-	for side2*side2 < p {
-		side2 *= 2
-	}
-	graphs := []*Graph{
-		Array(side2, 2, false),
-		Hypercube(1<<lg, true),
-		Hypercube(1<<lg, false),
-		Butterfly(maxInt(2, lg-2)),
-		CCC(maxInt(3, lg-2)),
-		ShuffleExchange(lg),
-		MeshOfTrees(side2),
-	}
-	rows := make([]Table1Row, 0, len(graphs))
-	for _, g := range graphs {
-		rows = append(rows, Table1Row{
-			Topology: g.Name,
-			P:        g.P(),
-			Gamma:    g.AnalyticGamma,
-			Delta:    g.AnalyticDelta,
-			Diameter: g.Diameter(),
-			Degree:   g.Degree(),
-		})
-	}
-	return rows
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
