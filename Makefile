@@ -51,10 +51,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Microbenchmarks of the packet-network simulator hot path (Route,
-# Stepper, MeasureGL). BenchmarkRoute must stay at ~0 allocs/op in
-# steady state; use a long -benchtime so ring warm-up amortizes away.
+# Inject/Advance, MeasureGL). BenchmarkRoute must stay at ~0 allocs/op
+# in steady state; use a long -benchtime so ring warm-up amortizes away.
 bench-netsim:
-	$(GO) test -run '^$$' -bench 'BenchmarkRoute|BenchmarkStepper|BenchmarkMeasureGL' -benchtime 1000x -benchmem ./internal/netsim/
+	$(GO) test -run '^$$' -bench 'BenchmarkRoute|BenchmarkAdvance|BenchmarkMeasureGL' -benchtime 1000x -benchmem ./internal/netsim/
 
 # Regenerate the checked-in BENCH_logp.json (see EXPERIMENTS.md).
 # Median of 5 repetitions smooths scheduler noise out of the report.

@@ -3,14 +3,12 @@
 //
 // A logp.Program or bsp.Program is one function value that every
 // simulated processor runs; anything the closure captures is therefore
-// shared by all p processors. The bsp engine runs each processor on
-// its own goroutine, so there a captured write is a data race. The
-// LogP engines execute processors as coroutines of one sequential
-// event loop, so there such sharing never trips the race detector — it
-// "works", while silently bypassing the very accounting the simulators
-// exist to charge: a value smuggled through a captured variable moves
-// between processors for free, with no o, no gap, no capacity slot
-// (Section 2 of the paper). The analyzer
+// shared by all p processors. Every engine executes processors as
+// coroutines of one sequential loop, so such sharing never trips the
+// race detector — it "works", while silently bypassing the very
+// accounting the simulators exist to charge: a value smuggled through
+// a captured variable moves between processors for free, with no o,
+// no g or gap, no capacity slot (Section 2 of the paper). The analyzer
 // therefore flags writes, inside a program function, to variables
 // captured from an enclosing scope (or to package-level variables),
 // with one carve-out: stores indexed by the processor's own identity

@@ -15,14 +15,14 @@
 // sent or received by any processor, and g, l the machine's bandwidth
 // and latency/synchronization parameters.
 //
-// Unlike the LogP engine (which must serialize processors to model
-// fine-grained timing), processors here run with genuine goroutine
-// parallelism between barriers: the BSP cost model only needs per-
-// superstep aggregates, so the engine lets the host's cores do the
-// local-computation phases concurrently.
+// Processors run one at a time, as coroutines resumed in id order, so
+// every pool, cost and error is independent of the host's scheduling.
 package bsp
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Params carries the BSP machine parameters g (bandwidth inverse) and
 // L (here: the paper's l, the barrier/latency term).
@@ -146,14 +146,6 @@ func NewMachine(params Params) *Machine {
 // Params returns the machine parameters.
 func (m *Machine) Params() Params { return m.params }
 
-type syncReport struct {
-	id       int
-	work     int64
-	outbox   []Message
-	finished bool
-	err      error
-}
-
 type proc struct {
 	id        int
 	m         *Machine
@@ -163,8 +155,13 @@ type proc struct {
 	inboxPos  int
 	superstep int
 
-	report  chan<- syncReport
-	release chan []Message
+	// next resumes the program until its next Sync or its end; yield
+	// parks it at a Sync. parked reports where the last resumption
+	// stopped, and err records a panic that ended the program.
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
+	parked bool
+	err    error
 }
 
 var _ Proc = (*proc)(nil)
@@ -200,120 +197,91 @@ func (p *proc) Recv() (Message, bool) {
 func (p *proc) Inbox() int { return len(p.inbox) - p.inboxPos }
 
 func (p *proc) Sync() {
-	p.report <- syncReport{id: p.id, work: p.work, outbox: p.outbox}
-	// The coordinator replaces the input pool; prior contents are
-	// discarded per the model.
-	p.inbox = <-p.release
+	// Park at the barrier; Run replaces the input pool before resuming
+	// p, discarding prior contents per the model.
+	p.yield(struct{}{})
 	p.inboxPos = 0
 	p.work = 0
-	// The coordinator finished reading the outbox before releasing
-	// this processor, so its buffer can be reused for the next
-	// superstep instead of reallocated.
 	p.outbox = p.outbox[:0]
 	p.superstep++
 }
 
+// program adapts prog to the coroutine Run resumes: it ends at prog's
+// return or panic, and a panic becomes p.err.
+func (p *proc) program(prog Program) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				p.err = fmt.Errorf("bsp: processor %d panicked: %v", p.id, r)
+			}
+		}()
+		prog(p)
+	}
+}
+
 // Run executes prog on every processor and returns the accumulated
-// cost. Programs on distinct processors run concurrently between
-// barriers; they must not share mutable state except through messages
-// or per-processor slots. The run is deterministic all the same: an
-// input pool lists its messages by source id, then send order, and
-// the error reported is the lowest-id panic of the earliest barrier.
+// cost. Programs must not share mutable state except through messages
+// or per-processor slots: only messages are charged. Each processor's
+// program is a coroutine: in every superstep Run resumes the active
+// ones in id order, each until it parks in Sync or its program ends,
+// and only then reads the outboxes and refills the input pools. An
+// input pool lists its messages by source id, then send order. A
+// processor that panics ends there, its last superstep's work and
+// messages dropped; the error reported is the lowest-id panic of the
+// earliest superstep.
 func (m *Machine) Run(prog Program) (Result, error) {
 	n := m.params.P
-	reports := make(chan syncReport, n)
-	procs := make([]*proc, n)
-	for i := 0; i < n; i++ {
-		procs[i] = &proc{
-			id:      i,
-			m:       m,
-			report:  reports,
-			release: make(chan []Message, 1),
-		}
-		go func(p *proc) {
-			defer func() {
-				if r := recover(); r != nil {
-					reports <- syncReport{id: p.id, finished: true, err: fmt.Errorf("bsp: processor %d panicked: %v", p.id, r)}
-					return
-				}
-				reports <- syncReport{id: p.id, work: p.work, outbox: p.outbox, finished: true}
-			}()
-			prog(p)
-		}(procs[i])
+	active := make([]*proc, n)
+	for i := range active {
+		p := &proc{id: i, m: m}
+		// No stop function: nothing blocks a BSP program, so Run
+		// resumes every coroutine until it ends.
+		p.next, _ = iter.Pull(p.program(prog))
+		active[i] = p
 	}
 
 	var res Result
 	var firstErr error
-	// Reports arrive in whatever order the goroutines reach their
-	// barriers; the coordinator indexes them by processor id and reads
-	// them in id order, so pools and the reported error do not depend
-	// on the host's scheduling.
-	byID := make([]syncReport, n)
-	active := make([]int, n)
-	for i := range active {
-		active[i] = i
-	}
-	// The inbox matrices alternate between barriers: at barrier k the
-	// coordinator fills inboxBufs[k%2] while every processor still
-	// consuming its previous pool reads from inboxBufs[(k-1)%2]; a
-	// buffer is only refilled at barrier k+2, by which point every
-	// active processor has passed barrier k+1 and swapped pools. This
-	// keeps the per-barrier [][]Message and synced allocations out of
-	// the steady state (channel handoffs order every access).
-	var inboxBufs [2][][]Message
-	inboxBufs[0] = make([][]Message, n)
-	inboxBufs[1] = make([][]Message, n)
-	synced := make([]int, 0, n)
-	for barrier := 0; len(active) > 0; barrier++ {
-		// Collect exactly one report (Sync or finish) per active
-		// processor; this is the barrier.
-		for range active {
-			rep := <-reports
-			byID[rep.id] = rep
+	inboxes := make([][]Message, n)
+	for len(active) > 0 {
+		for _, p := range active {
+			_, p.parked = p.next()
 		}
-		inboxes := inboxBufs[barrier&1]
 		for d := range inboxes {
 			inboxes[d] = inboxes[d][:0]
 		}
 		var cost SuperstepCost
-		synced = synced[:0]
-		for _, id := range active {
-			rep := &byID[id]
-			if rep.err != nil && firstErr == nil {
-				firstErr = rep.err
+		synced := active[:0]
+		for _, p := range active {
+			if p.err != nil {
+				if firstErr == nil {
+					firstErr = p.err
+				}
+				continue
 			}
-			if rep.work > cost.W {
-				cost.W = rep.work
-			}
-			if s := int64(len(rep.outbox)); s > cost.H {
-				cost.H = s
-			}
-			for _, msg := range rep.outbox {
+			cost.W = max(cost.W, p.work)
+			cost.H = max(cost.H, int64(len(p.outbox)))
+			for _, msg := range p.outbox {
 				inboxes[msg.Dst] = append(inboxes[msg.Dst], msg)
-				res.MessagesSent++
 			}
-			if !rep.finished {
-				synced = append(synced, id)
+			res.MessagesSent += int64(len(p.outbox))
+			if p.parked {
+				synced = append(synced, p)
 			}
 		}
 		for _, in := range inboxes {
-			if r := int64(len(in)); r > cost.H {
-				cost.H = r
-			}
+			cost.H = max(cost.H, int64(len(in)))
 		}
 		if t := cost.Time(m.params); t > 0 {
 			res.Time += t
 			res.Supersteps++
 			res.Costs = append(res.Costs, cost)
 		}
-		for _, id := range synced {
-			procs[id].release <- inboxes[id]
+		for _, p := range synced {
+			p.inbox = inboxes[p.id]
 		}
-		active, synced = synced, active
+		active = synced
 	}
-
-	if firstErr != nil {
-		return res, firstErr
-	}
-	return res, nil
+	return res, firstErr
 }

@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -349,8 +350,7 @@ func TestNewMachinePanicsOnInvalidParams(t *testing.T) {
 }
 
 // TestPoolOrderIsSourceOrder pins the input pool's order: messages by
-// source id, then send order, however the senders' goroutines reach
-// the barrier. Every run must see the same order.
+// source id, then send order. Every run must see the same order.
 func TestPoolOrderIsSourceOrder(t *testing.T) {
 	const p = 8
 	want := []int64{10, 11, 20, 21, 30, 31, 40, 41, 50, 51, 60, 61, 70, 71}
@@ -393,5 +393,37 @@ func TestErrorIsLowestIDOfEarliestBarrier(t *testing.T) {
 		if err == nil || err.Error() != "bsp: processor 2 panicked: early" {
 			t.Fatalf("trial %d: got %v, want processor 2's panic", trial, err)
 		}
+	}
+}
+
+// TestPoolUntouchedBySameSuperstepSends pins that a barrier refills
+// the input pools only after every processor has reached it. Processor
+// 0 sends to processor 1 in every superstep, and processor 1 reads its
+// pool only after processor 0 has sent the next superstep's message:
+// the pool must still hold the previous superstep's.
+func TestPoolUntouchedBySameSuperstepSends(t *testing.T) {
+	const steps = 3
+	var sent [steps]atomic.Bool
+	var pools []int64
+	run(t, Params{P: 2, G: 1, L: 1}, func(p Proc) {
+		for k := 0; k < steps; k++ {
+			if p.ID() == 0 {
+				p.Send(1, 0, int64(100+k), 0)
+				sent[k].Store(true)
+			} else {
+				for !sent[k].Load() {
+					runtime.Gosched()
+				}
+				var got int64
+				if m, ok := p.Recv(); ok {
+					got = m.Payload
+				}
+				pools = append(pools, got)
+			}
+			p.Sync()
+		}
+	})
+	if want := []int64{0, 100, 101}; !slices.Equal(pools, want) {
+		t.Fatalf("pools %v, want %v", pools, want)
 	}
 }

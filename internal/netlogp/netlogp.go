@@ -3,8 +3,9 @@
 // internal/netrun provides for BSP: an unmodified logp.Program runs
 // with its processors paced by the overhead o and gap G, while every
 // message's delivery time is decided by the packet network itself —
-// the co-simulation advances the netsim.Stepper in lockstep with the
-// processor clocks.
+// the co-simulation steps a netsim.Router one step at a time, in
+// lockstep with the processor clocks, injecting each submission at its
+// instant.
 //
 // The machine reports the per-message latency distribution it
 // observed, which is exactly the quantity the paper's Section 5
@@ -15,6 +16,7 @@ package netlogp
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -64,9 +66,9 @@ func (m *Machine) Run(prog logp.Program) (Result, error) {
 	sc := logp.ProgramAsScript(m.params, prog)
 	defer sc.Stop()
 	eng := &engine{
-		params:  m.params,
-		stepper: m.net.NewStepper(),
-		script:  sc,
+		params: m.params,
+		router: m.net.NewRouter(),
+		script: sc,
 	}
 	if err := eng.run(); err != nil {
 		return Result{}, err
@@ -94,14 +96,14 @@ func (m *Machine) Run(prog logp.Program) (Result, error) {
 // processor acts at time T, every network step up to T has been
 // performed, injecting queued submissions at their instants.
 type engine struct {
-	params  logp.Params
-	stepper *netsim.Stepper
-	script  *logp.ProgramScript
-	procs   []*nproc
+	params logp.Params
+	router *netsim.Router
+	script *logp.ProgramScript
+	procs  []*nproc
 
 	injections injHeap // submissions not yet handed to the network
-	inFlight   map[int64]flight
-	msgSeq     int64
+	inFlight   map[int32]flight
+	msgSeq     int32 // the last submission's id, its packet's tag
 	totalMsgs  int64
 	maxLat     int64
 	sumLat     int64
@@ -116,7 +118,7 @@ type flight struct {
 
 type injection struct {
 	at  int64
-	id  int64
+	id  int32
 	msg logp.Message
 }
 
@@ -167,7 +169,7 @@ type nproc struct {
 func (e *engine) run() error {
 	n := e.params.P
 	e.procs = make([]*nproc, n)
-	e.inFlight = map[int64]flight{}
+	e.inFlight = map[int32]flight{}
 	for i := 0; i < n; i++ {
 		p := &nproc{id: i}
 		e.procs[i] = p
@@ -197,7 +199,7 @@ func (e *engine) run() error {
 			if e.procErr != nil {
 				return e.procErr
 			}
-			if len(e.injections) == 0 && e.stepper.Pending() == 0 {
+			if len(e.injections) == 0 && e.router.Pending() == 0 {
 				var blocked []int
 				for _, p := range e.procs {
 					if p.state == nWaitMsg {
@@ -207,7 +209,7 @@ func (e *engine) run() error {
 				return fmt.Errorf("netlogp: deadlock: processors %v blocked on Recv with no packets in flight", blocked)
 			}
 			// Everybody waits on the network: advance it one step.
-			e.advanceTo(e.stepper.Step() + 1)
+			e.advanceTo(e.router.Step() + 1)
 			continue
 		}
 		// Commit the network up to the acting processor's clock.
@@ -220,8 +222,8 @@ func (e *engine) run() error {
 	// Messages still in flight when the last processor halts count in
 	// Messages; deliver them so they count in the latency statistics
 	// too, as the logp engine drains its in-flight deliveries.
-	for len(e.injections) > 0 || e.stepper.Pending() > 0 {
-		e.advanceTo(e.stepper.Step() + 1)
+	for len(e.injections) > 0 || e.router.Pending() > 0 {
+		e.advanceTo(e.router.Step() + 1)
 	}
 	return nil
 }
@@ -229,14 +231,14 @@ func (e *engine) run() error {
 // advanceTo steps the network to the given time, injecting queued
 // submissions at their instants and delivering arrivals into buffers.
 func (e *engine) advanceTo(t int64) {
-	for e.stepper.Step() < t {
-		now := e.stepper.Step()
+	for e.router.Step() < t {
+		now := e.router.Step()
 		for len(e.injections) > 0 && e.injections[0].at <= now {
 			inj := heap.Pop(&e.injections).(injection)
-			e.stepper.Inject(inj.id, inj.msg.Src, inj.msg.Dst)
+			e.router.Inject(inj.id, inj.msg.Src, inj.msg.Dst)
 			e.inFlight[inj.id] = flight{msg: inj.msg, at: inj.at}
 		}
-		arrivals := e.stepper.Advance()
+		arrivals := e.router.Advance()
 		var wake []*nproc
 		for _, a := range arrivals {
 			fl := e.inFlight[a.ID]
@@ -333,6 +335,13 @@ func (e *engine) exec(p *nproc) {
 		}
 		e.resume(p, logp.ScriptResult{N: cnt})
 	case logp.ScriptSend:
+		if e.msgSeq == math.MaxInt32 { // message ids are int32 packet tags
+			p.state = nDone
+			if e.procErr == nil {
+				e.procErr = errors.New("netlogp: more than 2^31-1 messages in one run")
+			}
+			return
+		}
 		s := p.clock + e.params.O
 		if s < p.nextComm {
 			s = p.nextComm

@@ -1,6 +1,7 @@
 package netlogp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -325,5 +326,22 @@ func TestSendBodyDelivered(t *testing.T) {
 	}
 	if got != body {
 		t.Fatalf("received body %v, want the sent %p", got, body)
+	}
+}
+
+// TestMessageIDsExhaustedIsAnError: a message id is the int32 tag of
+// its packet, so the send that would overflow it fails the run with an
+// error instead of reusing an id still in flight.
+func TestMessageIDsExhaustedIsAnError(t *testing.T) {
+	m := cubeMachine(2)
+	sc := logp.ProgramAsScript(m.params, func(p logp.Proc) {
+		if p.ID() == 0 {
+			p.Send(1, 0, 0, 0)
+		}
+	})
+	defer sc.Stop()
+	e := &engine{params: m.params, router: m.net.NewRouter(), script: sc, msgSeq: math.MaxInt32}
+	if err := e.run(); err == nil || !strings.Contains(err.Error(), "2^31-1 messages") {
+		t.Fatalf("got %v, want the message-id limit error", err)
 	}
 }

@@ -65,7 +65,7 @@ type stepLog struct {
 
 // recordingProc wraps the native machine's Proc, logging work and
 // outboxes per superstep. Each processor writes only its own log slot,
-// so the native machine's parallelism stays race-free without locks.
+// so no log is shared between processors.
 type recordingProc struct {
 	bsp.Proc
 	log *[]stepLog // this processor's per-superstep records

@@ -10,11 +10,11 @@ import (
 
 // TestRouteValiantSteadyStateAlloc pins the Router contract stated on the
 // type: repeated Route calls on a held Router reuse the per-run
-// scratch (edge rings, active-link bitsets, the arrival buffer) and
+// scratch (edge rings, active-link bitsets, the move staging) and
 // reach zero steady-state allocations — here under Valiant routing on
 // both port disciplines (router_test.go pins the plain single-port
 // case). This is the dynamic guard
-// behind the allocdiscipline //hot:path mark on Route — the analyzer
+// behind the allocdiscipline //hot:path mark on step — the analyzer
 // rejects escapes statically, this pins the end-to-end count.
 func TestRouteValiantSteadyStateAlloc(t *testing.T) {
 	for _, multiPort := range []bool{true, false} {
@@ -25,9 +25,42 @@ func TestRouteValiantSteadyStateAlloc(t *testing.T) {
 		route := func() {
 			rt.Route(rel, RouteOptions{Valiant: true, Seed: 99})
 		}
-		route() // grow rings and the arrival buffer to their high-water sizes
+		route() // grow rings and the move staging to their high-water sizes
 		if avg := testing.AllocsPerRun(10, route); avg != 0 {
 			t.Errorf("multiPort=%v: warm Route allocates %.1f objects/run, want 0", multiPort, avg)
+		}
+	}
+}
+
+// TestAdvanceSteadyStateAlloc pins the same contract for the
+// one-step-at-a-time path internal/netlogp uses: a held Router fed
+// staggered Inject calls and drained with Advance allocates nothing
+// once warm, on both port disciplines.
+func TestAdvanceSteadyStateAlloc(t *testing.T) {
+	for _, multiPort := range []bool{true, false} {
+		g := topology.Hypercube(64, multiPort)
+		rt := New(g).NewRouter()
+		rel := dropSelf(relation.RandomRegular(stats.NewRNG(5), g.P(), 4))
+		drain := func() {
+			start, next := rt.Step(), 0
+			for next < len(rel.Pairs) || rt.Pending() > 0 {
+				for ; next < len(rel.Pairs) && int64(next%5) <= rt.Step()-start; next++ {
+					pr := rel.Pairs[next]
+					rt.Inject(int32(next), pr.Src, pr.Dst)
+				}
+				rt.Advance()
+			}
+		}
+		// The step count carries over between runs, so each run starts
+		// the single-port rotation at another of the 6 phases; 8 runs
+		// visit every phase a later run can start at, growing the rings,
+		// the move staging and the arrival buffer to their high-water
+		// sizes.
+		for range 8 {
+			drain()
+		}
+		if avg := testing.AllocsPerRun(10, drain); avg != 0 {
+			t.Errorf("multiPort=%v: warm Inject/Advance allocates %.1f objects/run, want 0", multiPort, avg)
 		}
 	}
 }

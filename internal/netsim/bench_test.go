@@ -17,7 +17,7 @@ func benchRelation(g *topology.Graph, h int, seed uint64) relation.Relation {
 
 // BenchmarkRoute measures one Route call on a reused Router — the hot
 // path behind every MeasureGL trial. Steady-state allocations must be
-// ~0: the rings, bitsets, and arrival buffer reach their high-water
+// ~0: the rings, bitsets, and move staging reach their high-water
 // marks in the first iteration.
 func BenchmarkRoute(b *testing.B) {
 	for _, bc := range []struct {
@@ -44,27 +44,22 @@ func BenchmarkRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkStepper measures draining an h-relation through the
-// incremental Stepper, the co-simulation path of internal/netlogp.
-func BenchmarkStepper(b *testing.B) {
+// BenchmarkAdvance measures draining an h-relation through Inject and
+// Advance on a fresh Router, the co-simulation path of
+// internal/netlogp (one Router per run).
+func BenchmarkAdvance(b *testing.B) {
 	g := topology.Hypercube(64, false)
 	net := New(g)
-	rel := benchRelation(g, 8, 2)
-	var pairs []relation.Pair
-	for _, pr := range rel.Pairs {
-		if pr.Src != pr.Dst {
-			pairs = append(pairs, pr)
-		}
-	}
+	rel := dropSelf(benchRelation(g, 8, 2))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := net.NewStepper()
-		for j, pr := range pairs {
-			st.Inject(int64(j+1), pr.Src, pr.Dst)
+		rt := net.NewRouter()
+		for j, pr := range rel.Pairs {
+			rt.Inject(int32(j+1), pr.Src, pr.Dst)
 		}
-		for st.Pending() > 0 {
-			st.Advance()
+		for rt.Pending() > 0 {
+			rt.Advance()
 		}
 	}
 }

@@ -31,7 +31,7 @@ type goldenRoute struct {
 	MaxQueue  int   `json:"maxQueue"`
 }
 
-type goldenStepper struct {
+type goldenAdvance struct {
 	Steps     int64 `json:"steps"`
 	Delivered int   `json:"delivered"`
 	TotalHops int64 `json:"totalHops"`
@@ -59,7 +59,7 @@ func goldenRelation(g *topology.Graph, h int, seed uint64) relation.Relation {
 }
 
 // dropSelf removes src == dst pairs: Route skips them for free while
-// Stepper.Inject rejects them, so shared cases exclude them.
+// Inject rejects them, so shared cases exclude them.
 func dropSelf(rel relation.Relation) relation.Relation {
 	out := relation.Relation{P: rel.P}
 	for _, pr := range rel.Pairs {
@@ -79,9 +79,8 @@ func goldenRouteCases() (keys []string, run map[string]func() goldenRoute) {
 					key := fmt.Sprintf("%s/h=%d/seed=%d/valiant=%v", g.Name, h, seed, valiant)
 					g, h, seed, valiant := g, h, seed, valiant
 					run[key] = func() goldenRoute {
-						net := New(g)
 						rel := goldenRelation(g, h, seed)
-						r := net.Route(rel, RouteOptions{Valiant: valiant, Seed: seed + 17})
+						r := New(g).NewRouter().Route(rel, RouteOptions{Valiant: valiant, Seed: seed + 17})
 						return goldenRoute{Steps: r.Steps, Packets: r.Packets, TotalHops: r.TotalHops, MaxQueue: r.MaxQueue}
 					}
 					keys = append(keys, key)
@@ -93,46 +92,46 @@ func goldenRouteCases() (keys []string, run map[string]func() goldenRoute) {
 	return keys, run
 }
 
-// Stepper cases cover both the everything-at-step-0 pattern and a
+// Advance cases drive a Router one step at a time with Inject and
+// Advance. They cover both the everything-at-step-0 pattern and a
 // staggered injection schedule (pair i enters at step i mod 5), which
 // exercises pushes landing in a partially drained network.
-func goldenStepperCases() (keys []string, run map[string]func() goldenStepper) {
-	run = map[string]func() goldenStepper{}
+func goldenAdvanceCases() (keys []string, run map[string]func() goldenAdvance) {
+	run = map[string]func() goldenAdvance{}
 	for _, g := range goldenGraphs() {
 		for _, h := range []int{1, 3} {
 			for _, seed := range []uint64{3, 4} {
 				for _, stagger := range []bool{false, true} {
 					key := fmt.Sprintf("%s/h=%d/seed=%d/stagger=%v", g.Name, h, seed, stagger)
 					g, h, seed, stagger := g, h, seed, stagger
-					run[key] = func() goldenStepper {
-						net := New(g)
+					run[key] = func() goldenAdvance {
 						rel := dropSelf(goldenRelation(g, h, seed))
-						st := net.NewStepper()
-						var out goldenStepper
+						rt := New(g).NewRouter()
+						var out goldenAdvance
 						next := 0
 						inject := func() {
 							for ; next < len(rel.Pairs); next++ {
-								if stagger && int64(next%5) > st.Step() {
+								if stagger && int64(next%5) > rt.Step() {
 									break
 								}
 								pr := rel.Pairs[next]
-								st.Inject(int64(next+1), pr.Src, pr.Dst)
+								rt.Inject(int32(next+1), pr.Src, pr.Dst)
 							}
 						}
 						inject()
-						for st.Pending() > 0 || next < len(rel.Pairs) {
-							arr := st.Advance()
+						for rt.Pending() > 0 || next < len(rel.Pairs) {
+							arr := rt.Advance()
 							out.Delivered += len(arr)
 							if len(arr) > 0 {
-								out.Steps = st.Step()
+								out.Steps = rt.Step()
 							}
 							inject()
-							if st.Step() > 100000 {
-								panic("netsim golden: stepper overran")
+							if rt.Step() > 100000 {
+								panic("netsim golden: Advance overran")
 							}
 						}
-						out.TotalHops = st.TotalHops
-						out.MaxQueue = st.MaxQueue
+						out.TotalHops = rt.TotalHops
+						out.MaxQueue = rt.MaxQueue
 						return out
 					}
 					keys = append(keys, key)
@@ -146,7 +145,7 @@ func goldenStepperCases() (keys []string, run map[string]func() goldenStepper) {
 
 const (
 	goldenRouteFile   = "testdata/golden_route.json"
-	goldenStepperFile = "testdata/golden_stepper.json"
+	goldenAdvanceFile = "testdata/golden_stepper.json"
 )
 
 // TestGoldenRoute replays every recorded Route configuration and
@@ -181,19 +180,21 @@ func TestGoldenRoute(t *testing.T) {
 	}
 }
 
-// TestGoldenStepper is the Stepper counterpart of TestGoldenRoute.
+// TestGoldenStepper is the Inject/Advance counterpart of
+// TestGoldenRoute. Like its file golden_stepper.json, it keeps the
+// name of the Stepper type that recorded the file.
 func TestGoldenStepper(t *testing.T) {
-	keys, runs := goldenStepperCases()
+	keys, runs := goldenAdvanceCases()
 	if *update {
-		got := map[string]goldenStepper{}
+		got := map[string]goldenAdvance{}
 		for _, k := range keys {
 			got[k] = runs[k]()
 		}
-		writeGoldenJSON(t, goldenStepperFile, got)
+		writeGoldenJSON(t, goldenAdvanceFile, got)
 		return
 	}
-	want := map[string]goldenStepper{}
-	readGoldenJSON(t, goldenStepperFile, &want)
+	want := map[string]goldenAdvance{}
+	readGoldenJSON(t, goldenAdvanceFile, &want)
 	if len(want) != len(keys) {
 		t.Fatalf("golden file has %d cases, suite defines %d (regenerate with -update)", len(want), len(keys))
 	}
@@ -205,7 +206,7 @@ func TestGoldenStepper(t *testing.T) {
 				t.Fatalf("case missing from golden file (regenerate with -update)")
 			}
 			if g := runs[k](); g != w {
-				t.Errorf("Stepper diverged from recorded golden:\n got %+v\nwant %+v", g, w)
+				t.Errorf("Inject/Advance diverged from recorded golden:\n got %+v\nwant %+v", g, w)
 			}
 		})
 	}

@@ -11,14 +11,20 @@
 // per step (round-robin over non-empty queues), which is what
 // separates the two hypercube rows of Table 1.
 //
-// The hot loop is index-routed and allocation-free: Network.New
+// A Router simulates the network, and one step loop drives it two
+// ways: Route delivers a whole h-relation injected at step 0 and
+// reports its cost, while Inject and Advance feed packets in and move
+// the network one step at a time, which is how internal/netlogp
+// co-simulates LogP on a network.
+//
+// The step loop is index-routed and allocation-free: Network.New
 // precomputes the outgoing directed-edge index of every (node,
 // destination) pair, so forwarding a packet is one table lookup and
 // one ring-buffer push; a step visits only the links that actually
 // hold packets (tracked by a bitset of active edges, or per-node
-// non-empty counters under single-port). A Router owns the reusable
-// scratch, so repeated Route calls allocate nothing once the rings
-// reach their high-water marks.
+// non-empty counters under single-port). The Router owns the reusable
+// scratch, so repeated use allocates nothing once the rings reach
+// their high-water marks.
 package netsim
 
 import (
@@ -33,9 +39,9 @@ import (
 	"repro/internal/topology"
 )
 
-// simHops counts every link traversal committed by any Router or
-// Stepper in the process, cheaply (one atomic add per run or step, not
-// per hop). The benchmark harness samples it to report hops/sec.
+// simHops counts every link traversal committed by any Router in the
+// process, cheaply (one atomic add per Route or Advance, not per
+// hop). The benchmark harness samples it to report hops/sec.
 var simHops atomic.Int64
 
 // SimHopCount returns the process-wide number of link traversals
@@ -173,9 +179,6 @@ type RouteOptions struct {
 	Valiant bool
 	// Seed drives the Valiant intermediate choices.
 	Seed uint64
-	// MaxSteps aborts a run that exceeds this bound (0 selects a
-	// generous default); exceeding it panics, signalling a bug.
-	MaxSteps int
 }
 
 // RouteResult reports one routing run.
@@ -192,23 +195,40 @@ type RouteResult struct {
 }
 
 type packet struct {
-	dst   int32 // final destination node
-	via   int32 // Valiant intermediate (-1 when unused or passed)
-	hops  int32
-	birth int32
+	dst int32 // final destination node
+	via int32 // Valiant intermediate (-1 when unused or passed)
+	id  int32 // the injector's tag, reported in its Arrival
 }
 
-type arrival struct {
-	node int32
+// move is a packet that crossed a link in the current step, staged
+// until every link has transmitted.
+type move struct {
+	node int32 // the link's head
 	pk   packet
 }
 
-// Router owns the per-run scratch of the simulator — one ring buffer
-// per directed edge, the active-link tracking, and the arrival buffer
-// — so that repeated Route calls on the same Network reuse memory and
-// reach zero steady-state allocations. A Router is not safe for
-// concurrent use; build one per goroutine (they share the Network's
-// immutable tables). After a MaxSteps panic the Router holds stranded
+// Arrival reports a packet reaching its destination processor.
+type Arrival struct {
+	ID   int32
+	Dst  int // destination processor id
+	Step int64
+}
+
+// Router simulates the packet network over a Network. It owns the
+// per-run scratch — one ring buffer per directed edge, the active-link
+// tracking, and the staging of each step's moves — and one step loop
+// drives it two ways:
+//
+//   - Route injects a whole relation at step 0 and steps until it is
+//     delivered, reporting the cost (MeasureGL, E7 and netrun);
+//   - Inject, Advance, Step and Pending feed packets in and move the
+//     network one step at a time, reporting each arrival (the
+//     netlogp co-simulation, which paces injections by LogP's o and G).
+//
+// Repeated use reaches zero steady-state allocations once the rings
+// reach their high-water marks. A Router is not safe for concurrent
+// use; build one per goroutine (they share the Network's immutable
+// tables). After Route's step-bound panic the Router holds stranded
 // packets and must be discarded.
 type Router struct {
 	net    *Network
@@ -219,38 +239,73 @@ type Router struct {
 	// the bitset of nodes with at least one.
 	nodeCnt    []int32
 	activeNode bitset
-	arrivals   []arrival
-	// multiPort caches net.G.MultiPort so push/pop skip two pointer
-	// hops per packet.
+	// moves stages one step's link crossings; step compacts those
+	// that reached their destination to its front.
+	moves    []move
+	arrivals []Arrival
+	// multiPort and nodes cache net.G.MultiPort and net.G.Nodes() so
+	// the per-hop path skips two pointer hops per packet.
 	multiPort bool
+	nodes     int
 	// rng drives the Valiant intermediate choices; reseeded per run
 	// so repeated Route calls allocate nothing.
-	rng stats.RNG
+	rng     stats.RNG
+	clock   int // steps taken
+	pending int // packets in flight
+
+	// MaxQueue is the peak FIFO depth on any directed link and
+	// TotalHops the number of link traversals, both counted since the
+	// Router was built or the last Route began.
+	MaxQueue  int
+	TotalHops int64
 }
 
-// NewRouter returns an empty Router over net.
+// NewRouter returns an empty Router over net, positioned at step 0.
 func (net *Network) NewRouter() *Router {
-	r := &Router{net: net, queues: make([]ring[packet], net.nEdges), multiPort: net.G.MultiPort}
+	n := net.G.Nodes()
+	r := &Router{net: net, queues: make([]ring[packet], net.nEdges), multiPort: net.G.MultiPort, nodes: n}
 	if net.G.MultiPort {
 		r.activeEdge = newBitset(net.nEdges)
 	} else {
-		n := net.G.Nodes()
 		r.nodeCnt = make([]int32, n)
 		r.activeNode = newBitset(n)
 	}
 	return r
 }
 
-// Route delivers every message of rel and returns the measured cost.
-// It is shorthand for NewRouter().Route; hot callers should hold a
-// Router and reuse it.
-func (net *Network) Route(rel relation.Relation, opts RouteOptions) RouteResult {
-	return net.NewRouter().Route(rel, opts)
+// Step returns the number of steps taken.
+func (r *Router) Step() int64 { return int64(r.clock) }
+
+// Pending reports how many packets are in flight.
+func (r *Router) Pending() int { return r.pending }
+
+// hop returns the link pk leaves node u on, or -1 when u is pk's
+// destination, and pk with via cleared once u is its Valiant
+// intermediate.
+func (r *Router) hop(u int32, pk packet) (int32, packet) {
+	if pk.via == u {
+		pk.via = -1
+	}
+	target := pk.dst
+	if pk.via >= 0 {
+		target = pk.via
+	} else if u == pk.dst {
+		return -1, pk
+	}
+	return r.net.nextEdge[int(target)*r.nodes+int(u)], pk
+}
+
+// inject enters pk at node u, unless u is already its destination.
+func (r *Router) inject(u int32, pk packet) {
+	if e, pk := r.hop(u, pk); e >= 0 {
+		r.push(e, pk)
+		r.pending++
+	}
 }
 
 // push enqueues pk on directed edge e, maintaining the active-link
 // tracking and the peak-depth statistic.
-func (r *Router) push(e int32, pk packet, maxQueue *int) {
+func (r *Router) push(e int32, pk packet) {
 	q := &r.queues[e]
 	if q.n == 0 {
 		if r.multiPort {
@@ -264,8 +319,8 @@ func (r *Router) push(e int32, pk packet, maxQueue *int) {
 		}
 	}
 	q.push(pk)
-	if q.n > *maxQueue {
-		*maxQueue = q.n
+	if q.n > r.MaxQueue {
+		r.MaxQueue = q.n
 	}
 }
 
@@ -288,121 +343,139 @@ func (r *Router) pop(e int32) packet {
 	return pk
 }
 
-// Route delivers every message of rel and returns the measured cost.
+// step moves the network forward one step: every active link (under
+// single-port, one link of every active node) transmits the head of
+// its queue, and then each packet that crossed is forwarded from the
+// link's head. It returns how many packets reached their destination;
+// they lead r.moves, in link order.
 //
 //hot:path the packet network's per-step routing loop
-func (r *Router) Route(rel relation.Relation, opts RouteOptions) RouteResult {
+func (r *Router) step() int {
 	net := r.net
-	if rel.P != net.G.P() {
-		panic(fmt.Sprintf("netsim: relation has %d processors, network %d", rel.P, net.G.P()))
-	}
-	n := net.G.Nodes()
-	rng := &r.rng
-	rng.Reseed(opts.Seed)
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 10000 + 200*n + 40*len(rel.Pairs)
-	}
-
-	res := RouteResult{Packets: len(rel.Pairs)}
-	remaining := 0
-
-	enqueue := func(u int, pk packet) bool {
-		// Returns false when the packet is already home.
-		target := pk.via
-		if target < 0 {
-			target = pk.dst
-		}
-		if int32(u) == pk.dst && pk.via < 0 {
-			return false
-		}
-		if int32(u) == target && pk.via >= 0 {
-			// Reached the intermediate; head for the real
-			// destination.
-			pk.via = -1
-			if int32(u) == pk.dst {
-				return false
+	r.clock++
+	clock := r.clock
+	r.moves = r.moves[:0]
+	if r.multiPort {
+		// Walk the active-edge bitset in index order (matching a full
+		// scan); pops may clear bits at the current position but
+		// pushes wait in r.moves, so no new bits appear mid-walk.
+		for w := 0; w < len(r.activeEdge); w++ {
+			word := r.activeEdge[w]
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &^= 1 << uint(b)
+				e := int32(w<<6 + b)
+				//lint:ignore hotloop move staging reuses r.moves via [:0]; growth is bounded by the per-step delivery high-water
+				r.moves = append(r.moves, move{node: net.edgeTo[e], pk: r.pop(e)})
 			}
-			target = pk.dst
 		}
-		r.push(net.nextEdge[int(target)*n+u], pk, &res.MaxQueue)
-		return true
-	}
-
-	for _, pr := range rel.Pairs {
-		srcNode := net.G.Processors[pr.Src]
-		dstNode := net.G.Processors[pr.Dst]
-		pk := packet{dst: int32(dstNode), via: -1}
-		if opts.Valiant {
-			pk.via = int32(net.G.Processors[rng.Intn(rel.P)])
-		}
-		if enqueue(srcNode, pk) {
-			remaining++
-		}
-	}
-
-	for step := 1; remaining > 0; step++ {
-		if step > maxSteps {
-			panic(fmt.Sprintf("netsim: %s routing exceeded %d steps with %d packets left (bug or pathological congestion)", net.G.Name, maxSteps, remaining))
-		}
-		r.arrivals = r.arrivals[:0]
-		if net.G.MultiPort {
-			// Walk the active-edge bitset in index order (matching a
-			// full scan); pops may clear bits at the current position
-			// but pushes are buffered in arrivals, so no new bits
-			// appear mid-walk.
-			for w := 0; w < len(r.activeEdge); w++ {
-				word := r.activeEdge[w]
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					word &^= 1 << uint(b)
-					e := int32(w<<6 + b)
-					pk := r.pop(e)
-					pk.hops++
-					//lint:ignore hotloop arrival staging reuses r.arrivals via [:0]; growth is bounded by the per-step delivery high-water
-					r.arrivals = append(r.arrivals, arrival{node: net.edgeTo[e], pk: pk})
-				}
-			}
-		} else {
-			// Single-port: each active node transmits on one link,
-			// rotating the starting link each step for fairness.
-			for w := 0; w < len(r.activeNode); w++ {
-				word := r.activeNode[w]
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					word &^= 1 << uint(b)
-					u := w<<6 + b
-					lo := int(net.edgeStart[u])
-					deg := int(net.edgeStart[u+1]) - lo
-					start := (step + u) % deg
-					for k := 0; k < deg; k++ {
-						j := start + k
-						if j >= deg {
-							j -= deg
-						}
-						e := int32(lo + j)
-						if r.queues[e].n == 0 {
-							continue
-						}
-						pk := r.pop(e)
-						pk.hops++
-						//lint:ignore hotloop arrival staging reuses r.arrivals via [:0]; growth is bounded by the per-step delivery high-water
-						r.arrivals = append(r.arrivals, arrival{node: net.edgeTo[e], pk: pk})
-						break
+	} else {
+		// Single-port: each active node transmits on one link,
+		// rotating the starting link each step for fairness.
+		for w := 0; w < len(r.activeNode); w++ {
+			word := r.activeNode[w]
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &^= 1 << uint(b)
+				u := w<<6 + b
+				lo := int(net.edgeStart[u])
+				deg := int(net.edgeStart[u+1]) - lo
+				start := (clock + u) % deg
+				for k := 0; k < deg; k++ {
+					j := start + k
+					if j >= deg {
+						j -= deg
 					}
+					e := int32(lo + j)
+					if r.queues[e].n == 0 {
+						continue
+					}
+					//lint:ignore hotloop move staging reuses r.moves via [:0]; growth is bounded by the per-step delivery high-water
+					r.moves = append(r.moves, move{node: net.edgeTo[e], pk: r.pop(e)})
+					break
 				}
 			}
 		}
-		res.TotalHops += int64(len(r.arrivals))
-		for _, a := range r.arrivals {
-			if !enqueue(int(a.node), a.pk) {
-				remaining--
-				res.Steps = step
-			}
+	}
+	r.TotalHops += int64(len(r.moves))
+	arrived := 0
+	for _, mv := range r.moves {
+		if e, pk := r.hop(mv.node, mv.pk); e >= 0 {
+			r.push(e, pk)
+		} else {
+			r.moves[arrived] = mv
+			arrived++
 		}
 	}
-	simHops.Add(res.TotalHops)
+	r.pending -= arrived
+	return arrived
+}
+
+// Route delivers every message of rel, all injected at step 0, and
+// returns the measured cost; messages to self are delivered for free.
+// It restarts the step count, MaxQueue and TotalHops, and needs a
+// Router with no packets in flight.
+func (r *Router) Route(rel relation.Relation, opts RouteOptions) RouteResult {
+	g := r.net.G
+	if rel.P != g.P() {
+		panic(fmt.Sprintf("netsim: relation has %d processors, network %d", rel.P, g.P()))
+	}
+	if r.pending != 0 {
+		panic(fmt.Sprintf("netsim: Route with %d packets already in flight", r.pending))
+	}
+	r.rng.Reseed(opts.Seed)
+	r.clock, r.MaxQueue, r.TotalHops = 0, 0, 0
+	for _, pr := range rel.Pairs {
+		pk := packet{dst: int32(g.Processors[pr.Dst]), via: -1}
+		if opts.Valiant {
+			pk.via = int32(g.Processors[r.rng.Intn(rel.P)])
+		}
+		r.inject(int32(g.Processors[pr.Src]), pk)
+	}
+	res := RouteResult{Packets: len(rel.Pairs)}
+	maxSteps := 10000 + 200*r.nodes + 40*len(rel.Pairs)
+	for r.pending > 0 {
+		if r.clock >= maxSteps {
+			panic(fmt.Sprintf("netsim: %s routing exceeded %d steps with %d packets left (bug or pathological congestion)", g.Name, maxSteps, r.pending))
+		}
+		if r.step() > 0 {
+			res.Steps = r.clock
+		}
+	}
+	res.TotalHops, res.MaxQueue = r.TotalHops, r.MaxQueue
+	simHops.Add(r.TotalHops)
 	return res
+}
+
+// Inject enqueues a packet from srcProc to dstProc at the current
+// step; its Arrival carries id. Packets to self are rejected (they
+// never enter the network), as are processor ids outside [0, P).
+func (r *Router) Inject(id int32, srcProc, dstProc int) {
+	g := r.net.G
+	if srcProc < 0 || srcProc >= g.P() {
+		panic(fmt.Sprintf("netsim: Inject source processor %d out of range [0, %d)", srcProc, g.P()))
+	}
+	if dstProc < 0 || dstProc >= g.P() {
+		panic(fmt.Sprintf("netsim: Inject destination processor %d out of range [0, %d)", dstProc, g.P()))
+	}
+	if srcProc == dstProc {
+		panic("netsim: Inject to self")
+	}
+	r.inject(int32(g.Processors[srcProc]), packet{dst: int32(g.Processors[dstProc]), via: -1, id: id})
+}
+
+// Advance moves the network forward one step and returns the packets
+// that arrived at their destinations during it. The returned slice is
+// reused by the next Advance call; callers must consume (or copy) it
+// before advancing again.
+func (r *Router) Advance() []Arrival {
+	arrived := r.step()
+	r.arrivals = r.arrivals[:0]
+	for _, mv := range r.moves[:arrived] {
+		r.arrivals = append(r.arrivals, Arrival{ID: mv.pk.id, Dst: int(r.net.procOf[mv.pk.dst]), Step: int64(r.clock)})
+	}
+	simHops.Add(int64(len(r.moves)))
+	return r.arrivals
 }
 
 // Measurement is the empirically fitted cost model of a topology:

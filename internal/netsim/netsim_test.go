@@ -43,19 +43,24 @@ func transposeRelation(side int) relation.Relation {
 }
 
 func TestNextHopShortensDistance(t *testing.T) {
-	g := topology.Array(4, 2, false)
-	net := New(g)
-	// Walking next hops from any node must reach any destination in
-	// at most Diameter steps.
-	diam := g.Diameter()
-	for u := 0; u < g.Nodes(); u++ {
-		for d := 0; d < g.Nodes(); d++ {
-			cur := u
-			for steps := 0; cur != d; steps++ {
-				if steps > diam {
-					t.Fatalf("next-hop walk %d->%d exceeded diameter", u, d)
+	for _, g := range goldenGraphs() {
+		net := New(g)
+		// The routing BFS's diameter must match topology's own
+		// all-pairs BFS, and walking next hops from any node must
+		// reach any destination in at most Diameter steps.
+		diam := g.Diameter()
+		if net.Diameter() != diam {
+			t.Fatalf("%s: Network.Diameter %d, Graph.Diameter %d", g.Name, net.Diameter(), diam)
+		}
+		for u := 0; u < g.Nodes(); u++ {
+			for d := 0; d < g.Nodes(); d++ {
+				cur := u
+				for steps := 0; cur != d; steps++ {
+					if steps > diam {
+						t.Fatalf("%s: next-hop walk %d->%d exceeded diameter", g.Name, u, d)
+					}
+					cur = net.NextHop(cur, d)
 				}
-				cur = net.NextHop(cur, d)
 			}
 		}
 	}
@@ -66,7 +71,7 @@ func TestRouteSinglePermutationMesh(t *testing.T) {
 	net := New(g)
 	rng := stats.NewRNG(1)
 	rel := permutationRelation(rng.Perm(16))
-	res := net.Route(rel, RouteOptions{})
+	res := net.NewRouter().Route(rel, RouteOptions{})
 	if res.Packets != 16 {
 		t.Fatalf("packets = %d", res.Packets)
 	}
@@ -92,7 +97,7 @@ func TestRouteDeliversEverything(t *testing.T) {
 		net := New(g)
 		for _, h := range []int{1, 3} {
 			rel := relation.RandomRegular(rng, g.P(), h)
-			res := net.Route(rel, RouteOptions{Seed: 5})
+			res := net.NewRouter().Route(rel, RouteOptions{Seed: 5})
 			if res.Packets != len(rel.Pairs) {
 				t.Fatalf("%s h=%d: %d packets", g.Name, h, res.Packets)
 			}
@@ -113,7 +118,7 @@ func TestRouteSelfMessagesFree(t *testing.T) {
 	g := topology.Hypercube(8, true)
 	net := New(g)
 	rel := relation.Relation{P: 8, Pairs: []relation.Pair{{Src: 3, Dst: 3}}}
-	res := net.Route(rel, RouteOptions{})
+	res := net.NewRouter().Route(rel, RouteOptions{})
 	if res.Steps != 0 || res.TotalHops != 0 {
 		t.Fatalf("self-delivery cost: %+v", res)
 	}
@@ -124,7 +129,7 @@ func TestValiantRoutesCorrectly(t *testing.T) {
 	net := New(g)
 	rng := stats.NewRNG(3)
 	rel := relation.RandomRegular(rng, 16, 4)
-	res := net.Route(rel, RouteOptions{Valiant: true, Seed: 11})
+	res := net.NewRouter().Route(rel, RouteOptions{Valiant: true, Seed: 11})
 	if res.Packets != len(rel.Pairs) || res.Steps <= 0 {
 		t.Fatalf("valiant routing failed: %+v", res)
 	}
@@ -138,8 +143,8 @@ func TestValiantSmoothsAdversarialPattern(t *testing.T) {
 	g := topology.Array(8, 2, false)
 	net := New(g)
 	rel := transposeRelation(8)
-	det := net.Route(rel, RouteOptions{})
-	val := net.Route(rel, RouteOptions{Valiant: true, Seed: 9})
+	det := net.NewRouter().Route(rel, RouteOptions{})
+	val := net.NewRouter().Route(rel, RouteOptions{Valiant: true, Seed: 9})
 	if det.Steps <= 0 || val.Steps <= 0 {
 		t.Fatalf("det %d val %d", det.Steps, val.Steps)
 	}
@@ -149,8 +154,8 @@ func TestSinglePortSlowerThanMultiPort(t *testing.T) {
 	rng := stats.NewRNG(17)
 	h := 8
 	rel := relation.RandomRegular(rng, 32, h)
-	multi := New(topology.Hypercube(32, true)).Route(rel, RouteOptions{})
-	single := New(topology.Hypercube(32, false)).Route(rel, RouteOptions{})
+	multi := New(topology.Hypercube(32, true)).NewRouter().Route(rel, RouteOptions{})
+	single := New(topology.Hypercube(32, false)).NewRouter().Route(rel, RouteOptions{})
 	if single.Steps <= multi.Steps {
 		t.Fatalf("single-port (%d) not slower than multi-port (%d)", single.Steps, multi.Steps)
 	}
@@ -161,8 +166,8 @@ func TestRouteDeterministicGivenSeed(t *testing.T) {
 	net := New(g)
 	rng := stats.NewRNG(23)
 	rel := relation.RandomRegular(rng, g.P(), 2)
-	a := net.Route(rel, RouteOptions{Valiant: true, Seed: 4})
-	b := net.Route(rel, RouteOptions{Valiant: true, Seed: 4})
+	a := net.NewRouter().Route(rel, RouteOptions{Valiant: true, Seed: 4})
+	b := net.NewRouter().Route(rel, RouteOptions{Valiant: true, Seed: 4})
 	if a != b {
 		t.Fatalf("nondeterministic routing: %+v vs %+v", a, b)
 	}
@@ -229,7 +234,7 @@ func TestLogPParamsEmpiricalRequirement(t *testing.T) {
 	var worst int
 	for trial := 0; trial < 3; trial++ {
 		rel := relation.RandomRegular(rng, g.P(), c)
-		if r := net.Route(rel, RouteOptions{Seed: rng.Uint64()}); r.Steps > worst {
+		if r := net.NewRouter().Route(rel, RouteOptions{Seed: rng.Uint64()}); r.Steps > worst {
 			worst = r.Steps
 		}
 	}
@@ -246,88 +251,32 @@ func TestRoutePanicsOnWrongP(t *testing.T) {
 			t.Fatal("no panic on mismatched relation")
 		}
 	}()
-	net.Route(relation.Relation{P: 4}, RouteOptions{})
+	net.NewRouter().Route(relation.Relation{P: 4}, RouteOptions{})
 }
 
-func TestStepperMatchesRoute(t *testing.T) {
-	// The incremental Stepper and the batch Route must produce the
-	// same completion step for the same injection pattern (everything
-	// injected at step 0).
-	graphs := []*topology.Graph{
-		topology.Array(4, 2, true),
-		topology.Hypercube(16, true),
-		topology.Hypercube(16, false),
-		topology.Butterfly(3),
-		topology.MeshOfTrees(4),
-	}
-	rng := stats.NewRNG(41)
-	for _, g := range graphs {
-		net := New(g)
-		for _, h := range []int{1, 2, 5} {
-			rel := relation.RandomRegular(rng, g.P(), h)
-			// Drop self-pairs: Route skips them for free, Inject
-			// rejects them.
-			var pairs []relation.Pair
-			for _, pr := range rel.Pairs {
-				if pr.Src != pr.Dst {
-					pairs = append(pairs, pr)
-				}
-			}
-			rel.Pairs = pairs
-			want := net.Route(rel, RouteOptions{})
-
-			st := net.NewStepper()
-			for i, pr := range rel.Pairs {
-				st.Inject(int64(i+1), pr.Src, pr.Dst)
-			}
-			var steps int64
-			delivered := 0
-			for st.Pending() > 0 {
-				arr := st.Advance()
-				delivered += len(arr)
-				if len(arr) > 0 {
-					steps = st.Step()
-				}
-				if st.Step() > int64(10*want.Steps+1000) {
-					t.Fatalf("%s h=%d: stepper overran", g.Name, h)
-				}
-			}
-			if delivered != len(rel.Pairs) {
-				t.Fatalf("%s h=%d: stepper delivered %d of %d", g.Name, h, delivered, len(rel.Pairs))
-			}
-			if int(steps) != want.Steps {
-				t.Fatalf("%s h=%d: stepper finished at %d, Route at %d", g.Name, h, steps, want.Steps)
-			}
-			if st.TotalHops != want.TotalHops {
-				t.Fatalf("%s h=%d: hops %d vs %d", g.Name, h, st.TotalHops, want.TotalHops)
-			}
-		}
-	}
-}
-
-func TestStepperInjectMidFlight(t *testing.T) {
+func TestRouterInjectMidFlight(t *testing.T) {
 	// Injections at later steps join the network smoothly.
 	net := New(topology.Hypercube(8, true))
-	st := net.NewStepper()
-	st.Inject(1, 0, 7)
-	st.Advance()
-	st.Inject(2, 1, 6)
+	rt := net.NewRouter()
+	rt.Inject(1, 0, 7)
+	rt.Advance()
+	rt.Inject(2, 1, 6)
 	total := 0
-	for st.Pending() > 0 {
-		total += len(st.Advance())
+	for rt.Pending() > 0 {
+		total += len(rt.Advance())
 	}
 	if total != 2 {
 		t.Fatalf("delivered %d, want 2", total)
 	}
 }
 
-func TestStepperSelfInjectPanics(t *testing.T) {
+func TestRouterSelfInjectPanics(t *testing.T) {
 	net := New(topology.Hypercube(4, true))
-	st := net.NewStepper()
+	rt := net.NewRouter()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("self-injection did not panic")
 		}
 	}()
-	st.Inject(1, 2, 2)
+	rt.Inject(1, 2, 2)
 }

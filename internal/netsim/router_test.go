@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -28,48 +29,62 @@ func TestRouterReuseDeterministic(t *testing.T) {
 	}
 }
 
-// TestRouteMatchesStepperAllTopologies cross-checks the two simulator
-// drivers on every topology: a Stepper driven to completion must
-// report identical Steps, TotalHops, and MaxQueue to a batch Route of
-// the same relation (all packets entering at step 0).
-func TestRouteMatchesStepperAllTopologies(t *testing.T) {
+// TestRouteMatchesAdvanceAllTopologies cross-checks the two ways of
+// driving a Router on every topology: Inject and Advance run to
+// completion must report identical Steps, TotalHops, and MaxQueue to a
+// Route of the same relation (all packets entering at step 0).
+func TestRouteMatchesAdvanceAllTopologies(t *testing.T) {
 	rng := stats.NewRNG(47)
 	for _, g := range goldenGraphs() {
 		net := New(g)
 		for _, h := range []int{1, 2, 5} {
 			rel := dropSelf(relation.RandomRegular(rng, g.P(), h))
-			want := net.Route(rel, RouteOptions{})
+			want := net.NewRouter().Route(rel, RouteOptions{})
 
-			st := net.NewStepper()
+			rt := net.NewRouter()
 			for i, pr := range rel.Pairs {
-				st.Inject(int64(i+1), pr.Src, pr.Dst)
+				rt.Inject(int32(i+1), pr.Src, pr.Dst)
 			}
 			var steps int64
 			delivered := 0
-			for st.Pending() > 0 {
-				arr := st.Advance()
+			for rt.Pending() > 0 {
+				arr := rt.Advance()
 				delivered += len(arr)
 				if len(arr) > 0 {
-					steps = st.Step()
+					steps = rt.Step()
 				}
-				if st.Step() > int64(10*want.Steps+1000) {
-					t.Fatalf("%s h=%d: stepper overran", g.Name, h)
+				if rt.Step() > int64(10*want.Steps+1000) {
+					t.Fatalf("%s h=%d: Advance overran", g.Name, h)
 				}
 			}
 			if delivered != len(rel.Pairs) {
-				t.Fatalf("%s h=%d: stepper delivered %d of %d", g.Name, h, delivered, len(rel.Pairs))
+				t.Fatalf("%s h=%d: Advance delivered %d of %d", g.Name, h, delivered, len(rel.Pairs))
 			}
 			if int(steps) != want.Steps {
-				t.Fatalf("%s h=%d: stepper finished at %d, Route at %d", g.Name, h, steps, want.Steps)
+				t.Fatalf("%s h=%d: Advance finished at %d, Route at %d", g.Name, h, steps, want.Steps)
 			}
-			if st.TotalHops != want.TotalHops {
-				t.Fatalf("%s h=%d: hops %d vs %d", g.Name, h, st.TotalHops, want.TotalHops)
+			if rt.TotalHops != want.TotalHops {
+				t.Fatalf("%s h=%d: hops %d vs %d", g.Name, h, rt.TotalHops, want.TotalHops)
 			}
-			if st.MaxQueue != want.MaxQueue {
-				t.Fatalf("%s h=%d: max queue %d vs %d", g.Name, h, st.MaxQueue, want.MaxQueue)
+			if rt.MaxQueue != want.MaxQueue {
+				t.Fatalf("%s h=%d: max queue %d vs %d", g.Name, h, rt.MaxQueue, want.MaxQueue)
 			}
 		}
 	}
+}
+
+// TestRouteWithPacketsInFlightPanics: Route restarts the step count,
+// so it refuses a Router that Inject has left packets in.
+func TestRouteWithPacketsInFlightPanics(t *testing.T) {
+	net := New(topology.Hypercube(8, true))
+	rt := net.NewRouter()
+	rt.Inject(1, 0, 7)
+	defer func() {
+		if msg, ok := recover().(string); !ok || !strings.HasPrefix(msg, "netsim:") {
+			t.Fatalf("Route with a packet in flight: panic %q, want a netsim: panic", msg)
+		}
+	}()
+	rt.Route(relation.Relation{P: 8}, RouteOptions{})
 }
 
 // TestMeasureGLParallelMatchesSequential is the determinism contract
@@ -147,9 +162,9 @@ func TestMeasureGLRejectsZeroTrials(t *testing.T) {
 	New(topology.Hypercube(8, true)).MeasureGL([]int{1}, 0, 1, false)
 }
 
-// TestStepperInjectOutOfRangePanics: bad processor ids fail fast with
+// TestRouterInjectOutOfRangePanics: bad processor ids fail fast with
 // a netsim-prefixed message, not an index panic deep in the tables.
-func TestStepperInjectOutOfRangePanics(t *testing.T) {
+func TestRouterInjectOutOfRangePanics(t *testing.T) {
 	net := New(topology.Hypercube(8, true))
 	for _, bad := range [][2]int{{-1, 3}, {8, 3}, {3, -1}, {3, 8}} {
 		bad := bad
@@ -163,7 +178,7 @@ func TestStepperInjectOutOfRangePanics(t *testing.T) {
 					t.Fatalf("Inject(%d, %d) panic %v lacks netsim: prefix", bad[0], bad[1], r)
 				}
 			}()
-			net.NewStepper().Inject(1, bad[0], bad[1])
+			net.NewRouter().Inject(1, bad[0], bad[1])
 		}()
 	}
 }

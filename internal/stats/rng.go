@@ -5,14 +5,12 @@
 // All randomness in the repository flows through RNG so that every
 // experiment is reproducible from a single seed. RNG is a Xoshiro256**
 // generator seeded through SplitMix64, following the recommendation of
-// the xoshiro authors; it is splittable so that independent streams can
-// be handed to concurrently running simulated processors without
-// sharing state.
+// the xoshiro authors; independent streams come from distinct seeds.
 package stats
 
 import "math/bits"
 
-// RNG is a deterministic, splittable pseudo-random number generator.
+// RNG is a deterministic pseudo-random number generator.
 // The zero value is not valid; use NewRNG.
 type RNG struct {
 	s [4]uint64
@@ -47,12 +45,6 @@ func (r *RNG) Reseed(seed uint64) {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-}
-
-// Split returns a new generator whose stream is independent of the
-// receiver's future output. The receiver is advanced.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa5a5a5a5a5a5a5a5)
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.

@@ -30,21 +30,6 @@ func TestNewRNGSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	a := NewRNG(7)
-	c := a.Split()
-	// The split stream must differ from the parent's continuation.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == c.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split stream matched parent %d/100 times", same)
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	r := NewRNG(3)
 	for n := 1; n <= 17; n++ {

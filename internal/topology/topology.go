@@ -46,19 +46,11 @@ func (g *Graph) P() int { return len(g.Processors) }
 // Nodes returns the number of nodes (processors plus switches).
 func (g *Graph) Nodes() int { return len(g.Adj) }
 
-// Degree returns the maximum node degree.
-func (g *Graph) Degree() int {
-	d := 0
-	for _, a := range g.Adj {
-		if len(a) > d {
-			d = len(a)
-		}
-	}
-	return d
-}
-
 // Diameter computes the exact graph diameter by BFS from every node.
-// It panics on a disconnected graph.
+// It panics on a disconnected graph. Only tests call it: netsim's
+// tests use it as the check, independent of netsim's own BFS, on the
+// routing tables and on netsim.Network.Diameter, and netlogp's tests
+// size L by it.
 func (g *Graph) Diameter() int {
 	n := len(g.Adj)
 	dist := make([]int, n)

@@ -5,6 +5,17 @@ import (
 	"testing/quick"
 )
 
+// Degree returns the maximum node degree.
+func (g *Graph) Degree() int {
+	d := 0
+	for _, a := range g.Adj {
+		if len(a) > d {
+			d = len(a)
+		}
+	}
+	return d
+}
+
 // Edges returns the number of undirected edges.
 func (g *Graph) Edges() int {
 	m := 0
