@@ -37,6 +37,7 @@ var Analyzer = &kit.Analyzer{
 		"repro/internal/logp", "repro/internal/core",
 		"repro/internal/runq", "repro/internal/netsim",
 		"repro/internal/relation", "repro/internal/bench",
+		"repro/internal/stats",
 	},
 	Run: run,
 }

@@ -283,7 +283,9 @@ func (m *Machine) shutdown() {
 // Validate; invalid parameters panic, since they indicate a programming
 // error in the experiment setup rather than a runtime condition. The
 // panic message is exactly the Params.Validate error for the same
-// parameters, prefixed "logp: NewMachine:".
+// parameters, prefixed "logp: NewMachine:". A DeliveryPolicy or
+// AcceptOrder outside the declared constants panics the same way,
+// naming the value.
 func NewMachine(params Params, opts ...Option) *Machine {
 	if err := params.Validate(); err != nil {
 		panic("logp: NewMachine: " + strings.TrimPrefix(err.Error(), "logp: "))
@@ -291,6 +293,12 @@ func NewMachine(params Params, opts ...Option) *Machine {
 	m := &Machine{params: params, policy: DeliverMaxLatency, seed: 1}
 	for _, o := range opts {
 		o(m)
+	}
+	if m.policy > DeliverRandom {
+		panic(fmt.Sprintf("logp: NewMachine: unknown delivery policy %v", m.policy))
+	}
+	if m.acceptOrder > AcceptRandom {
+		panic(fmt.Sprintf("logp: NewMachine: unknown accept order %v", m.acceptOrder))
 	}
 	return m
 }
@@ -622,6 +630,30 @@ func (m *Machine) reserveSlot(dst int, d int64) {
 func (m *Machine) releaseSlot(dst int, d int64) {
 	idx := int(d & m.slotMask)
 	m.slotBits[dst*m.slotWords+idx>>6] &^= 1 << uint(idx&63)
+}
+
+// freeRun returns the free mask of the n instants d, d+1, ..., d+n-1
+// at dst, 1 <= n <= 64: bit i is set when instant d+i is not reserved.
+// The run straddles at most two ring words, consecutive modulo the ring
+// (one word twice when the ring is a single word), so it is one funnel
+// shift of the two.
+func (m *Machine) freeRun(dst int, d, n int64) uint64 {
+	idx := d & m.slotMask
+	base := dst * m.slotWords
+	w := int(idx >> 6)
+	sh := uint(idx & 63)
+	taken := m.slotBits[base+w]>>sh | m.slotBits[base+(w+1)&(m.slotWords-1)]<<(64-sh)
+	return ^taken & (^uint64(0) >> (64 - uint(n)))
+}
+
+// nthSetBit returns the position of the set bit of rank r (0-based,
+// counted from the least significant bit) in x, which must have more
+// than r set bits.
+func nthSetBit(x uint64, r int) int {
+	for ; r > 0; r-- {
+		x &= x - 1
+	}
+	return bits.TrailingZeros64(x)
 }
 
 // emit buffers ev for the run's auditor and the installed event sink.
@@ -1097,11 +1129,12 @@ func (m *Machine) subBefore(a, b int32) bool {
 // chooseSlot picks a free delivery instant in (a, a+L] for destination
 // dst under the configured policy. A free instant always exists because
 // the capacity constraint keeps at most Capacity()-1 other messages in
-// transit and Capacity() <= L. The probes hit the destination's ring
-// bitset, so no allocation or hashing happens on this path; the
-// DeliverRandom reservoir scan visits free instants in the same order
-// as the original map-based implementation, preserving the RNG stream
-// and hence recorded executions.
+// transit and Capacity() <= L. The lookups read the destination's ring
+// bitset, so no allocation or hashing happens on this path.
+// DeliverRandom reads the window 64 instants at a time; its one
+// Reservoir call draws exactly what one Intn per free instant in
+// ascending order would, so seeded executions do not depend on how the
+// window is scanned.
 func (m *Machine) chooseSlot(dst int, a int64) int64 {
 	L := m.params.L
 	switch m.policy {
@@ -1118,20 +1151,22 @@ func (m *Machine) chooseSlot(dst int, a int64) int64 {
 			}
 		}
 	case DeliverRandom:
-		// Single-pass reservoir choice among the free instants.
-		var chosen int64 = -1
+		// A reservoir of one over the free instants: count them, draw
+		// the winner's rank, and find the free instant of that rank.
 		free := 0
-		for d := a + 1; d <= a+L; d++ {
-			if m.slotTaken(dst, d) {
-				continue
-			}
-			free++
-			if m.rng.Intn(free) == 0 {
-				chosen = d
-			}
+		for off := int64(0); off < L; off += 64 {
+			free += bits.OnesCount64(m.freeRun(dst, a+1+off, min(64, L-off)))
 		}
-		if chosen >= 0 {
-			return chosen
+		if free > 0 {
+			rank := m.rng.Reservoir(free)
+			for off := int64(0); ; off += 64 {
+				run := m.freeRun(dst, a+1+off, min(64, L-off))
+				if c := bits.OnesCount64(run); rank >= c {
+					rank -= c
+					continue
+				}
+				return a + 1 + off + int64(nthSetBit(run, rank))
+			}
 		}
 	}
 	panic(fmt.Sprintf("logp: no free delivery slot for destination %d at time %d (capacity accounting bug)", dst, a))

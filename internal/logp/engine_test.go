@@ -582,6 +582,34 @@ func TestNewMachinePanicsOnInvalidParams(t *testing.T) {
 	NewMachine(Params{P: 0, L: 1, O: 1, G: 1})
 }
 
+// TestNewMachineRejectsUnknownOptions checks that a DeliveryPolicy or
+// AcceptOrder outside the declared constants fails at construction,
+// naming the value, instead of running as some other choice or failing
+// at the first acceptance.
+func TestNewMachineRejectsUnknownOptions(t *testing.T) {
+	params := Params{P: 2, L: 8, O: 1, G: 2}
+	for _, c := range []struct {
+		opt  Option
+		want string
+	}{
+		{WithDeliveryPolicy(DeliveryPolicy(7)), "logp: NewMachine: unknown delivery policy DeliveryPolicy(7)"},
+		{WithAcceptOrder(AcceptOrder(9)), "logp: NewMachine: unknown accept order AcceptOrder(9)"},
+	} {
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			NewMachine(params, c.opt)
+			return ""
+		}()
+		if msg != c.want {
+			t.Errorf("NewMachine panic = %q, want %q", msg, c.want)
+		}
+	}
+}
+
 // TestNewMachineValidateParity checks the unified constructor path:
 // NewMachine panics exactly when Params.Validate errors, and the panic
 // message carries the Validate diagnosis.

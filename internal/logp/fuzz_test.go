@@ -187,7 +187,9 @@ func fuzzSeed(data []byte) uint64 {
 // order, over parameter sets including the degenerate corners (G == L
 // pins the capacity to 1 and keeps the engine's delivery watermark
 // hugging the clocks; O == G == L aligns every operation to instant
-// boundaries; L = 9, o = 3, G = 4 leaves a partial capacity window).
+// boundaries; L = 9, o = 3, G = 4 leaves a partial capacity window;
+// L = 70 makes each destination's slot ring two 64-bit words, so
+// delivery windows cross words).
 // Batching, pooling, buffered emission, and proc-side run-ahead must
 // all be unobservable. The program driven through ProgramAsScript on
 // the Script engine must in turn reproduce the Program engine's run.
@@ -199,9 +201,10 @@ func checkEngineMatchesReference(t *testing.T, data []byte) {
 	}
 	for _, params := range []logp.Params{
 		{P: p, L: 8, O: 1, G: 2},
-		{P: p, L: 2, O: 1, G: 2}, // G == L: capacity 1
-		{P: p, L: 2, O: 2, G: 2}, // O == G == L
-		{P: p, L: 9, O: 3, G: 4}, // capacity 3, L not a multiple of G
+		{P: p, L: 2, O: 1, G: 2},  // G == L: capacity 1
+		{P: p, L: 2, O: 2, G: 2},  // O == G == L
+		{P: p, L: 9, O: 3, G: 4},  // capacity 3, L not a multiple of G
+		{P: p, L: 70, O: 1, G: 2}, // a 128-instant slot ring: two words
 	} {
 		for _, v := range variants(fuzzSeed(data)) {
 			want := referenceRun(t, params, v, prog)

@@ -49,16 +49,23 @@ func (r *RNG) Reseed(seed uint64) {
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
+}
+
+// xoshiro is one xoshiro256** step: the output of state (s0, s1, s2,
+// s3) and the state after it. The state travels as scalars so a caller
+// drawing in a loop can keep it in registers.
+func xoshiro(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, bits.RotateLeft64(s3, 45)
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -83,6 +90,39 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 		}
 	}
 	return hi
+}
+
+// Reservoir returns the 0-based index of the last k in 1..n for which
+// Intn(k) returns 0: the pick of a one-element reservoir sample over n
+// items offered in order. It consumes exactly the Uint64 stream that
+// those n Intn calls would, Lemire rejection redraws included, so it
+// can replace such a loop without changing any later draw. It panics
+// if n <= 0.
+//
+//hot:path per-acceptance callee of logp's DeliverRandom slot choice: hotness does not propagate across packages
+func (r *RNG) Reservoir(n int) int {
+	if n <= 0 {
+		panic("stats: Reservoir called with non-positive n")
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var x uint64
+	chosen := 0
+	for k := uint64(1); k <= uint64(n); k++ {
+		x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		hi, lo := bits.Mul64(x, k)
+		if lo < k {
+			thresh := -k % k
+			for lo < thresh {
+				x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+				hi, lo = bits.Mul64(x, k)
+			}
+		}
+		if hi == 0 {
+			chosen = int(k - 1)
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return chosen
 }
 
 // Float64 returns a uniform float64 in [0, 1).
