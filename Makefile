@@ -30,12 +30,14 @@ race:
 # Script form must each produce the reference's Results, traces, and
 # audit metrics. The engines' scheduling structures — the shared
 # ring-plus-heap run queue and the logp timing wheel — are fuzzed
-# against plain binary heaps.
+# against plain binary heaps, and the Theorem 2 router's merge-split
+# against a sort oracle.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime 20s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzScriptEquivalence -fuzztime 10s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzEventWheel -fuzztime 10s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 10s ./internal/runq/
+	$(GO) test -run '^$$' -fuzz FuzzMergeSplit -fuzztime 10s ./internal/core/
 
 # Run the quick experiment suite under the streaming LogP invariant
 # auditor; fails on any model-invariant violation (see EXPERIMENTS.md).
@@ -71,7 +73,8 @@ bench-diff:
 # p=10^6 entries and runs the rest at p=10^5, a few seconds of wall
 # time — the CI guard that the O(active) engines stay live. The alloc
 # guards run first: they pin warm steady-state allocations per Run
-# (sequential 1, cycle engine 1, E16 a small documented constant), so
+# (sequential 1, cycle engine 1, E16 a small documented constant, the
+# Theorem 2 deterministic router the same count at every h), so
 # an arena or slab-reuse regression fails here before
 # it shows up as a bytes/proc drift in BENCH_logp.json.
 bench-scale:

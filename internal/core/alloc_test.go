@@ -54,3 +54,54 @@ func TestThm1RunScriptSteadyStateAllocGuardPow2(t *testing.T) {
 		t.Errorf("warm pow2 Thm1 RunScript allocates %.1f objects/run, want <= 1 (CycleH)", avg)
 	}
 }
+
+// The warm Theorem 2 deterministic router (a BSPOnLogP reused across
+// Runs, as the experiments and the benchmark reuse it) moves message
+// handles through its sorting networks: no per-message boxing, and its
+// block, merge, summary and schedule scratch live on the pooled
+// adapters. What a Run still allocates — collectives, the host
+// machine's per-Run state, per-exchange scratch — does not depend on h,
+// so a Run at h = 32 may allocate only a few objects more than one at
+// h = 4. Boxing each message per network round would add about
+// p·(32−4)·depth objects.
+
+func bspOnLogPAllocs(t *testing.T, sim *BSPOnLogP, h int) float64 {
+	t.Helper()
+	prog := regularProgram(sim.LogP.P, h)
+	if _, err := sim.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(3, func() {
+		if _, err := sim.Run(prog); err != nil {
+			panic(err)
+		}
+	})
+}
+
+func TestBSPOnLogPSteadyStateAllocGuard(t *testing.T) {
+	cases := []struct {
+		name string
+		p    int
+		sort SortAlgo
+		hs   [2]int
+	}{
+		// bitonic, depth 21 at p = 64
+		{"bitonic-p64", 64, SortBitonic, [2]int{4, 32}},
+		// columnsort pads r to 54 at h = 4 and to 132 at h = 128
+		{"columnsort-p6", 6, SortColumnsort, [2]int{4, 128}},
+	}
+	const slack = 32
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sim := &BSPOnLogP{LogP: logp.Params{P: c.p, L: 16, O: 1, G: 2},
+				Router: RouterDeterministic, Sort: c.sort, Seed: 1, StrictStallFree: true}
+			lo := bspOnLogPAllocs(t, sim, c.hs[0])
+			hi := bspOnLogPAllocs(t, sim, c.hs[1])
+			t.Logf("allocs/Run: h=%d %.0f, h=%d %.0f", c.hs[0], lo, c.hs[1], hi)
+			if hi > lo+slack {
+				t.Errorf("warm deterministic Run allocates %.0f objects at h=%d vs %.0f at h=%d: more than %d extra, so the per-Run budget grows with h",
+					hi, c.hs[1], lo, c.hs[0], slack)
+			}
+		})
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/bsp"
 	"repro/internal/collective"
@@ -263,7 +262,8 @@ func (sim *bspSim) reset(s *BSPOnLogP) {
 func (sim *bspSim) adapter(lp logp.Proc) *bspAdapter {
 	a := sim.adapters[lp.ID()]
 	if a == nil {
-		a = &bspAdapter{lp: lp, mb: collective.NewMailbox(lp), sim: sim}
+		a = &bspAdapter{lp: lp, mb: collective.NewMailbox(lp), sim: sim,
+			dummy: bsp.Message{Src: lp.ID(), Dst: lp.P()}}
 		sim.adapters[lp.ID()] = a
 	} else {
 		a.lp = lp
@@ -497,8 +497,18 @@ type bspAdapter struct {
 	batchOf []int32
 	leftIdx []int32
 
-	// sortBuf is bitonicSort's ping-pong merge scratch (see there).
-	sortBuf []bsp.Message
+	// The deterministic router's scratch, all holding *bsp.Message
+	// handles rather than message copies (see routeDeterministic):
+	// block is this processor's sorting block, sortBuf the networks'
+	// receive and merge space, and sched Step 4's class-indexed
+	// schedule, which deliverWindowed leaves all nil. keys holds
+	// computeS's destination keys. dummy is the padding message
+	// {Src: id, Dst: p} every dummy handle of this processor points at.
+	block   []*bsp.Message
+	sortBuf []*bsp.Message
+	sched   []*bsp.Message
+	keys    []int64
+	dummy   bsp.Message
 
 	// gotBuf backs the routers' received-message slice; barrierAndRoute
 	// reclaims it after draining the superstep's arrivals into the
@@ -645,18 +655,31 @@ func (a *bspAdapter) globalBase() int64 {
 	return base
 }
 
+// schedule returns the adapter's Step 4 schedule for h delivery
+// classes: a length-h slice of nil handles, for the caller to fill and
+// deliverWindowed to clear.
+func (a *bspAdapter) schedule(h int64) []*bsp.Message {
+	if int64(cap(a.sched)) < h {
+		a.sched = make([]*bsp.Message, h)
+	}
+	return a.sched[:h]
+}
+
 // deliverWindowed realizes Step 4 of the routing protocols: pipelined
 // delivery cycles every G steps, with at most one message per
-// processor per cycle (sched maps cycle index to message), interleaved
-// with opportunistic acquisitions; all arrivals land by the deadline
-// base + h*G + L, after which the input buffer is drained. Cycle c's
-// submission instant is base + (c+1)*G: the +G offset leaves room for
-// the o preparation overhead of cycle 0 after the base alignment, so
-// every processor's submissions share one grid — mixed grids could
-// transiently exceed the capacity bound and stall.
-func (a *bspAdapter) deliverWindowed(sched map[int64]*bsp.Message, h, base int64, dtag int32) []logp.Message {
+// processor per cycle (sched[c] is cycle c's message, or nil; its
+// length is the degree h), interleaved with opportunistic
+// acquisitions; all arrivals land by the deadline base + h*G + L,
+// after which the input buffer is drained. Cycle c's submission
+// instant is base + (c+1)*G: the +G offset leaves room for the o
+// preparation overhead of cycle 0 after the base alignment, so every
+// processor's submissions share one grid — mixed grids could
+// transiently exceed the capacity bound and stall. sched is all nil
+// again on return.
+func (a *bspAdapter) deliverWindowed(sched []*bsp.Message, base int64, dtag int32) []logp.Message {
 	lp := a.lp
 	params := lp.Params()
+	h := int64(len(sched))
 	match := func(m logp.Message) bool { return m.Tag == dtag }
 	got := a.mb.TakeMatchingInto(match, a.gotBuf[:0])
 	classify := func(m logp.Message) {
@@ -666,9 +689,9 @@ func (a *bspAdapter) deliverWindowed(sched map[int64]*bsp.Message, h, base int64
 			a.mb.Hold(m)
 		}
 	}
-	for c := int64(0); c < h; c++ {
-		slot := base + (c+1)*params.G
-		if item, ok := sched[c]; ok {
+	for c, item := range sched {
+		slot := base + int64(c+1)*params.G
+		if item != nil {
 			lp.WaitUntil(slot - params.O)
 			lp.SendBody(item.Dst, dtag, item.Payload, item.Aux, item)
 		}
@@ -687,6 +710,7 @@ func (a *bspAdapter) deliverWindowed(sched map[int64]*bsp.Message, h, base int64
 			}
 		}
 	}
+	clear(sched)
 	deadline := base + h*params.G + params.L
 	lp.WaitUntil(deadline)
 	for lp.Buffered() > 0 {
@@ -707,11 +731,11 @@ func (a *bspAdapter) routeOffline(st *stepState, dtag int32) []logp.Message {
 	base := a.globalBase()
 	id := a.lp.ID()
 	mine := st.outRouted[id]
-	sched := make(map[int64]*bsp.Message, len(mine))
+	sched := a.schedule(st.h)
 	for j := range mine {
-		sched[int64(st.classOf[id][j])] = &mine[j]
+		sched[st.classOf[id][j]] = &mine[j]
 	}
-	return a.deliverWindowed(sched, st.h, base, dtag)
+	return a.deliverWindowed(sched, base, dtag)
 }
 
 // routeRandomized is Theorem 3's protocol. The degree h is assumed
@@ -787,36 +811,4 @@ func (a *bspAdapter) routeRandomized(st *stepState, dtag int32) []logp.Message {
 	// has been delivered by then.
 	lp.WaitUntil(base + int64(rounds)*roundLen + params.L)
 	return got
-}
-
-// sortItemLess is the total order the deterministic router sorts
-// messages in: primarily by destination (the routing key; the dummy
-// destination p sorts last), with full tie-breaking so the result is
-// identical under every message-arrival order.
-func sortItemLess(x, y bsp.Message) bool {
-	if x.Dst != y.Dst {
-		return x.Dst < y.Dst
-	}
-	if x.Src != y.Src {
-		return x.Src < y.Src
-	}
-	if x.Tag != y.Tag {
-		return x.Tag < y.Tag
-	}
-	if x.Payload != y.Payload {
-		return x.Payload < y.Payload
-	}
-	return x.Aux < y.Aux
-}
-
-func sortItems(items []bsp.Message) {
-	slices.SortFunc(items, func(x, y bsp.Message) int {
-		if sortItemLess(x, y) {
-			return -1
-		}
-		if sortItemLess(y, x) {
-			return 1
-		}
-		return 0
-	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bsp"
 	"repro/internal/relation"
@@ -135,22 +136,22 @@ func (sim *bspSim) columnSchedFor(p, r int) *columnSched {
 // Step 2: Leighton columnsort over the per-processor blocks, realized
 // as three scheduled exchanges (transpose, untranspose, boundary
 // merge) interleaved with local sorts, all anchored to a global base
-// time so every phase's traffic is disjoint in flight. It returns this
-// processor's final block of length columnsortPaddedR(r, p) — leaving
-// block j holding global ranks [j*r', (j+1)*r') — together with the
-// global quiescence instant every processor idles to before the next
-// phase.
-func (a *bspAdapter) columnsortSort(items []bsp.Message) ([]bsp.Message, int64) {
+// time so every phase's traffic is disjoint in flight. Like
+// bitonicSort it moves message handles. It returns this processor's
+// final block of length columnsortPaddedR(r, p) — leaving block j
+// holding global ranks [j*r', (j+1)*r') — together with the global
+// quiescence instant every processor idles to before the next phase.
+func (a *bspAdapter) columnsortSort(items []*bsp.Message) ([]*bsp.Message, int64) {
 	lp := a.lp
 	p := lp.P()
 	id := lp.ID()
 	params := lp.Params()
 	rp := columnsortPaddedR(len(items), p)
 	for len(items) < rp {
-		items = append(items, bsp.Message{Src: id, Dst: p}) // dummy
+		items = append(items, &a.dummy)
 	}
 	if p == 1 {
-		sortItems(items)
+		slices.SortFunc(items, compareItems)
 		return items, lp.Now()
 	}
 	cs := a.sim.columnSchedFor(p, rp)
@@ -162,7 +163,7 @@ func (a *bspAdapter) columnsortSort(items []bsp.Message) ([]bsp.Message, int64) 
 	// Phase 1: local sort (before the base so its cost overlaps the
 	// base agreement of slower processors).
 	lp.Compute(sortCost)
-	sortItems(items)
+	slices.SortFunc(items, compareItems)
 
 	base := a.globalBase()
 	if debugColumnsort != nil {
@@ -172,21 +173,25 @@ func (a *bspAdapter) columnsortSort(items []bsp.Message) ([]bsp.Message, int64) 
 	t2 := t1 + exFull + sortCost + margin
 	t3 := t2 + exHalf + int64(rp) + margin
 
-	// Phase 2: transpose; phase 3: local sort.
-	items = a.runExchange(items, cs.transpose[id], rp, base)
+	// Phase 2: transpose into scratch; phase 3: local sort.
+	buf := a.scratch(2 * rp)
+	moved := buf[:rp]
+	a.runExchange(moved, items, cs.transpose[id], base)
 	lp.Compute(sortCost)
-	sortItems(items)
+	slices.SortFunc(moved, compareItems)
 
-	// Phase 4: untranspose; phase 5: local sort.
+	// Phase 4: untranspose back into items; phase 5: local sort.
 	a.checkPhase(t1, "untranspose")
 	lp.WaitUntil(t1)
-	items = a.runExchange(items, cs.untranspos[id], rp, t1)
+	a.runExchange(items, moved, cs.untranspos[id], t1)
 	lp.Compute(sortCost)
-	sortItems(items)
+	slices.SortFunc(items, compareItems)
 
 	// Phases 6-8 collapse to the boundary merge: send the bottom
-	// half right, the right neighbor sorts the straddling window and
-	// returns the lower half.
+	// half right, the right neighbor merges the straddling window (its
+	// two halves are sorted blocks) and returns the lower half.
+	// Both transfers place items by their slot index (the payload), so
+	// each arrives in send order under every delivery policy.
 	a.checkPhase(t2, "boundary-A")
 	lp.WaitUntil(t2)
 	half := rp / 2
@@ -198,15 +203,14 @@ func (a *bspAdapter) columnsortSort(items []bsp.Message) ([]bsp.Message, int64) 
 			lp.SendBody(id+1, tagNeigh, int64(k), seqA, items[half+k])
 		}
 	}
-	window := make([]bsp.Message, 0, rp)
+	theirs, window := buf[:half], buf[half:half+rp]
 	if id > 0 {
 		for k := 0; k < half; k++ {
 			m := a.mb.RecvTagSeq(tagNeigh, seqA)
-			window = append(window, m.Body.(bsp.Message))
+			theirs[m.Payload] = m.Body.(*bsp.Message)
 		}
-		window = append(window, items[:half]...)
 		lp.Compute(int64(rp))
-		sortItems(window)
+		mergeSplit(window, items[:half], theirs, true)
 		copy(items[:half], window[half:]) // my new top half
 	}
 	a.checkPhase(t3, "boundary-B")
@@ -220,12 +224,13 @@ func (a *bspAdapter) columnsortSort(items []bsp.Message) ([]bsp.Message, int64) 
 		}
 	}
 	if id < p-1 {
+		// The returned lower half of the neighbor's merged window is
+		// sorted already; Compute charges the merge it completes.
 		for k := 0; k < half; k++ {
 			m := a.mb.RecvTagSeq(tagNeigh, seqB)
-			items[half+int(m.Payload)] = m.Body.(bsp.Message)
+			items[half+int(m.Payload)] = m.Body.(*bsp.Message)
 		}
 		lp.Compute(int64(rp))
-		sortItems(items[half:])
 	}
 	end := t3 + exHalf + int64(rp) + margin
 	a.checkPhase(end, "quiesce")
@@ -247,32 +252,32 @@ func (a *bspAdapter) checkPhase(start int64, phase string) {
 	}
 }
 
-// runExchange realizes one precomputed redistribution: element idx is
-// transmitted in its Hall-decomposition cycle and lands at its
-// destination slot. Every processor sends and receives exactly r
-// items.
-func (a *bspAdapter) runExchange(items []bsp.Message, hops []schedHop, r int, base int64) []bsp.Message {
+// runExchange realizes one precomputed redistribution of the r items
+// into dst: element idx is transmitted in its Hall-decomposition cycle
+// and lands at its destination slot. Every processor sends and
+// receives exactly r items.
+func (a *bspAdapter) runExchange(dst, items []*bsp.Message, hops []schedHop, base int64) {
 	lp := a.lp
 	id := lp.ID()
 	params := lp.Params()
+	r := len(items)
+	// A nil slot of dst is one not yet filled.
+	clear(dst)
 	byCycle := make([]int, r) // cycle -> element index
 	for i := range byCycle {
 		byCycle[i] = -1
 	}
-	local := make([]bsp.Message, r)
-	localSet := make([]bool, r)
-	pending := 0
+	expect := r
 	for idx, hop := range hops {
 		if hop.dst == id {
-			local[hop.dstIdx] = items[idx]
-			localSet[hop.dstIdx] = true
+			dst[hop.dstIdx] = items[idx]
+			expect--
 			continue
 		}
 		if byCycle[hop.cycle] != -1 {
 			panic("core: two elements share an exchange cycle (bug)")
 		}
 		byCycle[hop.cycle] = idx
-		pending++
 	}
 	seq := a.mb.NextSeq(tagSort)
 	for c := 0; c < r; c++ {
@@ -285,19 +290,11 @@ func (a *bspAdapter) runExchange(items []bsp.Message, hops []schedHop, r int, ba
 		lp.WaitUntil(slot - params.O)
 		lp.SendBody(hop.dst, tagSort, int64(hop.dstIdx), seq, items[idx])
 	}
-	expect := r
-	for i := range localSet {
-		if localSet[i] {
-			expect--
-		}
-	}
 	for k := 0; k < expect; k++ {
 		m := a.mb.RecvTagSeq(tagSort, seq)
-		if localSet[m.Payload] {
+		if dst[m.Payload] != nil {
 			panic("core: exchange slot collision (bug)")
 		}
-		local[m.Payload] = m.Body.(bsp.Message)
-		localSet[m.Payload] = true
+		dst[m.Payload] = m.Body.(*bsp.Message)
 	}
-	return local
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/bsp"
 	"repro/internal/collective"
@@ -29,17 +31,24 @@ func (a *bspAdapter) routeDeterministic(st *stepState, dtag int32) []logp.Messag
 	p := lp.P()
 	id := lp.ID()
 
-	// Step 1: r by CB(MAX), then dummy padding.
+	// Step 1: r by CB(MAX), then dummy padding. The networks move
+	// handles, not message copies: a routed item points into
+	// st.outRouted[id], which is final once every processor has
+	// registered (the barrier CB precedes this) and is recycled only
+	// at the step's last finishStep, after every processor has copied
+	// its inbox; a dummy points at this adapter's dummy message.
 	mine := st.outRouted[id]
 	r64 := collective.CombineBroadcast(a.mb, tagRCount, int64(len(mine)), collective.OpMax)
 	if r64 == 0 {
 		return nil
 	}
 	r := int(r64)
-	items := make([]bsp.Message, 0, r)
-	items = append(items, mine...)
+	items := a.block[:0]
+	for j := range mine {
+		items = append(items, &mine[j])
+	}
 	for len(items) < r {
-		items = append(items, bsp.Message{Src: id, Dst: p}) // dummy
+		items = append(items, &a.dummy)
 	}
 
 	// Step 2: the oblivious sorting network. SortAuto uses bitonic
@@ -59,9 +68,10 @@ func (a *bspAdapter) routeDeterministic(st *stepState, dtag int32) []logp.Messag
 		items, sortEnd = a.columnsortSort(items)
 	} else {
 		lp.Compute(sortnet.SeqSortCost(r, p+1))
-		sortItems(items)
-		items, sortEnd = a.bitonicSort(items)
+		slices.SortFunc(items, compareItems)
+		sortEnd = a.bitonicSort(items)
 	}
+	a.block = items
 	rEff := int64(len(items)) // columnsort may have padded the blocks
 
 	// Step 3: s via the summary reduce over the sorted sequence.
@@ -73,41 +83,110 @@ func (a *bspAdapter) routeDeterministic(st *stepState, dtag int32) []logp.Messag
 
 	// Step 4: pipelined delivery of rank classes mod h. Items whose
 	// sorted position already is their destination need no network
-	// hop.
+	// hop; they follow the delivered ones in sorted order.
 	base := a.globalBase()
-	sched := make(map[int64]*bsp.Message, len(items))
-	var local []logp.Message
+	sched := a.schedule(h)
 	rankBase := int64(id) * rEff
-	for j := range items {
-		item := &items[j]
-		if item.Dst == p {
-			continue // dummy
-		}
-		if item.Dst == id {
-			local = append(local, logp.Message{Src: item.Src, Dst: id, Tag: dtag, Body: item})
-			continue
+	for j, item := range items {
+		if item.Dst == p || item.Dst == id {
+			continue // dummy or local
 		}
 		c := (rankBase + int64(j)) % h
-		if _, dup := sched[c]; dup {
+		if sched[c] != nil {
 			panic("core: two messages in the same delivery class at one processor (bug)")
 		}
 		sched[c] = item
 	}
-	return append(a.deliverWindowed(sched, h, base, dtag), local...)
+	got := a.deliverWindowed(sched, base, dtag)
+	for _, item := range items {
+		if item.Dst == id {
+			got = append(got, logp.Message{Src: item.Src, Dst: id, Tag: dtag, Body: item})
+		}
+	}
+	return got
+}
+
+// compareItems is the three-way total order the deterministic router
+// sorts messages in: primarily by destination (the routing key; the
+// dummy destination p sorts last), then by every other field, so items
+// that compare equal are equal values and every sorted block is
+// identical under every message-arrival order.
+func compareItems(x, y *bsp.Message) int {
+	if c := cmp.Compare(x.Dst, y.Dst); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.Src, y.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.Tag, y.Tag); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.Payload, y.Payload); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.Aux, y.Aux)
+}
+
+// mergeSplit is the comparator of the block sorting networks. mine is
+// sorted; theirs is a block that was sent sorted, and is sorted here
+// first only if it arrived out of send order (DeliverRandom can reorder
+// a block in flight; DeliverMaxLatency cannot). mergeSplit then writes
+// the len(dst) smallest items of both blocks (keepLow) or the len(dst)
+// largest into dst in sorted order, by one linear merge from the front
+// or from the back. With len(dst) = len(mine)+len(theirs) it is a full
+// merge. dst must not overlap mine or theirs.
+//
+//hot:path per-round comparator of the Theorem 2 sorting networks
+func mergeSplit(dst, mine, theirs []*bsp.Message, keepLow bool) {
+	if !slices.IsSortedFunc(theirs, compareItems) {
+		slices.SortFunc(theirs, compareItems)
+	}
+	if keepLow {
+		i, j := 0, 0
+		for k := range dst {
+			if j == len(theirs) || (i < len(mine) && compareItems(mine[i], theirs[j]) <= 0) {
+				dst[k] = mine[i]
+				i++
+			} else {
+				dst[k] = theirs[j]
+				j++
+			}
+		}
+		return
+	}
+	i, j := len(mine)-1, len(theirs)-1
+	for k := len(dst) - 1; k >= 0; k-- {
+		if j < 0 || (i >= 0 && compareItems(mine[i], theirs[j]) > 0) {
+			dst[k] = mine[i]
+			i--
+		} else {
+			dst[k] = theirs[j]
+			j--
+		}
+	}
+}
+
+// scratch returns the adapter's sorting scratch with room for n
+// handles. Its contents are stale handles: callers overwrite before
+// they read.
+func (a *bspAdapter) scratch(n int) []*bsp.Message {
+	if cap(a.sortBuf) < n {
+		a.sortBuf = make([]*bsp.Message, n)
+	}
+	return a.sortBuf[:n]
 }
 
 // bitonicSort runs the merge-split bitonic network over the
-// per-processor blocks, returning this processor's final block. Each
-// round exchanges whole blocks with the round's partner: r submissions
-// pipelined one per G stay within the capacity bound, and the rounds
-// are anchored to a globally agreed clock so that no round's traffic
-// can overlap a straggler's previous round in transit — without the
-// alignment, a message of round k+1 arriving while a round-k (or CB
-// descend) message is still in flight would exceed small capacities
-// and stall. One aligned round costs O(G*r + L). The second return
-// value is the global quiescence instant every processor idles to
-// before the next phase.
-func (a *bspAdapter) bitonicSort(items []bsp.Message) ([]bsp.Message, int64) {
+// per-processor blocks, leaving this processor's final block in items.
+// Each round exchanges whole blocks with the round's partner: r
+// submissions pipelined one per G stay within the capacity bound, and
+// the rounds are anchored to a globally agreed clock so that no round's
+// traffic can overlap a straggler's previous round in transit — without
+// the alignment, a message of round k+1 arriving while a round-k (or CB
+// descend) message is still in flight would exceed small capacities and
+// stall. One aligned round costs O(G*r + L). It returns the global
+// quiescence instant every processor idles to before the next phase.
+func (a *bspAdapter) bitonicSort(items []*bsp.Message) int64 {
 	lp := a.lp
 	p := lp.P()
 	id := lp.ID()
@@ -115,6 +194,8 @@ func (a *bspAdapter) bitonicSort(items []bsp.Message) ([]bsp.Message, int64) {
 	params := lp.Params()
 	base := a.globalBase()
 	roundBound := 2*int64(r)*params.G + params.L + 2*params.G + 6*params.O + 2*int64(r) + 2
+	buf := a.scratch(2 * r)
+	theirs, merged := buf[:r], buf[r:]
 	for ri, round := range sortnet.BitonicSchedule(p) {
 		start := base + int64(ri)*roundBound
 		if lp.Now() > start {
@@ -141,36 +222,22 @@ func (a *bspAdapter) bitonicSort(items []bsp.Message) ([]bsp.Message, int64) {
 		for _, item := range items {
 			lp.SendBody(partner, tagSort, int64(item.Dst), seq, item)
 		}
-		// merged ping-pongs between the adapter's scratch buffer and
-		// items' backing, so the per-round 2r-slot slice is allocated
-		// once per simulation instead of once per round. (The sorted
-		// block bitonicSort finally returns aliases neither buffer that
-		// stays on the adapter: whichever backing items ends on, the
-		// other one is in sortBuf at return.)
-		if cap(a.sortBuf) < 2*r {
-			a.sortBuf = make([]bsp.Message, 0, 2*r)
-		}
-		merged := a.sortBuf[:0]
-		merged = append(merged, items...)
-		for k := 0; k < r; k++ {
-			m := a.mb.RecvTagSeq(tagSort, seq)
-			merged = append(merged, m.Body.(bsp.Message))
+		// The partner's block lands in scratch; the merge-split writes
+		// the kept half beside it and copies it back over items. The
+		// host merge is O(r) whenever the block arrived in send order;
+		// Compute(2r) is the charged cost either way.
+		for k := range theirs {
+			theirs[k] = a.mb.RecvTagSeq(tagSort, seq).Body.(*bsp.Message)
 		}
 		lp.Compute(int64(2 * r)) // merge cost
-		sortItems(merged)
-		if keepLow {
-			a.sortBuf = items[:0]
-			items = merged[:r]
-		} else {
-			items = append(items[:0], merged[r:]...)
-			a.sortBuf = merged[:0]
-		}
+		mergeSplit(merged, items, theirs, keepLow)
+		copy(items, merged)
 	}
 	// Let every processor clear its last round before the summary
 	// phase's point-to-point traffic begins.
 	end := base + int64(sortnet.BitonicDepth(p))*roundBound
 	lp.WaitUntil(end)
-	return items, end
+	return end
 }
 
 // runSummary summarizes the destination runs of one sorted block:
@@ -267,18 +334,19 @@ func summaryFromFields(f [summaryParts]int64) runSummary {
 // and overflow small capacities. (An earlier receiver-paced handshake
 // version stalled at capacity 1: the handshake token itself could
 // collide with the previous round's in-flight words.)
-func (a *bspAdapter) computeS(items []bsp.Message, p int, base int64) int64 {
+func (a *bspAdapter) computeS(items []*bsp.Message, p int, base int64) int64 {
 	lp := a.lp
 	id := lp.ID()
 	params := lp.Params()
-	keys := make([]int64, len(items))
-	for i, it := range items {
+	keys := a.keys[:0]
+	for _, it := range items {
 		if it.Dst == p {
-			keys[i] = -1
+			keys = append(keys, -1)
 		} else {
-			keys[i] = int64(it.Dst)
+			keys = append(keys, int64(it.Dst))
 		}
 	}
+	a.keys = keys
 	mine := buildSummary(keys, -1)
 	sumBound := 12*params.G + params.L + 4*params.O + 8
 	round := int64(0)

@@ -124,19 +124,25 @@ func TestSummaryReduceProperty(t *testing.T) {
 	}
 }
 
-func TestSortItemLessTotalOrder(t *testing.T) {
-	// Antisymmetry and key-major ordering on a few crafted cases.
+func TestCompareItemsTotalOrder(t *testing.T) {
+	// Antisymmetry, reflexive equality and key-major ordering on a few
+	// crafted cases.
 	a := mkItem(1, 0, 0, 0, 0)
 	b := mkItem(2, 0, 0, 0, 0)
-	if !sortItemLess(a, b) || sortItemLess(b, a) {
+	if compareItems(&a, &b) >= 0 || compareItems(&b, &a) <= 0 {
 		t.Fatal("Dst ordering broken")
 	}
 	c := mkItem(1, 3, 0, 0, 0)
-	if !sortItemLess(a, c) || sortItemLess(c, a) {
+	if compareItems(&a, &c) >= 0 || compareItems(&c, &a) <= 0 {
 		t.Fatal("Src tiebreak broken")
 	}
-	if sortItemLess(a, a) {
-		t.Fatal("irreflexivity broken")
+	d := mkItem(1, 0, 0, 0, -1)
+	if compareItems(&d, &a) >= 0 || compareItems(&a, &d) <= 0 {
+		t.Fatal("Aux tiebreak broken")
+	}
+	a2 := a
+	if compareItems(&a, &a) != 0 || compareItems(&a, &a2) != 0 {
+		t.Fatal("equal values must compare equal")
 	}
 }
 
