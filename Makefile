@@ -30,14 +30,16 @@ race:
 # Script form must each produce the reference's Results, traces, and
 # audit metrics. The engines' scheduling structures — the shared
 # ring-plus-heap run queue and the logp timing wheel — are fuzzed
-# against plain binary heaps, and the Theorem 2 router's merge-split
-# against a sort oracle.
+# against plain binary heaps, the Theorem 2 router's merge-split
+# against a sort oracle, and the netsim Router against an independent
+# reference router.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime 20s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzScriptEquivalence -fuzztime 10s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzEventWheel -fuzztime 10s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 10s ./internal/runq/
 	$(GO) test -run '^$$' -fuzz FuzzMergeSplit -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzRouterMatchesReference -fuzztime 10s ./internal/netsim/
 
 # Run the quick experiment suite under the streaming LogP invariant
 # auditor; fails on any model-invariant violation (see EXPERIMENTS.md).
@@ -54,9 +56,13 @@ bench-smoke:
 
 # Microbenchmarks of the packet-network simulator hot path (Route,
 # Inject/Advance, MeasureGL). BenchmarkRoute must stay at ~0 allocs/op
-# in steady state; use a long -benchtime so ring warm-up amortizes away.
+# in steady state; use a long -benchtime so the first iteration's
+# growth of the packet pool and move staging amortizes away. The
+# table1(256) case times one netsim-gl-p256 benchmark op (about 0.1 s
+# each), so it runs 10 iterations.
 bench-netsim:
-	$(GO) test -run '^$$' -bench 'BenchmarkRoute|BenchmarkAdvance|BenchmarkMeasureGL' -benchtime 1000x -benchmem ./internal/netsim/
+	$(GO) test -run '^$$' -bench 'BenchmarkRoute|BenchmarkAdvance|BenchmarkMeasureGL/hypercube' -benchtime 1000x -benchmem ./internal/netsim/
+	$(GO) test -run '^$$' -bench 'BenchmarkMeasureGL/table1' -benchtime 10x -benchmem ./internal/netsim/
 
 # Regenerate the checked-in BENCH_logp.json (see EXPERIMENTS.md).
 # Median of 5 repetitions smooths scheduler noise out of the report.

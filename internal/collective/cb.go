@@ -35,20 +35,15 @@ func TreeArity(params logp.Params) int {
 }
 
 // treeFamily describes processor id's place in the complete d-ary CB
-// tree laid out in BFS order: node i has children d*i+1 .. d*i+d and
-// parent (i-1)/d.
-func treeFamily(id, p, d int) (parent int, children []int) {
+// tree laid out in BFS order: node i has parent (i-1)/d and children
+// d*i+1 .. d*i+d, of which those below p exist. It returns the
+// children as the id range [lo, hi), empty for a leaf.
+func treeFamily(id, p, d int) (parent, lo, hi int) {
 	parent = -1
 	if id > 0 {
 		parent = (id - 1) / d
 	}
-	for k := 1; k <= d; k++ {
-		c := d*id + k
-		if c < p {
-			children = append(children, c)
-		}
-	}
-	return parent, children
+	return parent, min(d*id+1, p), min(d*id+d+1, p)
 }
 
 // CombineBroadcast runs the paper's CB primitive: it combines the x
@@ -83,11 +78,11 @@ func CombineBroadcastArity(mb *Mailbox, tag int32, x int64, op Op, d int) int64 
 	capacity := params.Capacity()
 	seq := mb.NextSeq(tag)
 	mb.NextSeq(tag + 1) // keep the descend tag's counter aligned
-	parent, children := treeFamily(p.ID(), n, d)
+	parent, lo, hi := treeFamily(p.ID(), n, d)
 
 	// Ascend: combine the subtree.
 	acc := x
-	for range children {
+	for range hi - lo {
 		m := mb.RecvTagSeq(tag, seq)
 		acc = op(acc, m.Payload)
 		p.Compute(1) // one combining operation
@@ -123,7 +118,7 @@ func CombineBroadcastArity(mb *Mailbox, tag int32, x int64, op Op, d int) int64 
 		acc = down.Payload
 	}
 	// Descend: broadcast the result to the subtree.
-	for _, c := range children {
+	for c := lo; c < hi; c++ {
 		p.Send(c, tag+1, acc, seq)
 	}
 	return acc
@@ -142,13 +137,13 @@ func TreeBroadcast(mb *Mailbox, tag int32, root int, x int64) int64 {
 	// Re-index processors so that root plays node 0: processor id
 	// acts as tree node (id - root) mod n.
 	node := ((p.ID()-root)%n + n) % n
-	parent, children := treeFamily(node, n, d)
+	parent, lo, hi := treeFamily(node, n, d)
 	val := x
 	if parent >= 0 {
 		m := mb.RecvTagSeq(tag, seq)
 		val = m.Payload
 	}
-	for _, c := range children {
+	for c := lo; c < hi; c++ {
 		p.Send((c+root)%n, tag, val, seq)
 	}
 	return val

@@ -355,24 +355,46 @@ func TestMailboxHoldsAndReleases(t *testing.T) {
 }
 
 func TestTreeFamily(t *testing.T) {
-	// Binary tree over 7 nodes: node 0 children 1,2; node 2 children
-	// 5,6; node 3 leaf.
-	parent, children := treeFamily(0, 7, 2)
-	if parent != -1 || len(children) != 2 || children[0] != 1 || children[1] != 2 {
-		t.Fatalf("node 0: parent=%d children=%v", parent, children)
+	for _, tc := range []struct {
+		id, p, d       int
+		parent, lo, hi int
+		what           string
+	}{
+		// Binary tree over 7 nodes.
+		{0, 7, 2, -1, 1, 3, "root, children 1,2"},
+		{2, 7, 2, 0, 5, 7, "node 2, children 5,6"},
+		{3, 7, 2, 1, 7, 7, "leaf 3"},
+		{6, 7, 2, 2, 7, 7, "last leaf 6"},
+		// 4-ary over 9 and over 7.
+		{1, 9, 4, 0, 5, 9, "4-ary node 1, children 5..8"},
+		{1, 7, 4, 0, 5, 7, "4-ary node 1, children 5,6 of 5..8"},
+		{2, 9, 4, 0, 9, 9, "4-ary leaf 2"},
+	} {
+		parent, lo, hi := treeFamily(tc.id, tc.p, tc.d)
+		if parent != tc.parent || lo != tc.lo || hi != tc.hi {
+			t.Errorf("%s: treeFamily(%d, %d, %d) = %d, [%d, %d), want %d, [%d, %d)",
+				tc.what, tc.id, tc.p, tc.d, parent, lo, hi, tc.parent, tc.lo, tc.hi)
+		}
 	}
-	parent, children = treeFamily(2, 7, 2)
-	if parent != 0 || children[0] != 5 || children[1] != 6 {
-		t.Fatalf("node 2: parent=%d children=%v", parent, children)
-	}
-	parent, children = treeFamily(3, 7, 2)
-	if parent != 1 || len(children) != 0 {
-		t.Fatalf("node 3: parent=%d children=%v", parent, children)
-	}
-	// 4-ary over 9: node 0 children 1..4, node 1 children 5..8.
-	_, children = treeFamily(1, 9, 4)
-	if len(children) != 4 || children[0] != 5 || children[3] != 8 {
-		t.Fatalf("4-ary node 1 children = %v", children)
+	// Every non-root node is a child of its parent, exactly once.
+	for _, p := range []int{1, 2, 7, 64, 100} {
+		for d := 2; d <= 5; d++ {
+			seen := make([]int, p)
+			for id := 0; id < p; id++ {
+				_, lo, hi := treeFamily(id, p, d)
+				for c := lo; c < hi; c++ {
+					if parent, _, _ := treeFamily(c, p, d); parent != id {
+						t.Fatalf("p=%d d=%d: child %d of %d names parent %d", p, d, c, id, parent)
+					}
+					seen[c]++
+				}
+			}
+			for id := 1; id < p; id++ {
+				if seen[id] != 1 {
+					t.Fatalf("p=%d d=%d: node %d is a child %d times", p, d, id, seen[id])
+				}
+			}
+		}
 	}
 }
 

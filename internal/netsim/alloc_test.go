@@ -10,7 +10,7 @@ import (
 
 // TestRouteValiantSteadyStateAlloc pins the Router contract stated on the
 // type: repeated Route calls on a held Router reuse the per-run
-// scratch (edge rings, active-link bitsets, the move staging) and
+// scratch (the packet pool, link queues and masks, the move staging) and
 // reach zero steady-state allocations — here under Valiant routing on
 // both port disciplines (router_test.go pins the plain single-port
 // case). This is the dynamic guard
@@ -25,7 +25,7 @@ func TestRouteValiantSteadyStateAlloc(t *testing.T) {
 		route := func() {
 			rt.Route(rel, RouteOptions{Valiant: true, Seed: 99})
 		}
-		route() // grow rings and the move staging to their high-water sizes
+		route() // grow the packet pool and the move staging to their high-water sizes
 		if avg := testing.AllocsPerRun(10, route); avg != 0 {
 			t.Errorf("multiPort=%v: warm Route allocates %.1f objects/run, want 0", multiPort, avg)
 		}
@@ -53,7 +53,7 @@ func TestAdvanceSteadyStateAlloc(t *testing.T) {
 		}
 		// The step count carries over between runs, so each run starts
 		// the single-port rotation at another of the 6 phases; 8 runs
-		// visit every phase a later run can start at, growing the rings,
+		// visit every phase a later run can start at, growing the pool,
 		// the move staging and the arrival buffer to their high-water
 		// sizes.
 		for range 8 {

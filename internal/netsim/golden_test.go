@@ -20,9 +20,13 @@ var update = flag.Bool("update", false, "rewrite the golden files from the curre
 // every routing or data-structure change inside internal/netsim must
 // reproduce these recorded Steps/TotalHops/MaxQueue values bit for
 // bit, across every Table 1 topology, relation degree, seed, port
-// discipline, and Valiant on/off. The file was captured from the
-// pre-index-routing simulator (linear adjacency scans, slice FIFOs),
-// so the O(1) rewrite is provably behaviour-preserving.
+// discipline, and Valiant on/off. The files were captured from the
+// first simulator (linear adjacency scans, slice FIFOs) and never
+// regenerated: each later router (a link-index table with ring-buffer
+// FIFOs, then the one-byte next-link table with per-node link masks
+// and pooled linked-list FIFOs) reproduces them unmodified. All golden
+// graphs have at most 64 nodes; FuzzRouterMatchesReference covers
+// larger ones against an independent reference router.
 
 type goldenRoute struct {
 	Steps     int   `json:"steps"`

@@ -17,20 +17,23 @@
 // the network one step at a time, which is how internal/netlogp
 // co-simulates LogP on a network.
 //
-// The step loop is index-routed and allocation-free: Network.New
-// precomputes the outgoing directed-edge index of every (node,
-// destination) pair, so forwarding a packet is one table lookup and
-// one ring-buffer push; a step visits only the links that actually
-// hold packets (tracked by a bitset of active edges, or per-node
-// non-empty counters under single-port). The Router owns the reusable
-// scratch, so repeated use allocates nothing once the rings reach
-// their high-water marks.
+// The step loop is index-routed and allocation-free. New precomputes
+// a one-byte routing table: for every (destination, node) pair, the
+// index of the node's outgoing link toward the destination. Packets
+// live in a pool on the Router, and each link's FIFO is a linked list
+// threaded through that pool. A step visits only the nodes that hold
+// packets (a bitset over nodes), and each of those pops the links
+// marked in its 64-bit mask of non-empty links: all of them under
+// multi-port, the next one in rotation under single-port. The Router
+// keeps its pool and scratch across runs, so repeated use allocates
+// nothing once they reach their high-water marks.
 package netsim
 
 import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -49,84 +52,65 @@ var simHops atomic.Int64
 // cross-simulators.
 func SimHopCount() int64 { return simHops.Load() }
 
+const (
+	// maxLinks is the largest node degree a Network supports: a node's
+	// non-empty links are tracked in one uint64 mask.
+	maxLinks = 64
+	// here is the routing-table entry of a node for itself: the packet
+	// has arrived.
+	here = 0xff
+)
+
 // Network wraps a topology with routing tables.
 type Network struct {
 	G *topology.Graph
-	// nextEdge[d*n + u] is the directed-edge index of u's outgoing
-	// link toward node d along a shortest path (-1 when u == d): the
-	// O(1) routing table the hot loop uses instead of scanning
-	// G.Adj[u]. Destination-major layout keeps the per-destination
-	// BFS fill cache-local.
-	nextEdge []int32
-	// edgeIdx[u][k] is the directed-edge index of u's k-th outgoing
-	// link; edges are numbered consecutively, so edgeIdx[u] is the
-	// contiguous range [edgeStart[u], edgeStart[u+1]).
-	edgeIdx [][]int32
-	// edgeStart[u] is the first directed-edge index out of u (CSR
-	// form of edgeIdx, one flat lookup in the hot loop).
+	// nextLink[d*n + u] is the index k, in G.Adj[u] order, of u's
+	// outgoing link toward node d along a shortest path (here when
+	// u == d); that link is edgeStart[u]+k. One byte per entry keeps
+	// the n×n table a quarter of the size of a table of link indices.
+	nextLink []uint8
+	// edgeStart[u] is the index of u's first outgoing directed link;
+	// u's links are edgeStart[u] .. edgeStart[u+1]-1, in G.Adj[u]
+	// order.
 	edgeStart []int32
-	// edgeTo[e] is the head node of directed edge e.
+	// edgeTo[e] is the head node of directed link e.
 	edgeTo []int32
-	// edgeFrom[e] is the tail node of directed edge e.
-	edgeFrom []int32
 	// procOf[node] is the processor id hosted at node, -1 for
 	// switches.
 	procOf []int32
-	nEdges int
 	diam   int
 }
 
-// New builds routing tables for g (BFS from every node).
+// New builds routing tables for g (BFS from every node). It panics if
+// g is disconnected, asymmetric, or has a node with more than 64
+// links.
 func New(g *topology.Graph) *Network {
 	n := g.Nodes()
-	nEdges := 0
-	for _, a := range g.Adj {
-		nEdges += len(a)
-	}
-	net := &Network{
-		G:        g,
-		nextEdge: make([]int32, n*n),
-		edgeTo:   make([]int32, 0, nEdges),
-		edgeFrom: make([]int32, 0, nEdges),
-		edgeIdx:  make([][]int32, n),
-	}
-	net.edgeStart = make([]int32, n+1)
-	idxBacking := make([]int32, 0, nEdges)
-	for u := 0; u < n; u++ {
-		lo := len(idxBacking)
-		net.edgeStart[u] = int32(net.nEdges)
-		for _, v := range g.Adj[u] {
-			idxBacking = append(idxBacking, int32(net.nEdges))
-			net.edgeTo = append(net.edgeTo, int32(v))
-			net.edgeFrom = append(net.edgeFrom, int32(u))
-			net.nEdges++
+	net := &Network{G: g, nextLink: make([]uint8, n*n), edgeStart: make([]int32, n+1)}
+	for u, adj := range g.Adj {
+		if len(adj) > maxLinks {
+			panic(fmt.Sprintf("netsim: %s node %d has %d links, more than %d", g.Name, u, len(adj), maxLinks))
 		}
-		net.edgeIdx[u] = idxBacking[lo:len(idxBacking):len(idxBacking)]
+		net.edgeStart[u+1] = net.edgeStart[u] + int32(len(adj))
 	}
-	net.edgeStart[n] = int32(net.nEdges)
-	// rev[e] is the directed edge opposite to e (the graph is
-	// undirected, so every u->v link has a v->u twin).
-	rev := make([]int32, net.nEdges)
-	for u := 0; u < n; u++ {
-		for k, v := range g.Adj[u] {
-			e := net.edgeIdx[u][k]
-			rev[e] = -1
-			for k2, w := range g.Adj[v] {
-				if w == u {
-					rev[e] = net.edgeIdx[v][k2]
-					break
-				}
-			}
-			if rev[e] < 0 {
+	// back[e] is the index in G.Adj[v] of the link v->u opposite to
+	// e = u->v (the graph is undirected, so every link has a twin).
+	net.edgeTo = make([]int32, 0, net.edgeStart[n])
+	back := make([]uint8, net.edgeStart[n])
+	for u, adj := range g.Adj {
+		for k, v := range adj {
+			net.edgeTo = append(net.edgeTo, int32(v))
+			kb := slices.Index(g.Adj[v], u)
+			if kb < 0 {
 				panic(fmt.Sprintf("netsim: %s asymmetric edge %d-%d (bug)", g.Name, u, v))
 			}
+			back[int(net.edgeStart[u])+k] = uint8(kb)
 		}
 	}
 	// BFS from each destination over the undirected graph; the next
 	// hop toward d from a newly discovered node v is its BFS parent
-	// u, reached over the reverse of the discovering edge — recorded
-	// directly as the directed-edge index the hot loop routes by.
-	// The deepest BFS level over all destinations is the diameter,
+	// u, reached over the link back along the discovering edge. The
+	// deepest BFS level over all destinations is the diameter,
 	// recorded as a free byproduct.
 	dist := make([]int32, n)
 	queue := make([]int32, 0, n)
@@ -136,25 +120,20 @@ func New(g *topology.Graph) *Network {
 		}
 		dist[d] = 0
 		queue = append(queue[:0], int32(d))
-		seen := 1
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
 			for k, v := range g.Adj[u] {
 				if dist[v] < 0 {
 					dist[v] = dist[u] + 1
-					if int(dist[v]) > net.diam {
-						net.diam = int(dist[v])
-					}
-					// From v, the next hop toward d is u.
-					net.nextEdge[d*n+int(v)] = rev[net.edgeIdx[u][k]]
+					net.diam = max(net.diam, int(dist[v]))
+					net.nextLink[d*n+v] = back[int(net.edgeStart[u])+k]
 					queue = append(queue, int32(v))
-					seen++
 				}
 			}
 		}
-		net.nextEdge[d*n+d] = -1
-		if seen != n {
-			panic(fmt.Sprintf("netsim: %s disconnected (%d of %d nodes reachable from %d)", g.Name, seen, n, d))
+		net.nextLink[d*n+d] = here
+		if len(queue) != n {
+			panic(fmt.Sprintf("netsim: %s disconnected (%d of %d nodes reachable from %d)", g.Name, len(queue), n, d))
 		}
 	}
 	net.procOf = make([]int32, n)
@@ -194,17 +173,28 @@ type RouteResult struct {
 	MaxQueue int
 }
 
+// packet is one pool slot.
 type packet struct {
 	dst int32 // final destination node
 	via int32 // Valiant intermediate (-1 when unused or passed)
 	id  int32 // the injector's tag, reported in its Arrival
+	// next is the slot queued behind this one on its link, or the next
+	// free slot while this one is on the free list.
+	next int32
+}
+
+// linkQueue is one directed link's FIFO: a list of pool slots linked
+// through packet.next, from head to tail. head and tail are stale
+// while n == 0.
+type linkQueue struct {
+	head, tail, n int32
 }
 
 // move is a packet that crossed a link in the current step, staged
 // until every link has transmitted.
 type move struct {
 	node int32 // the link's head
-	pk   packet
+	slot int32 // the packet's pool slot
 }
 
 // Arrival reports a packet reaching its destination processor.
@@ -215,9 +205,10 @@ type Arrival struct {
 }
 
 // Router simulates the packet network over a Network. It owns the
-// per-run scratch — one ring buffer per directed edge, the active-link
-// tracking, and the staging of each step's moves — and one step loop
-// drives it two ways:
+// per-run state: the packet pool and its free list, one linkQueue per
+// directed link, each node's mask of non-empty links, the bitset of
+// nodes with a non-zero mask, and the staging of each step's moves.
+// One step loop drives it two ways:
 //
 //   - Route injects a whole relation at step 0 and steps until it is
 //     delivered, reporting the cost (MeasureGL, E7 and netrun);
@@ -225,20 +216,23 @@ type Arrival struct {
 //     network one step at a time, reporting each arrival (the
 //     netlogp co-simulation, which paces injections by LogP's o and G).
 //
-// Repeated use reaches zero steady-state allocations once the rings
-// reach their high-water marks. A Router is not safe for concurrent
-// use; build one per goroutine (they share the Network's immutable
-// tables). After Route's step-bound panic the Router holds stranded
-// packets and must be discarded.
+// Repeated use reaches zero steady-state allocations once the pool
+// and the staging reach their high-water marks. A Router is not safe
+// for concurrent use; build one per goroutine (they share the
+// Network's immutable tables). After Route's step-bound panic the
+// Router holds stranded packets and must be discarded.
 type Router struct {
-	net    *Network
-	queues []ring[packet]
-	// Multi-port: bitset of edges with non-empty queues.
-	activeEdge bitset
-	// Single-port: per-node count of non-empty outgoing queues plus
-	// the bitset of nodes with at least one.
-	nodeCnt    []int32
-	activeNode bitset
+	net *Network
+	// pool holds every packet. Route empties it and reserves a slot
+	// per pair; Advance returns each delivered slot to the free list
+	// headed by free (-1 when empty).
+	pool  []packet
+	free  int32
+	links []linkQueue
+	// out[u] has bit k set while u's link k holds packets; active has
+	// bit u set while out[u] != 0.
+	out    []uint64
+	active []uint64
 	// moves stages one step's link crossings; step compacts those
 	// that reached their destination to its front.
 	moves    []move
@@ -263,14 +257,15 @@ type Router struct {
 // NewRouter returns an empty Router over net, positioned at step 0.
 func (net *Network) NewRouter() *Router {
 	n := net.G.Nodes()
-	r := &Router{net: net, queues: make([]ring[packet], net.nEdges), multiPort: net.G.MultiPort, nodes: n}
-	if net.G.MultiPort {
-		r.activeEdge = newBitset(net.nEdges)
-	} else {
-		r.nodeCnt = make([]int32, n)
-		r.activeNode = newBitset(n)
+	return &Router{
+		net:       net,
+		free:      -1,
+		links:     make([]linkQueue, len(net.edgeTo)),
+		out:       make([]uint64, n),
+		active:    make([]uint64, (n+63)/64),
+		multiPort: net.G.MultiPort,
+		nodes:     n,
 	}
-	return r
 }
 
 // Step returns the number of steps taken.
@@ -279,75 +274,61 @@ func (r *Router) Step() int64 { return int64(r.clock) }
 // Pending reports how many packets are in flight.
 func (r *Router) Pending() int { return r.pending }
 
-// hop returns the link pk leaves node u on, or -1 when u is pk's
-// destination, and pk with via cleared once u is its Valiant
+// hop returns the index of the link pk leaves node u on, or here when
+// u is pk's destination, and clears pk's via once u is its Valiant
 // intermediate.
-func (r *Router) hop(u int32, pk packet) (int32, packet) {
+func (r *Router) hop(u int32, pk *packet) uint8 {
 	if pk.via == u {
 		pk.via = -1
 	}
 	target := pk.dst
 	if pk.via >= 0 {
 		target = pk.via
-	} else if u == pk.dst {
-		return -1, pk
 	}
-	return r.net.nextEdge[int(target)*r.nodes+int(u)], pk
+	return r.net.nextLink[int(target)*r.nodes+int(u)]
 }
 
 // inject enters pk at node u, unless u is already its destination.
 func (r *Router) inject(u int32, pk packet) {
-	if e, pk := r.hop(u, pk); e >= 0 {
-		r.push(e, pk)
-		r.pending++
+	k := r.hop(u, &pk)
+	if k == here {
+		return
 	}
+	slot := r.free
+	if slot >= 0 {
+		r.free = r.pool[slot].next
+		r.pool[slot] = pk
+	} else {
+		slot = int32(len(r.pool))
+		r.pool = append(r.pool, pk)
+	}
+	r.push(u, k, slot)
+	r.pending++
 }
 
-// push enqueues pk on directed edge e, maintaining the active-link
-// tracking and the peak-depth statistic.
-func (r *Router) push(e int32, pk packet) {
-	q := &r.queues[e]
+// push enqueues pool slot on u's link k, marking the link and u busy
+// and maintaining the peak-depth statistic.
+func (r *Router) push(u int32, k uint8, slot int32) {
+	q := &r.links[r.net.edgeStart[u]+int32(k)]
 	if q.n == 0 {
-		if r.multiPort {
-			r.activeEdge.set(int(e))
-		} else {
-			u := r.net.edgeFrom[e]
-			if r.nodeCnt[u] == 0 {
-				r.activeNode.set(int(u))
-			}
-			r.nodeCnt[u]++
-		}
+		q.head = slot
+		r.out[u] |= 1 << k
+		r.active[u>>6] |= 1 << (uint(u) & 63)
+	} else {
+		r.pool[q.tail].next = slot
 	}
-	q.push(pk)
-	if q.n > r.MaxQueue {
-		r.MaxQueue = q.n
+	q.tail = slot
+	q.n++
+	if int(q.n) > r.MaxQueue {
+		r.MaxQueue = int(q.n)
 	}
 }
 
-// pop dequeues the head of edge e, clearing the active-link tracking
-// when the queue drains.
-func (r *Router) pop(e int32) packet {
-	q := &r.queues[e]
-	pk := q.pop()
-	if q.n == 0 {
-		if r.multiPort {
-			r.activeEdge.clear(int(e))
-		} else {
-			u := r.net.edgeFrom[e]
-			r.nodeCnt[u]--
-			if r.nodeCnt[u] == 0 {
-				r.activeNode.clear(int(u))
-			}
-		}
-	}
-	return pk
-}
-
-// step moves the network forward one step: every active link (under
-// single-port, one link of every active node) transmits the head of
-// its queue, and then each packet that crossed is forwarded from the
-// link's head. It returns how many packets reached their destination;
-// they lead r.moves, in link order.
+// step moves the network forward one step: every busy link of every
+// active node (under single-port, one busy link per active node)
+// transmits the head of its queue, and then each packet that crossed
+// is forwarded from the link's head. It returns how many packets
+// reached their destination; they lead r.moves, in link order.
 //
 //hot:path the packet network's per-step routing loop
 func (r *Router) step() int {
@@ -355,53 +336,45 @@ func (r *Router) step() int {
 	r.clock++
 	clock := r.clock
 	r.moves = r.moves[:0]
-	if r.multiPort {
-		// Walk the active-edge bitset in index order (matching a full
-		// scan); pops may clear bits at the current position but
-		// pushes wait in r.moves, so no new bits appear mid-walk.
-		for w := 0; w < len(r.activeEdge); w++ {
-			word := r.activeEdge[w]
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				e := int32(w<<6 + b)
-				//lint:ignore hotloop move staging reuses r.moves via [:0]; growth is bounded by the per-step delivery high-water
-				r.moves = append(r.moves, move{node: net.edgeTo[e], pk: r.pop(e)})
+	// Walk the active nodes in index order, and each node's busy links
+	// in index order, which is link index order overall. Pops clear
+	// bits but pushes wait in r.moves, so no bit appears mid-walk.
+	for w, word := range r.active {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			u := w<<6 + b
+			lo := net.edgeStart[u]
+			busy := r.out[u]
+			if !r.multiPort {
+				// Single-port: transmit on the first busy link at or
+				// after (clock+u) mod degree, cyclically.
+				s := (clock + u) % int(net.edgeStart[u+1]-lo)
+				busy = 1 << (uint(bits.TrailingZeros64(bits.RotateLeft64(busy, -s))+s) & 63)
 			}
-		}
-	} else {
-		// Single-port: each active node transmits on one link,
-		// rotating the starting link each step for fairness.
-		for w := 0; w < len(r.activeNode); w++ {
-			word := r.activeNode[w]
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				u := w<<6 + b
-				lo := int(net.edgeStart[u])
-				deg := int(net.edgeStart[u+1]) - lo
-				start := (clock + u) % deg
-				for k := 0; k < deg; k++ {
-					j := start + k
-					if j >= deg {
-						j -= deg
-					}
-					e := int32(lo + j)
-					if r.queues[e].n == 0 {
-						continue
-					}
-					//lint:ignore hotloop move staging reuses r.moves via [:0]; growth is bounded by the per-step delivery high-water
-					r.moves = append(r.moves, move{node: net.edgeTo[e], pk: r.pop(e)})
-					break
+			for busy != 0 {
+				k := bits.TrailingZeros64(busy)
+				busy &^= 1 << uint(k)
+				e := lo + int32(k)
+				q := &r.links[e]
+				slot := q.head
+				q.head = r.pool[slot].next
+				if q.n--; q.n == 0 {
+					r.out[u] &^= 1 << uint(k)
 				}
+				//lint:ignore hotloop move staging reuses r.moves via [:0]; growth is bounded by the per-step delivery high-water
+				r.moves = append(r.moves, move{node: net.edgeTo[e], slot: slot})
+			}
+			if r.out[u] == 0 {
+				r.active[w] &^= 1 << uint(b)
 			}
 		}
 	}
 	r.TotalHops += int64(len(r.moves))
 	arrived := 0
 	for _, mv := range r.moves {
-		if e, pk := r.hop(mv.node, mv.pk); e >= 0 {
-			r.push(e, pk)
+		if k := r.hop(mv.node, &r.pool[mv.slot]); k != here {
+			r.push(mv.node, k, mv.slot)
 		} else {
 			r.moves[arrived] = mv
 			arrived++
@@ -425,6 +398,7 @@ func (r *Router) Route(rel relation.Relation, opts RouteOptions) RouteResult {
 	}
 	r.rng.Reseed(opts.Seed)
 	r.clock, r.MaxQueue, r.TotalHops = 0, 0, 0
+	r.pool, r.free = slices.Grow(r.pool[:0], len(rel.Pairs)), -1
 	for _, pr := range rel.Pairs {
 		pk := packet{dst: int32(g.Processors[pr.Dst]), via: -1}
 		if opts.Valiant {
@@ -465,14 +439,17 @@ func (r *Router) Inject(id int32, srcProc, dstProc int) {
 }
 
 // Advance moves the network forward one step and returns the packets
-// that arrived at their destinations during it. The returned slice is
-// reused by the next Advance call; callers must consume (or copy) it
-// before advancing again.
+// that arrived at their destinations during it, returning their pool
+// slots to the free list. The returned slice is reused by the next
+// Advance call; callers must consume (or copy) it before advancing
+// again.
 func (r *Router) Advance() []Arrival {
 	arrived := r.step()
 	r.arrivals = r.arrivals[:0]
 	for _, mv := range r.moves[:arrived] {
-		r.arrivals = append(r.arrivals, Arrival{ID: mv.pk.id, Dst: int(r.net.procOf[mv.pk.dst]), Step: int64(r.clock)})
+		pk := &r.pool[mv.slot]
+		r.arrivals = append(r.arrivals, Arrival{ID: pk.id, Dst: int(r.net.procOf[pk.dst]), Step: int64(r.clock)})
+		pk.next, r.free = r.free, mv.slot
 	}
 	simHops.Add(int64(len(r.moves)))
 	return r.arrivals

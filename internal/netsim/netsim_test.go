@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -11,11 +13,11 @@ import (
 // NextHop reads the routing table: the neighbor of u on a shortest
 // path to d (u itself when u == d).
 func (net *Network) NextHop(u, d int) int {
-	e := net.nextEdge[d*net.G.Nodes()+u]
-	if e < 0 {
+	k := net.nextLink[d*net.G.Nodes()+u]
+	if k == here {
 		return u
 	}
-	return int(net.edgeTo[e])
+	return net.G.Adj[u][k]
 }
 
 // permutationRelation returns the 1-relation in which processor i sends
@@ -279,4 +281,38 @@ func TestRouterSelfInjectPanics(t *testing.T) {
 		}
 	}()
 	rt.Inject(1, 2, 2)
+}
+
+// star returns the graph of a hub (node 0) linked to leaves 1..leaves,
+// every node a processor.
+func star(leaves int, multiPort bool) *topology.Graph {
+	g := &topology.Graph{Name: fmt.Sprintf("star(%d)", leaves+1), Adj: make([][]int, leaves+1), MultiPort: multiPort}
+	for v := 0; v <= leaves; v++ {
+		g.Processors = append(g.Processors, v)
+		if v > 0 {
+			g.Adj[0] = append(g.Adj[0], v)
+			g.Adj[v] = []int{0}
+		}
+	}
+	return g
+}
+
+// TestNewLinkLimit: a node's busy links live in one 64-bit mask, so
+// New accepts a hub with 64 links, which then routes under both port
+// disciplines, and panics on one with 65.
+func TestNewLinkLimit(t *testing.T) {
+	for _, multiPort := range []bool{true, false} {
+		g := star(64, multiPort)
+		rel := relation.RandomRegular(stats.NewRNG(3), g.P(), 2)
+		res := New(g).NewRouter().Route(rel, RouteOptions{})
+		if res.Packets != len(rel.Pairs) || res.Steps <= 0 {
+			t.Fatalf("%s multiPort=%v: %+v", g.Name, multiPort, res)
+		}
+	}
+	defer func() {
+		if msg, ok := recover().(string); !ok || !strings.HasPrefix(msg, "netsim:") {
+			t.Fatalf("New on a node with 65 links: panic %v, want a netsim: panic", msg)
+		}
+	}()
+	New(star(65, false))
 }

@@ -191,7 +191,7 @@ func TestRouteSteadyStateAllocFree(t *testing.T) {
 	net := New(g)
 	rt := net.NewRouter()
 	rel := benchRelation(g, 8, 3)
-	// Warm up the rings and scratch buffers.
+	// Warm up the packet pool and scratch buffers.
 	rt.Route(rel, RouteOptions{Seed: 1})
 	avg := testing.AllocsPerRun(20, func() {
 		rt.Route(rel, RouteOptions{Seed: 2})
