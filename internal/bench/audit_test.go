@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/logp"
@@ -26,6 +27,50 @@ func TestAuditedQuickSuiteClean(t *testing.T) {
 	if rep.TotalRuns == 0 {
 		t.Fatal("audit hook observed no machine runs")
 	}
+}
+
+// TestAuditReportMatchesCheckedIn pins the whole audited quick suite:
+// the report RunAudit builds must equal the checked-in AUDIT_logp.json
+// (make audit-report's output) byte for byte, apart from the fields
+// that name the toolchain and the host.
+func TestAuditReportMatchesCheckedIn(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "AUDIT_logp.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var host struct {
+		GoVersion string `json:"goVersion"`
+		GOOS      string `json:"goos"`
+		GOARCH    string `json:"goarch"`
+	}
+	if err := json.Unmarshal(want, &host); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunAudit(Config{Quick: true, Seed: 1}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.GoVersion, rep.GOOS, rep.GOARCH = host.GoVersion, host.GOOS, host.GOARCH
+	got, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines := strings.Split(string(got)+"\n", "\n")
+	wantLines := strings.Split(string(want), "\n")
+	for i := range max(len(gotLines), len(wantLines)) {
+		if i >= len(gotLines) || i >= len(wantLines) || gotLines[i] != wantLines[i] {
+			t.Fatalf("audited quick suite diverged from AUDIT_logp.json at line %d (make audit-report re-records it if intentional):\n got %q\nwant %q",
+				i+1, lineAt(gotLines, i), lineAt(wantLines, i))
+		}
+	}
+}
+
+// lineAt returns line i of lines, or a marker past the end.
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<end of report>"
 }
 
 const goldenAuditFile = "testdata/golden_E3_audit.json"

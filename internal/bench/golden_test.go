@@ -230,18 +230,14 @@ func readGoldenResults(t *testing.T, keys []string) map[string]goldenResult {
 	return want
 }
 
-// TestGoldenExperimentTables locks the full rendered output of the
-// E2/E3/E6 quick configurations (the three experiments whose tables are
-// pure functions of the LogP engine plus the seed).
+// TestGoldenExperimentTables locks the full rendered output of every
+// experiment of the regular suite at its quick configuration: each
+// table is a pure function of the engines plus the seed.
 func TestGoldenExperimentTables(t *testing.T) {
 	cfg := Config{Quick: true, Seed: 1}
-	for _, id := range []string{"E2", "E3", "E6"} {
-		id := id
+	for _, e := range All() {
+		id := e.ID
 		t.Run(id, func(t *testing.T) {
-			e, ok := Lookup(id)
-			if !ok {
-				t.Fatalf("unknown experiment %s", id)
-			}
 			got := e.Run(cfg).Render()
 			path := filepath.Join("testdata", "golden_"+id+"_quick.txt")
 			if *update {

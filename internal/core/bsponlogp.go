@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bsp"
 	"repro/internal/collective"
@@ -148,10 +149,23 @@ func (s *BSPOnLogP) guestParams() bsp.Params {
 	return bsp.Params{P: s.LogP.P, G: g, L: l}
 }
 
-// Run executes prog and returns the measured host and guest costs.
+// Run executes prog and returns the measured host and guest costs. A
+// setting outside its declared range — an unknown Router, Sort or
+// Policy, or a Beta that is negative, NaN or infinite — fails the run
+// before anything is built.
 func (s *BSPOnLogP) Run(prog bsp.Program) (Thm2Result, error) {
 	if err := s.LogP.Validate(); err != nil {
 		return Thm2Result{}, err
+	}
+	switch {
+	case s.Router > RouterOffline:
+		return Thm2Result{}, fmt.Errorf("core: unknown router %v", s.Router)
+	case s.Sort > SortColumnsort:
+		return Thm2Result{}, fmt.Errorf("core: unknown sort algorithm %v", s.Sort)
+	case s.Policy > logp.DeliverRandom:
+		return Thm2Result{}, fmt.Errorf("core: unknown delivery policy %v", s.Policy)
+	case !(s.Beta >= 0) || math.IsInf(s.Beta, 1):
+		return Thm2Result{}, fmt.Errorf("core: Beta %v outside [0, +Inf) (0 selects 1)", s.Beta)
 	}
 	if s.Router == RouterDeterministic && s.Sort == SortBitonic && !isPow2(s.LogP.P) {
 		return Thm2Result{}, fmt.Errorf("core: the bitonic network needs a power-of-two p, got %d (use SortAuto or SortColumnsort)", s.LogP.P)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -257,6 +258,40 @@ func TestBSPOnLogPBitonicNeedsPow2(t *testing.T) {
 	_, err := sim.Run(func(p bsp.Proc) {})
 	if err == nil || !strings.Contains(err.Error(), "power-of-two") {
 		t.Fatalf("expected pow2 error, got %v", err)
+	}
+}
+
+// TestBSPOnLogPRejectsOutOfRangeSettings: a setting outside its
+// declared range fails Run with an error naming it, before the program
+// runs a single instruction.
+func TestBSPOnLogPRejectsOutOfRangeSettings(t *testing.T) {
+	lp := logp.Params{P: 4, L: 8, O: 1, G: 2}
+	cases := []struct {
+		name string
+		sim  BSPOnLogP
+		want string
+	}{
+		{"router", BSPOnLogP{Router: Router(7)}, "unknown router Router(7)"},
+		{"sort", BSPOnLogP{Sort: SortAlgo(9)}, "unknown sort algorithm SortAlgo(9)"},
+		{"policy", BSPOnLogP{Policy: logp.DeliveryPolicy(9)}, "unknown delivery policy DeliveryPolicy(9)"},
+		{"beta<0", BSPOnLogP{Router: RouterRandomized, Beta: -1}, "Beta -1 outside"},
+		{"beta NaN", BSPOnLogP{Router: RouterRandomized, Beta: math.NaN()}, "Beta NaN outside"},
+		{"beta Inf", BSPOnLogP{Router: RouterRandomized, Beta: math.Inf(1)}, "Beta +Inf outside"},
+	}
+	for _, c := range cases {
+		sim := c.sim
+		sim.LogP = lp
+		ran := false
+		_, err := sim.Run(func(p bsp.Proc) {
+			ran = true
+			p.Sync()
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want it to contain %q", c.name, err, c.want)
+		}
+		if ran {
+			t.Errorf("%s: the program ran before the setting was rejected", c.name)
+		}
 	}
 }
 

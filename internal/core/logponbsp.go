@@ -270,11 +270,13 @@ type cycleProc struct {
 	bufTail int32
 	bufLen  int32
 	state   cycleState
-	// pending is the guest's next request, written by scriptSegment;
-	// resp is the engine's answer to the previous one, which the next
-	// segment hands to Script.Next.
-	pending cycleReq
-	resp    cycleRes
+	// pending is the operation the guest is parked on, as Next returned
+	// it: ScriptHalt once the guest halted or panicked (err then holds
+	// the panic). res is the engine's answer to the previous operation,
+	// which the next segment hands to Script.Next.
+	pending logp.ScriptOp
+	res     logp.ScriptResult
+	err     error
 }
 
 // reinit prepares a slab record for a fresh run.
@@ -320,54 +322,28 @@ const (
 	cycleDone
 )
 
-type cycleOp uint8
-
-const (
-	cycleCompute cycleOp = iota
-	cycleIdle
-	cycleSend
-	cycleRecv
-	cycleTryRecv
-	cycleBuffered
-	cycleOpDone
-	cycleOpPanic
-)
-
-type cycleReq struct {
-	op  cycleOp
-	n   int64
-	msg logp.Message
-	err error
-}
-
-type cycleRes struct {
-	msg logp.Message
-	ok  bool
-	n   int64
-}
-
-// scriptSegment advances a guest to its next engine request. The cycle
-// engine has no guest-side fast path, so every operation crosses except
-// Halt and Compute(0), which has no effect. A panic out of Next — the
-// script's own, a Program's through logp.ProgramAsScript, or one of the
-// segment's validation panics — is recovered into the guest's
-// processor-panicked error. The result fed to Next is rebuilt from the
-// last response just as logp.ScriptAsProgram rebuilds it from the Proc
-// calls, so a Script and its Program form replay identically.
+// scriptSegment advances a guest to its next engine operation. The
+// cycle engine has no guest-side fast path, so every operation is
+// parked as Next returned it, except Compute(0), which has no effect. A
+// panic out of Next — the script's own, a Program's through
+// logp.ProgramAsScript, or one of the segment's validation panics —
+// parks ScriptHalt with the guest's processor-panicked error in err.
+// Next sees the last answer with the guest's clock in Now, as
+// logp.ScriptAsProgram rebuilds it from the Proc calls, so a Script and
+// its Program form replay identically.
 func (p *cycleProc) scriptSegment() {
 	defer func() {
 		if r := recover(); r != nil {
-			p.pending = cycleReq{op: cycleOpPanic, err: fmt.Errorf("core: processor %d panicked: %v", p.id, r)}
+			p.pending = logp.ScriptOp{Kind: logp.ScriptHalt}
+			p.err = fmt.Errorf("core: processor %d panicked: %v", p.id, r)
 		}
 	}()
 	s := p.eng.script
-	res := logp.ScriptResult{Msg: p.resp.msg, OK: p.resp.ok, N: p.resp.n, Now: p.clock}
+	res := p.res
+	res.Now = p.clock
 	for {
 		op := s.Next(p.id, res)
 		switch op.Kind {
-		case logp.ScriptHalt:
-			p.request(cycleOpDone, 0)
-			return
 		case logp.ScriptCompute:
 			if op.N < 0 {
 				panic(fmt.Sprintf("core: Compute(%d) with negative cycles", op.N))
@@ -376,11 +352,6 @@ func (p *cycleProc) scriptSegment() {
 				res = logp.ScriptResult{Now: p.clock}
 				continue
 			}
-			p.request(cycleCompute, op.N)
-			return
-		case logp.ScriptWait:
-			p.request(cycleIdle, op.N)
-			return
 		case logp.ScriptSend:
 			if op.Dst < 0 || op.Dst >= p.eng.lp.P {
 				panic(fmt.Sprintf("core: Send to invalid destination %d (P=%d)", op.Dst, p.eng.lp.P))
@@ -388,33 +359,14 @@ func (p *cycleProc) scriptSegment() {
 			if op.Dst == p.id {
 				panic("core: Send to self; use local state instead")
 			}
-			p.request(cycleSend, 0)
-			m := &p.pending.msg
-			m.Src, m.Dst, m.Tag, m.Payload, m.Aux, m.Body = p.id, op.Dst, op.Tag, op.Payload, op.Aux, op.Body
-			return
-		case logp.ScriptRecv:
-			p.request(cycleRecv, 0)
-			return
-		case logp.ScriptTryRecv:
-			p.request(cycleTryRecv, 0)
-			return
-		case logp.ScriptBuffered:
-			p.request(cycleBuffered, 0)
-			return
+		case logp.ScriptHalt, logp.ScriptWait, logp.ScriptRecv, logp.ScriptTryRecv, logp.ScriptBuffered:
+			// Valid as Next returned it.
 		default:
 			panic(fmt.Sprintf("core: unknown script op kind %d", op.Kind))
 		}
+		p.pending = op
+		return
 	}
-}
-
-// request records a guest's next request in place. Building a whole
-// cycleReq instead costs a stack temporary and a block copy per
-// operation; here only the fields op reads are written — n for compute
-// and idle, msg for send (the caller fills all of it, Body included) —
-// so the stale ones are inert.
-func (p *cycleProc) request(op cycleOp, n int64) {
-	p.pending.op = op
-	p.pending.n = n
 }
 
 // reset prepares the retained engine for a fresh replay with the given
@@ -551,22 +503,19 @@ func (e *cycleEngine) deadlockError() error {
 	return fmt.Errorf("core: deadlock in Theorem 1 replay: processors %v blocked on Recv", blocked)
 }
 
-// await runs p's script segment to obtain its next request and, if the
-// guest stays runnable, parks it in the ready queue. Every caller has p
-// out of the queue (startup, or just popped by exec's committer), so
-// the push cannot duplicate.
+// await runs p's script segment to obtain its next operation and, if
+// the guest stays runnable, parks it in the ready queue. Every caller
+// has p out of the queue (startup, or just popped by exec's committer),
+// so the push cannot duplicate.
 func (e *cycleEngine) await(p *cycleProc) {
 	p.scriptSegment()
-	switch p.pending.op {
-	case cycleOpDone:
-		p.state = cycleDone
-	case cycleOpPanic:
-		p.state = cycleDone
-		if e.procErr == nil {
-			e.procErr = p.pending.err
-		}
-	default:
+	if p.pending.Kind != logp.ScriptHalt {
 		e.park(p)
+		return
+	}
+	p.state = cycleDone
+	if p.err != nil && e.procErr == nil {
+		e.procErr = p.err
 	}
 }
 
@@ -576,8 +525,8 @@ func (e *cycleEngine) park(p *cycleProc) {
 	e.ready.Push(runq.Ref{At: p.clock, Tie: int64(p.id), Idx: int32(p.id)})
 }
 
-func (e *cycleEngine) resume(p *cycleProc, r cycleRes) {
-	p.resp = r
+func (e *cycleEngine) resume(p *cycleProc, r logp.ScriptResult) {
+	p.res = r
 	e.await(p)
 }
 
@@ -798,18 +747,18 @@ func (e *cycleEngine) popBufFree(p *cycleProc) logp.Message {
 }
 
 func (e *cycleEngine) exec(p *cycleProc) {
-	// Read in place: every case consumes req before resume overwrites it.
-	req := &p.pending
-	switch req.op {
-	case cycleCompute:
-		p.clock += req.n
-		e.resume(p, cycleRes{})
-	case cycleIdle:
-		if req.n > p.clock {
-			p.clock = req.n
+	// Read in place: every case consumes op before resume overwrites it.
+	op := &p.pending
+	switch op.Kind {
+	case logp.ScriptCompute:
+		p.clock += op.N
+		e.resume(p, logp.ScriptResult{})
+	case logp.ScriptWait:
+		if op.N > p.clock {
+			p.clock = op.N
 		}
-		e.resume(p, cycleRes{})
-	case cycleBuffered:
+		e.resume(p, logp.ScriptResult{})
+	case logp.ScriptBuffered:
 		n := int64(0)
 		for idx := p.bufHead; idx >= 0; idx = e.recs[idx].next {
 			if e.recs[idx].at > p.clock {
@@ -817,8 +766,8 @@ func (e *cycleEngine) exec(p *cycleProc) {
 			}
 			n++
 		}
-		e.resume(p, cycleRes{n: n})
-	case cycleSend:
+		e.resume(p, logp.ScriptResult{N: n})
+	case logp.ScriptSend:
 		// Cycles that ended before this guest's parked clock can never
 		// be bumped or fan-in-queried again (see retireCols); return
 		// their columns to the pool before touching the window.
@@ -836,36 +785,37 @@ func (e *cycleEngine) exec(p *cycleProc) {
 		// stalling-rule execution (FIFO acceptance): for a stall-free
 		// cycle nothing changes, while a hot spot's excess messages
 		// arrive in later cycles instead of all at once.
-		if prior := e.cycleFanIn(cycle, req.msg.Dst); prior >= e.capacity {
+		if prior := e.cycleFanIn(cycle, op.Dst); prior >= e.capacity {
 			arrival += (prior - e.capacity + 1) * e.lp.G
 		}
-		e.countSend(cycle, req.msg)
+		msg := logp.Message{Src: p.id, Dst: op.Dst, Tag: op.Tag, Payload: op.Payload, Aux: op.Aux, Body: op.Body}
+		e.countSend(cycle, msg)
 		e.totalMsgs++
 		e.seq++
-		e.events.Push(runq.Ref{At: arrival, Tie: e.seq, Idx: e.newRec(req.msg, cycle)})
+		e.events.Push(runq.Ref{At: arrival, Tie: e.seq, Idx: e.newRec(msg, cycle)})
 		if arrival > e.guestTime {
 			e.guestTime = arrival
 		}
-		e.resume(p, cycleRes{})
-	case cycleRecv:
+		e.resume(p, logp.ScriptResult{})
+	case logp.ScriptRecv:
 		if p.bufLen > 0 {
 			e.completeRecv(p)
 		} else {
 			p.state = cycleWaitMsg
 		}
-	case cycleTryRecv:
+	case logp.ScriptTryRecv:
 		if p.bufLen > 0 && e.recs[p.bufHead].at <= p.clock && p.nextComm <= p.clock {
 			r := p.clock
 			msg := e.popBufFree(p)
 			p.clock = r + e.lp.O
 			p.nextComm = r + e.lp.G
-			e.resume(p, cycleRes{msg: msg, ok: true})
+			e.resume(p, logp.ScriptResult{Msg: msg, OK: true})
 		} else {
 			p.clock++
-			e.resume(p, cycleRes{})
+			e.resume(p, logp.ScriptResult{})
 		}
 	default:
-		panic(fmt.Sprintf("core: unexpected cycle op %d", req.op))
+		panic(fmt.Sprintf("core: unexpected cycle op %d", op.Kind))
 	}
 }
 
@@ -881,7 +831,7 @@ func (e *cycleEngine) completeRecv(p *cycleProc) {
 	p.clock = r + e.lp.O
 	p.nextComm = r + e.lp.G
 	p.state = cycleReady
-	e.resume(p, cycleRes{msg: msg, ok: true})
+	e.resume(p, logp.ScriptResult{Msg: msg, OK: true})
 }
 
 func (e *cycleEngine) deliverInstant(t int64) {

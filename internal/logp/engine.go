@@ -235,12 +235,10 @@ type Machine struct {
 	// localWatermark folds it into the fast-path delivery watermark.
 	resumeFloor int64
 
-	// Buffered trace/audit emission: when a sink is installed, events
-	// accumulate in evBuf and drain in commit order at the end of each
-	// processInstant and before Run returns, instead of one virtual
-	// call per event on the hot path.
+	// emitOn is set when the run has an auditor or an event sink; every
+	// emission site checks it first, so a run with neither builds no
+	// Event.
 	emitOn bool
-	evBuf  []Event
 
 	lastDelivery int64
 	maxBuf       int
@@ -332,12 +330,12 @@ func isStopped(r interface{}) bool {
 }
 
 // sequence adapts prog to an iter.Pull coroutine. The engine's next()
-// resumes the program until its next engine call, which stores the
-// request in p.out, yields, and parks until the engine answers in
-// p.resp. A program that returns or panics cannot yield its terminal
-// state, so the epilogue records it in p.final for the engine to read
-// when next() reports false. A coroutine unwound by stop() returns
-// through the errStopped arm without recording anything.
+// resumes the program until its next engine call, which parks the
+// operation in p.pending, yields, and waits for the engine's answer in
+// p.res. A program that returns or panics cannot yield, so the epilogue
+// parks ScriptHalt itself, with the panic in p.err. A coroutine unwound
+// by stop() returns through the errStopped arm without recording
+// anything.
 func (p *proc) sequence(prog Program) iter.Seq[token] {
 	return func(yield func(token) bool) {
 		p.yield = yield
@@ -346,11 +344,12 @@ func (p *proc) sequence(prog Program) iter.Seq[token] {
 			p.m.liveProcs.Add(-1)
 			switch r := recover(); {
 			case r == nil:
-				p.final = request{kind: opDone}
+				p.pending = ScriptOp{Kind: ScriptHalt}
 			case isStopped(r):
 				// Unwound by shutdown; the engine no longer reads.
 			default:
-				p.final = request{kind: opPanic, err: fmt.Errorf("logp: processor %d panicked: %v", p.id, r)}
+				p.pending = ScriptOp{Kind: ScriptHalt}
+				p.err = fmt.Errorf("logp: processor %d panicked: %v", p.id, r)
 			}
 		}()
 		prog(p)
@@ -386,7 +385,6 @@ func (m *Machine) finishRun() (Result, error) {
 	for m.events.len() > 0 {
 		m.processInstant(m.events.minTime())
 	}
-	m.drainEmit()
 	addSimEvents(m.simEvents)
 
 	res := Result{
@@ -442,7 +440,6 @@ func (m *Machine) runSequential(prog Program) error {
 	for i := 0; i < m.params.P; i++ {
 		p := m.ensureProc(i)
 		p.reinit()
-		p.watermark = m.localWatermark()
 		p.next, p.stop = iter.Pull(p.sequence(prog))
 		m.await(p)
 		if p.state == stateReady {
@@ -480,7 +477,6 @@ func (m *Machine) commitLoop() error {
 			if m.allDone() {
 				return nil
 			}
-			m.drainEmit()
 			if m.procErr != nil {
 				// A processor panic often strands its peers on
 				// Recv; report the root cause, not the symptom.
@@ -601,7 +597,6 @@ func (m *Machine) reset() {
 	m.wakeSendBits = reuseWords(m.wakeSendBits, m.procWords)
 	m.wakeRecvBits = reuseWords(m.wakeRecvBits, m.procWords)
 	m.resumeFloor = math.MaxInt64
-	m.evBuf = m.evBuf[:0]
 
 	m.lastDelivery = 0
 	m.maxBuf = 0
@@ -656,33 +651,16 @@ func nthSetBit(x uint64, r int) int {
 	return bits.TrailingZeros64(x)
 }
 
-// emit buffers ev for the run's auditor and the installed event sink.
-// With auditing off and no sink this is one flag check — the hot path
-// stays free. Buffered events drain in commit order (drainEmit), so
-// sinks observe exactly the sequence the unbuffered engine produced.
+// emit hands ev to the run's auditor and then to the installed event
+// sink, in commit order. Callers check m.emitOn first, so a run with
+// neither builds no Event.
 func (m *Machine) emit(ev Event) {
-	if m.emitOn {
-		m.evBuf = append(m.evBuf, ev)
+	if m.auditor != nil {
+		m.auditor.Observe(ev)
 	}
-}
-
-// drainEmit forwards the buffered events to the auditor and sink in
-// the order they were emitted and recycles the buffer.
-func (m *Machine) drainEmit() {
-	if len(m.evBuf) == 0 {
-		return
+	if m.eventLog != nil {
+		m.eventLog(ev)
 	}
-	for i := range m.evBuf {
-		ev := m.evBuf[i]
-		if m.auditor != nil {
-			m.auditor.Observe(ev)
-		}
-		if m.eventLog != nil {
-			m.eventLog(ev)
-		}
-		m.evBuf[i] = Event{} // drop Body references
-	}
-	m.evBuf = m.evBuf[:0]
 }
 
 // newRec returns the index of a zeroed slab record for the caller to
@@ -775,30 +753,35 @@ func (m *Machine) localWatermark() int64 {
 	return w
 }
 
-// await obtains the next request from p's program and records it,
-// running the program inline until its next engine call. Local
-// operations the program resolved proc-side since the last crossing
+// await runs p until its next engine operation and parks it in
+// p.pending. A coroutine first gets a fresh delivery watermark: it is
+// about to run ahead of the engine and needs to know below which
+// instant its local view of the input buffer is complete. Local
+// operations the processor resolved proc-side since the last crossing
 // are folded into simEvents here, preserving the per-op accounting of
-// the serialized engine.
+// the serialized engine. A halt ends the processor, failing the run
+// first if it halted by panicking.
 func (m *Machine) await(p *proc) {
-	p.advance()
+	if p.next == nil {
+		p.scriptSegment()
+	} else {
+		p.watermark = m.localWatermark()
+		p.next()
+	}
 	if p.localOps != 0 {
 		m.simEvents += p.localOps
 		p.localOps = 0
 	}
-	switch p.pending.kind {
-	case opDone:
-		p.state = stateDone
-		m.doneCount++
-		m.maybeRecycle(p)
-	case opPanic:
-		m.failProc(p, p.pending.err)
-		p.state = stateDone
-		m.doneCount++
-		m.maybeRecycle(p)
-	default:
+	if p.pending.Kind != ScriptHalt {
 		p.state = stateReady
+		return
 	}
+	if p.err != nil {
+		m.failProc(p, p.err)
+	}
+	p.state = stateDone
+	m.doneCount++
+	m.maybeRecycle(p)
 }
 
 // failProc records err, processor p's failure at its current clock, as
@@ -810,21 +793,6 @@ func (m *Machine) await(p *proc) {
 func (m *Machine) failProc(p *proc, err error) {
 	if m.procErr == nil || p.clock < m.errAt || p.clock == m.errAt && p.id < m.errID {
 		m.procErr, m.errAt, m.errID = err, p.clock, p.id
-	}
-}
-
-// advance runs p to its next engine crossing and parks the request in
-// p.pending: a coroutine is resumed, a scripted processor (p.next ==
-// nil under RunScript) runs its state-machine segment inline.
-func (p *proc) advance() {
-	if p.next == nil {
-		p.scriptSegment()
-		return
-	}
-	if _, ok := p.next(); ok {
-		p.pending = p.out
-	} else {
-		p.pending = p.final
 	}
 }
 
@@ -847,13 +815,10 @@ func (m *Machine) popReady() *proc {
 	return m.procs[m.ready.PopMin().Idx]
 }
 
-// resume answers p's pending request and obtains the next one. It
-// refreshes p's delivery watermark first: the program is about to run
-// ahead of the engine and needs to know below which instant its local
-// view of the input buffer is complete.
-func (m *Machine) resume(p *proc, r response) {
-	p.resp = r
-	p.watermark = m.localWatermark()
+// resume answers p's pending operation with r and obtains the next
+// one.
+func (m *Machine) resume(p *proc, r ScriptResult) {
+	p.res = r
 	m.await(p)
 }
 
@@ -861,11 +826,11 @@ func (m *Machine) resume(p *proc, r response) {
 // with the minimum local clock, which guarantees that every medium
 // event at or before p.clock has been committed. Note that exec does
 // not re-enter p into the ready queue; its caller does. The pending
-// request is read in place, not copied.
+// operation is read in place, not copied.
 func (m *Machine) exec(p *proc) {
 	m.simEvents++
-	switch p.pending.kind {
-	case opBuffered:
+	switch op := &p.pending; op.Kind {
+	case ScriptBuffered:
 		n := int64(0)
 		for i := p.bufHead; i >= 0; i = m.recSlab[i].next {
 			if m.recSlab[i].at > p.clock {
@@ -873,9 +838,9 @@ func (m *Machine) exec(p *proc) {
 			}
 			n++
 		}
-		m.resume(p, response{n: n})
+		m.resume(p, ScriptResult{N: n})
 
-	case opSend:
+	case ScriptSend:
 		s := p.clock + m.params.O
 		if s < p.nextComm {
 			s = p.nextComm
@@ -885,24 +850,24 @@ func (m *Machine) exec(p *proc) {
 		p.state = stateWaitAccept
 		m.totalMsgs++
 		m.msgSeq++
-		if m.emitOn {
-			m.emit(Event{Time: s, Kind: EvSubmit, Seq: m.msgSeq, Msg: p.pending.msg})
-		}
 		idx := m.newRec()
 		rec := &m.recSlab[idx]
-		rec.msg = p.pending.msg
+		rec.msg = Message{Src: p.id, Dst: op.Dst, Tag: op.Tag, Payload: op.Payload, Aux: op.Aux, Body: op.Body}
 		rec.at = s
 		rec.msgID = m.msgSeq
+		if m.emitOn {
+			m.emit(Event{Time: s, Kind: EvSubmit, Seq: m.msgSeq, Msg: rec.msg})
+		}
 		m.events.push(m.recSlab, s, evSubmission, idx)
 
-	case opRecv:
+	case ScriptRecv:
 		if p.bufLen > 0 {
 			m.completeRecv(p)
 		} else {
 			p.state = stateWaitMsg
 		}
 
-	case opTryRecv:
+	case ScriptTryRecv:
 		if p.bufLen > 0 && m.recSlab[p.bufHead].at <= p.clock && p.nextComm <= p.clock {
 			head := &m.recSlab[p.bufHead]
 			r := p.clock
@@ -914,14 +879,14 @@ func (m *Machine) exec(p *proc) {
 			p.recvd++
 			msg := head.msg
 			m.popBufFree(p)
-			m.resume(p, response{msg: msg, ok: true})
+			m.resume(p, ScriptResult{Msg: msg, OK: true})
 		} else {
 			p.clock++ // one polling cycle, so busy-wait loops consume time
-			m.resume(p, response{})
+			m.resume(p, ScriptResult{})
 		}
 
 	default:
-		panic(fmt.Sprintf("logp: unexpected pending op %d", p.pending.kind))
+		panic(fmt.Sprintf("logp: unexpected pending op %d", op.Kind))
 	}
 }
 
@@ -945,7 +910,7 @@ func (m *Machine) completeRecv(p *proc) {
 	p.state = stateReady
 	msg := head.msg
 	m.popBufFree(p)
-	m.resume(p, response{msg: msg, ok: true})
+	m.resume(p, ScriptResult{Msg: msg, OK: true})
 }
 
 // processInstant commits every medium event scheduled at the earliest
@@ -1061,7 +1026,7 @@ func (m *Machine) processInstant(t int64) {
 		p.clock = t // acceptance instant; stall cycles already accounted
 		p.sent++
 		p.state = stateReady
-		m.resume(p, response{})
+		m.resume(p, ScriptResult{})
 		if p.state == stateReady {
 			m.pushReady(p)
 		}
@@ -1077,7 +1042,6 @@ func (m *Machine) processInstant(t int64) {
 		}
 	}
 	m.resumeFloor = math.MaxInt64
-	m.drainEmit()
 }
 
 // reuseWords returns a zeroed word slice of length n, reusing s's

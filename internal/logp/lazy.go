@@ -76,9 +76,9 @@ func (m *Machine) maybeRecycle(p *proc) {
 // which must end in the processor's first Recv (parking it to receive
 // the delivery that triggered the instantiation), a halt, or a panic.
 // Anything else breaks the passivity contract and fails the run: a
-// Send, or even a locally failing poll, would have interacted with the
-// rest of the machine had the prefix run at startup, so deferring it
-// would no longer be unobservable.
+// Send, or even a poll that fails, would have interacted with the rest
+// of the machine had the prefix run at startup, so deferring it would
+// no longer be unobservable.
 //
 // t is the instant of the triggering delivery (MaxInt64 from the
 // finalization sweep). It decides how far the dense engine would
@@ -93,14 +93,11 @@ func (m *Machine) instantiateLazy(id int, t int64) {
 	m.templateCount--
 	p := m.ensureProc(id)
 	p.reinit()
-	p.watermark = m.localWatermark()
-	p.prefix = true
 	m.await(p)
-	p.prefix = false
-	switch p.pending.kind {
-	case opRecv:
+	switch p.pending.Kind {
+	case ScriptRecv:
 		if p.clock < t {
-			// Mirror exec(opRecv) on an empty buffer: one simulation
+			// Mirror exec(ScriptRecv) on an empty buffer: one simulation
 			// event, then wait for a message. The buffer is empty by
 			// construction — the triggering delivery has not been
 			// appended yet.
@@ -109,7 +106,7 @@ func (m *Machine) instantiateLazy(id int, t int64) {
 		} else {
 			m.pushReady(p)
 		}
-	case opDone, opPanic:
+	case ScriptHalt:
 		// await recorded the outcome (and recycled a scripted proc).
 	default:
 		m.failProc(p, fmt.Errorf("logp: processor %d declared passive performed a non-local operation before its first Recv", id))

@@ -53,31 +53,9 @@ type Proc interface {
 // Program is the code executed by every processor of a Machine.
 type Program func(p Proc)
 
-type opKind uint8
-
-const (
-	opSend opKind = iota
-	opRecv
-	opTryRecv
-	opBuffered
-	opDone
-	opPanic
-)
-
-type request struct {
-	kind opKind
-	msg  Message
-	err  error
-}
-
-type response struct {
-	msg Message
-	ok  bool
-	n   int64
-}
-
-// token is the zero-size value exchanged over the coroutine switch; the actual request and response ride in proc
-// fields (see proc.out and proc.resp).
+// token is the zero-size value exchanged over the coroutine switch; the
+// operation and its result ride in proc fields (see proc.pending and
+// proc.res).
 type token = struct{}
 
 type procState uint8
@@ -104,7 +82,9 @@ type msgRec struct {
 }
 
 // proc is the engine-side representation of a processor; it also
-// implements Proc for the program coroutine.
+// implements Proc for the program coroutine. Both program forms park
+// their next engine operation in pending as a ScriptOp, the format every
+// LogP engine parks, and find the engine's answer in res.
 type proc struct {
 	id int
 	m  *Machine
@@ -118,14 +98,14 @@ type proc struct {
 	// processor, not merely two submissions or two acquisitions.
 	nextComm int64
 
-	// Fast-path local view. watermark is the delivery watermark the
-	// engine computed when it last resumed this processor: no message
-	// can reach the input buffer at any instant strictly below it, so
-	// Buffered and failing TryRecv resolve proc-side while clock stays
-	// below the watermark. localOps counts operations resolved
-	// proc-side since the last engine crossing; the count is flushed
-	// into the machine's simEvents at the next yield (Send, Recv,
-	// successful TryRecv, a watermark miss, or termination).
+	// Fast-path local view of the coroutine form. watermark is the
+	// delivery watermark the engine computed when it last resumed this
+	// processor: no message can reach the input buffer at any instant
+	// strictly below it, so Buffered and failing TryRecv resolve
+	// proc-side while clock stays below the watermark. localOps counts
+	// operations resolved proc-side (local work in either form) since
+	// the last engine crossing; the count is flushed into the machine's
+	// simEvents at the next crossing.
 	watermark int64
 	localOps  int64
 
@@ -135,12 +115,15 @@ type proc struct {
 	bufTail int32
 	bufLen  int
 
-	state   procState
-	pending request
-	// final carries the coroutine's terminal request (opDone or
-	// opPanic): a finished coroutine cannot yield, so its epilogue
-	// records the outcome here for the engine to read.
-	final request
+	state procState
+	// pending is the operation the processor is parked on, in the
+	// Script form every engine parks: Send, Recv, TryRecv or Buffered
+	// while it waits for exec, ScriptHalt once it returned or panicked
+	// (err then holds the panic). res is the engine's answer to the
+	// previous operation.
+	pending ScriptOp
+	res     ScriptResult
+	err     error
 
 	sent, recvd int64
 	stallCycles int64
@@ -148,25 +131,15 @@ type proc struct {
 
 	// The program runs as a coroutine (nil for a scripted processor,
 	// which runs inline in scriptSegment). yield parks the program
-	// until the engine answers in resp; next resumes the program until
-	// its next request; stop unwinds it. The request itself travels
-	// through the out field rather than the yield value — yielding a
-	// zero-size token keeps the ~80-byte request struct from being
-	// copied through the iter.Pull plumbing twice per crossing. Exactly
-	// one of (engine, program) runs at any time and the coroutine
-	// switch orders their memory accesses, so these unsynchronized
-	// fields are race-free.
+	// until the engine answers in res; next resumes the program until
+	// its next operation; stop unwinds it. The operation itself is
+	// written into pending rather than yielded, so no struct is copied
+	// through the iter.Pull plumbing. Exactly one of (engine, program)
+	// runs at any time and the coroutine switch orders their memory
+	// accesses, so these unsynchronized fields are race-free.
 	next  func() (token, bool)
 	stop  func()
 	yield func(token) bool
-	out   request
-	resp  response
-
-	// prefix is set while a lazily instantiated passive scripted
-	// processor runs its pre-Recv prefix (see lazy.go): locally
-	// resolving polls are rejected there, because deferring them past
-	// startup would not commute with the rest of the machine.
-	prefix bool
 }
 
 var _ Proc = (*proc)(nil)
@@ -176,15 +149,14 @@ func (p *proc) P() int         { return p.m.params.P }
 func (p *proc) Params() Params { return p.m.params }
 func (p *proc) Now() int64     { return p.clock }
 
-// call hands r to the engine and blocks for the answer: one coroutine
-// switch. A false yield means the engine is shutting down, and the
-// program unwinds.
-func (p *proc) call(r request) response {
-	p.out = r
+// call parks op for the engine and blocks for the answer in p.res: one
+// coroutine switch. A false yield means the engine is shutting down,
+// and the program unwinds.
+func (p *proc) call(op ScriptOp) {
+	p.pending = op
 	if !p.yield(token{}) {
 		panic(errStopped)
 	}
-	return p.resp
 }
 
 // Compute is the per-event local-work operation of the fast path.
@@ -230,16 +202,15 @@ func (p *proc) SendBody(dst int, tag int32, payload, aux int64, body interface{}
 	if dst == p.id {
 		panic("logp: Send to self; use local state instead")
 	}
-	p.call(request{kind: opSend, msg: Message{
-		Src: p.id, Dst: dst, Tag: tag, Payload: payload, Aux: aux, Body: body,
-	}})
+	p.call(ScriptOp{Kind: ScriptSend, Dst: dst, Tag: tag, Payload: payload, Aux: aux, Body: body})
 }
 
 // Recv blocks until a buffered message can be acquired.
 //
 //hot:path program-side fast-path operation
 func (p *proc) Recv() Message {
-	return p.call(request{kind: opRecv}).msg
+	p.call(ScriptOp{Kind: ScriptRecv})
+	return p.res.Msg
 }
 
 // TryRecv polls the input buffer for one cycle.
@@ -264,8 +235,8 @@ func (p *proc) TryRecv() (Message, bool) {
 		p.localOps++
 		return Message{}, false
 	}
-	r := p.call(request{kind: opTryRecv})
-	return r.msg, r.ok
+	p.call(ScriptOp{Kind: ScriptTryRecv})
+	return p.res.Msg, p.res.OK
 }
 
 // Buffered reports how many arrivals are acquirable right now.
@@ -280,7 +251,8 @@ func (p *proc) Buffered() int {
 		p.localOps++
 		return p.bufLen
 	}
-	return int(p.call(request{kind: opBuffered}).n)
+	p.call(ScriptOp{Kind: ScriptBuffered})
+	return int(p.res.N)
 }
 
 // reinit prepares the pooled proc struct for a fresh Run.
@@ -291,11 +263,10 @@ func (p *proc) reinit() {
 	p.localOps = 0
 	p.bufHead, p.bufTail, p.bufLen = -1, -1, 0
 	p.state = stateReady
-	p.pending = request{}
-	p.final = request{}
+	p.pending = ScriptOp{}
+	p.res = ScriptResult{}
+	p.err = nil
 	p.sent, p.recvd = 0, 0
 	p.stallCycles, p.stallEvents = 0, 0
 	p.next, p.stop, p.yield = nil, nil, nil
-	p.resp = response{}
-	p.prefix = false
 }

@@ -14,10 +14,14 @@ import (
 // result of the previous one, and the script keeps whatever per-
 // processor state it needs in its own (typically slab-allocated)
 // structures. Per live processor the engine then holds only the
-// ~200-byte proc record.
+// 288-byte proc record.
 //
 // Next must be deterministic and, like a Program, may only touch state
-// owned by processor id (the bsplogpvet procshare rule).
+// owned by processor id (the bsplogpvet procshare rule). The engine
+// resolves Compute and WaitUntil itself and performs every other
+// operation in its commit loop, polls included: a Script has no
+// proc-side fast path, since returning from Next costs no coroutine
+// switch for one to save.
 //
 // Active declares which processors have work of their own at time 0.
 // A processor with Active(id) == false is passive: it is represented
@@ -285,7 +289,6 @@ func (m *Machine) runSequentialScript(s Script) error {
 		}
 		p := m.ensureProc(i)
 		p.reinit()
-		p.watermark = m.localWatermark()
 		m.await(p)
 		if p.state == stateReady {
 			m.pushReady(p)
@@ -296,30 +299,27 @@ func (m *Machine) runSequentialScript(s Script) error {
 }
 
 // scriptSegment advances a scripted processor to its next engine
-// crossing, mirroring the coroutine fast path's proc-side resolution
-// rules exactly: Compute and WaitUntil always resolve locally, a poll
-// fails locally when the gap forbids acquisition or nothing can have
-// arrived below the delivery watermark, and every other operation
-// parks a request for the engine. A panic out of Next (or a validation
-// failure) becomes the same opPanic request the coroutine epilogue
-// would record.
+// operation. Compute and WaitUntil touch only the processor's clock, so
+// they resolve here; every other operation, polls included, is parked
+// in p.pending as Next returned it, for exec to perform (see Script on
+// why there is no watermark fast path here). A panic out of Next, or a
+// validation failure, parks ScriptHalt with the processor's panicked
+// error in p.err, as the coroutine epilogue does.
 //
 //hot:path the scripted engine's per-operation transition loop
 func (p *proc) scriptSegment() {
 	defer func() {
 		if r := recover(); r != nil {
-			p.pending = request{kind: opPanic, err: fmt.Errorf("logp: processor %d panicked: %v", p.id, r)}
+			p.pending = ScriptOp{Kind: ScriptHalt}
+			p.err = fmt.Errorf("logp: processor %d panicked: %v", p.id, r)
 		}
 	}()
 	s := p.m.script
-	res := ScriptResult{Msg: p.resp.msg, OK: p.resp.ok, N: p.resp.n, Now: p.clock}
+	res := p.res
+	res.Now = p.clock
 	for {
 		op := s.Next(p.id, res)
 		switch op.Kind {
-		case ScriptHalt:
-			p.pending = request{kind: opDone}
-			return
-
 		case ScriptCompute:
 			if op.N < 0 {
 				panic(fmt.Sprintf("logp: Compute(%d) with negative cycles", op.N))
@@ -344,57 +344,14 @@ func (p *proc) scriptSegment() {
 			if op.Dst == p.id {
 				panic("logp: Send to self; use local state instead")
 			}
-			p.pending = request{kind: opSend, msg: Message{
-				Src: p.id, Dst: op.Dst, Tag: op.Tag, Payload: op.Payload, Aux: op.Aux, Body: op.Body,
-			}}
-			return
+			fallthrough
 
-		case ScriptRecv:
-			p.pending = request{kind: opRecv}
-			return
-
-		case ScriptTryRecv:
-			if p.bufLen > 0 {
-				if p.nextComm > p.clock {
-					p.failIfPrefix("TryRecv")
-					p.clock++ // one polling cycle
-					p.localOps++
-					res = ScriptResult{Now: p.clock}
-					continue
-				}
-			} else if p.clock < p.watermark {
-				p.failIfPrefix("TryRecv")
-				p.clock++
-				p.localOps++
-				res = ScriptResult{Now: p.clock}
-				continue
-			}
-			p.pending = request{kind: opTryRecv}
-			return
-
-		case ScriptBuffered:
-			if p.clock < p.watermark {
-				p.failIfPrefix("Buffered")
-				p.localOps++
-				res = ScriptResult{N: int64(p.bufLen), Now: p.clock}
-				continue
-			}
-			p.pending = request{kind: opBuffered}
+		case ScriptHalt, ScriptRecv, ScriptTryRecv, ScriptBuffered:
+			p.pending = op
 			return
 
 		default:
 			panic(fmt.Sprintf("logp: unknown script op kind %d", op.Kind))
 		}
-	}
-}
-
-// failIfPrefix enforces the passivity contract on locally resolving
-// polls: a passive processor's pre-Recv prefix runs at first delivery
-// instead of at startup, which is only sound for operations that
-// commute with the rest of the machine — and a poll, even a locally
-// failing one, does not.
-func (p *proc) failIfPrefix(op string) {
-	if p.prefix {
-		panic(fmt.Sprintf("logp: passive processor %d performed %s before its first Recv", p.id, op))
 	}
 }

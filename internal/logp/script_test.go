@@ -247,8 +247,8 @@ func TestScriptPassivityViolation(t *testing.T) {
 		want string
 	}{
 		{logp.ScriptSend, "declared passive performed a non-local operation"},
-		{logp.ScriptTryRecv, "performed TryRecv before its first Recv"},
-		{logp.ScriptBuffered, "performed Buffered before its first Recv"},
+		{logp.ScriptTryRecv, "declared passive performed a non-local operation"},
+		{logp.ScriptBuffered, "declared passive performed a non-local operation"},
 	}
 	for _, c := range cases {
 		s := &violationScript{p: 4, kind: c.kind, st: make([]bool, 4)}

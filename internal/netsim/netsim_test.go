@@ -22,10 +22,10 @@ func (net *Network) NextHop(u, d int) int {
 
 // permutationRelation returns the 1-relation in which processor i sends
 // one message to perm[i].
-func permutationRelation(perm []int) relation.Relation {
+func permutationRelation(perm []int32) relation.Relation {
 	r := relation.Relation{P: len(perm)}
 	for i, d := range perm {
-		r.Pairs = append(r.Pairs, relation.Pair{Src: i, Dst: d})
+		r.Pairs = append(r.Pairs, relation.Pair{Src: i, Dst: int(d)})
 	}
 	return r
 }
@@ -71,8 +71,9 @@ func TestNextHopShortensDistance(t *testing.T) {
 func TestRouteSinglePermutationMesh(t *testing.T) {
 	g := topology.Array(4, 2, false)
 	net := New(g)
-	rng := stats.NewRNG(1)
-	rel := permutationRelation(rng.Perm(16))
+	perm := make([]int32, 16)
+	stats.NewRNG(1).Perm32Into(perm, 16)
+	rel := permutationRelation(perm)
 	res := net.NewRouter().Route(rel, RouteOptions{})
 	if res.Packets != 16 {
 		t.Fatalf("packets = %d", res.Packets)

@@ -109,13 +109,14 @@ func (g *Grouping) FanOut(i int) int {
 
 // RandomRegular returns an h-relation in which every processor sends
 // exactly h and receives exactly h messages: the superimposition of h
-// independent random permutations.
+// independent random permutations, each drawn into one reused buffer.
 func RandomRegular(rng *stats.RNG, p, h int) Relation {
 	r := Relation{P: p, Pairs: make([]Pair, 0, p*h)}
+	perm := make([]int32, p)
 	for k := 0; k < h; k++ {
-		perm := rng.Perm(p)
+		rng.Perm32Into(perm, p)
 		for i, d := range perm {
-			r.Pairs = append(r.Pairs, Pair{Src: i, Dst: d})
+			r.Pairs = append(r.Pairs, Pair{Src: i, Dst: int(d)})
 		}
 	}
 	return r

@@ -130,21 +130,10 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Perm32Into fills out[:n] with a uniformly random permutation of
-// [0, n), drawing exactly the same generator stream as Perm(n) so the
-// two produce identical permutations from identical states. It exists
-// for the scale experiments, which redraw permutations every run into
-// a retained buffer instead of allocating a fresh []int.
+// [0, n): a Fisher-Yates shuffle of the identity, drawing the same
+// generator stream as Shuffle(n, swap). Callers redraw permutations
+// into a retained buffer instead of allocating one per draw.
 func (r *RNG) Perm32Into(out []int32, n int) {
 	p := out[:n]
 	for i := range p {

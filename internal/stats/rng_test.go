@@ -89,13 +89,11 @@ func TestFloat64Mean(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, n uint8) bool {
 		m := int(n%64) + 1
-		p := NewRNG(seed).Perm(m)
-		if len(p) != m {
-			return false
-		}
+		p := make([]int32, m)
+		NewRNG(seed).Perm32Into(p, m)
 		seen := make([]bool, m)
 		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
+			if v < 0 || int(v) >= m || seen[v] {
 				return false
 			}
 			seen[v] = true
@@ -110,10 +108,11 @@ func TestPermIsPermutation(t *testing.T) {
 func TestPermNotIdentityUsually(t *testing.T) {
 	identity := 0
 	for seed := uint64(0); seed < 50; seed++ {
-		p := NewRNG(seed).Perm(10)
+		p := make([]int32, 10)
+		NewRNG(seed).Perm32Into(p, 10)
 		id := true
 		for i, v := range p {
-			if i != v {
+			if i != int(v) {
 				id = false
 				break
 			}
