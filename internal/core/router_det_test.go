@@ -94,7 +94,10 @@ func FuzzMergeSplit(f *testing.F) {
 		}
 		if shuffle {
 			rng := stats.NewRNG(uint64(len(data))*31 + uint64(rRaw))
-			rng.Shuffle(r, func(i, j int) { theirs[i], theirs[j] = theirs[j], theirs[i] })
+			for i := r - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				theirs[i], theirs[j] = theirs[j], theirs[i]
+			}
 		}
 		got := make([]*bsp.Message, r)
 		mergeSplit(got, mine, theirs, keepLow)

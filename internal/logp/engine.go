@@ -158,13 +158,14 @@ type Machine struct {
 	// a million individual procs.
 	arena procArena
 
-	// Scale-mode machinery (see lazy.go and script.go). script is the
-	// Script driving the current RunScript. procFree pools recycled
-	// processor structs; startedBits marks ids ever materialized this
-	// run, so a nil procs slot is a template when clear and a recycled
-	// halted processor when set. procTimes, doneStall and doneBufLen
-	// retire the still-observable facts of recycled processors;
-	// doneCount and templateCount replace the O(P) completion scan.
+	// Processor lifecycle (see lazy.go and script.go). script is the
+	// Script driving the current RunScript, nil under Run. procFree
+	// pools recycled processor structs; startedBits marks ids ever
+	// materialized this run, so a nil procs slot is a template when
+	// clear and a recycled halted processor when set. procTimes,
+	// doneStall and doneBufLen retire the still-observable facts of
+	// recycled processors; doneCount and templateCount replace the O(P)
+	// completion scan.
 	script        Script
 	procFree      []*proc
 	startedBits   []uint64
@@ -227,14 +228,6 @@ type Machine struct {
 	wakeRecvBits []uint64
 	procWords    int
 
-	// resumeFloor is a lower bound on the clock at which any processor
-	// that the scheduler is about to re-enter — but which is not yet
-	// in the ready queue — may next act. It is 0 during the startup
-	// sweep (unstarted programs begin at clock 0), the current instant
-	// during processInstant's wake sweeps, and MaxInt64 otherwise.
-	// localWatermark folds it into the fast-path delivery watermark.
-	resumeFloor int64
-
 	// emitOn is set when the run has an auditor or an event sink; every
 	// emission site checks it first, so a run with neither builds no
 	// Event.
@@ -266,7 +259,7 @@ type Machine struct {
 // has fully unwound — panic recovery and epilogue included — when it
 // returns, and stopping an already finished coroutine is a no-op; a
 // failed Run never leaks a parked program into the caller's world (or
-// into this machine's next Run).
+// into this machine's next Run). A RunScript's Script is dropped too.
 //
 //hot:cold per-Run epilogue
 func (m *Machine) shutdown() {
@@ -275,6 +268,7 @@ func (m *Machine) shutdown() {
 			p.stop()
 		}
 	}
+	m.script = nil
 }
 
 // NewMachine builds a machine with the given parameters, which must
@@ -364,13 +358,26 @@ func (p *proc) sequence(prog Program) iter.Seq[token] {
 // processor that panics halts; the rest of the machine runs on, and
 // the error names the panic at the earliest local clock, lowest id
 // among ties.
+func (m *Machine) Run(prog Program) (Result, error) {
+	return m.run(prog, nil)
+}
+
+// run is the one processor lifecycle behind Run and RunScript: exactly
+// one of prog and s is non-nil. Processors start one at a time in id
+// order, so that the code before each one's first engine operation is
+// serialized like everything else; a Program's processors each get a
+// coroutine, and a Script's passive ones become templates (see
+// lazy.go). The commit loop then interleaves instants and operations,
+// and a halted processor of either form is recycled (maybeRecycle).
 //
 //hot:path entry to the per-event engines; setup/epilogue callees are //hot:cold
-func (m *Machine) Run(prog Program) (Result, error) {
+func (m *Machine) run(prog Program, s Script) (Result, error) {
+	m.script = s
 	m.reset()
 	defer m.shutdown()
 
-	if err := m.runSequential(prog); err != nil {
+	m.start(prog)
+	if err := m.commitLoop(); err != nil {
 		return Result{}, err
 	}
 	return m.finishRun()
@@ -378,7 +385,7 @@ func (m *Machine) Run(prog Program) (Result, error) {
 
 // finishRun drains in-flight deliveries (so LastDelivery and
 // buffer-depth statistics reflect the whole execution) and assembles
-// the Result; it is shared by Run and RunScript.
+// the Result.
 //
 //hot:cold per-Run epilogue: the Result assembly may allocate
 func (m *Machine) finishRun() (Result, error) {
@@ -426,28 +433,26 @@ func (m *Machine) finishRun() (Result, error) {
 	return res, nil
 }
 
-// runSequential is the single-goroutine scheduler: start the
-// processors one at a time, then interleave instants and operations
-// from one commit loop.
+// start materializes the active processors in id order and runs each
+// to its first engine operation.
 //
 //hot:cold per-Run startup: coroutine launch may allocate
-func (m *Machine) runSequential(prog Program) error {
-	// Start processors one at a time so that the code before each
-	// program's first engine call is serialized like everything else.
-	// Programs not yet started sit at clock 0, which resumeFloor
-	// advertises to the fast path of the ones already running.
-	m.resumeFloor = 0
+func (m *Machine) start(prog Program) {
 	for i := 0; i < m.params.P; i++ {
+		if m.script != nil && !m.script.Active(i) {
+			m.templateCount++
+			continue
+		}
 		p := m.ensureProc(i)
 		p.reinit()
-		p.next, p.stop = iter.Pull(p.sequence(prog))
+		if prog != nil {
+			p.next, p.stop = iter.Pull(p.sequence(prog))
+		}
 		m.await(p)
 		if p.state == stateReady {
 			m.pushReady(p)
 		}
 	}
-	m.resumeFloor = math.MaxInt64
-	return m.commitLoop()
 }
 
 // commitLoop is the sequential scheduler's main loop, shared by the
@@ -550,9 +555,9 @@ func (m *Machine) reset() {
 	} else {
 		clear(m.doneBufLen)
 	}
-	// procTimes retires recycled scripted processors' clocks; size it
-	// here so maybeRecycle never allocates mid-run.
-	if m.script != nil && len(m.procTimes) != p {
+	// procTimes retires recycled processors' clocks; size it here so
+	// maybeRecycle never allocates mid-run.
+	if len(m.procTimes) != p {
 		m.procTimes = make([]int64, p)
 	}
 	m.events.reset(m.params.L)
@@ -596,7 +601,6 @@ func (m *Machine) reset() {
 	m.dirtyBits = reuseWords(m.dirtyBits, m.procWords)
 	m.wakeSendBits = reuseWords(m.wakeSendBits, m.procWords)
 	m.wakeRecvBits = reuseWords(m.wakeRecvBits, m.procWords)
-	m.resumeFloor = math.MaxInt64
 
 	m.lastDelivery = 0
 	m.maxBuf = 0
@@ -724,48 +728,16 @@ func (m *Machine) deadlockError() error {
 	return fmt.Errorf("logp: deadlock: processors %v blocked on Recv, %v blocked on Send, no messages in flight", waitMsg, waitAcc)
 }
 
-// localWatermark computes the delivery watermark handed to a fast-path
-// program about to run: no message can reach its input buffer at any
-// instant strictly below the returned value, so Buffered and failing
-// TryRecv resolve proc-side while the local clock stays below it.
-// Three sources bound it. Committed-but-unprocessed events can place a
-// delivery no earlier than the event wheel's minimum time. Another
-// ready processor at clock c submits no earlier than c, and every
-// delivery lands strictly after its acceptance, hence at c+1 or later.
-// resumeFloor covers processors the scheduler knows are about to act
-// at a given clock but has not yet re-entered into the ready queue
-// (program startup and the per-instant wake sweeps). The wheel caches
-// its minimum and the ready queue keeps its at a ring or heap head, so
-// this is O(1).
-func (m *Machine) localWatermark() int64 {
-	w := int64(math.MaxInt64)
-	if m.events.len() > 0 {
-		w = m.events.minTime()
-	}
-	if m.ready.Len() > 0 {
-		if c := m.ready.Min().At; c+1 < w {
-			w = c + 1
-		}
-	}
-	if m.resumeFloor != math.MaxInt64 && m.resumeFloor+1 < w {
-		w = m.resumeFloor + 1
-	}
-	return w
-}
-
 // await runs p until its next engine operation and parks it in
-// p.pending. A coroutine first gets a fresh delivery watermark: it is
-// about to run ahead of the engine and needs to know below which
-// instant its local view of the input buffer is complete. Local
-// operations the processor resolved proc-side since the last crossing
-// are folded into simEvents here, preserving the per-op accounting of
-// the serialized engine. A halt ends the processor, failing the run
-// first if it halted by panicking.
+// p.pending. The Compute and WaitUntil calls the processor resolved
+// proc-side since the last crossing are folded into simEvents here,
+// preserving the per-op accounting of the serialized engine. A halt
+// ends the processor, failing the run first if it halted by panicking,
+// and recycles its record.
 func (m *Machine) await(p *proc) {
 	if p.next == nil {
 		p.scriptSegment()
 	} else {
-		p.watermark = m.localWatermark()
 		p.next()
 	}
 	if p.localOps != 0 {
@@ -921,9 +893,6 @@ func (m *Machine) completeRecv(p *proc) {
 // id order.
 func (m *Machine) processInstant(t int64) {
 	capacity := m.capacity
-	// Processors woken below act at instant t; until each is back in
-	// the ready queue, the floor keeps run-ahead peers honest.
-	m.resumeFloor = t
 
 	for m.events.len() > 0 && m.events.minTime() == t {
 		ri, kind := m.events.popMin(m.recSlab)
@@ -947,10 +916,10 @@ func (m *Machine) processInstant(t int64) {
 			}
 			rec.at = t
 			if p == nil {
-				// The destination halted and was recycled. The dense
-				// engine would append to the done processor's buffer
-				// forever; only the depth is observable, so track it in
-				// doneBufLen and free the record immediately.
+				// The destination halted and was recycled. Its buffer
+				// would only grow from here on; only the depth is
+				// observable, so track it in doneBufLen and free the
+				// record immediately.
 				n := m.doneBufLen[dst] + 1
 				m.doneBufLen[dst] = n
 				if n > m.maxBuf {
@@ -1041,7 +1010,6 @@ func (m *Machine) processInstant(t int64) {
 			}
 		}
 	}
-	m.resumeFloor = math.MaxInt64
 }
 
 // reuseWords returns a zeroed word slice of length n, reusing s's

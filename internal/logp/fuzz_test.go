@@ -185,14 +185,15 @@ func fuzzSeed(data []byte) uint64 {
 // checkEngineMatchesReference runs the decoded program on the engine
 // and on the reference interpreter under every policy and acceptance
 // order, over parameter sets including the degenerate corners (G == L
-// pins the capacity to 1 and keeps the engine's delivery watermark
-// hugging the clocks; O == G == L aligns every operation to instant
+// pins the capacity to 1, so every destination has at most one message
+// in flight; O == G == L aligns every operation to instant
 // boundaries; L = 9, o = 3, G = 4 leaves a partial capacity window;
 // L = 70 makes each destination's slot ring two 64-bit words, so
 // delivery windows cross words).
-// Batching, pooling, buffered emission, and proc-side run-ahead must
-// all be unobservable. The program driven through ProgramAsScript on
-// the Script engine must in turn reproduce the Program engine's run.
+// Pooling, processor recycling, and the proc-side run-ahead of Compute
+// and WaitUntil must all be unobservable. The program driven through
+// ProgramAsScript on the Script engine must in turn reproduce the
+// Program engine's run.
 func checkEngineMatchesReference(t *testing.T, data []byte) {
 	t.Helper()
 	prog, p := decodeFuzzProgram(data)

@@ -5,19 +5,19 @@ import (
 	"math"
 )
 
-// Lazy processor lifecycle for the scripted scale mode. Processors that
-// have no work before their first message (Script.Active(id) == false)
-// are never materialized at startup: the nil slot in Machine.procs
+// Processor lifecycle. A Script's processors that have no work before
+// their first message (Script.Active(id) == false) are never
+// materialized at startup: the nil slot in Machine.procs
 // together with a clear startedBits bit is the whole template. A
 // template is instantiated when its first message is delivered — its
 // local prefix runs then, which the passivity contract makes
 // unobservable — or by the finalization sweep at termination, so
 // deadlock reports and completion checks see exactly the processors
-// the dense engine would. Halted scripted processors are recycled back
-// into the struct pool (procFree), with the few still-observable facts
-// (final clock, stall cycles, buffered depth) retired into dense/side
-// structures, so a long run's live footprint follows the active set,
-// not P.
+// the dense engine would. Halted processors of either form are recycled
+// back into the struct pool (procFree), with the few still-observable
+// facts (final clock, stall cycles, buffered depth) retired into
+// dense/side structures, so a long run's live footprint follows the
+// active set, not P.
 
 // started reports whether processor id was ever materialized this run.
 // procs[id] == nil then distinguishes a template (not started) from a
@@ -27,8 +27,8 @@ func (m *Machine) started(id int) bool {
 }
 
 // ensureProc materializes processor id and marks it started. Records
-// come from the recycle freelist first (a halted scripted processor's
-// record, warm in cache), then from the arena, which re-hands the
+// come from the recycle freelist first (a halted processor's record,
+// warm in cache), then from the arena, which re-hands the
 // previous run's chunk memory before growing (see arena.go); either
 // way the caller reinits the record. Nothing here allocates once the
 // arena has reached the run's high-water record count.
@@ -48,16 +48,15 @@ func (m *Machine) ensureProc(id int) *proc {
 	return p
 }
 
-// maybeRecycle returns a halted scripted processor's struct to the
-// pool. Everything a Result or a later instant can still observe is
-// retired first: the final clock into procTimes, stall cycles into the
-// run accumulator, and any never-acquired buffered arrivals into
-// doneBufLen (their records are freed — after halt only the depth is
-// observable, via MaxBufferDepth). Only the scripted engine recycles;
-// coroutine-form processors keep their structs, whose stop functions
-// the shutdown sweep still owns.
+// maybeRecycle returns a halted processor's struct to the pool.
+// Everything a Result or a later instant can still observe is retired
+// first: the final clock into procTimes, stall cycles into the run
+// accumulator, and any never-acquired buffered arrivals into doneBufLen
+// (their records are freed — after halt only the depth is observable,
+// via MaxBufferDepth). A halted Program's coroutine has already
+// returned, so the shutdown sweep has nothing left to stop in it.
 func (m *Machine) maybeRecycle(p *proc) {
-	if m.script == nil || p.state != stateDone || m.procs[p.id] != p {
+	if p.state != stateDone || m.procs[p.id] != p {
 		return
 	}
 	m.procTimes[p.id] = p.clock
@@ -107,7 +106,7 @@ func (m *Machine) instantiateLazy(id int, t int64) {
 			m.pushReady(p)
 		}
 	case ScriptHalt:
-		// await recorded the outcome (and recycled a scripted proc).
+		// await recorded the outcome and recycled the proc.
 	default:
 		m.failProc(p, fmt.Errorf("logp: processor %d declared passive performed a non-local operation before its first Recv", id))
 		p.state = stateDone

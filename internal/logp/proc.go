@@ -98,16 +98,11 @@ type proc struct {
 	// processor, not merely two submissions or two acquisitions.
 	nextComm int64
 
-	// Fast-path local view of the coroutine form. watermark is the
-	// delivery watermark the engine computed when it last resumed this
-	// processor: no message can reach the input buffer at any instant
-	// strictly below it, so Buffered and failing TryRecv resolve
-	// proc-side while clock stays below the watermark. localOps counts
-	// operations resolved proc-side (local work in either form) since
-	// the last engine crossing; the count is flushed into the machine's
-	// simEvents at the next crossing.
-	watermark int64
-	localOps  int64
+	// localOps counts the Compute and WaitUntil calls resolved
+	// proc-side, in either form, since the last engine crossing; the
+	// count is flushed into the machine's simEvents at the next
+	// crossing.
+	localOps int64
 
 	// Input buffer: an intrusive FIFO through Machine.recSlab, in
 	// delivery order. bufHead/bufTail are -1 when empty.
@@ -159,9 +154,9 @@ func (p *proc) call(op ScriptOp) {
 	}
 }
 
-// Compute is the per-event local-work operation of the fast path.
+// Compute advances the local clock by n without an engine crossing.
 //
-//hot:path program-side fast-path operation
+//hot:path program-side operation
 func (p *proc) Compute(n int64) {
 	if n < 0 {
 		panic(fmt.Sprintf("logp: Compute(%d) with negative cycles", n))
@@ -175,9 +170,10 @@ func (p *proc) Compute(n int64) {
 	p.localOps++
 }
 
-// WaitUntil advances the local clock to t.
+// WaitUntil advances the local clock to t without an engine crossing:
+// like Compute, it touches only this processor's clock.
 //
-//hot:path program-side fast-path operation
+//hot:path program-side operation
 func (p *proc) WaitUntil(t int64) {
 	if t > p.clock {
 		p.clock = t
@@ -187,14 +183,14 @@ func (p *proc) WaitUntil(t int64) {
 
 // Send submits a message for delivery to dst.
 //
-//hot:path program-side fast-path operation
+//hot:path program-side operation
 func (p *proc) Send(dst int, tag int32, payload, aux int64) {
 	p.SendBody(dst, tag, payload, aux, nil)
 }
 
 // SendBody is Send carrying an opaque body reference.
 //
-//hot:path program-side fast-path operation
+//hot:path program-side operation
 func (p *proc) SendBody(dst int, tag int32, payload, aux int64, body interface{}) {
 	if dst < 0 || dst >= p.m.params.P {
 		panic(fmt.Sprintf("logp: Send to invalid destination %d (P=%d)", dst, p.m.params.P))
@@ -207,7 +203,7 @@ func (p *proc) SendBody(dst int, tag int32, payload, aux int64, body interface{}
 
 // Recv blocks until a buffered message can be acquired.
 //
-//hot:path program-side fast-path operation
+//hot:path program-side operation
 func (p *proc) Recv() Message {
 	p.call(ScriptOp{Kind: ScriptRecv})
 	return p.res.Msg
@@ -215,42 +211,16 @@ func (p *proc) Recv() Message {
 
 // TryRecv polls the input buffer for one cycle.
 //
-//hot:path program-side fast-path operation
+//hot:path program-side operation
 func (p *proc) TryRecv() (Message, bool) {
-	if p.bufLen > 0 {
-		// The buffer only grows while the program runs ahead, and
-		// arrivals keep at <= clock (engine invariant), so a locally
-		// visible head decides the poll: success must cross into the
-		// engine (it mutates the buffer and emits the acquisition), but
-		// a gap violation fails locally no matter what else arrives.
-		if p.nextComm > p.clock {
-			p.clock++ // one polling cycle
-			p.localOps++
-			return Message{}, false
-		}
-	} else if p.clock < p.watermark {
-		// Nothing buffered and nothing can arrive below the watermark:
-		// the poll fails without consulting the engine.
-		p.clock++
-		p.localOps++
-		return Message{}, false
-	}
 	p.call(ScriptOp{Kind: ScriptTryRecv})
 	return p.res.Msg, p.res.OK
 }
 
 // Buffered reports how many arrivals are acquirable right now.
 //
-//hot:path program-side fast-path operation
+//hot:path program-side operation
 func (p *proc) Buffered() int {
-	if p.clock < p.watermark {
-		// Every arrival at or before clock is already in the local
-		// view (none can land below the watermark), and buffered
-		// arrivals never exceed the owner's clock, so the list length
-		// is the answer.
-		p.localOps++
-		return p.bufLen
-	}
 	p.call(ScriptOp{Kind: ScriptBuffered})
 	return int(p.res.N)
 }
@@ -259,7 +229,6 @@ func (p *proc) Buffered() int {
 func (p *proc) reinit() {
 	p.clock = 0
 	p.nextComm = 0
-	p.watermark = 0
 	p.localOps = 0
 	p.bufHead, p.bufTail, p.bufLen = -1, -1, 0
 	p.state = stateReady

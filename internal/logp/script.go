@@ -3,7 +3,6 @@ package logp
 import (
 	"fmt"
 	"iter"
-	"math"
 )
 
 // Script is the coroutine-free program form for million-processor
@@ -14,14 +13,13 @@ import (
 // result of the previous one, and the script keeps whatever per-
 // processor state it needs in its own (typically slab-allocated)
 // structures. Per live processor the engine then holds only the
-// 288-byte proc record.
+// 280-byte proc record.
 //
 // Next must be deterministic and, like a Program, may only touch state
-// owned by processor id (the bsplogpvet procshare rule). The engine
-// resolves Compute and WaitUntil itself and performs every other
-// operation in its commit loop, polls included: a Script has no
-// proc-side fast path, since returning from Next costs no coroutine
-// switch for one to save.
+// owned by processor id (the bsplogpvet procshare rule). As for a
+// Program, the engine resolves Compute and WaitUntil without crossing
+// into its commit loop and performs every other operation there, polls
+// included.
 //
 // Active declares which processors have work of their own at time 0.
 // A processor with Active(id) == false is passive: it is represented
@@ -93,7 +91,7 @@ type ScriptResult struct {
 // it must match RunScript's traces, audit metrics, and Results byte
 // for byte.
 //
-//hot:cold adapter constructor: builds one Program closure per Run for the dense path; its operations are the Proc fast-path methods, rooted separately
+//hot:cold adapter constructor: builds one Program closure per Run for the dense path; its operations are the Proc methods, rooted separately
 func ScriptAsProgram(s Script) Program {
 	return func(p Proc) {
 		id := p.ID()
@@ -261,50 +259,17 @@ func (b *bridgeProc) Buffered() int {
 // so cost is O(active processors) in memory while every observable —
 // Result, trace, audit metrics — is byte-identical to
 // Run(ScriptAsProgram(s)).
-//
-//hot:path entry to the scripted engine; setup/epilogue callees are //hot:cold
 func (m *Machine) RunScript(s Script) (Result, error) {
-	m.script = s
-	defer func() { m.script = nil }()
-	m.reset()
-	defer m.shutdown()
-
-	if err := m.runSequentialScript(s); err != nil {
-		return Result{}, err
-	}
-	return m.finishRun()
-}
-
-// runSequentialScript mirrors runSequential: active processors start
-// in id order, passive ones become templates, then the shared commit
-// loop interleaves instants and operations.
-//
-//hot:cold per-Run startup
-func (m *Machine) runSequentialScript(s Script) error {
-	m.resumeFloor = 0
-	for i := 0; i < m.params.P; i++ {
-		if !s.Active(i) {
-			m.templateCount++
-			continue
-		}
-		p := m.ensureProc(i)
-		p.reinit()
-		m.await(p)
-		if p.state == stateReady {
-			m.pushReady(p)
-		}
-	}
-	m.resumeFloor = math.MaxInt64
-	return m.commitLoop()
+	return m.run(nil, s)
 }
 
 // scriptSegment advances a scripted processor to its next engine
 // operation. Compute and WaitUntil touch only the processor's clock, so
-// they resolve here; every other operation, polls included, is parked
-// in p.pending as Next returned it, for exec to perform (see Script on
-// why there is no watermark fast path here). A panic out of Next, or a
-// validation failure, parks ScriptHalt with the processor's panicked
-// error in p.err, as the coroutine epilogue does.
+// they resolve here, as proc.Compute and proc.WaitUntil do for a
+// Program; every other operation, polls included, is parked in
+// p.pending as Next returned it, for exec to perform. A panic out of
+// Next, or a validation failure, parks ScriptHalt with the processor's
+// panicked error in p.err, as the coroutine epilogue does.
 //
 //hot:path the scripted engine's per-operation transition loop
 func (p *proc) scriptSegment() {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/logp"
+	"repro/internal/logp/reference"
 )
 
 // ringScriptState is one processor's progress through the ring script.
@@ -84,8 +85,8 @@ func (s *bcastScript) Next(id int, prev logp.ScriptResult) logp.ScriptOp {
 
 // haltFloodScript: processor 0 halts immediately; every other
 // processor computes, then fires k messages at it and halts. The
-// messages land on a halted (and, in the sparse engine, recycled)
-// processor, pinning the doneBufLen accounting of MaxBufferDepth.
+// messages land on a halted, recycled processor, pinning the
+// doneBufLen accounting of MaxBufferDepth.
 type haltFloodScript struct {
 	p, k int
 	sent []int
@@ -190,10 +191,15 @@ func TestScriptEquivalence(t *testing.T) {
 
 // TestScriptRecycledBufferDepth pins the doneBufLen path directly:
 // messages delivered to a halted, recycled processor must still drive
-// MaxBufferDepth exactly as the dense engine's ever-growing buffer
-// does.
+// MaxBufferDepth exactly as an ever-growing buffer does. Both engine
+// forms recycle halted processors, so the reference interpreter, which
+// keeps every processor's buffer, is the run they must equal.
 func TestScriptRecycledBufferDepth(t *testing.T) {
 	params := logp.Params{P: 5, L: 8, O: 1, G: 2}
+	want, err := reference.Run(params, logp.ScriptAsProgram(newHaltFloodScript(5, 4)), reference.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dense, err := logp.NewMachine(params).Run(logp.ScriptAsProgram(newHaltFloodScript(5, 4)))
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +208,14 @@ func TestScriptRecycledBufferDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(dense, sparse) {
-		t.Fatalf("Result mismatch:\ndense  %+v\nsparse %+v", dense, sparse)
+	if !reflect.DeepEqual(want, dense) {
+		t.Fatalf("Result mismatch:\nreference %+v\ndense     %+v", want, dense)
 	}
-	if sparse.MaxBufferDepth != 16 {
-		t.Fatalf("MaxBufferDepth = %d, want 16 (4 senders x 4 messages on the halted proc)", sparse.MaxBufferDepth)
+	if !reflect.DeepEqual(want, sparse) {
+		t.Fatalf("Result mismatch:\nreference %+v\nsparse    %+v", want, sparse)
+	}
+	if want.MaxBufferDepth != 16 {
+		t.Fatalf("MaxBufferDepth = %d, want 16 (4 senders x 4 messages on the halted proc)", want.MaxBufferDepth)
 	}
 }
 

@@ -131,9 +131,9 @@ func (r *RNG) Float64() float64 {
 }
 
 // Perm32Into fills out[:n] with a uniformly random permutation of
-// [0, n): a Fisher-Yates shuffle of the identity, drawing the same
-// generator stream as Shuffle(n, swap). Callers redraw permutations
-// into a retained buffer instead of allocating one per draw.
+// [0, n): a Fisher-Yates shuffle of the identity, drawing Intn(n), ...,
+// Intn(2) in that order. Callers redraw permutations into a retained
+// buffer instead of allocating one per draw.
 func (r *RNG) Perm32Into(out []int32, n int) {
 	p := out[:n]
 	for i := range p {
@@ -142,14 +142,6 @@ func (r *RNG) Perm32Into(out []int32, n int) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// Shuffle applies a Fisher-Yates shuffle over n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

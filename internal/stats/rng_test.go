@@ -141,25 +141,6 @@ func TestBoolBalance(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := NewRNG(21)
-	xs := []int{5, 5, 3, 2, 2, 2, 9}
-	counts := map[int]int{}
-	for _, x := range xs {
-		counts[x]++
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	after := map[int]int{}
-	for _, x := range xs {
-		after[x]++
-	}
-	for k, v := range counts {
-		if after[k] != v {
-			t.Fatalf("multiset changed: key %d had %d now %d", k, v, after[k])
-		}
-	}
-}
-
 // reservoirByIntn is the one-Intn-per-item loop Reservoir must draw
 // exactly as.
 func reservoirByIntn(r *RNG, n int) int {
