@@ -21,7 +21,6 @@ import (
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/logp"
-	"repro/internal/netlogp"
 	"repro/internal/netrun"
 	"repro/internal/netsim"
 	"repro/internal/topology"
@@ -114,7 +113,7 @@ func main() {
 
 	// (6) LogP program on the hypercube network (Section 5).
 	out = make([]int64, p)
-	r6, err := netlogp.NewMachine(lp, netsim.New(cube)).Run(logpProg(out))
+	r6, err := core.NewLogPOnNet(lp, netsim.New(cube)).Run(logpProg(out))
 	if err != nil {
 		log.Fatal(err)
 	}

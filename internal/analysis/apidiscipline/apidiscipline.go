@@ -37,7 +37,7 @@ var Analyzer = &kit.Analyzer{
 // identifiers.
 var enginePrefixes = []string{
 	"repro/internal/logp", "repro/internal/bsp",
-	"repro/internal/core", "repro/internal/netlogp",
+	"repro/internal/core",
 }
 
 // engineInternal maps qualified names of engine-internal identifiers to
@@ -171,7 +171,7 @@ func checkLateAudit(pass *kit.Pass, body *ast.BlockStmt) {
 func isEnginePkg(path string) bool {
 	switch path {
 	case "repro/internal/logp", "repro/internal/bsp", "repro/internal/core",
-		"repro/internal/netlogp", "repro/internal/netrun":
+		"repro/internal/netrun":
 		return true
 	}
 	return false

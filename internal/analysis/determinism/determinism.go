@@ -40,7 +40,7 @@ var Analyzer = &kit.Analyzer{
 		"emission, racy selects, and receive-loop emission in simulation code",
 	Scope: []string{
 		"repro/internal/logp", "repro/internal/bsp", "repro/internal/core",
-		"repro/internal/netlogp", "repro/internal/netsim", "repro/internal/netrun",
+		"repro/internal/netsim", "repro/internal/netrun",
 		"repro/internal/collective", "repro/internal/bench", "repro/internal/bsputil",
 		"repro/internal/relation", "repro/internal/sortnet", "repro/internal/topology",
 		"repro/internal/stats", "repro/examples",

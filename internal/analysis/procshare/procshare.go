@@ -78,7 +78,7 @@ func run(pass *kit.Pass) {
 
 // procParam returns the object of ft's single parameter when that
 // parameter is one of the engines' Proc interfaces — the signature
-// shared by logp.Program, bsp.Program, and the netlogp/netrun program
+// shared by logp.Program, bsp.Program, and the core/netrun program
 // arguments — and nil otherwise.
 func procParam(pass *kit.Pass, ft *ast.FuncType) types.Object {
 	if ft.Params == nil || len(ft.Params.List) != 1 || ft.Results != nil {

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/bsp"
 	"repro/internal/collective"
+	"repro/internal/core"
 	"repro/internal/logp"
-	"repro/internal/netlogp"
 )
 
 // E11Partitionability makes Section 6's multiuser observation
@@ -187,7 +187,7 @@ func E12ParameterPortability(cfg Config) *Table {
 
 // E13LogPOnNetworks completes Section 5's other direction: an
 // unmodified LogP program runs on each Table 1 topology through the
-// internal/netlogp co-simulation (processor pacing by o and G*,
+// core.LogPOnNet co-simulation (processor pacing by o and G*,
 // deliveries decided by the packet network). The LogP support claim is
 // per-message: capacity-paced traffic's worst observed latency must
 // stay within the derived L*.
@@ -211,7 +211,7 @@ func E13LogPOnNetworks(cfg Config) *Table {
 		gStar, lStar := meas.LogPParams()
 		params := logp.Params{P: g.P(), L: int64(lStar), O: 1, G: int64(gStar)}
 		capacity := int(params.Capacity())
-		m := netlogp.NewMachine(params, net)
+		m := core.NewLogPOnNet(params, net)
 		res, err := m.Run(func(pr logp.Proc) {
 			n := pr.P()
 			for k := 1; k <= capacity; k++ {
@@ -222,7 +222,7 @@ func E13LogPOnNetworks(cfg Config) *Table {
 			}
 		})
 		must(err)
-		m2 := netlogp.NewMachine(params, net)
+		m2 := core.NewLogPOnNet(params, net)
 		cbRes, err := m2.Run(func(pr logp.Proc) {
 			mb := collective.NewMailbox(pr)
 			collective.CombineBroadcast(mb, 1, int64(pr.ID()), collective.OpMax)

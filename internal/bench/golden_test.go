@@ -257,6 +257,38 @@ func TestGoldenExperimentTables(t *testing.T) {
 	}
 }
 
+// TestGoldenFullSizeTables locks the full-size tables of the
+// experiments that run on core's guest runtime — the Theorem 1 replay
+// (E2, E6, E9, A5) and the network co-simulation (E13) — whose larger
+// machines reach schedules the quick sizes do not.
+func TestGoldenFullSizeTables(t *testing.T) {
+	full := map[string]bool{"E2": true, "E6": true, "E9": true, "E13": true, "A5": true}
+	cfg := Config{Seed: 1}
+	for _, e := range All() {
+		if !full[e.ID] {
+			continue
+		}
+		id := e.ID
+		t.Run(id, func(t *testing.T) {
+			got := e.Run(cfg).Render()
+			path := filepath.Join("testdata", "golden_"+id+"_full.txt")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden table (regenerate with -update): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("%s full-size table diverged from golden:\n--- got ---\n%s\n--- want ---\n%s", id, got, want)
+			}
+		})
+	}
+}
+
 func writeGoldenJSON(t *testing.T, path string, v interface{}) {
 	t.Helper()
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -5,6 +5,11 @@
 //     semantics using the cycle construction of Theorem 1 (supersteps of
 //     L/2 LogP time units), including the sorting-based extension for
 //     programs that would stall.
+//   - LogPOnNet runs an unmodified LogP program directly on a packet
+//     network (Section 5): processors are paced by o and G, and the
+//     network decides every delivery. It and LogPOnBSP run their guest
+//     processors on one shared runtime (guests.go); each adds only its
+//     medium and its commit loop.
 //   - BSPOnLogP executes an unmodified BSP program on a real LogP
 //     machine, one superstep at a time: local computation, the
 //     Combine-and-Broadcast barrier of Proposition 2, then one of three

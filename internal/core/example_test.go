@@ -7,6 +7,8 @@ import (
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/logp"
+	"repro/internal/netsim"
+	"repro/internal/topology"
 )
 
 // Theorem 1: an unmodified LogP program (a tree summation) replayed
@@ -59,4 +61,29 @@ func ExampleBSPOnLogP_Run() {
 	// Output:
 	// processor 3 received from: 2
 	// supersteps: 1 stalls: 0
+}
+
+// A LogP program whose message latencies come from the packet network:
+// the 0 -> 7 message crosses three hypercube links, so it arrives
+// exactly three steps after its injection at time o=1, and the o-cost
+// acquisition completes one step later.
+func ExampleLogPOnNet_Run() {
+	g := topology.Hypercube(8, true)
+	m := core.NewLogPOnNet(logp.Params{P: 8, L: 8, O: 1, G: 2}, netsim.New(g))
+	res, err := m.Run(func(p logp.Proc) {
+		switch p.ID() {
+		case 0:
+			p.Send(7, 0, 11, 0)
+		case 7:
+			msg := p.Recv()
+			fmt.Println("payload", msg.Payload, "acquired at", p.Now())
+		}
+	})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("worst packet latency:", res.MaxMsgLatency, "hops")
+	// Output:
+	// payload 11 acquired at 5
+	// worst packet latency: 3 hops
 }

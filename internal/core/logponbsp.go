@@ -128,7 +128,7 @@ func (s *LogPOnBSP) Run(prog logp.Program) (Thm1Result, error) {
 // RunScript executes a logp.Script under the same Theorem 1
 // construction. Every guest is an explicit state machine rather than a
 // parked coroutine, so the replay fits at p = 10^6: per guest the
-// engine holds one small cycleProc record and no goroutine stack.
+// engine holds one small guest record and no goroutine stack.
 // Script.Active is ignored here — every guest is started eagerly, which
 // by the passivity contract is indistinguishable from lazy
 // instantiation — and the replayed cost is identical to
@@ -164,72 +164,56 @@ func (s *LogPOnBSP) RunScript(sc logp.Script) (Thm1Result, error) {
 	// are retained only there, and only for overloaded cycles.
 	eng.reset(lp, cycleLen, fold, fold == 1 && isPow2(lp.P))
 	defer eng.shutdown()
-	if err := eng.run(sc); err != nil {
+	eng.start(sc)
+	if err := eng.loop(); err != nil {
 		return Thm1Result{}, err
 	}
 	return eng.result(bp), nil
 }
 
-// cycleEngine replays a LogP program with per-cycle bookkeeping. It is
-// a reduced variant of the logp engine: the medium accepts every
-// submission immediately and delivers it at the next cycle boundary.
+// cycleEngine replays a LogP program with per-cycle bookkeeping. It runs
+// the guests on core's shared guest runtime (see guests) with a reduced
+// medium: every submission is accepted immediately and delivered at the
+// next cycle boundary.
 //
 // The engine is arena-shaped: every bulk structure is a flat slab that
 // a LogPOnBSP retains across runs and reset() makes reusable without
-// freeing. Guests live in one dense []cycleProc slab (no per-guest
-// allocation, stable &procs[i] pointers); each message occupies one
-// cycleRec slab record for its whole lifecycle, referenced by int32
-// index from the event queue and chained intrusively into its
-// destination's input FIFO, so the queue moves 24-byte refs instead of
-// 72-byte records and delivery allocates nothing. Per-guest fan-in/out
-// counts — formerly flat maps keyed cycle*p+id — are flat int32
-// columns held in a sliding window of live cycles (see colsFor):
-// submissions commit in nondecreasing parked-clock order, so once the
-// committing guest's clock passes a cycle's end that cycle can never
-// be counted or queried again and its columns retire to a pool. The
-// per-cycle aggregates result() needs — the relation degree and the
-// overload flag — are folded in incrementally at submission time, and
-// message pairs are kept only for overloaded cycles, recovered from the
-// in-flight records when a cycle first exceeds capacity (see
-// recoverPairs), so a stall-free replay keeps none. Runnable guests and
-// in-flight messages sit in monotone run queues of value refs (see
-// runq.Queue): nearly every scheduling step is an O(1) ring append
-// or pop that chases no pointers. Together these keep a p = 10^6
-// replay's cost proportional to its traffic, not to p times its
-// length, with near-zero steady-state allocation on a warm simulator.
+// freeing. The event queue moves 24-byte refs to the guests' message
+// records. Per-guest fan-in/out counts are flat int32 columns held in a
+// sliding window of live cycles (see colsFor): submissions commit in
+// nondecreasing parked-clock order, so once the committing guest's
+// clock passes a cycle's end that cycle can never be counted or queried
+// again and its columns retire to a pool. The per-cycle aggregates
+// result() needs — the relation degree and the overload flag — are
+// folded in incrementally at submission time, and message pairs are
+// kept only for overloaded cycles, recovered from the in-flight records
+// when a cycle first exceeds capacity (see recoverPairs), so a
+// stall-free replay keeps none. Runnable guests and in-flight messages
+// sit in monotone run queues of value refs (see runq.Queue): nearly
+// every scheduling step is an O(1) ring append or pop that chases no
+// pointers. Together these keep a p = 10^6 replay's cost proportional
+// to its traffic, not to p times its length, with near-zero
+// steady-state allocation on a warm simulator.
 type cycleEngine struct {
-	lp       logp.Params
+	guests
+
 	cycleLen int64
 	fold     int
 	capacity int64 // lp.Capacity(), cached off the per-send path
 
-	// script drives every guest (see scriptSegment); it is set for the
-	// duration of one run.
-	script logp.Script
-
-	procs []cycleProc
 	// ready and events are monotone: each pops in nondecreasing key
 	// order, and every push is at or after its last popped key. A guest
 	// re-parks at a clock no earlier than the one it was popped at, and
 	// a woken guest's clock is at least the delivery instant, which is
 	// at most the ready minimum it was delivered under (see loop). A new
 	// arrival is later than its submitter's clock, which is at least
-	// every instant already delivered. A guest's clock moves only in
-	// exec (popped first) and completeRecv (parked outside the queue),
-	// so a queued key never goes stale.
-	ready  runq.Queue // runnable guests by (clock, id)
-	events runq.Queue // in-flight messages by (arrival, seq)
-	seq    int64
+	// every instant already delivered.
+	events runq.Queue // in-flight messages by (arrival, submission count)
 
-	// recs backs every in-flight or buffered message's single record;
-	// freed records recycle through the recFree intrusive free list.
-	recs    []cycleRec
-	recFree int32
-
-	// Windowed per-cycle count columns (replacing the former flat count
-	// maps): colLive[colHead:] holds the live window, colLive[colHead]
-	// being cycle colBase's bundle; nil slots are cycles with no
-	// traffic. Retired bundles are zeroed into colPool for reuse.
+	// Windowed per-cycle count columns: colLive[colHead:] holds the
+	// live window, colLive[colHead] being cycle colBase's bundle; nil
+	// slots are cycles with no traffic. Retired bundles are zeroed into
+	// colPool for reuse.
 	colBase int64
 	colHead int
 	colLive []*cycleCols
@@ -244,63 +228,11 @@ type cycleEngine struct {
 	keepPairs bool
 	msgs      map[int64][]relation.Pair
 
-	wake []int32 // deliverInstant scratch: guest ids to wake, in id order
-
 	// grouping is lent to stallingExtensionTime so replays with many
 	// overloaded cycles regroup into one reused backing.
 	grouping relation.Grouping
 
 	guestTime int64
-	totalMsgs int64
-
-	procErr error
-}
-
-type cycleProc struct {
-	id    int
-	eng   *cycleEngine
-	clock int64
-	// nextComm is the earliest instant of the next communication
-	// operation: submissions and acquisitions share one per-processor
-	// gap stream, as in the logp engine.
-	nextComm int64
-	// Input buffer: an intrusive FIFO through cycleEngine.recs, in
-	// delivery order. bufHead/bufTail are -1 when empty.
-	bufHead int32
-	bufTail int32
-	bufLen  int32
-	state   cycleState
-	// pending is the operation the guest is parked on, as Next returned
-	// it: ScriptHalt once the guest halted or panicked (err then holds
-	// the panic). res is the engine's answer to the previous operation,
-	// which the next segment hands to Script.Next.
-	pending logp.ScriptOp
-	res     logp.ScriptResult
-	err     error
-}
-
-// reinit prepares a slab record for a fresh run.
-func (p *cycleProc) reinit(id int, e *cycleEngine) {
-	*p = cycleProc{}
-	p.id = id
-	p.eng = e
-	p.bufHead, p.bufTail = -1, -1
-	p.state = cycleReady
-}
-
-// cycleRec is one message's slab record: in flight, it is referenced
-// by its delivery event; once delivered, at holds the arrival instant
-// and next chains the record into the destination's input FIFO. Freed
-// records chain through next into the engine's free list.
-type cycleRec struct {
-	msg  logp.Message
-	at   int64
-	next int32
-	// cycle is the submission cycle, read by recoverPairs. It is int32
-	// to fit the record's padding; recoverPairs compares truncated
-	// values, which stays exact while no in-flight message is 2^32
-	// cycles older than the committer's.
-	cycle int32
 }
 
 // cycleCols is one cycle's fan-in/out count columns. rcvd (per guest)
@@ -314,86 +246,20 @@ type cycleCols struct {
 	rcvdX []int32
 }
 
-type cycleState uint8
-
-const (
-	cycleReady cycleState = iota
-	cycleWaitMsg
-	cycleDone
-)
-
-// scriptSegment advances a guest to its next engine operation. The
-// cycle engine has no guest-side fast path, so every operation is
-// parked as Next returned it, except Compute(0), which has no effect. A
-// panic out of Next — the script's own, a Program's through
-// logp.ProgramAsScript, or one of the segment's validation panics —
-// parks ScriptHalt with the guest's processor-panicked error in err.
-// Next sees the last answer with the guest's clock in Now, as
-// logp.ScriptAsProgram rebuilds it from the Proc calls, so a Script and
-// its Program form replay identically.
-func (p *cycleProc) scriptSegment() {
-	defer func() {
-		if r := recover(); r != nil {
-			p.pending = logp.ScriptOp{Kind: logp.ScriptHalt}
-			p.err = fmt.Errorf("core: processor %d panicked: %v", p.id, r)
-		}
-	}()
-	s := p.eng.script
-	res := p.res
-	res.Now = p.clock
-	for {
-		op := s.Next(p.id, res)
-		switch op.Kind {
-		case logp.ScriptCompute:
-			if op.N < 0 {
-				panic(fmt.Sprintf("core: Compute(%d) with negative cycles", op.N))
-			}
-			if op.N == 0 {
-				res = logp.ScriptResult{Now: p.clock}
-				continue
-			}
-		case logp.ScriptSend:
-			if op.Dst < 0 || op.Dst >= p.eng.lp.P {
-				panic(fmt.Sprintf("core: Send to invalid destination %d (P=%d)", op.Dst, p.eng.lp.P))
-			}
-			if op.Dst == p.id {
-				panic("core: Send to self; use local state instead")
-			}
-		case logp.ScriptHalt, logp.ScriptWait, logp.ScriptRecv, logp.ScriptTryRecv, logp.ScriptBuffered:
-			// Valid as Next returned it.
-		default:
-			panic(fmt.Sprintf("core: unknown script op kind %d", op.Kind))
-		}
-		p.pending = op
-		return
-	}
-}
-
 // reset prepares the retained engine for a fresh replay with the given
-// shape. Slabs are truncated in place — message records zeroed so
-// stale bodies do not pin guest memory — and live count columns are
-// flushed back to the pool, or dropped when the (P, fold) shape
-// changed, since bundles are sized by it. Nothing is freed, so a warm
-// simulator replays with near-zero steady-state allocation.
+// shape. The guest runtime resets its slabs in place, and live count
+// columns are flushed back to the pool, or dropped when the (P, fold)
+// shape changed, since bundles are sized by it. Nothing is freed, so a
+// warm simulator replays with near-zero steady-state allocation.
 //
 //hot:cold per-Run setup owns all steady-state allocation
 func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs bool) {
 	sameShape := e.lp.P == lp.P && e.fold == fold
-	e.lp = lp
+	e.guests.reset(lp)
 	e.cycleLen = cycleLen
 	e.fold = fold
 	e.capacity = lp.Capacity()
-	if len(e.procs) != lp.P {
-		e.procs = make([]cycleProc, lp.P)
-	}
-	e.ready.Reset()
 	e.events.Reset()
-	e.seq = 0
-	for i := range e.recs {
-		e.recs[i] = cycleRec{}
-	}
-	e.recs = e.recs[:0]
-	e.recFree = -1
 	if !sameShape {
 		clear(e.colPool)
 		e.colPool = e.colPool[:0]
@@ -412,31 +278,7 @@ func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs 
 	e.overload = e.overload[:0]
 	e.keepPairs = keepPairs
 	e.msgs = nil
-	e.wake = e.wake[:0]
 	e.guestTime = 0
-	e.totalMsgs = 0
-	e.procErr = nil
-}
-
-// shutdown drops the run's script, so the retained engine does not pin
-// it between runs.
-//
-//hot:cold per-Run epilogue
-func (e *cycleEngine) shutdown() {
-	e.script = nil
-}
-
-// run starts every guest and hands off to the commit loop.
-//
-//hot:cold per-Run startup
-func (e *cycleEngine) run(sc logp.Script) error {
-	e.script = sc
-	for i := range e.procs {
-		p := &e.procs[i]
-		p.reinit(i, e)
-		e.await(p)
-	}
-	return e.loop()
 }
 
 // loop is the replay's commit loop. It commits the runnable guest with
@@ -459,14 +301,7 @@ func (e *cycleEngine) loop() error {
 			}
 		}
 		if e.ready.Len() == 0 {
-			allDone := true
-			for i := range e.procs {
-				if e.procs[i].state != cycleDone {
-					allDone = false
-					break
-				}
-			}
-			if allDone {
+			if e.halted == len(e.procs) {
 				break
 			}
 			if e.procErr != nil {
@@ -474,8 +309,12 @@ func (e *cycleEngine) loop() error {
 			}
 			return e.deadlockError()
 		}
-		ref := e.ready.PopMin()
-		e.exec(&e.procs[ref.Idx])
+		p := &e.procs[e.ready.PopMin().Idx]
+		if p.pending.Kind == logp.ScriptSend {
+			e.send(p)
+		} else {
+			e.exec(p)
+		}
 	}
 
 	for e.events.Len() > 0 {
@@ -494,40 +333,7 @@ func (e *cycleEngine) loop() error {
 //
 //hot:cold failure epilogue: the diagnostic rendering may allocate
 func (e *cycleEngine) deadlockError() error {
-	var blocked []int
-	for i := range e.procs {
-		if e.procs[i].state == cycleWaitMsg {
-			blocked = append(blocked, e.procs[i].id)
-		}
-	}
-	return fmt.Errorf("core: deadlock in Theorem 1 replay: processors %v blocked on Recv", blocked)
-}
-
-// await runs p's script segment to obtain its next operation and, if
-// the guest stays runnable, parks it in the ready queue. Every caller
-// has p out of the queue (startup, or just popped by exec's committer),
-// so the push cannot duplicate.
-func (e *cycleEngine) await(p *cycleProc) {
-	p.scriptSegment()
-	if p.pending.Kind != logp.ScriptHalt {
-		e.park(p)
-		return
-	}
-	p.state = cycleDone
-	if p.err != nil && e.procErr == nil {
-		e.procErr = p.err
-	}
-}
-
-// park marks p runnable and queues it under its (clock, id) key.
-func (e *cycleEngine) park(p *cycleProc) {
-	p.state = cycleReady
-	e.ready.Push(runq.Ref{At: p.clock, Tie: int64(p.id), Idx: int32(p.id)})
-}
-
-func (e *cycleEngine) resume(p *cycleProc, r logp.ScriptResult) {
-	p.res = r
-	e.await(p)
+	return fmt.Errorf("core: deadlock in Theorem 1 replay: processors %v blocked on Recv", e.blocked())
 }
 
 // ensureCycle grows the per-cycle aggregate arrays (O(cycles) total,
@@ -629,16 +435,16 @@ func (e *cycleEngine) retireCols(floor int64) {
 	}
 }
 
-// countSend folds one submission into the per-cycle statistics: the
-// live window's count columns, the cycle's running relation-degree
-// maximum, and its overload flag. Counts only grow, so taking the
-// maximum of every intermediate value equals the maximum of the final
-// per-guest counts the former flat maps used to hold.
-func (e *cycleEngine) countSend(cycle int64, msg logp.Message) {
+// countSend folds one submission from src to dst into the per-cycle
+// statistics: the live window's count columns, the cycle's running
+// relation-degree maximum, and its overload flag. Counts only grow, so
+// taking the maximum of every intermediate value equals the maximum of
+// the final per-guest counts.
+func (e *cycleEngine) countSend(cycle int64, src, dst int) {
 	e.ensureCycle(cycle)
 	c := e.colsFor(cycle)
-	c.rcvd[msg.Dst]++
-	in := int64(c.rcvd[msg.Dst])
+	c.rcvd[dst]++
+	in := int64(c.rcvd[dst])
 	if in > e.capacity && !e.overload[cycle] {
 		e.overload[cycle] = true
 		if e.keepPairs {
@@ -646,25 +452,25 @@ func (e *cycleEngine) countSend(cycle int64, msg logp.Message) {
 		}
 	}
 	if e.fold == 1 {
-		c.sent[msg.Src]++
-		e.noteH(cycle, int64(c.sent[msg.Src]))
+		c.sent[src]++
+		e.noteH(cycle, int64(c.sent[src]))
 		e.noteH(cycle, in)
-	} else if msg.Src/e.fold != msg.Dst/e.fold {
+	} else if src/e.fold != dst/e.fold {
 		// Folded hosts route the cross-host traffic of all their
 		// guests; only that traffic contributes to the host relation.
-		c.sentX[msg.Src/e.fold]++
-		e.noteH(cycle, int64(c.sentX[msg.Src/e.fold]))
-		c.rcvdX[msg.Dst/e.fold]++
-		e.noteH(cycle, int64(c.rcvdX[msg.Dst/e.fold]))
+		c.sentX[src/e.fold]++
+		e.noteH(cycle, int64(c.sentX[src/e.fold]))
+		c.rcvdX[dst/e.fold]++
+		e.noteH(cycle, int64(c.rcvdX[dst/e.fold]))
 	}
 	if e.keepPairs && e.overload[cycle] {
-		e.msgs[cycle] = append(e.msgs[cycle], relation.Pair{Src: msg.Src, Dst: msg.Dst})
+		e.msgs[cycle] = append(e.msgs[cycle], relation.Pair{Src: src, Dst: dst})
 	}
 }
 
 // recoverPairs starts pair retention for cycle, whose fan-in has just
 // exceeded capacity: it gathers the pairs of cycle's earlier
-// submissions, in submission (seq) order, before countSend appends the
+// submissions, in submission order, before countSend appends the
 // current one. Every such submission is still in flight. Its arrival is
 // at least cycle's end boundary, while the committing guest's clock
 // lies inside cycle, and loop never delivers an instant past the
@@ -698,178 +504,49 @@ func (e *cycleEngine) cycleFanIn(cycle int64, dst int) int64 {
 	return int64(e.colLive[idx].rcvd[dst])
 }
 
-// newRec takes a slab record for msg, submitted in cycle, reusing the
-// free list first.
-func (e *cycleEngine) newRec(msg logp.Message, cycle int64) int32 {
-	if e.recFree >= 0 {
-		idx := e.recFree
-		r := &e.recs[idx]
-		e.recFree = r.next
-		r.msg = msg
-		r.at = 0
-		r.next = -1
-		r.cycle = int32(cycle)
-		return idx
+// send commits p's pending Send: the medium accepts the submission at
+// once and schedules its arrival at the next cycle boundary.
+func (e *cycleEngine) send(p *guest) {
+	// Cycles that ended before this guest's parked clock can never be
+	// bumped or fan-in-queried again (see retireCols); return their
+	// columns to the pool before touching the window.
+	e.retireCols(p.clock / e.cycleLen)
+	s, idx := e.submit(p)
+	cycle := s / e.cycleLen
+	arrival := (cycle + 1) * e.cycleLen
+	dst := p.pending.Dst
+	// Deliveries beyond the destination's capacity are spread at one
+	// per G past the boundary, mirroring an admissible stalling-rule
+	// execution (FIFO acceptance): for a stall-free cycle nothing
+	// changes, while a hot spot's excess messages arrive in later
+	// cycles instead of all at once.
+	if prior := e.cycleFanIn(cycle, dst); prior >= e.capacity {
+		arrival += (prior - e.capacity + 1) * e.lp.G
 	}
-	e.recs = append(e.recs, cycleRec{msg: msg, next: -1, cycle: int32(cycle)})
-	return int32(len(e.recs) - 1)
+	e.countSend(cycle, p.id, dst)
+	e.recs[idx].cycle = int32(cycle)
+	e.events.Push(runq.Ref{At: arrival, Tie: e.sent, Idx: idx})
+	if arrival > e.guestTime {
+		e.guestTime = arrival
+	}
+	e.resume(p, logp.ScriptResult{})
 }
 
-// appendBuf chains record idx onto p's input FIFO with arrival time at.
-func (e *cycleEngine) appendBuf(p *cycleProc, idx int32, at int64) {
-	r := &e.recs[idx]
-	r.at = at
-	r.next = -1
-	if p.bufTail >= 0 {
-		e.recs[p.bufTail].next = idx
-	} else {
-		p.bufHead = idx
-	}
-	p.bufTail = idx
-	p.bufLen++
-}
-
-// popBufFree unlinks p's buffer head, frees its record, and returns
-// the message.
-func (e *cycleEngine) popBufFree(p *cycleProc) logp.Message {
-	idx := p.bufHead
-	r := &e.recs[idx]
-	msg := r.msg
-	p.bufHead = r.next
-	if p.bufHead < 0 {
-		p.bufTail = -1
-	}
-	p.bufLen--
-	r.msg = logp.Message{}
-	r.next = e.recFree
-	e.recFree = idx
-	return msg
-}
-
-func (e *cycleEngine) exec(p *cycleProc) {
-	// Read in place: every case consumes op before resume overwrites it.
-	op := &p.pending
-	switch op.Kind {
-	case logp.ScriptCompute:
-		p.clock += op.N
-		e.resume(p, logp.ScriptResult{})
-	case logp.ScriptWait:
-		if op.N > p.clock {
-			p.clock = op.N
-		}
-		e.resume(p, logp.ScriptResult{})
-	case logp.ScriptBuffered:
-		n := int64(0)
-		for idx := p.bufHead; idx >= 0; idx = e.recs[idx].next {
-			if e.recs[idx].at > p.clock {
-				break
-			}
-			n++
-		}
-		e.resume(p, logp.ScriptResult{N: n})
-	case logp.ScriptSend:
-		// Cycles that ended before this guest's parked clock can never
-		// be bumped or fan-in-queried again (see retireCols); return
-		// their columns to the pool before touching the window.
-		e.retireCols(p.clock / e.cycleLen)
-		s := p.clock + e.lp.O
-		if s < p.nextComm {
-			s = p.nextComm
-		}
-		p.nextComm = s + e.lp.G
-		p.clock = s
-		cycle := s / e.cycleLen
-		arrival := (cycle + 1) * e.cycleLen
-		// Deliveries beyond the destination's capacity are spread at
-		// one per G past the boundary, mirroring an admissible
-		// stalling-rule execution (FIFO acceptance): for a stall-free
-		// cycle nothing changes, while a hot spot's excess messages
-		// arrive in later cycles instead of all at once.
-		if prior := e.cycleFanIn(cycle, op.Dst); prior >= e.capacity {
-			arrival += (prior - e.capacity + 1) * e.lp.G
-		}
-		msg := logp.Message{Src: p.id, Dst: op.Dst, Tag: op.Tag, Payload: op.Payload, Aux: op.Aux, Body: op.Body}
-		e.countSend(cycle, msg)
-		e.totalMsgs++
-		e.seq++
-		e.events.Push(runq.Ref{At: arrival, Tie: e.seq, Idx: e.newRec(msg, cycle)})
-		if arrival > e.guestTime {
-			e.guestTime = arrival
-		}
-		e.resume(p, logp.ScriptResult{})
-	case logp.ScriptRecv:
-		if p.bufLen > 0 {
-			e.completeRecv(p)
-		} else {
-			p.state = cycleWaitMsg
-		}
-	case logp.ScriptTryRecv:
-		if p.bufLen > 0 && e.recs[p.bufHead].at <= p.clock && p.nextComm <= p.clock {
-			r := p.clock
-			msg := e.popBufFree(p)
-			p.clock = r + e.lp.O
-			p.nextComm = r + e.lp.G
-			e.resume(p, logp.ScriptResult{Msg: msg, OK: true})
-		} else {
-			p.clock++
-			e.resume(p, logp.ScriptResult{})
-		}
-	default:
-		panic(fmt.Sprintf("core: unexpected cycle op %d", op.Kind))
-	}
-}
-
-func (e *cycleEngine) completeRecv(p *cycleProc) {
-	r := p.clock
-	if at := e.recs[p.bufHead].at; at > r {
-		r = at
-	}
-	if p.nextComm > r {
-		r = p.nextComm
-	}
-	msg := e.popBufFree(p)
-	p.clock = r + e.lp.O
-	p.nextComm = r + e.lp.G
-	p.state = cycleReady
-	e.resume(p, logp.ScriptResult{Msg: msg, OK: true})
-}
-
+// deliverInstant delivers every message arriving at instant t, then
+// wakes the guests they unblock.
 func (e *cycleEngine) deliverInstant(t int64) {
 	wake := e.wake[:0]
 	for e.events.Len() > 0 && e.events.Min().At == t {
-		ev := e.events.PopMin()
-		dst := e.recs[ev.Idx].msg.Dst
-		p := &e.procs[dst]
-		e.appendBuf(p, ev.Idx, t)
-		if p.state == cycleWaitMsg {
-			//lint:ignore hotloop wake-list staging reuses e.wake via [:0]; growth is bounded by the per-instant delivery high-water
-			wake = append(wake, int32(dst))
-		}
+		wake = e.arrive(e.events.PopMin().Idx, t, wake)
 	}
-	// Guests wake in id order. The reduced medium delivers whole cycles
-	// at their boundary instant, so one instant's wake list is O(p) —
-	// a ring at p = 10^6 lands every message on the same boundary —
-	// and anything quadratic here (an insertion sort was 97% of the
-	// E14.p1m profile) dominates the replay. slices.Sort is in-place
-	// and allocation-free, so the cycle engine's 1-alloc-per-Run
-	// contract survives; duplicate ids (several messages for one
-	// waiting guest) stay adjacent either way, so the sorted sequence
-	// is exactly what the insertion sort produced.
-	slices.Sort(wake)
-	e.wake = wake
-	for _, id := range wake {
-		p := &e.procs[id]
-		if p.state == cycleWaitMsg && p.bufLen > 0 {
-			e.completeRecv(p)
-		}
-	}
+	e.wakeAll(wake)
 }
 
 // result folds the per-cycle aggregates into a Thm1Result.
 //
 //hot:cold per-Run epilogue
 func (e *cycleEngine) result(bp bsp.Params) Thm1Result {
-	res := Thm1Result{GuestTime: e.guestTime, MessagesSent: e.totalMsgs}
+	res := Thm1Result{GuestTime: e.guestTime, MessagesSent: e.sent}
 	if e.guestTime == 0 {
 		return res
 	}

@@ -1,7 +1,7 @@
-package netlogp
+package core
 
 import (
-	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,10 +11,10 @@ import (
 	"repro/internal/topology"
 )
 
-func cubeMachine(p int) *Machine {
+func cubeMachine(p int) *LogPOnNet {
 	g := topology.Hypercube(p, true)
 	params := logp.Params{P: p, L: 2 * int64(g.Diameter()), O: 1, G: 2}
-	return NewMachine(params, netsim.New(g))
+	return NewLogPOnNet(params, netsim.New(g))
 }
 
 func TestPingLatencyIsNetworkDistance(t *testing.T) {
@@ -129,7 +129,7 @@ func TestTopologyOrdering(t *testing.T) {
 	const p = 64
 	run := func(g *topology.Graph) int64 {
 		params := logp.Params{P: p, L: 2 * int64(g.Diameter()), O: 1, G: 2}
-		m := NewMachine(params, netsim.New(g))
+		m := NewLogPOnNet(params, netsim.New(g))
 		res, err := m.Run(func(pr logp.Proc) {
 			n := pr.P()
 			for k := 1; k <= 8; k++ {
@@ -160,7 +160,7 @@ func TestCapacityPacedLatencyWithinLStar(t *testing.T) {
 	meas := netsim.New(g).MeasureGL([]int{1, 2, 4, 8}, 3, 7, false)
 	gStar, lStar := meas.LogPParams()
 	params := logp.Params{P: 32, L: int64(lStar), O: 1, G: int64(gStar)}
-	m := NewMachine(params, netsim.New(g))
+	m := NewLogPOnNet(params, netsim.New(g))
 	cap := int(params.Capacity())
 	res, err := m.Run(func(pr logp.Proc) {
 		n := pr.P()
@@ -264,7 +264,7 @@ func TestNewMachineValidation(t *testing.T) {
 			t.Fatal("mismatched p did not panic")
 		}
 	}()
-	NewMachine(logp.Params{P: 4, L: 8, O: 1, G: 2}, netsim.New(g))
+	NewLogPOnNet(logp.Params{P: 4, L: 8, O: 1, G: 2}, netsim.New(g))
 }
 
 func TestUndeliveredMessageCountsInLatency(t *testing.T) {
@@ -329,19 +329,37 @@ func TestSendBodyDelivered(t *testing.T) {
 	}
 }
 
-// TestMessageIDsExhaustedIsAnError: a message id is the int32 tag of
-// its packet, so the send that would overflow it fails the run with an
-// error instead of reusing an id still in flight.
-func TestMessageIDsExhaustedIsAnError(t *testing.T) {
-	m := cubeMachine(2)
-	sc := logp.ProgramAsScript(m.params, func(p logp.Proc) {
-		if p.ID() == 0 {
-			p.Send(1, 0, 0, 0)
+// TestWokenGuestCommitsBeforeLaterClocks: a guest that a network step
+// wakes commits before any guest with a later clock. Processor 2's
+// Compute(100) is the smallest pending clock once processor 0 waits,
+// so the network steps toward 100; its step 2 wakes processor 1 at
+// clock 3, whose reply, submitted at 4, must still enter the network at
+// step 4. Every message then crosses its one link in one step.
+func TestWokenGuestCommitsBeforeLaterClocks(t *testing.T) {
+	res, err := cubeMachine(4).Run(func(p logp.Proc) {
+		switch p.ID() {
+		case 0:
+			p.Send(1, 0, 1, 0)
+			p.Recv()
+		case 1:
+			p.Recv()
+			p.Send(0, 0, 2, 0)
+		case 2:
+			p.Compute(100)
+			p.Send(3, 0, 3, 0)
+		case 3:
+			p.Recv()
 		}
 	})
-	defer sc.Stop()
-	e := &engine{params: m.params, router: m.net.NewRouter(), script: sc, msgSeq: math.MaxInt32}
-	if err := e.run(); err == nil || !strings.Contains(err.Error(), "2^31-1 messages") {
-		t.Fatalf("got %v, want the message-id limit error", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MaxMsgLatency != 1 {
+		t.Errorf("max latency = %d, want 1: every message crosses one link", res.MaxMsgLatency)
+	}
+	// 0 submits at 1; 1 acquires at 2 and replies at 4; 0 acquires the
+	// reply at 5 and ends at 6. 2 submits at 101; 3 acquires at 102.
+	if want := []int64{6, 4, 101, 103}; !slices.Equal(res.ProcTimes, want) {
+		t.Errorf("processor clocks = %v, want %v", res.ProcTimes, want)
 	}
 }

@@ -305,8 +305,8 @@ func (m *Machine) Params() Params { return m.params }
 // processor pool, slabs, and heaps across trials instead of building
 // a machine per seed.
 //
-// bsplogpvet: engine-internal. Only the engine family (the core and
-// netlogp cross-simulators) may call this; experiment code reseeding
+// bsplogpvet: engine-internal. Only the engine family (the core
+// cross-simulators) may call this; experiment code reseeding
 // mid-run would silently fork the trace from the configured seed, so
 // the apidiscipline analyzer flags any other caller.
 func (m *Machine) SetSeed(seed uint64) {

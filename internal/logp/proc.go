@@ -10,9 +10,9 @@ import "fmt"
 //
 // Proc is an interface rather than a concrete type so that unmodified
 // LogP programs run on other substrates too: ProgramAsScript implements
-// it to drive a Program as a Script, which is how the Theorem 1 cycle
-// engine (internal/core) and the netlogp co-simulation execute
-// Programs, and the reference interpreter implements it as well.
+// it to drive a Program as a Script, which is how internal/core's
+// Theorem 1 cycle engine and network co-simulation execute Programs,
+// and the reference interpreter implements it as well.
 type Proc interface {
 	// ID returns this processor's identifier in [0, P()).
 	ID() int

@@ -127,8 +127,8 @@ func ScriptAsProgram(s Script) Program {
 }
 
 // ProgramAsScript adapts a Program to the Script form, the inverse of
-// ScriptAsProgram, so an engine that executes only Scripts (the
-// Theorem 1 cycle engine, the netlogp co-simulation) runs any Program.
+// ScriptAsProgram, so an engine that executes only Scripts (core's
+// Theorem 1 cycle engine and network co-simulation) runs any Program.
 // Next resumes processor id's program as an iter.Pull coroutine until
 // its next Proc call and returns that call as a ScriptOp:
 //

@@ -33,7 +33,7 @@ func TestRouteValiantSteadyStateAlloc(t *testing.T) {
 }
 
 // TestAdvanceSteadyStateAlloc pins the same contract for the
-// one-step-at-a-time path internal/netlogp uses: a held Router fed
+// one-step-at-a-time path core.LogPOnNet uses: a held Router fed
 // staggered Inject calls and drained with Advance allocates nothing
 // once warm, on both port disciplines.
 func TestAdvanceSteadyStateAlloc(t *testing.T) {

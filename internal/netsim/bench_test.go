@@ -48,7 +48,7 @@ func BenchmarkRoute(b *testing.B) {
 
 // BenchmarkAdvance measures draining an h-relation through Inject and
 // Advance on a fresh Router, the co-simulation path of
-// internal/netlogp (one Router per run).
+// core.LogPOnNet (one Router per run).
 func BenchmarkAdvance(b *testing.B) {
 	g := topology.Hypercube(64, false)
 	net := New(g)

@@ -14,7 +14,7 @@
 // A Router simulates the network, and one step loop drives it two
 // ways: Route delivers a whole h-relation injected at step 0 and
 // reports its cost, while Inject and Advance feed packets in and move
-// the network one step at a time, which is how internal/netlogp
+// the network one step at a time, which is how core.LogPOnNet
 // co-simulates LogP on a network.
 //
 // The step loop is index-routed and allocation-free. New precomputes
@@ -214,7 +214,8 @@ type Arrival struct {
 //     delivered, reporting the cost (MeasureGL, E7 and netrun);
 //   - Inject, Advance, Step and Pending feed packets in and move the
 //     network one step at a time, reporting each arrival (the
-//     netlogp co-simulation, which paces injections by LogP's o and G).
+//     core.LogPOnNet co-simulation, which paces injections by LogP's o
+//     and G).
 //
 // Repeated use reaches zero steady-state allocations once the pool
 // and the staging reach their high-water marks. A Router is not safe

@@ -1,6 +1,7 @@
 // Package runq provides the monotone min-queue shared by the
-// simulators' schedulers: the logp engine's ready queue and the
-// Theorem 1 cycle engine's ready and event queues.
+// simulators' schedulers: the logp engine's ready queue, core's guest
+// ready queue, the Theorem 1 cycle engine's event queue and the
+// network co-simulation's submission queue.
 package runq
 
 // Ref is one queue entry: the (At, Tie) sort key plus a slab index. A

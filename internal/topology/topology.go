@@ -49,8 +49,8 @@ func (g *Graph) Nodes() int { return len(g.Adj) }
 // Diameter computes the exact graph diameter by BFS from every node.
 // It panics on a disconnected graph. Only tests call it: netsim's
 // tests use it as the check, independent of netsim's own BFS, on the
-// routing tables and on netsim.Network.Diameter, and netlogp's tests
-// size L by it.
+// routing tables and on netsim.Network.Diameter, and core's LogPOnNet
+// tests size L by it.
 func (g *Graph) Diameter() int {
 	n := len(g.Adj)
 	dist := make([]int, n)
