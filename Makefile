@@ -32,7 +32,8 @@ race:
 # ring-plus-heap run queue and the logp timing wheel — are fuzzed
 # against plain binary heaps, the Theorem 2 router's merge-split
 # against a sort oracle, and the netsim Router against an independent
-# reference router.
+# reference router. Two property fuzzers close the list: Theorem 2's
+# run-length summary reduction and the relation decomposition.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime 20s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzScriptEquivalence -fuzztime 10s ./internal/logp/
@@ -40,6 +41,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 10s ./internal/runq/
 	$(GO) test -run '^$$' -fuzz FuzzMergeSplit -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzRouterMatchesReference -fuzztime 10s ./internal/netsim/
+	$(GO) test -run '^$$' -fuzz FuzzSummaryReduce -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDecompose -fuzztime 10s ./internal/relation/
 
 # Run the quick experiment suite under the streaming LogP invariant
 # auditor; fails on any model-invariant violation (see EXPERIMENTS.md).

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"repro/internal/logp"
 	"repro/internal/runq"
@@ -42,7 +42,11 @@ type guests struct {
 	recs    []msgRec
 	recFree int32
 
-	wake []int32 // arrive/wakeAll scratch: guest ids to wake
+	// wakeBits marks the guests that arrive found blocked in Recv, one
+	// bit per guest id, for wakeAll; words [wakeLo, wakeHi) may be set,
+	// and every word is zero between instants.
+	wakeBits       []uint64
+	wakeLo, wakeHi int
 
 	// sent counts the submissions; right after submit it is that
 	// submission's ordinal, which the engines' media use to order
@@ -68,12 +72,13 @@ type guest struct {
 	state   guestState
 	// pending is the operation the guest is parked on, as Next returned
 	// it: ScriptHalt once the guest halted or panicked (err then holds
-	// the panic). res is the engine's answer to the previous operation,
-	// which the next segment hands to Script.Next.
+	// the panic).
 	pending logp.ScriptOp
-	res     logp.ScriptResult
 	err     error
 }
+
+// noMsg is the Message of every answer that carries none.
+var noMsg logp.Message
 
 type guestState uint8
 
@@ -113,7 +118,12 @@ func (g *guests) reset(lp logp.Params) {
 	clear(g.recs)
 	g.recs = g.recs[:0]
 	g.recFree = -1
-	g.wake = g.wake[:0]
+	if words := (lp.P + 63) / 64; len(g.wakeBits) != words {
+		g.wakeBits = make([]uint64, words)
+	} else {
+		clear(g.wakeBits)
+	}
+	g.wakeLo, g.wakeHi = len(g.wakeBits), 0
 	g.sent = 0
 	g.halted = 0
 	g.procErr = nil
@@ -127,7 +137,7 @@ func (g *guests) start(sc logp.Script) {
 	for i := range g.procs {
 		p := &g.procs[i]
 		*p = guest{id: i, bufHead: -1, bufTail: -1}
-		g.await(p)
+		g.await(p, &noMsg, false, 0)
 	}
 }
 
@@ -152,16 +162,21 @@ func (g *guests) blocked() []int {
 	return ids
 }
 
-// scriptSegment advances a guest to its next engine operation. The
-// engines have no guest-side fast path, so every operation is parked
-// as Next returned it, except Compute(0), which has no effect. A panic
-// out of Next — the script's own, a Program's through
+// scriptSegment advances a guest to its next engine operation, given
+// the answer to the previous one: the acquired message (&noMsg when
+// there is none), the TryRecv outcome in ok and the Buffered count in
+// n. The engines have no guest-side fast path, so every operation is
+// parked as Next returned it, except Compute(0), which has no effect. A
+// panic out of Next — the script's own, a Program's through
 // logp.ProgramAsScript, or one of the segment's validation panics —
 // parks ScriptHalt with the guest's processor-panicked error in err.
-// Next sees the last answer with the guest's clock in Now, as
+// Next sees the answer with the guest's clock in Now, as
 // logp.ScriptAsProgram rebuilds it from the Proc calls, so a Script and
-// its Program form run identically.
-func (g *guests) scriptSegment(p *guest) {
+// its Program form run identically. The answer is built only as Next's
+// argument and the operation is switched on in place: ScriptResult and
+// ScriptOp are too wide for registers, so every local copy of either
+// is a block copy.
+func (g *guests) scriptSegment(p *guest, msg *logp.Message, ok bool, n int64) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.pending = logp.ScriptOp{Kind: logp.ScriptHalt}
@@ -169,17 +184,15 @@ func (g *guests) scriptSegment(p *guest) {
 		}
 	}()
 	s := g.script
-	res := p.res
-	res.Now = p.clock
 	for {
-		op := s.Next(p.id, res)
-		switch op.Kind {
+		p.pending = s.Next(p.id, logp.ScriptResult{Msg: *msg, OK: ok, N: n, Now: p.clock})
+		switch op := &p.pending; op.Kind {
 		case logp.ScriptCompute:
 			if op.N < 0 {
 				panic(fmt.Sprintf("core: Compute(%d) with negative cycles", op.N))
 			}
 			if op.N == 0 {
-				res = logp.ScriptResult{Now: p.clock}
+				msg, ok, n = &noMsg, false, 0
 				continue
 			}
 		case logp.ScriptSend:
@@ -194,17 +207,17 @@ func (g *guests) scriptSegment(p *guest) {
 		default:
 			panic(fmt.Sprintf("core: unknown script op kind %d", op.Kind))
 		}
-		p.pending = op
 		return
 	}
 }
 
-// await runs p's script segment to obtain its next operation and, if
-// the guest stays runnable, parks it in the ready queue. Every caller
-// has p out of the queue (startup, or just popped by the committer),
-// so the push cannot duplicate.
-func (g *guests) await(p *guest) {
-	g.scriptSegment(p)
+// await hands p's script segment the answer to p's last operation (see
+// scriptSegment) to obtain its next operation and, if the guest stays
+// runnable, parks it in the ready queue. Every caller has p out of the
+// queue (startup, or just popped by the committer), so the push cannot
+// duplicate.
+func (g *guests) await(p *guest, msg *logp.Message, ok bool, n int64) {
+	g.scriptSegment(p, msg, ok, n)
 	if p.pending.Kind != logp.ScriptHalt {
 		p.state = guestReady
 		g.ready.Push(runq.Ref{At: p.clock, Tie: int64(p.id), Idx: int32(p.id)})
@@ -217,25 +230,20 @@ func (g *guests) await(p *guest) {
 	}
 }
 
-func (g *guests) resume(p *guest, r logp.ScriptResult) {
-	p.res = r
-	g.await(p)
-}
-
 // exec commits p's pending operation, which is anything but a Send
 // (see submit).
 func (g *guests) exec(p *guest) {
-	// Read in place: every case consumes op before resume overwrites it.
+	// Read in place: every case consumes op before await overwrites it.
 	op := &p.pending
 	switch op.Kind {
 	case logp.ScriptCompute:
 		p.clock += op.N
-		g.resume(p, logp.ScriptResult{})
+		g.await(p, &noMsg, false, 0)
 	case logp.ScriptWait:
 		if op.N > p.clock {
 			p.clock = op.N
 		}
-		g.resume(p, logp.ScriptResult{})
+		g.await(p, &noMsg, false, 0)
 	case logp.ScriptBuffered:
 		n := int64(0)
 		for idx := p.bufHead; idx >= 0; idx = g.recs[idx].next {
@@ -244,7 +252,7 @@ func (g *guests) exec(p *guest) {
 			}
 			n++
 		}
-		g.resume(p, logp.ScriptResult{N: n})
+		g.await(p, &noMsg, false, n)
 	case logp.ScriptRecv:
 		if p.bufLen > 0 {
 			g.completeRecv(p)
@@ -254,13 +262,14 @@ func (g *guests) exec(p *guest) {
 	case logp.ScriptTryRecv:
 		if p.bufLen > 0 && g.recs[p.bufHead].at <= p.clock && p.nextComm <= p.clock {
 			r := p.clock
-			msg := g.popBufFree(p)
+			idx := g.popBuf(p)
 			p.clock = r + g.lp.O
 			p.nextComm = r + g.lp.G
-			g.resume(p, logp.ScriptResult{Msg: msg, OK: true})
+			g.await(p, &g.recs[idx].msg, true, 0)
+			g.freeRec(idx)
 		} else {
 			p.clock++
-			g.resume(p, logp.ScriptResult{})
+			g.await(p, &noMsg, false, 0)
 		}
 	default:
 		panic(fmt.Sprintf("core: unexpected guest op %d", op.Kind))
@@ -272,7 +281,7 @@ func (g *guests) exec(p *guest) {
 // communication slot, and becomes p's clock. The message's slab record
 // is filled in place from the op, with the instant in at. submit
 // returns the instant and the record; the engine hands the record to
-// its medium and then resumes p.
+// its medium and then resumes p through await.
 func (g *guests) submit(p *guest) (int64, int32) {
 	s := p.clock + g.lp.O
 	if s < p.nextComm {
@@ -297,10 +306,10 @@ func (g *guests) submit(p *guest) (int64, int32) {
 }
 
 // arrive delivers record idx into its destination's input FIFO at
-// instant at, and appends the destination to wake if it is blocked in
-// Recv. An engine collects one instant's wakes in a local list, starting
-// from wake[:0], and then hands it to wakeAll.
-func (g *guests) arrive(idx int32, at int64, wake []int32) []int32 {
+// instant at, and marks the destination in wakeBits if it is blocked in
+// Recv. An engine arrives one instant's deliveries and then calls
+// wakeAll.
+func (g *guests) arrive(idx int32, at int64) {
 	r := &g.recs[idx]
 	p := &g.procs[r.msg.Dst]
 	r.at = at
@@ -313,29 +322,39 @@ func (g *guests) arrive(idx int32, at int64, wake []int32) []int32 {
 	p.bufTail = idx
 	p.bufLen++
 	if p.state == guestWaitMsg {
-		wake = append(wake, int32(p.id))
+		w := p.id >> 6
+		g.wakeBits[w] |= 1 << (uint(p.id) & 63)
+		g.wakeLo = min(g.wakeLo, w)
+		g.wakeHi = max(g.wakeHi, w+1)
 	}
-	return wake
 }
 
-// wakeAll completes the Recv of every guest in wake, in id order. One
-// instant's wake list can be O(p) — the cycle engine delivers a whole
-// cycle at its boundary, so a ring at p = 10^6 lands every message on
-// the same instant — and anything quadratic here (an insertion sort was
-// 97% of the E14.p1m profile) dominates the run. slices.Sort is
-// in-place and allocation-free; duplicate ids (several messages for one
-// waiting guest) stay adjacent, and the guest completes only once.
-func (g *guests) wakeAll(wake []int32) {
-	slices.Sort(wake)
-	g.wake = wake
-	for _, id := range wake {
-		p := &g.procs[id]
-		if p.state == guestWaitMsg && p.bufLen > 0 {
-			g.completeRecv(p)
+// wakeAll completes the Recv of every guest arrive marked, in id order,
+// and clears the marks. One instant's wakes can be O(p) — the cycle
+// engine delivers a whole cycle at its boundary, so a ring at p = 10^6
+// lands every message on the same instant — so the marks are one bit
+// per guest, walked word by word over the range in use: no sort, and a
+// guest with several messages is marked, and completes, once. A
+// completion runs a script segment, which never arrives anything, so
+// the walk sees no new marks.
+func (g *guests) wakeAll() {
+	for w := g.wakeLo; w < g.wakeHi; w++ {
+		word := g.wakeBits[w]
+		g.wakeBits[w] = 0
+		for ; word != 0; word &= word - 1 {
+			p := &g.procs[w<<6|bits.TrailingZeros64(word)]
+			if p.state == guestWaitMsg && p.bufLen > 0 {
+				g.completeRecv(p)
+			}
 		}
 	}
+	g.wakeLo, g.wakeHi = len(g.wakeBits), 0
 }
 
+// completeRecv acquires p's buffer head and resumes p with it. The
+// script segment reads the message in place, out of its record, which
+// is freed only afterwards: a segment never submits, so recs cannot
+// grow under the pointer.
 func (g *guests) completeRecv(p *guest) {
 	r := p.clock
 	if at := g.recs[p.bufHead].at; at > r {
@@ -344,26 +363,31 @@ func (g *guests) completeRecv(p *guest) {
 	if p.nextComm > r {
 		r = p.nextComm
 	}
-	msg := g.popBufFree(p)
+	idx := g.popBuf(p)
 	p.clock = r + g.lp.O
 	p.nextComm = r + g.lp.G
 	p.state = guestReady
-	g.resume(p, logp.ScriptResult{Msg: msg, OK: true})
+	g.await(p, &g.recs[idx].msg, true, 0)
+	g.freeRec(idx)
 }
 
-// popBufFree unlinks p's buffer head, frees its record, and returns
-// the message.
-func (g *guests) popBufFree(p *guest) logp.Message {
+// popBuf unlinks p's buffer head and returns its record, which the
+// caller frees (freeRec) once it is done reading the message.
+func (g *guests) popBuf(p *guest) int32 {
 	idx := p.bufHead
-	r := &g.recs[idx]
-	msg := r.msg
-	p.bufHead = r.next
+	p.bufHead = g.recs[idx].next
 	if p.bufHead < 0 {
 		p.bufTail = -1
 	}
 	p.bufLen--
+	return idx
+}
+
+// freeRec returns record idx to the free list, dropping its message so
+// a stale body does not pin guest memory.
+func (g *guests) freeRec(idx int32) {
+	r := &g.recs[idx]
 	r.msg = logp.Message{}
 	r.next = g.recFree
 	g.recFree = idx
-	return msg
 }

@@ -529,17 +529,16 @@ func (e *cycleEngine) send(p *guest) {
 	if arrival > e.guestTime {
 		e.guestTime = arrival
 	}
-	e.resume(p, logp.ScriptResult{})
+	e.await(p, &noMsg, false, 0)
 }
 
 // deliverInstant delivers every message arriving at instant t, then
 // wakes the guests they unblock.
 func (e *cycleEngine) deliverInstant(t int64) {
-	wake := e.wake[:0]
 	for e.events.Len() > 0 && e.events.Min().At == t {
-		wake = e.arrive(e.events.PopMin().Idx, t, wake)
+		e.arrive(e.events.PopMin().Idx, t)
 	}
-	e.wakeAll(wake)
+	e.wakeAll()
 }
 
 // result folds the per-cycle aggregates into a Thm1Result.

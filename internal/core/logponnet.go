@@ -113,7 +113,7 @@ func (e *netEngine) loop() error {
 			if p.pending.Kind == logp.ScriptSend {
 				s, idx := e.submit(p)
 				e.subs.Push(runq.Ref{At: s, Tie: e.sent, Idx: idx})
-				e.resume(p, logp.ScriptResult{})
+				e.await(p, &noMsg, false, 0)
 			} else {
 				e.exec(p)
 			}
@@ -155,14 +155,13 @@ func (e *netEngine) step() {
 		m := &e.recs[ref.Idx].msg
 		e.router.Inject(ref.Idx, m.Src, m.Dst)
 	}
-	wake := e.wake[:0]
 	for _, a := range e.router.Advance() {
 		lat := a.Step - e.recs[a.ID].at
 		e.maxLat = max(e.maxLat, lat)
 		e.sumLat += lat
-		wake = e.arrive(a.ID, a.Step, wake)
+		e.arrive(a.ID, a.Step)
 	}
-	e.wakeAll(wake)
+	e.wakeAll()
 }
 
 // deadlockError renders the co-simulation's deadlock diagnostic.

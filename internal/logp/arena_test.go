@@ -46,6 +46,17 @@ func TestArenaDenseLayout(t *testing.T) {
 	}
 }
 
+// TestProcRecordSize pins the proc record, which an accepted message
+// touches twice (sender and destination). It changes only on purpose.
+func TestProcRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("record sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(proc{}); got != 176 {
+		t.Fatalf("proc is %d bytes, want 176: ROADMAP item 8 and the Script doc comment quote the record size; update them with this test", got)
+	}
+}
+
 func TestArenaResetReuse(t *testing.T) {
 	var a procArena
 	const n = (1 << procChunkBits) + 17

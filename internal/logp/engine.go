@@ -152,6 +152,16 @@ type Machine struct {
 	procs    []*proc
 	capacity int64 // params.Capacity(), cached off the per-instant path
 
+	// ansMsg, ansOK and ansN are the engine's answer to the Program-form
+	// processor it is resuming (see await), read by the Proc methods
+	// right after their coroutine switch. ansMsg points at the acquired
+	// message in its record, which is freed only once the processor
+	// parks again. Exactly one processor runs at a time, so one slot
+	// serves them all.
+	ansMsg *Message
+	ansOK  bool
+	ansN   int64
+
 	// arena backs every proc record (see arena.go): chunked slabs
 	// reset wholesale between Runs, so a warm machine's startup sweep
 	// allocates no per-processor objects and the GC scans chunks, not
@@ -259,7 +269,8 @@ type Machine struct {
 // has fully unwound — panic recovery and epilogue included — when it
 // returns, and stopping an already finished coroutine is a no-op; a
 // failed Run never leaks a parked program into the caller's world (or
-// into this machine's next Run). A RunScript's Script is dropped too.
+// into this machine's next Run). A RunScript's Script is dropped too,
+// and so is the last answer's pointer into the message slab.
 //
 //hot:cold per-Run epilogue
 func (m *Machine) shutdown() {
@@ -269,6 +280,7 @@ func (m *Machine) shutdown() {
 		}
 	}
 	m.script = nil
+	m.ansMsg = nil
 }
 
 // NewMachine builds a machine with the given parameters, which must
@@ -326,7 +338,7 @@ func isStopped(r interface{}) bool {
 // sequence adapts prog to an iter.Pull coroutine. The engine's next()
 // resumes the program until its next engine call, which parks the
 // operation in p.pending, yields, and waits for the engine's answer in
-// p.res. A program that returns or panics cannot yield, so the epilogue
+// m.ansMsg, m.ansOK and m.ansN. A program that returns or panics cannot yield, so the epilogue
 // parks ScriptHalt itself, with the panic in p.err. A coroutine unwound
 // by stop() returns through the errStopped arm without recording
 // anything.
@@ -448,7 +460,7 @@ func (m *Machine) start(prog Program) {
 		if prog != nil {
 			p.next, p.stop = iter.Pull(p.sequence(prog))
 		}
-		m.await(p)
+		m.await(p, &noMsg, false, 0)
 		if p.state == stateReady {
 			m.pushReady(p)
 		}
@@ -692,17 +704,21 @@ func (m *Machine) appendBuf(p *proc, idx int32) {
 	p.bufLen++
 }
 
-// popBufFree unlinks p's oldest buffered arrival and recycles its
-// record, which the caller must be done reading. The record is zeroed
-// on its way to the free list so a retained Body does not outlive its
-// acquisition.
-func (m *Machine) popBufFree(p *proc) {
+// popBuf unlinks p's oldest buffered arrival and returns its record,
+// which the caller frees (freeRec) once it is done reading it.
+func (m *Machine) popBuf(p *proc) int32 {
 	i := p.bufHead
 	p.bufHead = m.recSlab[i].next
 	if p.bufHead < 0 {
 		p.bufTail = -1
 	}
 	p.bufLen--
+	return i
+}
+
+// freeRec recycles record i. The record is zeroed on its way to the
+// free list so a retained Body does not outlive its acquisition.
+func (m *Machine) freeRec(i int32) {
 	m.recSlab[i] = msgRec{next: m.recFree}
 	m.recFree = i
 }
@@ -728,16 +744,22 @@ func (m *Machine) deadlockError() error {
 	return fmt.Errorf("logp: deadlock: processors %v blocked on Recv, %v blocked on Send, no messages in flight", waitMsg, waitAcc)
 }
 
-// await runs p until its next engine operation and parks it in
-// p.pending. The Compute and WaitUntil calls the processor resolved
-// proc-side since the last crossing are folded into simEvents here,
-// preserving the per-op accounting of the serialized engine. A halt
-// ends the processor, failing the run first if it halted by panicking,
-// and recycles its record.
-func (m *Machine) await(p *proc) {
+// await answers p's last operation — the acquired message (&noMsg when
+// there is none), the TryRecv outcome in ok, the Buffered count in n —
+// and runs p until its next engine operation, which it parks in
+// p.pending. A Script gets the answer as its Next argument (see
+// scriptSegment); a Program reads it from m.ansMsg, m.ansOK and m.ansN,
+// the message in place. The Compute and
+// WaitUntil calls the processor resolved proc-side since the last
+// crossing are folded into simEvents here, preserving the per-op
+// accounting of the serialized engine. A halt ends the processor,
+// failing the run first if it halted by panicking, and recycles its
+// record.
+func (m *Machine) await(p *proc, msg *Message, ok bool, n int64) {
 	if p.next == nil {
-		p.scriptSegment()
+		p.scriptSegment(msg, ok, n)
 	} else {
+		m.ansMsg, m.ansOK, m.ansN = msg, ok, n
 		p.next()
 	}
 	if p.localOps != 0 {
@@ -787,13 +809,6 @@ func (m *Machine) popReady() *proc {
 	return m.procs[m.ready.PopMin().Idx]
 }
 
-// resume answers p's pending operation with r and obtains the next
-// one.
-func (m *Machine) resume(p *proc, r ScriptResult) {
-	p.res = r
-	m.await(p)
-}
-
 // exec performs p's pending operation. p must be the ready processor
 // with the minimum local clock, which guarantees that every medium
 // event at or before p.clock has been committed. Note that exec does
@@ -810,7 +825,7 @@ func (m *Machine) exec(p *proc) {
 			}
 			n++
 		}
-		m.resume(p, ScriptResult{N: n})
+		m.await(p, &noMsg, false, n)
 
 	case ScriptSend:
 		s := p.clock + m.params.O
@@ -841,20 +856,19 @@ func (m *Machine) exec(p *proc) {
 
 	case ScriptTryRecv:
 		if p.bufLen > 0 && m.recSlab[p.bufHead].at <= p.clock && p.nextComm <= p.clock {
-			head := &m.recSlab[p.bufHead]
+			i := m.popBuf(p)
+			head := &m.recSlab[i]
 			r := p.clock
 			if m.emitOn {
 				m.emit(Event{Time: r, Kind: EvAcquire, Seq: head.msgID, Msg: head.msg})
 			}
 			p.clock = r + m.params.O
 			p.nextComm = r + m.params.G
-			p.recvd++
-			msg := head.msg
-			m.popBufFree(p)
-			m.resume(p, ScriptResult{Msg: msg, OK: true})
+			m.await(p, &head.msg, true, 0)
+			m.freeRec(i)
 		} else {
 			p.clock++ // one polling cycle, so busy-wait loops consume time
-			m.resume(p, ScriptResult{})
+			m.await(p, &noMsg, false, 0)
 		}
 
 	default:
@@ -863,9 +877,13 @@ func (m *Machine) exec(p *proc) {
 }
 
 // completeRecv acquires the oldest buffered message for p and resumes
-// its program.
+// its program. The processor reads the message in place, out of its
+// record, which is freed only afterwards: a processor never submits
+// while it runs (a Send parks for exec), so recSlab cannot grow under
+// the pointer.
 func (m *Machine) completeRecv(p *proc) {
-	head := &m.recSlab[p.bufHead]
+	i := m.popBuf(p)
+	head := &m.recSlab[i]
 	r := p.clock
 	if head.at > r {
 		r = head.at
@@ -878,11 +896,9 @@ func (m *Machine) completeRecv(p *proc) {
 	}
 	p.clock = r + m.params.O
 	p.nextComm = r + m.params.G
-	p.recvd++
 	p.state = stateReady
-	msg := head.msg
-	m.popBufFree(p)
-	m.resume(p, ScriptResult{Msg: msg, OK: true})
+	m.await(p, &head.msg, true, 0)
+	m.freeRec(i)
 }
 
 // processInstant commits every medium event scheduled at the earliest
@@ -925,8 +941,7 @@ func (m *Machine) processInstant(t int64) {
 				if n > m.maxBuf {
 					m.maxBuf = n
 				}
-				m.recSlab[ri] = msgRec{next: m.recFree}
-				m.recFree = ri
+				m.freeRec(ri)
 			} else {
 				m.appendBuf(p, ri)
 				if p.bufLen > m.maxBuf {
@@ -972,7 +987,6 @@ func (m *Machine) processInstant(t int64) {
 			sender := m.procs[sub.msg.Src]
 			if t > sub.at {
 				sender.stallCycles += t - sub.at
-				sender.stallEvents++
 				m.stallEvents++
 			}
 			d := m.chooseSlot(dst, t)
@@ -993,9 +1007,8 @@ func (m *Machine) processInstant(t int64) {
 	for id := range eachBit(m.wakeSendBits) {
 		p := m.procs[id]
 		p.clock = t // acceptance instant; stall cycles already accounted
-		p.sent++
 		p.state = stateReady
-		m.resume(p, ScriptResult{})
+		m.await(p, &noMsg, false, 0)
 		if p.state == stateReady {
 			m.pushReady(p)
 		}

@@ -64,7 +64,7 @@ func (m *Machine) maybeRecycle(p *proc) {
 	if p.bufLen > 0 {
 		m.doneBufLen[p.id] = p.bufLen
 		for p.bufHead >= 0 {
-			m.popBufFree(p)
+			m.freeRec(m.popBuf(p))
 		}
 	}
 	m.procs[p.id] = nil
@@ -92,7 +92,7 @@ func (m *Machine) instantiateLazy(id int, t int64) {
 	m.templateCount--
 	p := m.ensureProc(id)
 	p.reinit()
-	m.await(p)
+	m.await(p, &noMsg, false, 0)
 	switch p.pending.Kind {
 	case ScriptRecv:
 		if p.clock < t {

@@ -54,8 +54,8 @@ type Proc interface {
 type Program func(p Proc)
 
 // token is the zero-size value exchanged over the coroutine switch; the
-// operation and its result ride in proc fields (see proc.pending and
-// proc.res).
+// operation rides in proc.pending and its answer in the Machine's answer
+// slot (Machine.ansMsg, ansOK, ansN).
 type token = struct{}
 
 type procState uint8
@@ -81,10 +81,15 @@ type msgRec struct {
 	next  int32
 }
 
+// noMsg is the Message of every answer that carries none.
+var noMsg Message
+
 // proc is the engine-side representation of a processor; it also
 // implements Proc for the program coroutine. Both program forms park
 // their next engine operation in pending as a ScriptOp, the format every
-// LogP engine parks, and find the engine's answer in res.
+// LogP engine parks. The engine's answer is not kept here: a Script
+// gets it as its Next argument and a Program reads it from the
+// Machine's answer slot (see Machine.await).
 type proc struct {
 	id int
 	m  *Machine
@@ -114,24 +119,20 @@ type proc struct {
 	// pending is the operation the processor is parked on, in the
 	// Script form every engine parks: Send, Recv, TryRecv or Buffered
 	// while it waits for exec, ScriptHalt once it returned or panicked
-	// (err then holds the panic). res is the engine's answer to the
-	// previous operation.
+	// (err then holds the panic).
 	pending ScriptOp
-	res     ScriptResult
 	err     error
 
-	sent, recvd int64
 	stallCycles int64
-	stallEvents int64
 
 	// The program runs as a coroutine (nil for a scripted processor,
 	// which runs inline in scriptSegment). yield parks the program
-	// until the engine answers in res; next resumes the program until
-	// its next operation; stop unwinds it. The operation itself is
-	// written into pending rather than yielded, so no struct is copied
-	// through the iter.Pull plumbing. Exactly one of (engine, program)
-	// runs at any time and the coroutine switch orders their memory
-	// accesses, so these unsynchronized fields are race-free.
+	// until the engine answers in the Machine's slot; next resumes the
+	// program until its next operation; stop unwinds it. The operation
+	// itself is written into pending rather than yielded, so no struct
+	// is copied through the iter.Pull plumbing. Exactly one of (engine,
+	// program) runs at any time and the coroutine switch orders their
+	// memory accesses, so these unsynchronized fields are race-free.
 	next  func() (token, bool)
 	stop  func()
 	yield func(token) bool
@@ -144,9 +145,9 @@ func (p *proc) P() int         { return p.m.params.P }
 func (p *proc) Params() Params { return p.m.params }
 func (p *proc) Now() int64     { return p.clock }
 
-// call parks op for the engine and blocks for the answer in p.res: one
-// coroutine switch. A false yield means the engine is shutting down,
-// and the program unwinds.
+// call parks op for the engine and blocks for its answer in the
+// Machine's slot: one coroutine switch. A false yield means the engine
+// is shutting down, and the program unwinds.
 func (p *proc) call(op ScriptOp) {
 	p.pending = op
 	if !p.yield(token{}) {
@@ -206,7 +207,7 @@ func (p *proc) SendBody(dst int, tag int32, payload, aux int64, body interface{}
 //hot:path program-side operation
 func (p *proc) Recv() Message {
 	p.call(ScriptOp{Kind: ScriptRecv})
-	return p.res.Msg
+	return *p.m.ansMsg
 }
 
 // TryRecv polls the input buffer for one cycle.
@@ -214,7 +215,7 @@ func (p *proc) Recv() Message {
 //hot:path program-side operation
 func (p *proc) TryRecv() (Message, bool) {
 	p.call(ScriptOp{Kind: ScriptTryRecv})
-	return p.res.Msg, p.res.OK
+	return *p.m.ansMsg, p.m.ansOK
 }
 
 // Buffered reports how many arrivals are acquirable right now.
@@ -222,7 +223,7 @@ func (p *proc) TryRecv() (Message, bool) {
 //hot:path program-side operation
 func (p *proc) Buffered() int {
 	p.call(ScriptOp{Kind: ScriptBuffered})
-	return int(p.res.N)
+	return int(p.m.ansN)
 }
 
 // reinit prepares the pooled proc struct for a fresh Run.
@@ -233,9 +234,7 @@ func (p *proc) reinit() {
 	p.bufHead, p.bufTail, p.bufLen = -1, -1, 0
 	p.state = stateReady
 	p.pending = ScriptOp{}
-	p.res = ScriptResult{}
 	p.err = nil
-	p.sent, p.recvd = 0, 0
-	p.stallCycles, p.stallEvents = 0, 0
+	p.stallCycles = 0
 	p.next, p.stop, p.yield = nil, nil, nil
 }

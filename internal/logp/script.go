@@ -13,7 +13,7 @@ import (
 // result of the previous one, and the script keeps whatever per-
 // processor state it needs in its own (typically slab-allocated)
 // structures. Per live processor the engine then holds only the
-// 280-byte proc record.
+// 176-byte proc record.
 //
 // Next must be deterministic and, like a Program, may only touch state
 // owned by processor id (the bsplogpvet procshare rule). As for a
@@ -264,15 +264,21 @@ func (m *Machine) RunScript(s Script) (Result, error) {
 }
 
 // scriptSegment advances a scripted processor to its next engine
-// operation. Compute and WaitUntil touch only the processor's clock, so
-// they resolve here, as proc.Compute and proc.WaitUntil do for a
-// Program; every other operation, polls included, is parked in
-// p.pending as Next returned it, for exec to perform. A panic out of
-// Next, or a validation failure, parks ScriptHalt with the processor's
-// panicked error in p.err, as the coroutine epilogue does.
+// operation, given the answer to the previous one: the acquired message
+// (&noMsg when there is none), the TryRecv outcome in ok and the
+// Buffered count in n. Compute and WaitUntil touch only the processor's
+// clock, so they resolve here, as proc.Compute and proc.WaitUntil do
+// for a Program, and Next is asked again with the clock alone; every
+// other operation, polls included, is parked in p.pending as Next
+// returned it, for exec to perform. A panic out of Next, or a
+// validation failure, parks ScriptHalt with the processor's panicked
+// error in p.err, as the coroutine epilogue does. The answer is built
+// only as Next's argument and the operation is switched on in place:
+// ScriptResult and ScriptOp are too wide for registers, so every local
+// copy of either is a block copy.
 //
 //hot:path the scripted engine's per-operation transition loop
-func (p *proc) scriptSegment() {
+func (p *proc) scriptSegment(msg *Message, ok bool, n int64) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.pending = ScriptOp{Kind: ScriptHalt}
@@ -280,11 +286,9 @@ func (p *proc) scriptSegment() {
 		}
 	}()
 	s := p.m.script
-	res := p.res
-	res.Now = p.clock
 	for {
-		op := s.Next(p.id, res)
-		switch op.Kind {
+		p.pending = s.Next(p.id, ScriptResult{Msg: *msg, OK: ok, N: n, Now: p.clock})
+		switch op := &p.pending; op.Kind {
 		case ScriptCompute:
 			if op.N < 0 {
 				panic(fmt.Sprintf("logp: Compute(%d) with negative cycles", op.N))
@@ -293,14 +297,12 @@ func (p *proc) scriptSegment() {
 				p.clock += op.N
 				p.localOps++
 			}
-			res = ScriptResult{Now: p.clock}
 
 		case ScriptWait:
 			if op.N > p.clock {
 				p.clock = op.N
 			}
 			p.localOps++
-			res = ScriptResult{Now: p.clock}
 
 		case ScriptSend:
 			if op.Dst < 0 || op.Dst >= p.m.params.P {
@@ -312,11 +314,11 @@ func (p *proc) scriptSegment() {
 			fallthrough
 
 		case ScriptHalt, ScriptRecv, ScriptTryRecv, ScriptBuffered:
-			p.pending = op
 			return
 
 		default:
 			panic(fmt.Sprintf("logp: unknown script op kind %d", op.Kind))
 		}
+		msg, ok, n = &noMsg, false, 0
 	}
 }
