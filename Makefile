@@ -31,9 +31,11 @@ race:
 # audit metrics. The engines' scheduling structures — the shared
 # ring-plus-heap run queue and the logp timing wheel — are fuzzed
 # against plain binary heaps, the Theorem 2 router's merge-split
-# against a sort oracle, and the netsim Router against an independent
-# reference router. Two property fuzzers close the list: Theorem 2's
-# run-length summary reduction and the relation decomposition.
+# against a sort oracle, the netsim Router against an independent
+# reference router, and the Theorem 1 replay's per-cycle counts
+# against a naive recount. Two property fuzzers close the list:
+# Theorem 2's run-length summary reduction and the relation
+# decomposition.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime 20s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzScriptEquivalence -fuzztime 10s ./internal/logp/
@@ -41,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 10s ./internal/runq/
 	$(GO) test -run '^$$' -fuzz FuzzMergeSplit -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzRouterMatchesReference -fuzztime 10s ./internal/netsim/
+	$(GO) test -run '^$$' -fuzz FuzzThm1CycleCounts -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzSummaryReduce -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecompose -fuzztime 10s ./internal/relation/
 
@@ -78,9 +81,9 @@ bench-diff:
 	$(GO) run ./cmd/bsplogp -bench -quick -benchcount 3 -benchout /tmp/BENCH_new.json
 	$(GO) run ./cmd/bsplogp -benchdiff BENCH_logp.json /tmp/BENCH_new.json
 
-# Smoke the large-p scale experiments (E14/E15/E16): -quick skips the
-# p=10^6 entries and runs the rest at p=10^5, a few seconds of wall
-# time — the CI guard that the O(active) engines stay live. The alloc
+# Smoke the large-p scale experiments: -quick runs only the entries it
+# does not shrink, E14/E15/E16 at p=10^4 and 10^5 and E17 at p=1024 —
+# the CI guard that the O(active) engines stay live. The alloc
 # guards run first: they pin warm steady-state allocations per Run
 # (sequential 1, cycle engine 1, E16 a small documented constant, the
 # Theorem 2 deterministic router the same count at every h), so

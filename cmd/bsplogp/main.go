@@ -44,7 +44,7 @@ func run(args []string, out, errOut io.Writer) int {
 		all        = fs.Bool("all", false, "run every experiment")
 		list       = fs.Bool("list", false, "list experiments and exit")
 		quick      = fs.Bool("quick", false, "shrink processor counts and trials")
-		scale      = fs.Bool("scale", false, "select the large-p scale experiments (E14/E15/E16 at p=10^4..10^6, E17 at p=1024/2048) instead of the regular suite; with -quick the p=10^6 entries are skipped and the rest run at p=10^5")
+		scale      = fs.Bool("scale", false, "select the large-p scale experiments (E14/E15/E16 at p=10^4..10^6, E17 at p=1024/2048) instead of the regular suite; with -quick only the entries at p <= 10^5 (E17 at p=1024) run")
 		seed       = fs.Uint64("seed", 1, "random seed")
 		doBench    = fs.Bool("bench", false, "benchmark experiments (all, or the one given by -experiment) and write a JSON report")
 		benchOut   = fs.String("benchout", "BENCH_logp.json", "path of the JSON report written by -bench")
@@ -110,19 +110,6 @@ func run(args []string, out, errOut io.Writer) int {
 	// simulation is unaffected — GC timing never reaches the engines.
 	if *scale {
 		debug.SetGCPercent(50)
-	}
-
-	// The scale registry's default selection: everything, or under
-	// -quick only the entries whose processor count fits a smoke run.
-	scaleIDs := func() []string {
-		var ids []string
-		for _, e := range bench.Scale() {
-			if *quick && e.Procs > 100_000 {
-				continue
-			}
-			ids = append(ids, e.ID)
-		}
-		return ids
 	}
 
 	if *benchDiff {
@@ -201,7 +188,7 @@ func run(args []string, out, errOut io.Writer) int {
 		if *id != "" {
 			ids = []string{*id}
 		} else if *scale {
-			ids = scaleIDs()
+			ids = scaleIDs(cfg)
 		}
 		// Every -bench run covers a subset of the registry (a single
 		// -experiment, the -scale suite, or the regular suite without
@@ -288,7 +275,7 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 		runOne(e)
 	case *scale:
-		for _, sid := range scaleIDs() {
+		for _, sid := range scaleIDs(cfg) {
 			e, _ := bench.Lookup(sid)
 			runOne(e)
 		}
@@ -297,4 +284,17 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 	return 0
+}
+
+// scaleIDs is the scale registry's default selection: every entry, or
+// under -quick only those -quick leaves at their registered processor
+// count; a capped entry would rerun the table of a smaller one.
+func scaleIDs(cfg bench.Config) []string {
+	var ids []string
+	for _, e := range bench.Scale() {
+		if e.RunProcs(cfg) == e.Procs {
+			ids = append(ids, e.ID)
+		}
+	}
+	return ids
 }

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 func TestCLIList(t *testing.T) {
@@ -88,6 +91,54 @@ func TestCLIBenchWritesReport(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "events/sec") {
 		t.Fatalf("summary table missing from output:\n%s", out.String())
+	}
+}
+
+// TestCLIBenchQuickScaleRowUsesRunProcs pins a quick scale row to the
+// processor count its run used: -quick runs E14.p1m at p = 10^5, so its
+// row must report 10^5 processors and divide its bytes by 10^5.
+func TestCLIBenchQuickScaleRowUsesRunProcs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_logp.json")
+	var out, errOut bytes.Buffer
+	code := run([]string{"-bench", "-quick", "-experiment", "E14.p1m", "-benchout", path}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("report not written: %v", err)
+	}
+	var rep struct {
+		Results []struct {
+			ID           string  `json:"id"`
+			AllocBytes   uint64  `json:"allocBytes"`
+			Procs        int     `json:"procs"`
+			BytesPerProc float64 `json:"bytesPerProc"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v\n%s", err, data)
+	}
+	if len(rep.Results) != 1 {
+		t.Fatalf("unexpected report: %+v", rep)
+	}
+	r := rep.Results[0]
+	if r.ID != "E14.p1m" || r.Procs != 100_000 || r.BytesPerProc != float64(r.AllocBytes)/100_000 {
+		t.Fatalf("quick E14.p1m row %+v, want procs 100000 and bytesPerProc allocBytes/100000", r)
+	}
+}
+
+// TestCLIScaleQuickSelection pins -scale -quick to the entries -quick
+// leaves at their registered size: E14–E16 at p = 10^4 and 10^5, and
+// E17 once, at p = 1024. Without -quick every entry runs.
+func TestCLIScaleQuickSelection(t *testing.T) {
+	got := scaleIDs(bench.Config{Quick: true})
+	want := []string{"E14.p10k", "E15.p10k", "E16.p10k", "E14.p100k", "E15.p100k", "E16.p100k", "E17.p1k"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("-scale -quick selects %v, want %v", got, want)
+	}
+	if n, all := len(scaleIDs(bench.Config{})), len(bench.Scale()); n != all {
+		t.Fatalf("-scale selects %d entries, want all %d", n, all)
 	}
 }
 

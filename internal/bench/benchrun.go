@@ -36,10 +36,10 @@ type BenchResult struct {
 	Allocs       uint64  `json:"allocs"`
 	AllocBytes   uint64  `json:"allocBytes"`
 	Rows         int     `json:"rows"`
-	// Procs and BytesPerProc are reported by the scale experiments
-	// (Experiment.Procs > 0): allocation traffic normalized per guest
-	// processor, the figure that separates the O(active) sparse
-	// engines from anything paying O(p) per event.
+	// Procs and BytesPerProc are reported by the scale experiments:
+	// the processor count the run used (Experiment.RunProcs) and the
+	// allocation traffic normalized by it, the figure that separates
+	// the O(active) sparse engines from anything paying O(p) per event.
 	Procs        int     `json:"procs,omitempty"`
 	BytesPerProc float64 `json:"bytesPerProc,omitempty"`
 	// HeapSysPeak is the largest heap footprint the runtime held from
@@ -173,9 +173,9 @@ func RunBench(cfg Config, ids []string, count int) (*BenchReport, error) {
 			r.EventsPerSec = float64(r.SimEvents) / sec
 			r.HopsPerSec = float64(r.NetHops) / sec
 		}
-		if e.Procs > 0 {
-			r.Procs = e.Procs
-			r.BytesPerProc = float64(r.AllocBytes) / float64(e.Procs)
+		if p := e.RunProcs(cfg); p > 0 {
+			r.Procs = p
+			r.BytesPerProc = float64(r.AllocBytes) / float64(p)
 			r.HeapSysPeak = heapPeak
 		}
 		rep.TotalWallNanos += r.WallNanos

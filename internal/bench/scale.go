@@ -297,12 +297,8 @@ func runScaleScript(cfg Config, lp logp.Params, s logp.Script) logp.Result {
 // by the scripted cycle engine, with the measured slowdown against the
 // guest time. The replay is stall-free for both workloads, so the
 // slowdown stays O(1 + g/G + l/L) independent of p.
-func E14Scale(procs int) func(Config) *Table {
+func E14Scale(p int) func(Config) *Table {
 	return func(cfg Config) *Table {
-		p := procs
-		if cfg.Quick && p > 100_000 {
-			p = 100_000
-		}
 		lp := scaleLogP(p)
 		t := &Table{
 			ID:      "E14",
@@ -341,12 +337,8 @@ func E14Scale(procs int) func(Config) *Table {
 // barrier's L*log_d(p) term dominates and the slowdown follows
 // O(L*log p / ((G*h + L)*log(1 + ceil(L/G)))), growing with p — the
 // paper's two regimes, separated on one machine.
-func E15Scale(procs int) func(Config) *Table {
+func E15Scale(p int) func(Config) *Table {
 	return func(cfg Config) *Table {
-		p := procs
-		if cfg.Quick && p > 100_000 {
-			p = 100_000
-		}
 		lp := scaleLogP(p)
 		bp := bsp.Params{P: p, G: lp.G, L: lp.L}
 		d := collective.TreeArity(lp)
@@ -397,15 +389,11 @@ func scaleRandLogP(p int) logp.Params {
 // a p = 10^6 trial's steady-state footprint is the stream (4 bytes per
 // message) plus the windowed in-flight records — the same O(p*w)
 // budget as E15's routes, not O(p*h).
-func E16Scale(procs int) func(Config) *Table {
+func E16Scale(p int) func(Config) *Table {
 	return func(cfg Config) *Table {
-		p := procs
 		seeds := 3
 		if cfg.Quick {
 			seeds = 2
-			if p > 100_000 {
-				p = 100_000
-			}
 		}
 		lp := scaleRandLogP(p)
 		capacity := int(lp.Capacity())
@@ -465,12 +453,8 @@ const scaleRandWindow = 8
 // The workload's count exchange is an all-to-all (p-1 messages per
 // processor), so unlike E14-E16 this experiment scales as p², which
 // caps its registered sizes at p = 2048.
-func E17Scale(procs int) func(Config) *Table {
+func E17Scale(p int) func(Config) *Table {
 	return func(cfg Config) *Table {
-		p := procs
-		if cfg.Quick && p > 1024 {
-			p = 1024
-		}
 		const perProc = 8
 		keyRange := 1 << 16
 		lp := logp.Params{P: p, L: 16, O: 1, G: 4} // E9's machine, E9-style skew
@@ -501,8 +485,9 @@ func E17Scale(procs int) func(Config) *Table {
 // Scale lists the large-p experiments at p = 10^4, 10^5, 10^6. They
 // are registered separately from All(): each run is seconds of wall
 // time and hundreds of megabytes of guest state, which would swamp the
-// quick suite. cmd/bsplogp selects them with -scale; under -quick the
-// p=10^6 entries are skipped and the rest shrink to p = 10^5.
+// quick suite. cmd/bsplogp selects them with -scale. -quick caps E14,
+// E15 and E16 at p = 10^5 and E17 at p = 1024 (see scaleEntry), so
+// -scale -quick runs every entry at or below its cap.
 func Scale() []Experiment {
 	sizes := []struct {
 		suffix string
@@ -512,32 +497,18 @@ func Scale() []Experiment {
 		{"p100k", 100_000},
 		{"p1m", 1_000_000},
 	}
+	const quick = 100_000
 	var out []Experiment
 	for _, sz := range sizes {
 		out = append(out,
-			Experiment{
-				ID:    "E14." + sz.suffix,
-				Name:  fmt.Sprintf("Scale: Theorem 1 replay at p=%d", sz.procs),
-				Procs: sz.procs,
-				Run:   E14Scale(sz.procs),
-			},
-			Experiment{
-				ID:    "E15." + sz.suffix,
-				Name:  fmt.Sprintf("Scale: Theorem 2 regimes at p=%d", sz.procs),
-				Procs: sz.procs,
-				Run:   E15Scale(sz.procs),
-			},
-			Experiment{
-				ID:    "E16." + sz.suffix,
-				Name:  fmt.Sprintf("Scale: Theorem 3 randomized routing at p=%d", sz.procs),
-				Procs: sz.procs,
-				Run:   E16Scale(sz.procs),
-			},
+			scaleEntry("E14."+sz.suffix, fmt.Sprintf("Scale: Theorem 1 replay at p=%d", sz.procs), sz.procs, quick, E14Scale),
+			scaleEntry("E15."+sz.suffix, fmt.Sprintf("Scale: Theorem 2 regimes at p=%d", sz.procs), sz.procs, quick, E15Scale),
+			scaleEntry("E16."+sz.suffix, fmt.Sprintf("Scale: Theorem 3 randomized routing at p=%d", sz.procs), sz.procs, quick, E16Scale),
 		)
 	}
 	// E17's count exchange is an all-to-all (p² messages), so its
 	// ladder stops at p = 2048 instead of following the 10^4..10^6
-	// sizes above.
+	// sizes above, and -quick caps it at p = 1024.
 	for _, sz := range []struct {
 		suffix string
 		procs  int
@@ -545,12 +516,18 @@ func Scale() []Experiment {
 		{"p1k", 1024},
 		{"p2k", 2048},
 	} {
-		out = append(out, Experiment{
-			ID:    "E17." + sz.suffix,
-			Name:  fmt.Sprintf("Scale: sorting-based extension (bucket exchange) at p=%d", sz.procs),
-			Procs: sz.procs,
-			Run:   E17Scale(sz.procs),
-		})
+		out = append(out, scaleEntry("E17."+sz.suffix,
+			fmt.Sprintf("Scale: sorting-based extension (bucket exchange) at p=%d", sz.procs), sz.procs, 1024, E17Scale))
 	}
 	return out
+}
+
+// scaleEntry registers a scale experiment at procs processors, capped
+// at quick under -quick. Its Run builds run's table at RunProcs, so the
+// table, the -bench row and the -scale -quick selection all read the
+// same processor count.
+func scaleEntry(id, name string, procs, quick int, run func(int) func(Config) *Table) Experiment {
+	e := Experiment{ID: id, Name: name, Procs: procs, quickProcs: quick}
+	e.Run = func(cfg Config) *Table { return run(e.RunProcs(cfg))(cfg) }
+	return e
 }

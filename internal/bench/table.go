@@ -117,33 +117,45 @@ type Experiment struct {
 	Name string
 	Run  func(Config) *Table
 	// Procs is the guest processor count of a scale experiment (zero
-	// for the regular suite); -bench uses it to normalize allocation
-	// traffic into a bytes-per-processor figure.
+	// for the regular suite).
 	Procs int
+	// quickProcs caps Procs under -quick (see RunProcs).
+	quickProcs int
+}
+
+// RunProcs returns the guest processor count e runs at under cfg:
+// Procs, capped under -quick. -bench divides allocation traffic by it,
+// and -scale -quick runs only the entries it leaves at Procs, so no
+// table runs twice.
+func (e Experiment) RunProcs(cfg Config) int {
+	if cfg.Quick && e.Procs > e.quickProcs {
+		return e.quickProcs
+	}
+	return e.Procs
 }
 
 // All lists every experiment in DESIGN.md order.
 func All() []Experiment {
 	return []Experiment{
-		{"E1", "Table 1: topology parameters, analytic and measured", E1Table1, 0},
-		{"E2", "Theorem 1: LogP-on-BSP slowdown", E2LogPOnBSP, 0},
-		{"E3", "Theorem 2: BSP-on-LogP deterministic slowdown S(L,G,p,h)", E3BSPOnLogPDet, 0},
-		{"E4", "Theorem 3: randomized routing vs beta*G*h", E4Randomized, 0},
-		{"E5", "Propositions 1-2: Combine-and-Broadcast time", E5CombineBroadcast, 0},
-		{"E6", "Stalling: hot-spot behaviour and the stalling extension", E6Stalling, 0},
-		{"E7", "Observation 1: best attainable (g*,l*) vs (G*,L*)", E7Observation1, 0},
-		{"E8", "Off-line routing: measured vs 2o+G(h-1)+L", E8Offline, 0},
-		{"E9", "Section 6: radix-sort bucket exchange vs key skew", E9RadixSkew, 0},
-		{"E10", "Portability: one BSP program on every topology", E10Portability, 0},
-		{"E11", "Section 6: partitionability / multiuser operation", E11Partitionability, 0},
-		{"E12", "Section 6: parameter changes and program behaviour", E12ParameterPortability, 0},
-		{"E13", "Section 5: LogP directly on each topology", E13LogPOnNetworks, 0},
-		{"A1", "Ablation: delivery-time policy", A1DeliveryPolicy, 0},
-		{"A2", "Ablation: CB tree arity", A2CBArity, 0},
-		{"A3", "Ablation: randomized batch factor", A3BatchFactor, 0},
-		{"A4", "Ablation: oblivious sorter", A4Sorter, 0},
-		{"A5", "Ablation: Theorem 1 cycle length", A5CycleLen, 0},
-		{"A6", "Ablation: Stalling Rule acceptance order", A6AcceptOrder, 0},
+		{ID: "E1", Name: "Table 1: topology parameters, analytic and measured", Run: E1Table1},
+		{ID: "E2", Name: "Theorem 1: LogP-on-BSP slowdown", Run: E2LogPOnBSP},
+		{ID: "E3", Name: "Theorem 2: BSP-on-LogP deterministic slowdown S(L,G,p,h)", Run: E3BSPOnLogPDet},
+		{ID: "E4", Name: "Theorem 3: randomized routing vs beta*G*h", Run: E4Randomized},
+		{ID: "E5", Name: "Propositions 1-2: Combine-and-Broadcast time", Run: E5CombineBroadcast},
+		{ID: "E6", Name: "Stalling: hot-spot behaviour and the stalling extension", Run: E6Stalling},
+		{ID: "E7", Name: "Observation 1: best attainable (g*,l*) vs (G*,L*)", Run: E7Observation1},
+		{ID: "E8", Name: "Off-line routing: measured vs 2o+G(h-1)+L", Run: E8Offline},
+		{ID: "E9", Name: "Section 6: radix-sort bucket exchange vs key skew", Run: E9RadixSkew},
+		{ID: "E10", Name: "Portability: one BSP program on every topology", Run: E10Portability},
+		{ID: "E11", Name: "Section 6: partitionability / multiuser operation", Run: E11Partitionability},
+		{ID: "E12", Name: "Section 6: parameter changes and program behaviour", Run: E12ParameterPortability},
+		{ID: "E13", Name: "Section 5: LogP directly on each topology", Run: E13LogPOnNetworks},
+		{ID: "A1", Name: "Ablation: delivery-time policy", Run: A1DeliveryPolicy},
+		{ID: "A2", Name: "Ablation: CB tree arity", Run: A2CBArity},
+		{ID: "A3", Name: "Ablation: randomized batch factor", Run: A3BatchFactor},
+		{ID: "A4", Name: "Ablation: oblivious sorter", Run: A4Sorter},
+		{ID: "A5", Name: "Ablation: Theorem 1 cycle length", Run: A5CycleLen},
+		{ID: "A6", Name: "Ablation: Stalling Rule acceptance order", Run: A6AcceptOrder},
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // Steady-state allocation guards for the scripted Theorem 1 cycle
 // engine. A LogPOnBSP value reused across Runs (the bench warm pool)
 // retains its cycleEngine: the guest slab, record slab, run queues, and
-// windowed per-cycle columns all reset in place, so a warm RunScript
-// should allocate only what escapes to the caller.
+// the ring of per-cycle count columns all reset in place, so a warm
+// RunScript should allocate only what escapes to the caller.
 
 func runThm1Guard(t *testing.T, sim *LogPOnBSP, p int) float64 {
 	t.Helper()
@@ -35,8 +35,8 @@ func TestThm1RunScriptSteadyStateAllocGuard(t *testing.T) {
 	avg := runThm1Guard(t, sim, p)
 	// The one structural allocation is the result's CycleH slice: it
 	// escapes to the caller, so every Run builds a fresh []int64.
-	// Everything engine-side — guest slab, record slab, run queues, windowed
-	// cycle columns — must come from reused storage.
+	// Everything engine-side — guest slab, record slab, run queues, the
+	// count ring — must come from reused storage.
 	if avg > 1 {
 		t.Errorf("warm Thm1 RunScript allocates %.1f objects/run, want <= 1 (CycleH)", avg)
 	}

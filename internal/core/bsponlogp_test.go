@@ -129,6 +129,7 @@ func TestBSPOnLogPDeterministicStallFree(t *testing.T) {
 		{P: 8, L: 16, O: 2, G: 8}, // capacity 2
 		{P: 8, L: 16, O: 1, G: 2}, // capacity 8
 		{P: 4, L: 32, O: 1, G: 2}, // capacity 16
+		{P: 4, L: 16, O: 1, G: 2}, // capacity 8
 	}
 	for _, lp := range paramSets {
 		for _, pol := range corePolicies {

@@ -179,11 +179,9 @@ func (s *LogPOnBSP) RunScript(sc logp.Script) (Thm1Result, error) {
 // The engine is arena-shaped: every bulk structure is a flat slab that
 // a LogPOnBSP retains across runs and reset() makes reusable without
 // freeing. The event queue moves 24-byte refs to the guests' message
-// records. Per-guest fan-in/out counts are flat int32 columns held in a
-// sliding window of live cycles (see colsFor): submissions commit in
-// nondecreasing parked-clock order, so once the committing guest's
-// clock passes a cycle's end that cycle can never be counted or queried
-// again and its columns retire to a pool. The per-cycle aggregates
+// records. Per-guest fan-in/out counts are flat int32 columns in a
+// fixed ring of ⌊G/CycleLen⌋ + 2 slots, which holds every cycle that
+// can still be counted (see reset). The per-cycle aggregates
 // result() needs — the relation degree and the overload flag — are
 // folded in incrementally at submission time, and message pairs are
 // kept only for overloaded cycles, recovered from the in-flight records
@@ -210,14 +208,9 @@ type cycleEngine struct {
 	// every instant already delivered.
 	events runq.Queue // in-flight messages by (arrival, submission count)
 
-	// Windowed per-cycle count columns: colLive[colHead:] holds the
-	// live window, colLive[colHead] being cycle colBase's bundle; nil
-	// slots are cycles with no traffic. Retired bundles are zeroed into
-	// colPool for reuse.
-	colBase int64
-	colHead int
-	colLive []*cycleCols
-	colPool []*cycleCols
+	// ring holds the count columns of the live cycles: cycle k's bundle
+	// sits in slot k mod len(ring), tagged with k (see colsFor).
+	ring []cycleCols
 
 	maxH     []int64 // per cycle: running relation-degree maximum
 	overload []bool  // per cycle: some guest fan-in exceeded capacity
@@ -235,11 +228,13 @@ type cycleEngine struct {
 	guestTime int64
 }
 
-// cycleCols is one cycle's fan-in/out count columns. rcvd (per guest)
-// always exists — the capacity-spreading rule queries it. sent (per
-// guest) exists for the direct simulation; sentX/rcvdX (per host)
-// carry the cross-host traffic of a folded replay.
+// cycleCols is one ring slot: the fan-in/out count columns of the
+// cycle it is tagged with. rcvd (per guest) always exists — the
+// capacity-spreading rule queries it. sent (per guest) exists for the
+// direct simulation; sentX/rcvdX (per host) carry the cross-host
+// traffic of a folded replay.
 type cycleCols struct {
+	cycle int64
 	rcvd  []int32
 	sent  []int32
 	sentX []int32
@@ -247,10 +242,17 @@ type cycleCols struct {
 }
 
 // reset prepares the retained engine for a fresh replay with the given
-// shape. The guest runtime resets its slabs in place, and live count
-// columns are flushed back to the pool, or dropped when the (P, fold)
-// shape changed, since bundles are sized by it. Nothing is freed, so a
-// warm simulator replays with near-zero steady-state allocation.
+// shape. The guest runtime resets its slabs in place. The count ring
+// keeps its columns, untagged, unless the (P, fold) shape or the ring
+// size changed. Nothing is freed, so a warm simulator replays with
+// near-zero steady-state allocation.
+//
+// The ring has ⌊G/CycleLen⌋ + 2 slots. A guest's next communication
+// slot is never more than G past its clock, and o <= G, so a Send
+// committed at clock c is submitted in (c, c+G]. loop commits in
+// nondecreasing clock order, so every later submission lands in a
+// cycle at or above ⌊c/CycleLen⌋, while the submissions so far reach
+// at most ⌊(c+G)/CycleLen⌋: at most ⌊G/CycleLen⌋ + 2 cycles are live.
 //
 //hot:cold per-Run setup owns all steady-state allocation
 func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs bool) {
@@ -260,20 +262,12 @@ func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs 
 	e.fold = fold
 	e.capacity = lp.Capacity()
 	e.events.Reset()
-	if !sameShape {
-		clear(e.colPool)
-		e.colPool = e.colPool[:0]
+	if slots := int(lp.G/cycleLen) + 2; !sameShape || len(e.ring) != slots {
+		e.ring = make([]cycleCols, slots)
 	}
-	for i := e.colHead; i < len(e.colLive); i++ {
-		if c := e.colLive[i]; c != nil && sameShape {
-			e.clearCols(c)
-			e.colPool = append(e.colPool, c)
-		}
+	for i := range e.ring {
+		e.ring[i].cycle = -1
 	}
-	clear(e.colLive)
-	e.colLive = e.colLive[:0]
-	e.colHead = 0
-	e.colBase = 0
 	e.maxH = e.maxH[:0]
 	e.overload = e.overload[:0]
 	e.keepPairs = keepPairs
@@ -353,18 +347,35 @@ func (e *cycleEngine) noteH(cycle, c int64) {
 	}
 }
 
-// takeCols returns a zeroed column bundle, pooled or fresh, sized for
-// the current (P, fold) shape.
-//
-//hot:cold column-bundle constructor: pool misses are bounded by the live-window high-water mark, and the steady state reuses pooled bundles
-func (e *cycleEngine) takeCols() *cycleCols {
-	if n := len(e.colPool); n > 0 {
-		c := e.colPool[n-1]
-		e.colPool[n-1] = nil
-		e.colPool = e.colPool[:n-1]
-		return c
+// colsFor returns cycle's count columns, from ring slot cycle mod
+// len(ring). The first submission of a cycle takes the slot over from
+// the older cycle it held, which no later submission can reach (see
+// reset), and zeroes its columns.
+func (e *cycleEngine) colsFor(cycle int64) *cycleCols {
+	c := &e.ring[cycle%int64(len(e.ring))]
+	if c.cycle != cycle {
+		if c.cycle > cycle {
+			panic(fmt.Sprintf("core: count slot of cycle %d still holds cycle %d (bug)", cycle, c.cycle))
+		}
+		if c.rcvd == nil {
+			e.allocCols(c)
+		} else {
+			clear(c.rcvd)
+			clear(c.sent)
+			clear(c.sentX)
+			clear(c.rcvdX)
+		}
+		c.cycle = cycle
 	}
-	c := &cycleCols{rcvd: make([]int32, e.lp.P)}
+	return c
+}
+
+// allocCols sizes an empty ring slot's columns for the current (P,
+// fold) shape.
+//
+//hot:cold once per ring slot and shape: the steady state reuses the columns
+func (e *cycleEngine) allocCols(c *cycleCols) {
+	c.rcvd = make([]int32, e.lp.P)
 	if e.fold == 1 {
 		c.sent = make([]int32, e.lp.P)
 	} else {
@@ -372,77 +383,15 @@ func (e *cycleEngine) takeCols() *cycleCols {
 		c.sentX = make([]int32, hostP)
 		c.rcvdX = make([]int32, hostP)
 	}
-	return c
-}
-
-func (e *cycleEngine) clearCols(c *cycleCols) {
-	clear(c.rcvd)
-	clear(c.sent)
-	clear(c.sentX)
-	clear(c.rcvdX)
-}
-
-// colsFor returns cycle's column bundle, extending the live window as
-// needed. Callers only ever ask for cycles at or above the retirement
-// floor (see retireCols), so cycle >= colBase + colHead always holds.
-func (e *cycleEngine) colsFor(cycle int64) *cycleCols {
-	idx := int(cycle - e.colBase)
-	for idx >= len(e.colLive) {
-		//lint:ignore hotloop live-window growth to its high-water span, then reused; retireCols rebases it
-		e.colLive = append(e.colLive, nil)
-	}
-	c := e.colLive[idx]
-	if c == nil {
-		c = e.takeCols()
-		e.colLive[idx] = c
-	}
-	return c
-}
-
-// retireCols returns the columns of every cycle below floor to the
-// pool. The floor is the committing guest's parked clock divided by
-// the cycle length: commits happen in nondecreasing parked-clock
-// order and a submission instant is >= the submitter's clock, so no
-// later submission can bump — or query the fan-in of — a cycle that
-// ended before the current committer's clock. floor is therefore
-// nondecreasing across calls, which keeps colBase monotone.
-func (e *cycleEngine) retireCols(floor int64) {
-	for e.colHead < len(e.colLive) && e.colBase+int64(e.colHead) < floor {
-		if c := e.colLive[e.colHead]; c != nil {
-			e.clearCols(c)
-			//lint:ignore hotloop pool return: colPool reaches the window high-water capacity and stops growing
-			e.colPool = append(e.colPool, c)
-			e.colLive[e.colHead] = nil
-		}
-		e.colHead++
-	}
-	if e.colHead == len(e.colLive) {
-		// Window empty: rebase directly to the floor, so a long quiet
-		// stretch (WaitUntil far ahead) costs no window slots.
-		if floor > e.colBase {
-			e.colBase = floor
-		}
-		e.colHead = 0
-		e.colLive = e.colLive[:0]
-	} else if e.colHead > 32 && 2*e.colHead >= len(e.colLive) {
-		n := copy(e.colLive, e.colLive[e.colHead:])
-		for i := n; i < len(e.colLive); i++ {
-			e.colLive[i] = nil
-		}
-		e.colLive = e.colLive[:n]
-		e.colBase += int64(e.colHead)
-		e.colHead = 0
-	}
 }
 
 // countSend folds one submission from src to dst into the per-cycle
-// statistics: the live window's count columns, the cycle's running
-// relation-degree maximum, and its overload flag. Counts only grow, so
-// taking the maximum of every intermediate value equals the maximum of
-// the final per-guest counts.
-func (e *cycleEngine) countSend(cycle int64, src, dst int) {
+// statistics: the cycle's count columns c, its running relation-degree
+// maximum, and its overload flag. Counts only grow, so taking the
+// maximum of every intermediate value equals the maximum of the final
+// per-guest counts.
+func (e *cycleEngine) countSend(c *cycleCols, cycle int64, src, dst int) {
 	e.ensureCycle(cycle)
-	c := e.colsFor(cycle)
 	c.rcvd[dst]++
 	in := int64(c.rcvd[dst])
 	if in > e.capacity && !e.overload[cycle] {
@@ -493,37 +442,23 @@ func (e *cycleEngine) recoverPairs(cycle int64) {
 	e.msgs[cycle] = pairs
 }
 
-// cycleFanIn returns how many messages this cycle has already directed
-// at dst (before the current one). Cycles outside the live window have
-// seen no traffic yet.
-func (e *cycleEngine) cycleFanIn(cycle int64, dst int) int64 {
-	idx := int(cycle - e.colBase)
-	if idx >= len(e.colLive) || e.colLive[idx] == nil {
-		return 0
-	}
-	return int64(e.colLive[idx].rcvd[dst])
-}
-
 // send commits p's pending Send: the medium accepts the submission at
 // once and schedules its arrival at the next cycle boundary.
 func (e *cycleEngine) send(p *guest) {
-	// Cycles that ended before this guest's parked clock can never be
-	// bumped or fan-in-queried again (see retireCols); return their
-	// columns to the pool before touching the window.
-	e.retireCols(p.clock / e.cycleLen)
 	s, idx := e.submit(p)
 	cycle := s / e.cycleLen
 	arrival := (cycle + 1) * e.cycleLen
 	dst := p.pending.Dst
+	c := e.colsFor(cycle)
 	// Deliveries beyond the destination's capacity are spread at one
 	// per G past the boundary, mirroring an admissible stalling-rule
 	// execution (FIFO acceptance): for a stall-free cycle nothing
 	// changes, while a hot spot's excess messages arrive in later
 	// cycles instead of all at once.
-	if prior := e.cycleFanIn(cycle, dst); prior >= e.capacity {
+	if prior := int64(c.rcvd[dst]); prior >= e.capacity {
 		arrival += (prior - e.capacity + 1) * e.lp.G
 	}
-	e.countSend(cycle, p.id, dst)
+	e.countSend(c, cycle, p.id, dst)
 	e.recs[idx].cycle = int32(cycle)
 	e.events.Push(runq.Ref{At: arrival, Tie: e.sent, Idx: idx})
 	if arrival > e.guestTime {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -511,5 +512,44 @@ func TestThm1SendBodyDelivered(t *testing.T) {
 	}
 	if got != body {
 		t.Fatalf("received body %v, want the sent %p", got, body)
+	}
+}
+
+func TestThm1CountsOlderCycleAfterNewer(t *testing.T) {
+	// CycleLen 8 and G 2 give a count ring of ⌊2/8⌋ + 2 = 2 slots.
+	// Guests 0 and 1 both commit a Send at clock 6, guest 0 first: its
+	// second Send is paced to 8 and lands in cycle 1, and only then is
+	// guest 1's Send submitted at 7, into cycle 0. A ring one slot short
+	// would find cycle 0's slot holding cycle 1.
+	lp := logp.Params{P: 4, L: 16, O: 1, G: 2}
+	sim := &LogPOnBSP{LogP: lp}
+	res, err := sim.Run(func(p logp.Proc) {
+		switch p.ID() {
+		case 0:
+			p.Compute(5)
+			p.Send(2, 0, 0, 0) // at 6, cycle 0
+			p.Send(3, 0, 0, 0) // at 8, cycle 1
+		case 1:
+			p.Compute(6)
+			p.Send(2, 0, 0, 0) // at 7, cycle 0
+		case 2:
+			p.Recv()
+			p.Recv()
+		case 3:
+			p.Recv()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cycle 0 sends guest 2 two messages, cycle 1 guest 3 one; guest 3
+	// acquires its message, delivered at 16, by 17. Each cycle costs
+	// 8 + 2·h + 16.
+	if !slices.Equal(res.CycleH, []int64{2, 1, 0}) || res.MaxCycleH != 2 {
+		t.Fatalf("CycleH %v MaxCycleH %d, want [2 1 0] and 2", res.CycleH, res.MaxCycleH)
+	}
+	if res.BSPTime != 78 || res.GuestTime != 17 || res.CapacityViolations != 0 {
+		t.Fatalf("BSPTime %d GuestTime %d CapacityViolations %d, want 78, 17 and 0",
+			res.BSPTime, res.GuestTime, res.CapacityViolations)
 	}
 }

@@ -166,9 +166,6 @@ func (a *bspAdapter) columnsortSort(items []*bsp.Message) ([]*bsp.Message, int64
 	slices.SortFunc(items, compareItems)
 
 	base := a.globalBase()
-	if debugColumnsort != nil {
-		debugColumnsort("proc %d: base=%d exFull=%d sortCost=%d", id, base, exFull, sortCost)
-	}
 	t1 := base + exFull + sortCost + margin
 	t2 := t1 + exFull + sortCost + margin
 	t3 := t2 + exHalf + int64(rp) + margin
@@ -238,14 +235,9 @@ func (a *bspAdapter) columnsortSort(items []*bsp.Message) ([]*bsp.Message, int64
 	return items, end
 }
 
-// debugColumnsort, when non-nil, receives phase-timing diagnostics
-// (set only by tests).
-var debugColumnsort func(format string, args ...interface{})
-
+// checkPhase panics if the processor reaches phase's start instant
+// late: the schedule's time bounds were too small.
 func (a *bspAdapter) checkPhase(start int64, phase string) {
-	if debugColumnsort != nil {
-		debugColumnsort("proc %d: phase %s start=%d now=%d", a.lp.ID(), phase, start, a.lp.Now())
-	}
 	if a.lp.Now() > start {
 		panic(fmt.Sprintf("core: processor %d overran columnsort phase %s (now %d > start %d); bounds too small",
 			a.lp.ID(), phase, a.lp.Now(), start))

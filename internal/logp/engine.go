@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/runq"
 	"repro/internal/stats"
@@ -255,11 +254,6 @@ type Machine struct {
 	errAt   int64
 	errID   int
 
-	// liveProcs counts program coroutines between start and epilogue;
-	// Run leaves it at zero on every path (the shutdown regression
-	// tests assert this).
-	liveProcs atomic.Int64
-
 	runs uint64 // completed Run calls, mixed into the per-run reseed
 }
 
@@ -345,9 +339,7 @@ func isStopped(r interface{}) bool {
 func (p *proc) sequence(prog Program) iter.Seq[token] {
 	return func(yield func(token) bool) {
 		p.yield = yield
-		p.m.liveProcs.Add(1)
 		defer func() {
-			p.m.liveProcs.Add(-1)
 			switch r := recover(); {
 			case r == nil:
 				p.pending = ScriptOp{Kind: ScriptHalt}

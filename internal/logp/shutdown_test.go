@@ -1,6 +1,7 @@
 package logp
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,6 +34,30 @@ func panicAllStatesProgram(p Proc) {
 	}
 }
 
+// tracked wraps prog so that each processor's program holds its slot
+// of live at 1 while it runs. The deferred decrement runs however the
+// program ends: by returning, by panicking, or unwound by the engine's
+// shutdown, whose stop is synchronous. So every slot is 0 after Run
+// exactly when no program is left parked.
+func tracked(live []int, prog Program) Program {
+	return func(p Proc) {
+		id := p.ID()
+		live[id]++
+		defer func() { live[id]-- }()
+		prog(p)
+	}
+}
+
+// checkUnwound fails the test if a processor's program is still live.
+func checkUnwound(t *testing.T, live []int, when string) {
+	t.Helper()
+	for id, n := range live {
+		if n != 0 {
+			t.Fatalf("processor %d's program still live %s", id, when)
+		}
+	}
+}
+
 // TestPanicUnwindsAllFastPathStates is the regression test for the
 // batched-commit shutdown path: a processor panic must surface as
 // Run's error with every peer coroutine unwound (no leak) and no
@@ -50,17 +75,16 @@ func TestPanicUnwindsAllFastPathStates(t *testing.T) {
 	}
 	t.Run("fast", func(t *testing.T) {
 		m := NewMachine(params, WithSeed(11))
-		_, err := m.Run(panicAllStatesProgram)
+		live := make([]int, params.P)
+		_, err := m.Run(tracked(live, panicAllStatesProgram))
 		if err == nil || !strings.Contains(err.Error(), "processor 0 panicked") {
 			t.Fatalf("want processor 0 panic error, got %v", err)
 		}
-		if n := m.liveProcs.Load(); n != 0 {
-			t.Fatalf("%d program routines still live after failed Run", n)
-		}
+		checkUnwound(t, live, "after failed Run")
 		// The pooled procs must carry nothing across: a clean run on the
 		// same machine equals the second run of a fresh machine that
 		// failed the same way (Run counts, so seeds align).
-		got, err := m.Run(clean)
+		got, err := m.Run(tracked(live, clean))
 		if err != nil {
 			t.Fatalf("clean run after panic: %v", err)
 		}
@@ -75,9 +99,7 @@ func TestPanicUnwindsAllFastPathStates(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("post-panic run diverged:\ngot  %+v\nwant %+v", got, want)
 		}
-		if n := m.liveProcs.Load(); n != 0 {
-			t.Fatalf("%d program routines live after clean run", n)
-		}
+		checkUnwound(t, live, "after clean run")
 	})
 }
 
@@ -88,7 +110,8 @@ func TestPanicEachProcEachState(t *testing.T) {
 	params := Params{P: 4, L: 8, O: 1, G: 2}
 	for panicker := 0; panicker < 4; panicker++ {
 		m := NewMachine(params, WithSeed(uint64(panicker+1)))
-		_, err := m.Run(func(p Proc) {
+		live := make([]int, params.P)
+		_, err := m.Run(tracked(live, func(p Proc) {
 			id := p.ID()
 			if id == panicker {
 				p.Compute(30)
@@ -114,12 +137,10 @@ func TestPanicEachProcEachState(t *testing.T) {
 					p.Recv()
 				}
 			}
-		})
+		}))
 		if err == nil || !strings.Contains(err.Error(), "panicked") {
 			t.Fatalf("panicker %d: want panic error, got %v", panicker, err)
 		}
-		if n := m.liveProcs.Load(); n != 0 {
-			t.Fatalf("panicker %d: %d routines leaked", panicker, n)
-		}
+		checkUnwound(t, live, fmt.Sprintf("after panicker %d's Run", panicker))
 	}
 }
