@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -141,7 +143,14 @@ func RunBench(cfg Config, ids []string, count int) (*BenchReport, error) {
 			hp0 := netsim.SimHopCount()
 			//lint:ignore determinism wall-clock benchmarking of the host is the point of -bench
 			start := time.Now()
-			tab := e.Run(cfg)
+			// The label tags every CPU profile sample of the run, the
+			// program coroutines and MeasureGL's workers included (they
+			// inherit it), so -tagfocus experiment=<ID> splits a
+			// -cpuprofile by experiment.
+			var tab *Table
+			pprof.Do(context.Background(), pprof.Labels("experiment", e.ID), func(context.Context) {
+				tab = e.Run(cfg)
+			})
 			//lint:ignore determinism wall-clock benchmarking of the host is the point of -bench
 			wall := time.Since(start)
 			ev1 := logp.SimEventCount()

@@ -117,7 +117,11 @@ func TestRunScriptSteadyStateAllocGuard(t *testing.T) {
 		{"bcast", newGuardBcastScript(p)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			avg := measureSteadyAllocs(t, NewMachine(lp), tc.sc)
+			m := NewMachine(lp)
+			avg := measureSteadyAllocs(t, m, tc.sc)
+			if m.deferred != nil {
+				t.Errorf("RunScript allocated the Program batch table (%d slots)", len(m.deferred))
+			}
 			// The one structural allocation is Result.ProcTimes: it
 			// escapes to the caller, so every Run builds a fresh []int64.
 			// Everything engine-side — procs, records, heaps — must
@@ -136,4 +140,48 @@ func TestRunScriptSteadyStateAllocsReported(t *testing.T) {
 	lp := Params{P: p, L: 32, O: 2, G: 4}
 	avg := measureSteadyAllocs(t, NewMachine(lp), newGuardRingScript(p, 3))
 	t.Log(fmt.Sprintf("seq ring: %.1f allocs/run", avg))
+}
+
+// guardRingProgram is guardRingScript as a Program: every processor
+// sends rounds messages around the ring, then drains as many.
+func guardRingProgram(rounds int) Program {
+	return func(p Proc) {
+		next := (p.ID() + 1) % p.P()
+		for k := 0; k < rounds; k++ {
+			p.Send(next, int32(k), int64(p.ID()), 0)
+		}
+		for k := 0; k < rounds; k++ {
+			p.Recv()
+		}
+	}
+}
+
+// TestProgramRunSteadyStateAllocGuard pins a warm Machine.Run's
+// allocation: the same count at 3 rounds as at 30, so nothing on the
+// per-message path allocates (the batch table included), and no more
+// than 12 objects per processor, all from starting its coroutine
+// (iter.Pull and sequence's closure), plus Result.ProcTimes.
+func TestProgramRunSteadyStateAllocGuard(t *testing.T) {
+	const p = 64
+	const programRunAllocs = 12*p + 1
+	m := NewMachine(Params{P: p, L: 32, O: 2, G: 4})
+	count := func(rounds int) float64 {
+		prog := guardRingProgram(rounds)
+		if _, err := m.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := m.Run(prog); err != nil {
+				panic(err)
+			}
+		})
+	}
+	short, long := count(3), count(30)
+	t.Logf("warm Run of a p=%d ring: %.0f allocs at 3 rounds, %.0f at 30", p, short, long)
+	if short != long {
+		t.Errorf("warm Run allocates %.0f objects at 3 rounds but %.0f at 30; the message path must not allocate", short, long)
+	}
+	if long > programRunAllocs {
+		t.Errorf("warm Run allocates %.0f objects, want <= %d", long, programRunAllocs)
+	}
 }

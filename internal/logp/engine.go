@@ -151,15 +151,21 @@ type Machine struct {
 	procs    []*proc
 	capacity int64 // params.Capacity(), cached off the per-instant path
 
-	// ansMsg, ansOK and ansN are the engine's answer to the Program-form
-	// processor it is resuming (see await), read by the Proc methods
-	// right after their coroutine switch. ansMsg points at the acquired
-	// message in its record, which is freed only once the processor
-	// parks again. Exactly one processor runs at a time, so one slot
-	// serves them all.
+	// ansMsg, ansOK and ansN are the engine's answer to the last
+	// operation of the batch a Program-form processor crossed with (see
+	// resume), read by the Proc methods right after their coroutine
+	// switch. ansMsg points at the acquired message in its record, which
+	// is freed only once the processor parks again. Exactly one
+	// processor runs at a time, so one slot serves them all.
 	ansMsg *Message
 	ansOK  bool
 	ansN   int64
+
+	// deferred holds every Program's batch, deferCap slots per
+	// processor id (see proc.dhead). reset sizes it for Run only, so a
+	// RunScript machine never allocates it. A slot is zeroed as it is
+	// popped, so a Body does not outlive its message.
+	deferred []ScriptOp
 
 	// arena backs every proc record (see arena.go): chunked slabs
 	// reset wholesale between Runs, so a warm machine's startup sweep
@@ -264,13 +270,17 @@ type Machine struct {
 // returns, and stopping an already finished coroutine is a no-op; a
 // failed Run never leaks a parked program into the caller's world (or
 // into this machine's next Run). A RunScript's Script is dropped too,
-// and so is the last answer's pointer into the message slab.
+// and so is the last answer's pointer into the message slab, and so
+// are the operations a failed Run left in a program's batch.
 //
 //hot:cold per-Run epilogue
 func (m *Machine) shutdown() {
 	for _, p := range m.procs {
 		if p != nil && p.stop != nil {
 			p.stop()
+			if p.dlen != 0 {
+				clear(m.deferred[p.id*deferCap:][:deferCap])
+			}
 		}
 	}
 	m.script = nil
@@ -330,23 +340,24 @@ func isStopped(r interface{}) bool {
 }
 
 // sequence adapts prog to an iter.Pull coroutine. The engine's next()
-// resumes the program until its next engine call, which parks the
-// operation in p.pending, yields, and waits for the engine's answer in
-// m.ansMsg, m.ansOK and m.ansN. A program that returns or panics cannot yield, so the epilogue
-// parks ScriptHalt itself, with the panic in p.err. A coroutine unwound
-// by stop() returns through the errStopped arm without recording
-// anything.
+// resumes the program until it crosses: its batch fills, or a call
+// needs the engine's answer (see proc.Now and proc.call), which it
+// then reads from m.ansMsg, m.ansOK and m.ansN. A program that returns
+// or panics cannot cross, so the epilogue pushes ScriptHalt itself,
+// behind the operations issued before it, with the panic in p.err. A
+// coroutine unwound by stop() returns through the errStopped arm
+// without recording anything.
 func (p *proc) sequence(prog Program) iter.Seq[token] {
 	return func(yield func(token) bool) {
 		p.yield = yield
 		defer func() {
 			switch r := recover(); {
 			case r == nil:
-				p.pending = ScriptOp{Kind: ScriptHalt}
+				p.push(ScriptOp{Kind: ScriptHalt})
 			case isStopped(r):
 				// Unwound by shutdown; the engine no longer reads.
 			default:
-				p.pending = ScriptOp{Kind: ScriptHalt}
+				p.push(ScriptOp{Kind: ScriptHalt})
 				p.err = fmt.Errorf("logp: processor %d panicked: %v", p.id, r)
 			}
 		}()
@@ -564,6 +575,9 @@ func (m *Machine) reset() {
 	if len(m.procTimes) != p {
 		m.procTimes = make([]int64, p)
 	}
+	if m.script == nil && len(m.deferred) != p*deferCap {
+		m.deferred = make([]ScriptOp, p*deferCap)
+	}
 	m.events.reset(m.params.L)
 	m.ready.Reset()
 	if len(m.pendingQ) == p {
@@ -738,21 +752,18 @@ func (m *Machine) deadlockError() error {
 
 // await answers p's last operation — the acquired message (&noMsg when
 // there is none), the TryRecv outcome in ok, the Buffered count in n —
-// and runs p until its next engine operation, which it parks in
+// and brings p to its next engine operation, which it parks in
 // p.pending. A Script gets the answer as its Next argument (see
-// scriptSegment); a Program reads it from m.ansMsg, m.ansOK and m.ansN,
-// the message in place. The Compute and
-// WaitUntil calls the processor resolved proc-side since the last
-// crossing are folded into simEvents here, preserving the per-op
-// accounting of the serialized engine. A halt ends the processor,
-// failing the run first if it halted by panicking, and recycles its
-// record.
+// scriptSegment); a Program gets it through resume. The Compute and
+// WaitUntil calls resolved without exec since p last parked are folded
+// into simEvents here, preserving the per-op accounting of the
+// serialized engine. A halt ends the processor, failing the run first
+// if it halted by panicking, and recycles its record.
 func (m *Machine) await(p *proc, msg *Message, ok bool, n int64) {
 	if p.next == nil {
 		p.scriptSegment(msg, ok, n)
 	} else {
-		m.ansMsg, m.ansOK, m.ansN = msg, ok, n
-		p.next()
+		m.resume(p, msg, ok, n)
 	}
 	if p.localOps != 0 {
 		m.simEvents += p.localOps
@@ -768,6 +779,45 @@ func (m *Machine) await(p *proc, msg *Message, ok bool, n int64) {
 	p.state = stateDone
 	m.doneCount++
 	m.maybeRecycle(p)
+}
+
+// resume brings a Program to its next engine operation: the next one
+// in its batch. Only a spent batch resumes the coroutine, which reads
+// the answer to the batch's last operation — the only one that can need
+// one — from m.ansMsg, m.ansOK and m.ansN, the message in place; every
+// earlier answer is a Send's, which carries nothing. Compute and
+// WaitUntil are applied to the clock as the program side applies them
+// with an empty batch; any other operation is parked for exec. So each
+// operation is performed alone, at the point of the commit loop where
+// an unbatched program would have issued it.
+func (m *Machine) resume(p *proc, msg *Message, ok bool, n int64) {
+	if p.dlen == 0 {
+		m.ansMsg, m.ansOK, m.ansN = msg, ok, n
+		p.next()
+	}
+	batch := m.deferred[p.id*deferCap:][:deferCap]
+	for {
+		op := &batch[p.dhead]
+		if p.dhead++; p.dhead == p.dlen {
+			p.dhead, p.dlen = 0, 0
+		}
+		switch op.Kind {
+		case ScriptCompute:
+			p.clock += op.N
+		case ScriptWait:
+			p.clock = max(p.clock, op.N)
+		default:
+			p.pending = *op
+			*op = ScriptOp{}
+			return
+		}
+		p.localOps++
+		if p.dlen == 0 {
+			// The batch ended in local work: the program crossed because
+			// it filled or Now flushed it, and reads no answer.
+			p.next()
+		}
+	}
 }
 
 // failProc records err, processor p's failure at its current clock, as

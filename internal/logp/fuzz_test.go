@@ -20,7 +20,8 @@ type fuzzOp struct {
 
 // decodeFuzzProgram turns raw fuzz bytes into a guaranteed-terminating
 // Program: each processor executes a bounded script of local work,
-// idling, sends, polls, and buffer queries, then drains exactly its
+// idling (relative to Now, or until an absolute instant), sends,
+// polls, and buffer queries, then drains exactly its
 // in-degree with blocking Recvs. Every send eventually completes (the
 // Stalling Rule resolves by time passing, not by receiver action) and
 // every drain target is met, so the program terminates under any
@@ -58,7 +59,13 @@ func decodeFuzzProgram(data []byte) (logp.Program, int) {
 			case 0:
 				pr.Compute(1 + op.a%8)
 			case 1:
-				pr.WaitUntil(pr.Now() + op.a%16)
+				if op.b%2 == 0 {
+					pr.WaitUntil(pr.Now() + op.a%16)
+				} else {
+					// An absolute instant, so no Now crosses first and the
+					// wait can join a batch.
+					pr.WaitUntil(op.a % 64)
+				}
 			case 2:
 				pr.SendBody(op.dst, int32(op.a%4), op.b, op.a, op.b)
 			case 3:
@@ -190,16 +197,23 @@ func fuzzSeed(data []byte) uint64 {
 // boundaries; L = 9, o = 3, G = 4 leaves a partial capacity window;
 // L = 70 makes each destination's slot ring two 64-bit words, so
 // delivery windows cross words).
-// Pooling, processor recycling, and the proc-side run-ahead of Compute
-// and WaitUntil must all be unobservable. The program driven through
-// ProgramAsScript on the Script engine must in turn reproduce the
-// Program engine's run.
+// Pooling, processor recycling, the proc-side run-ahead of Compute
+// and WaitUntil, and the batching of a Program's Sends must all be
+// unobservable. The program driven through ProgramAsScript on the
+// Script engine must in turn reproduce the Program engine's run.
 func checkEngineMatchesReference(t *testing.T, data []byte) {
 	t.Helper()
 	prog, p := decodeFuzzProgram(data)
 	if prog == nil {
 		return
 	}
+	checkProgramMatchesReference(t, prog, p, fuzzSeed(data))
+}
+
+// checkProgramMatchesReference is checkEngineMatchesReference for a
+// given p-processor program, its random choices drawn from seed.
+func checkProgramMatchesReference(t *testing.T, prog logp.Program, p int, seed uint64) {
+	t.Helper()
 	for _, params := range []logp.Params{
 		{P: p, L: 8, O: 1, G: 2},
 		{P: p, L: 2, O: 1, G: 2},  // G == L: capacity 1
@@ -207,7 +221,7 @@ func checkEngineMatchesReference(t *testing.T, data []byte) {
 		{P: p, L: 9, O: 3, G: 4},  // capacity 3, L not a multiple of G
 		{P: p, L: 70, O: 1, G: 2}, // a 128-instant slot ring: two words
 	} {
-		for _, v := range variants(fuzzSeed(data)) {
+		for _, v := range variants(seed) {
 			want := referenceRun(t, params, v, prog)
 			got := engineRun(t, params, v, func(m *logp.Machine) (logp.Result, error) { return m.Run(prog) })
 			mustMatch(t, fmt.Sprintf("%v/%v", params, v), want, got)
@@ -242,6 +256,23 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add(poll)
 	// All-compute run-ahead: no communication at all on some procs.
 	f.Add([]byte{2, 0, 9, 9, 0, 4, 4, 1, 8, 8, 2, 5, 5})
+	// Batches that fill: twelve consecutive Sends on each of two
+	// processors, then on processor 0 of four, with Compute, WaitUntil,
+	// polls and Sends mixed on the others. Both exceed DeferCap.
+	sends := []byte{0}
+	for i := range 24 {
+		sends = append(sends, 2, byte(3*i), byte(i))
+	}
+	f.Add(sends)
+	mixed := []byte{2}
+	for i := range 48 {
+		if i%4 == 0 {
+			mixed = append(mixed, 7, byte(i), byte(i))
+		} else {
+			mixed = append(mixed, byte(i%5), byte(5*i), byte(i))
+		}
+	}
+	f.Add(mixed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -261,6 +292,81 @@ func TestFastPathEquivalenceCorpus(t *testing.T) {
 	}
 	for _, data := range cases {
 		checkEngineMatchesReference(t, data)
+	}
+}
+
+// TestBatchedProgramsMatchReference holds hand-written Programs that
+// exercise a Program's batch to the reference, through
+// checkProgramMatchesReference: Sends that fill the batch more than
+// once, local work and a Now whose clock the Sends batched before them
+// decide, batches ended by TryRecv and by Buffered, and a return
+// straight out of a batch. The fuzzed programs reach only some of
+// these: their WaitUntil reads Now first, which crosses.
+func TestBatchedProgramsMatchReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    int
+		prog logp.Program
+	}{
+		{"sends-fill-batch", 2, func(p logp.Proc) {
+			n := 2*logp.DeferCap + 1
+			if p.ID() == 0 {
+				for k := range n {
+					p.Send(1, int32(k%4), int64(k), 0)
+				}
+				return
+			}
+			for range n {
+				p.Compute(1 + p.Recv().Payload%3)
+			}
+		}},
+		{"local-work-behind-sends", 2, func(p logp.Proc) {
+			if p.ID() == 1 {
+				for range 3 {
+					p.Recv()
+				}
+				return
+			}
+			p.Send(1, 0, 1, 0)
+			p.Compute(3)
+			p.WaitUntil(2)  // already past once the Send is accepted
+			p.WaitUntil(12) // an absolute instant ahead of the clock
+			p.Send(1, 0, 2, 0)
+			p.Send(1, 0, p.Now(), 0)
+		}},
+		{"batches-end-in-polls", 3, func(p logp.Proc) {
+			next := (p.ID() + 1) % p.P()
+			got := 0
+			p.Send(next, 0, 1, 0)
+			p.Send(next, 1, 2, 0)
+			p.Compute(2)
+			p.WaitUntil(15)
+			if _, ok := p.TryRecv(); ok {
+				got++
+			}
+			p.Send(next, 2, 3, 0)
+			p.Compute(1)
+			p.Send(next, 3, int64(p.Buffered()), 0)
+			for ; got < 4; got++ {
+				p.Compute(1 + p.Recv().Payload%3)
+			}
+		}},
+		{"return-from-batch", 2, func(p logp.Proc) {
+			n := logp.DeferCap + 1
+			if p.ID() == 0 {
+				for k := range n {
+					p.Send(1, 0, int64(k), 0)
+				}
+				return
+			}
+			for range n {
+				p.Recv()
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkProgramMatchesReference(t, tc.prog, tc.p, 1)
+		})
 	}
 }
 
@@ -312,6 +418,25 @@ func TestEngineMatchesReferenceOnErrors(t *testing.T) {
 				p.Recv()
 			}
 		}, false, "processor 2 panicked: early"},
+		// Processor 0 panics behind more Sends than a batch holds, at
+		// clock 19, after the last of them is accepted; processor 1
+		// panics at clock 15, so its panic is the one reported.
+		{"panic-behind-batch", func(p logp.Proc) {
+			switch p.ID() {
+			case 0:
+				for k := range logp.DeferCap + 2 {
+					p.Send(3, 0, int64(k), 0)
+				}
+				panic("batched")
+			case 1:
+				p.Compute(15)
+				panic("second")
+			case 3:
+				for range logp.DeferCap + 2 {
+					p.Recv()
+				}
+			}
+		}, false, "processor 1 panicked: second"},
 		{"invalid-destination", func(p logp.Proc) {
 			if p.ID() == 2 {
 				p.Send(9, 0, 0, 0)

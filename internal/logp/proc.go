@@ -8,6 +8,17 @@ import "fmt"
 // them deterministically, so closures may share data structures indexed
 // by processor id without additional locking.
 //
+// On a Machine, a program's local code may run up to one batch ahead
+// of the engine: Send returns before the engine has committed it, and
+// Compute and WaitUntil behind such a Send return before they are
+// applied. The engine still commits every operation alone, at the
+// (clock, id) turn it would have had without the batch, so every
+// simulated quantity is unchanged; only host time moves. Before a
+// program's code touches state other than its own processor's (the
+// bsplogpvet procshare rule), it must call something that returns a
+// value: Now, Recv, TryRecv or Buffered. Each of those waits until the
+// engine has performed everything the program issued before it.
+//
 // Proc is an interface rather than a concrete type so that unmodified
 // LogP programs run on other substrates too: ProgramAsScript implements
 // it to drive a Program as a Script, which is how internal/core's
@@ -54,9 +65,18 @@ type Proc interface {
 type Program func(p Proc)
 
 // token is the zero-size value exchanged over the coroutine switch; the
-// operation rides in proc.pending and its answer in the Machine's answer
-// slot (Machine.ansMsg, ansOK, ansN).
+// operations ride in the program's batch (Machine.deferred) and the
+// answer in the Machine's answer slot (Machine.ansMsg, ansOK, ansN).
 type token = struct{}
+
+// deferCap is the capacity of a Program's batch: the operations it may
+// issue before crossing into the engine. Only Send, and Compute and
+// WaitUntil behind a Send, need no answer, so they are what fills it;
+// a call that needs one ends the batch. Each slot costs every
+// processor of a Run machine 64 bytes; 8 is the largest size whose
+// table keeps the Theorem 2 routers' retained memory within 3%
+// (EXPERIMENTS.md § Benchmarking has the measurements).
+const deferCap = 8
 
 type procState uint8
 
@@ -87,9 +107,10 @@ var noMsg Message
 // proc is the engine-side representation of a processor; it also
 // implements Proc for the program coroutine. Both program forms park
 // their next engine operation in pending as a ScriptOp, the format every
-// LogP engine parks. The engine's answer is not kept here: a Script
-// gets it as its Next argument and a Program reads it from the
-// Machine's answer slot (see Machine.await).
+// LogP engine parks (a Program's come out of its batch, see
+// Machine.resume). The engine's answer is not kept here: a Script gets
+// it as its Next argument and a Program reads it from the Machine's
+// answer slot (see Machine.await).
 type proc struct {
 	id int
 	m  *Machine
@@ -104,9 +125,10 @@ type proc struct {
 	nextComm int64
 
 	// localOps counts the Compute and WaitUntil calls resolved
-	// proc-side, in either form, since the last engine crossing; the
-	// count is flushed into the machine's simEvents at the next
-	// crossing.
+	// without exec since the processor last parked: proc-side while a
+	// Program's batch is empty, from the batch in resume, in
+	// scriptSegment for a Script. await folds the count into the
+	// machine's simEvents.
 	localOps int64
 
 	// Input buffer: an intrusive FIFO through Machine.recSlab, in
@@ -116,6 +138,11 @@ type proc struct {
 	bufLen  int
 
 	state procState
+	// dhead and dlen delimit a Program's batch, the slots
+	// m.deferred[id*deferCap:][:dlen]: the program appends at dlen,
+	// resume pops at dhead, and both return to 0 once the batch is
+	// spent. They sit in the padding after state.
+	dhead, dlen uint8
 	// pending is the operation the processor is parked on, in the
 	// Script form every engine parks: Send, Recv, TryRecv or Buffered
 	// while it waits for exec, ScriptHalt once it returned or panicked
@@ -127,12 +154,13 @@ type proc struct {
 
 	// The program runs as a coroutine (nil for a scripted processor,
 	// which runs inline in scriptSegment). yield parks the program
-	// until the engine answers in the Machine's slot; next resumes the
-	// program until its next operation; stop unwinds it. The operation
-	// itself is written into pending rather than yielded, so no struct
-	// is copied through the iter.Pull plumbing. Exactly one of (engine,
-	// program) runs at any time and the coroutine switch orders their
-	// memory accesses, so these unsynchronized fields are race-free.
+	// until the engine has spent its batch and answered in the
+	// Machine's slot; next resumes the program until it crosses again;
+	// stop unwinds it. The operations are written into the batch rather
+	// than yielded, so no struct is copied through the iter.Pull
+	// plumbing. Exactly one of (engine, program) runs at any time and
+	// the coroutine switch orders their memory accesses, so these
+	// unsynchronized fields are race-free.
 	next  func() (token, bool)
 	stop  func()
 	yield func(token) bool
@@ -143,19 +171,55 @@ var _ Proc = (*proc)(nil)
 func (p *proc) ID() int        { return p.id }
 func (p *proc) P() int         { return p.m.params.P }
 func (p *proc) Params() Params { return p.m.params }
-func (p *proc) Now() int64     { return p.clock }
 
-// call parks op for the engine and blocks for its answer in the
+// Now returns the local clock once the engine has performed the batch:
+// the batch's Sends decide it.
+//
+//hot:path program-side operation
+func (p *proc) Now() int64 {
+	if p.dlen != 0 {
+		p.cross()
+	}
+	return p.clock
+}
+
+// push appends op to the batch, for the engine to perform in order.
+func (p *proc) push(op ScriptOp) {
+	p.m.deferred[p.id*deferCap+int(p.dlen)] = op
+	p.dlen++
+}
+
+// post pushes op, which needs no answer. A full batch crosses at once,
+// so a running program always has a free slot, which the coroutine
+// epilogue's ScriptHalt relies on.
+func (p *proc) post(op ScriptOp) {
+	p.push(op)
+	if p.dlen == deferCap {
+		p.cross()
+	}
+}
+
+// call pushes op, which needs an answer, and crosses.
+func (p *proc) call(op ScriptOp) {
+	p.push(op)
+	p.cross()
+}
+
+// cross hands the batch to the engine and blocks until the engine has
+// performed all of it, the answer to its last operation then in the
 // Machine's slot: one coroutine switch. A false yield means the engine
 // is shutting down, and the program unwinds.
-func (p *proc) call(op ScriptOp) {
-	p.pending = op
+func (p *proc) cross() {
 	if !p.yield(token{}) {
 		panic(errStopped)
 	}
 }
 
-// Compute advances the local clock by n without an engine crossing.
+// Compute advances the local clock by n. With the batch empty it needs
+// no engine crossing: local work touches only this processor's clock,
+// so it commutes with every other processor's operations. Behind a
+// batched Send it joins the batch, since the clock it advances from is
+// the Send's acceptance instant.
 //
 //hot:path program-side operation
 func (p *proc) Compute(n int64) {
@@ -165,17 +229,22 @@ func (p *proc) Compute(n int64) {
 	if n == 0 {
 		return
 	}
-	// Local work touches only this processor's clock; it commutes with
-	// every other processor's operations, so it never needs the engine.
+	if p.dlen != 0 {
+		p.post(ScriptOp{Kind: ScriptCompute, N: n})
+		return
+	}
 	p.clock += n
 	p.localOps++
 }
 
-// WaitUntil advances the local clock to t without an engine crossing:
-// like Compute, it touches only this processor's clock.
+// WaitUntil advances the local clock to t, resolved like Compute.
 //
 //hot:path program-side operation
 func (p *proc) WaitUntil(t int64) {
+	if p.dlen != 0 {
+		p.post(ScriptOp{Kind: ScriptWait, N: t})
+		return
+	}
 	if t > p.clock {
 		p.clock = t
 	}
@@ -189,7 +258,9 @@ func (p *proc) Send(dst int, tag int32, payload, aux int64) {
 	p.SendBody(dst, tag, payload, aux, nil)
 }
 
-// SendBody is Send carrying an opaque body reference.
+// SendBody is Send carrying an opaque body reference. Its only answer
+// is the clock after acceptance, which no later call reads before the
+// engine has performed the Send, so it joins the batch.
 //
 //hot:path program-side operation
 func (p *proc) SendBody(dst int, tag int32, payload, aux int64, body interface{}) {
@@ -199,7 +270,7 @@ func (p *proc) SendBody(dst int, tag int32, payload, aux int64, body interface{}
 	if dst == p.id {
 		panic("logp: Send to self; use local state instead")
 	}
-	p.call(ScriptOp{Kind: ScriptSend, Dst: dst, Tag: tag, Payload: payload, Aux: aux, Body: body})
+	p.post(ScriptOp{Kind: ScriptSend, Dst: dst, Tag: tag, Payload: payload, Aux: aux, Body: body})
 }
 
 // Recv blocks until a buffered message can be acquired.
@@ -233,6 +304,7 @@ func (p *proc) reinit() {
 	p.localOps = 0
 	p.bufHead, p.bufTail, p.bufLen = -1, -1, 0
 	p.state = stateReady
+	p.dhead, p.dlen = 0, 0
 	p.pending = ScriptOp{}
 	p.err = nil
 	p.stallCycles = 0

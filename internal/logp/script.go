@@ -16,10 +16,11 @@ import (
 // 176-byte proc record.
 //
 // Next must be deterministic and, like a Program, may only touch state
-// owned by processor id (the bsplogpvet procshare rule). As for a
-// Program, the engine resolves Compute and WaitUntil without crossing
-// into its commit loop and performs every other operation there, polls
-// included.
+// owned by processor id (the bsplogpvet procshare rule). The engine
+// resolves Compute and WaitUntil without crossing into its commit loop
+// and performs every other operation there, polls included, each as
+// Next returns it: a Script has no batch to run ahead in, as a Program
+// has (see Proc), since Next is called once per operation anyway.
 //
 // Active declares which processors have work of their own at time 0.
 // A processor with Active(id) == false is passive: it is represented
