@@ -28,9 +28,11 @@ race:
 # Differential fuzzing of the LogP engine against the reference
 # interpreter (internal/logp/reference): the Program form and the
 # Script form must each produce the reference's Results, traces, and
-# audit metrics. The engines' scheduling structures — the shared
-# ring-plus-heap run queue and the logp timing wheel — are fuzzed
-# against plain binary heaps, the Theorem 2 router's merge-split
+# audit metrics, and the collective Mailbox's RecvAllWhere the Results,
+# traces and messages of the RecvWhere loop it stands for. The
+# engines' scheduling structures — the shared ring-plus-heap run queue
+# and the logp timing wheel — are fuzzed against plain binary heaps,
+# the Theorem 2 router's merge-split
 # against a sort oracle, the netsim Router against an independent
 # reference router, and the Theorem 1 replay's per-cycle counts
 # against a naive recount. Two property fuzzers close the list:
@@ -39,6 +41,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime 20s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzScriptEquivalence -fuzztime 10s ./internal/logp/
+	$(GO) test -run '^$$' -fuzz FuzzRecvAllWhere -fuzztime 10s ./internal/collective/
 	$(GO) test -run '^$$' -fuzz FuzzEventWheel -fuzztime 10s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 10s ./internal/runq/
 	$(GO) test -run '^$$' -fuzz FuzzMergeSplit -fuzztime 10s ./internal/core/

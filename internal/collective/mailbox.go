@@ -87,6 +87,41 @@ func (mb *Mailbox) RecvWhere(match func(logp.Message) bool) logp.Message {
 	}
 }
 
+// RecvAllWhere fills out with the next len(out) messages satisfying
+// match, exactly as len(out) RecvWhere calls would: first the held
+// matches, in held order, then acquisitions, holding every other
+// message in arrival order. The acquisitions go through RecvInto, one
+// run for the number of matches still missing until out is full, so a
+// Machine answers them with one crossing per run instead of one per
+// message.
+func (mb *Mailbox) RecvAllWhere(match func(logp.Message) bool, out []logp.Message) {
+	n := 0
+	rest := mb.held[:0]
+	for i := range mb.held {
+		if n < len(out) && match(mb.held[i]) {
+			out[n] = mb.held[i]
+			n++
+		} else {
+			rest = append(rest, mb.held[i])
+		}
+	}
+	mb.held = rest
+	for n < len(out) {
+		// Compact in place: a match moves to out[n], never past its own
+		// slot, and the rest join the held list in arrival order.
+		got := out[n:]
+		mb.Proc.RecvInto(got)
+		for i := range got {
+			if match(got[i]) {
+				out[n] = got[i]
+				n++
+			} else {
+				mb.held = append(mb.held, got[i])
+			}
+		}
+	}
+}
+
 // RecvTagSeq receives the next message with the given tag and Aux
 // sequence stamp.
 func (mb *Mailbox) RecvTagSeq(tag int32, seq int64) logp.Message {

@@ -526,7 +526,8 @@ type bspAdapter struct {
 
 	// gotBuf backs the routers' received-message slice; barrierAndRoute
 	// reclaims it after draining the superstep's arrivals into the
-	// inbox.
+	// inbox. Until deliverWindowed fills it, the sorting networks and
+	// computeS receive their runs of messages into it (recvBuf).
 	gotBuf []logp.Message
 }
 
@@ -621,6 +622,26 @@ func (a *bspAdapter) barrierAndRoute(finished bool) (allDone bool) {
 	a.work = 0
 	a.step++
 	return done == 1
+}
+
+// recvBuf returns gotBuf resliced to n messages, for a RecvAllWhere to
+// fill. Its contents are dead while a superstep routes: the previous
+// superstep's arrivals were copied into the inbox.
+func (a *bspAdapter) recvBuf(n int) []logp.Message {
+	if cap(a.gotBuf) < n {
+		a.gotBuf = make([]logp.Message, n)
+	}
+	return a.gotBuf[:n]
+}
+
+// recvTagSeq receives the next n messages with the given tag and Aux
+// sequence stamp into recvBuf(n), by one RecvAllWhere: the block
+// exchanges issue nothing between these receives, so the engine
+// answers the whole run with one crossing.
+func (a *bspAdapter) recvTagSeq(tag int32, seq int64, n int) []logp.Message {
+	got := a.recvBuf(n)
+	a.mb.RecvAllWhere(func(m logp.Message) bool { return m.Tag == tag && m.Aux == seq }, got)
+	return got
 }
 
 // Tag layout used by the cross-simulation protocols.
@@ -811,12 +832,8 @@ func (a *bspAdapter) routeRandomized(st *stepState, dtag int32) []logp.Message {
 	a.leftIdx = leftIdx
 	// Receive phase: the in-degree is known in advance per the
 	// theorem's premise.
-	want := int(st.indeg[id])
-	match := func(m logp.Message) bool { return m.Tag == dtag }
-	got := a.mb.TakeMatchingInto(match, a.gotBuf[:0])
-	for len(got) < want {
-		got = append(got, a.mb.RecvWhere(match))
-	}
+	got := a.recvBuf(int(st.indeg[id]))
+	a.mb.RecvAllWhere(func(m logp.Message) bool { return m.Tag == dtag }, got)
 	// Hold until the schedule's end before returning to the barrier:
 	// if this processor's next-superstep CB ascend arrived at its
 	// tree parent while that parent still had data in transit, the

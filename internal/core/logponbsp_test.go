@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -277,6 +278,9 @@ func TestThm1TryRecvAndWaitUntil(t *testing.T) {
 					break
 				}
 				polls++
+				if p.Now() > pollBound {
+					panic(fmt.Sprintf("no message by clock %d: the replay lost it", p.Now()))
+				}
 			}
 			p.WaitUntil(100)
 			if p.Now() != 100 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -203,6 +204,11 @@ func TestPanicPropagates(t *testing.T) {
 	}
 }
 
+// pollBound is the clock past which a polling test gives up: far beyond
+// any arrival the tests expect, so a simulator that loses a message
+// fails the test in milliseconds instead of hanging it.
+const pollBound = 1000
+
 func TestTryRecvAndBufferedAndWaitUntil(t *testing.T) {
 	m := cubeMachine(4)
 	var polls, depth int
@@ -217,6 +223,9 @@ func TestTryRecvAndBufferedAndWaitUntil(t *testing.T) {
 					break
 				}
 				polls++
+				if p.Now() > pollBound {
+					panic(fmt.Sprintf("no message by clock %d: the co-simulation lost it", p.Now()))
+				}
 			}
 			p.WaitUntil(50)
 			depth = p.Buffered()

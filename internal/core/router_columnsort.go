@@ -202,9 +202,9 @@ func (a *bspAdapter) columnsortSort(items []*bsp.Message) ([]*bsp.Message, int64
 	}
 	theirs, window := buf[:half], buf[half:half+rp]
 	if id > 0 {
-		for k := 0; k < half; k++ {
-			m := a.mb.RecvTagSeq(tagNeigh, seqA)
-			theirs[m.Payload] = m.Body.(*bsp.Message)
+		got := a.recvTagSeq(tagNeigh, seqA, half)
+		for i := range got {
+			theirs[got[i].Payload] = got[i].Body.(*bsp.Message)
 		}
 		lp.Compute(int64(rp))
 		mergeSplit(window, items[:half], theirs, true)
@@ -223,9 +223,9 @@ func (a *bspAdapter) columnsortSort(items []*bsp.Message) ([]*bsp.Message, int64
 	if id < p-1 {
 		// The returned lower half of the neighbor's merged window is
 		// sorted already; Compute charges the merge it completes.
-		for k := 0; k < half; k++ {
-			m := a.mb.RecvTagSeq(tagNeigh, seqB)
-			items[half+int(m.Payload)] = m.Body.(*bsp.Message)
+		got := a.recvTagSeq(tagNeigh, seqB, half)
+		for i := range got {
+			items[half+int(got[i].Payload)] = got[i].Body.(*bsp.Message)
 		}
 		lp.Compute(int64(rp))
 	}
@@ -282,11 +282,12 @@ func (a *bspAdapter) runExchange(dst, items []*bsp.Message, hops []schedHop, bas
 		lp.WaitUntil(slot - params.O)
 		lp.SendBody(hop.dst, tagSort, int64(hop.dstIdx), seq, items[idx])
 	}
-	for k := 0; k < expect; k++ {
-		m := a.mb.RecvTagSeq(tagSort, seq)
-		if dst[m.Payload] != nil {
+	got := a.recvTagSeq(tagSort, seq, expect)
+	for i := range got {
+		slot := got[i].Payload
+		if dst[slot] != nil {
 			panic("core: exchange slot collision (bug)")
 		}
-		dst[m.Payload] = m.Body.(*bsp.Message)
+		dst[slot] = got[i].Body.(*bsp.Message)
 	}
 }

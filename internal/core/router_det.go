@@ -226,8 +226,9 @@ func (a *bspAdapter) bitonicSort(items []*bsp.Message) int64 {
 		// the kept half beside it and copies it back over items. The
 		// host merge is O(r) whenever the block arrived in send order;
 		// Compute(2r) is the charged cost either way.
-		for k := range theirs {
-			theirs[k] = a.mb.RecvTagSeq(tagSort, seq).Body.(*bsp.Message)
+		got := a.recvTagSeq(tagSort, seq, r)
+		for k := range got {
+			theirs[k] = got[k].Body.(*bsp.Message)
 		}
 		lp.Compute(int64(2 * r)) // merge cost
 		mergeSplit(merged, items, theirs, keepLow)
@@ -366,13 +367,16 @@ ascend:
 			}
 			break ascend
 		case id%(2*k) == 0 && id+k < p:
+			// The six words arrive in any order; each carries its part.
+			// Taking the round's words as they come acquires exactly
+			// the messages six part-by-part receives would.
 			var f [summaryParts]int64
-			for part := 0; part < summaryParts; part++ {
-				want := aux(part)
-				m := a.mb.RecvWhere(func(m logp.Message) bool {
-					return m.Tag == tagSumUp && m.Aux == want
-				})
-				f[part] = m.Payload
+			got := a.recvBuf(summaryParts)
+			a.mb.RecvAllWhere(func(m logp.Message) bool {
+				return m.Tag == tagSumUp && m.Aux>>3 == int64(k)
+			}, got)
+			for i := range got {
+				f[got[i].Aux&7] = got[i].Payload
 			}
 			lp.Compute(summaryParts)
 			mine = mergeSummary(mine, summaryFromFields(f))

@@ -119,8 +119,8 @@ func TestRunScriptSteadyStateAllocGuard(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewMachine(lp)
 			avg := measureSteadyAllocs(t, m, tc.sc)
-			if m.deferred != nil {
-				t.Errorf("RunScript allocated the Program batch table (%d slots)", len(m.deferred))
+			if m.deferred != nil || m.recvInto != nil {
+				t.Errorf("RunScript allocated the Program batch or RecvInto table (%d, %d slots)", len(m.deferred), len(m.recvInto))
 			}
 			// The one structural allocation is Result.ProcTimes: it
 			// escapes to the caller, so every Run builds a fresh []int64.

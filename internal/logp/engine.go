@@ -167,6 +167,12 @@ type Machine struct {
 	// popped, so a Body does not outlive its message.
 	deferred []ScriptOp
 
+	// recvInto holds, per processor id, the part of a Program's RecvInto
+	// destination still to fill (see resume); nil when none is open.
+	// Like deferred it is sized for Run only, and shutdown empties it,
+	// so a slice does not outlive its Run.
+	recvInto [][]Message
+
 	// arena backs every proc record (see arena.go): chunked slabs
 	// reset wholesale between Runs, so a warm machine's startup sweep
 	// allocates no per-processor objects and the GC scans chunks, not
@@ -271,7 +277,8 @@ type Machine struct {
 // failed Run never leaks a parked program into the caller's world (or
 // into this machine's next Run). A RunScript's Script is dropped too,
 // and so is the last answer's pointer into the message slab, and so
-// are the operations a failed Run left in a program's batch.
+// are the operations and the RecvInto destination a failed Run left
+// with a program.
 //
 //hot:cold per-Run epilogue
 func (m *Machine) shutdown() {
@@ -281,6 +288,7 @@ func (m *Machine) shutdown() {
 			if p.dlen != 0 {
 				clear(m.deferred[p.id*deferCap:][:deferCap])
 			}
+			m.recvInto[p.id] = nil
 		}
 	}
 	m.script = nil
@@ -577,6 +585,7 @@ func (m *Machine) reset() {
 	}
 	if m.script == nil && len(m.deferred) != p*deferCap {
 		m.deferred = make([]ScriptOp, p*deferCap)
+		m.recvInto = make([][]Message, p)
 	}
 	m.events.reset(m.params.L)
 	m.ready.Reset()
@@ -785,13 +794,25 @@ func (m *Machine) await(p *proc, msg *Message, ok bool, n int64) {
 // in its batch. Only a spent batch resumes the coroutine, which reads
 // the answer to the batch's last operation — the only one that can need
 // one — from m.ansMsg, m.ansOK and m.ansN, the message in place; every
-// earlier answer is a Send's, which carries nothing. Compute and
-// WaitUntil are applied to the clock as the program side applies them
-// with an empty batch; any other operation is parked for exec. So each
-// operation is performed alone, at the point of the commit loop where
-// an unbatched program would have issued it.
+// earlier answer is a Send's, which carries nothing. A batch that ends
+// in a RecvInto's Recv is spent only once its destination is full: each
+// acquisition is copied into the destination and the Recv parked
+// again, as the program's loop of Recv would have issued it. Compute
+// and WaitUntil are applied to the clock as the program side applies
+// them with an empty batch; any other operation is parked for exec. So
+// each operation is performed alone, at the point of the commit loop
+// where an unbatched program would have issued it.
 func (m *Machine) resume(p *proc, msg *Message, ok bool, n int64) {
 	if p.dlen == 0 {
+		if dst := m.recvInto[p.id]; len(dst) != 0 {
+			dst[0] = *msg
+			if len(dst) > 1 {
+				// p.pending still holds the Recv exec just performed.
+				m.recvInto[p.id] = dst[1:]
+				return
+			}
+			m.recvInto[p.id] = nil
+		}
 		m.ansMsg, m.ansOK, m.ansN = msg, ok, n
 		p.next()
 	}

@@ -268,6 +268,11 @@ func TestSendValidation(t *testing.T) {
 	}
 }
 
+// pollBound is the clock past which a polling test gives up: far beyond
+// any arrival the tests expect, so an engine that loses a message fails
+// the test in milliseconds instead of hanging it.
+const pollBound = 1000
+
 func TestTryRecvPolls(t *testing.T) {
 	params := Params{P: 2, L: 8, O: 1, G: 2}
 	var polls int
@@ -285,6 +290,9 @@ func TestTryRecvPolls(t *testing.T) {
 					return
 				}
 				polls++
+				if p.Now() > pollBound {
+					panic(fmt.Sprintf("no message by clock %d: the engine lost it", p.Now()))
+				}
 			}
 		}
 	}, WithDeliveryPolicy(DeliverMaxLatency))
@@ -295,6 +303,49 @@ func TestTryRecvPolls(t *testing.T) {
 	}
 	if res.ProcTimes[1] != 10 {
 		t.Errorf("receiver clock = %d, want 10", res.ProcTimes[1])
+	}
+}
+
+// TestRecvIntoEmptyDoesNotCross pins that a RecvInto of no messages
+// performs nothing: the Send before it stays in the batch instead of
+// crossing into the engine, as a Recv would make it.
+func TestRecvIntoEmptyDoesNotCross(t *testing.T) {
+	params := Params{P: 2, L: 8, O: 1, G: 2}
+	run(t, params, func(p Proc) {
+		if p.ID() == 1 {
+			p.Recv()
+			return
+		}
+		p.Send(1, 0, 1, 0)
+		p.RecvInto(nil)
+		if n := p.(*proc).dlen; n != 1 {
+			panic(fmt.Sprintf("RecvInto(nil) left %d operations batched, want the Send's 1", n))
+		}
+	})
+}
+
+// TestRecvIntoDeadlockLeavesNoSlice checks that shutdown empties the
+// machine's table of open RecvInto destinations, so a program's slice
+// does not outlive a Run that deadlocked inside its RecvInto. (The
+// deadlock's report is held to the reference's in
+// TestEngineMatchesReferenceOnErrors.)
+func TestRecvIntoDeadlockLeavesNoSlice(t *testing.T) {
+	params := Params{P: 3, L: 8, O: 1, G: 2}
+	m := NewMachine(params)
+	_, err := m.Run(func(p Proc) {
+		if p.ID() != 2 {
+			p.Send(2, 0, int64(p.ID()), 0)
+			return
+		}
+		p.RecvInto(make([]Message, 3)) // only two arrive
+	})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("Run error %v, want a deadlock", err)
+	}
+	for id, dst := range m.recvInto {
+		if dst != nil {
+			t.Fatalf("processor %d's RecvInto destination (%d left) outlived the Run", id, len(dst))
+		}
 	}
 }
 

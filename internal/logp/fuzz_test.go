@@ -21,14 +21,19 @@ type fuzzOp struct {
 // decodeFuzzProgram turns raw fuzz bytes into a guaranteed-terminating
 // Program: each processor executes a bounded script of local work,
 // idling (relative to Now, or until an absolute instant), sends,
-// polls, and buffer queries, then drains exactly its
-// in-degree with blocking Recvs. Every send eventually completes (the
-// Stalling Rule resolves by time passing, not by receiver action) and
-// every drain target is met, so the program terminates under any
-// admissible execution — the property that lets the differential
-// harness compare complete runs. Received payloads feed back into
-// Compute amounts so the interleaving is data-dependent, exercising
-// the engine's run-ahead in input-sensitive programs.
+// polls, and buffer queries, then drains exactly its in-degree with
+// blocking receives: RecvInto runs of 0 to 6 messages whose lengths
+// come from the script's bytes, a Compute after each, and one run of
+// whatever remains once the script's lengths are used up. Every send
+// eventually completes (the Stalling Rule resolves by time passing, not
+// by receiver action) and every drain target is met, so the program
+// terminates under any admissible execution — the property that lets
+// the differential harness compare complete runs. Received payloads
+// feed back into Compute amounts so the interleaving is data-dependent,
+// exercising the engine's run-ahead in input-sensitive programs. The
+// reference and the ProgramAsScript bridge receive each run as a plain
+// loop of Recv, so the comparison checks the engine's one-crossing
+// RecvInto against that loop.
 func decodeFuzzProgram(data []byte) (logp.Program, int) {
 	if len(data) < 2 {
 		return nil, 0
@@ -77,10 +82,21 @@ func decodeFuzzProgram(data []byte) (logp.Program, int) {
 				pr.Compute(int64(pr.Buffered()%3) + 1)
 			}
 		}
-		for got < inDeg[pr.ID()] {
-			m := pr.Recv()
-			got++
-			pr.Compute(1 + m.Payload%7)
+		script, need := scripts[pr.ID()], inDeg[pr.ID()]
+		buf := make([]logp.Message, need)
+		for k := 0; got < need; k++ {
+			n := need - got
+			if k < len(script) {
+				n = min(n, int(script[k].a+script[k].b)%7)
+			}
+			run := buf[:n]
+			pr.RecvInto(run)
+			got += n
+			sum := int64(0)
+			for _, m := range run {
+				sum += m.Payload
+			}
+			pr.Compute(1 + sum%7)
 		}
 	}
 	return prog, p
@@ -273,6 +289,17 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		}
 	}
 	f.Add(mixed)
+	// A RecvInto behind a full batch: each of two processors issues
+	// DeferCap-1 Sends, so the drain's first Recv fills the batch, then
+	// DeferCap Sends, so the batch crosses full just before it, then
+	// 2*DeferCap+1, so it joins a batch that crossed full twice.
+	for _, n := range []int{logp.DeferCap - 1, logp.DeferCap, 2*logp.DeferCap + 1} {
+		full := []byte{0}
+		for i := range 2 * n {
+			full = append(full, 2, byte(3*i+1), byte(i))
+		}
+		f.Add(full)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -351,6 +378,31 @@ func TestBatchedProgramsMatchReference(t *testing.T) {
 				p.Compute(1 + p.Recv().Payload%3)
 			}
 		}},
+		{"recvinto-behind-sends", 2, func(p logp.Proc) {
+			// 2*DeferCap+1 Sends cross full twice and leave one in the
+			// batch, so the RecvInto's first Recv joins it.
+			n := 2*logp.DeferCap + 1
+			for k := range n {
+				p.Send(1-p.ID(), int32(k%4), int64(k), 0)
+			}
+			got := make([]logp.Message, n)
+			p.RecvInto(got)
+			for _, m := range got {
+				p.Compute(1 + m.Payload%3)
+			}
+		}},
+		{"recvinto-empty", 2, func(p logp.Proc) {
+			// RecvInto of nothing behind a Send leaves the Send batched,
+			// so the Compute and the Send after it join the same batch.
+			p.Send(1-p.ID(), 0, 1, 0)
+			p.RecvInto(nil)
+			p.Compute(2)
+			p.Send(1-p.ID(), 0, 2, 0)
+			p.RecvInto(make([]logp.Message, 0, 4))
+			got := make([]logp.Message, 2)
+			p.RecvInto(got)
+			p.Compute(got[0].Payload + got[1].Payload)
+		}},
 		{"return-from-batch", 2, func(p logp.Proc) {
 			n := logp.DeferCap + 1
 			if p.ID() == 0 {
@@ -390,6 +442,15 @@ func TestEngineMatchesReferenceOnErrors(t *testing.T) {
 			if p.ID() == 1 {
 				p.Recv()
 				p.Recv() // nobody sends a second message
+			}
+		}, false, "deadlock: processors [1] blocked on Recv"},
+		{"deadlock-in-recvinto", func(p logp.Proc) {
+			if p.ID() == 0 {
+				p.Send(1, 0, 7, 0)
+				p.Send(1, 0, 8, 0)
+			}
+			if p.ID() == 1 {
+				p.RecvInto(make([]logp.Message, 3)) // only two arrive
 			}
 		}, false, "deadlock: processors [1] blocked on Recv"},
 		{"first-panic", func(p logp.Proc) {
@@ -437,6 +498,24 @@ func TestEngineMatchesReferenceOnErrors(t *testing.T) {
 				}
 			}
 		}, false, "processor 1 panicked: second"},
+		// Processor 3 panics right after a RecvInto of three messages,
+		// the last acquired at 13, so at clock 14; processor 2 panics
+		// later, at clock 20.
+		{"panic-after-recvinto", func(p logp.Proc) {
+			switch p.ID() {
+			case 0:
+				for k := range 3 {
+					p.Send(3, 0, int64(k), 0)
+				}
+			case 2:
+				p.Compute(20)
+				panic("later")
+			case 3:
+				got := make([]logp.Message, 3)
+				p.RecvInto(got)
+				panic(fmt.Sprintf("after %d", got[2].Payload))
+			}
+		}, false, "processor 3 panicked: after 2"},
 		{"invalid-destination", func(p logp.Proc) {
 			if p.ID() == 2 {
 				p.Send(9, 0, 0, 0)

@@ -16,8 +16,9 @@ import "fmt"
 // simulated quantity is unchanged; only host time moves. Before a
 // program's code touches state other than its own processor's (the
 // bsplogpvet procshare rule), it must call something that returns a
-// value: Now, Recv, TryRecv or Buffered. Each of those waits until the
-// engine has performed everything the program issued before it.
+// value: Now, Recv, a RecvInto of at least one message, TryRecv or
+// Buffered. Each of those waits until the engine has performed
+// everything the program issued before it.
 //
 // Proc is an interface rather than a concrete type so that unmodified
 // LogP programs run on other substrates too: ProgramAsScript implements
@@ -52,6 +53,10 @@ type Proc interface {
 	// acquires it (cost o). Consecutive acquisition instants are
 	// >= G apart.
 	Recv() Message
+	// RecvInto performs len(dst) consecutive Recvs, storing the k-th
+	// acquired message in dst[k]. It is exactly that loop of Recv; a
+	// Machine answers the whole run with one crossing into its engine.
+	RecvInto(dst []Message)
 	// TryRecv acquires a buffered message if one has arrived by the
 	// local clock and the acquisition gap permits; otherwise it
 	// charges one polling cycle and reports false.
@@ -279,6 +284,22 @@ func (p *proc) SendBody(dst int, tag int32, payload, aux int64, body interface{}
 func (p *proc) Recv() Message {
 	p.call(ScriptOp{Kind: ScriptRecv})
 	return *p.m.ansMsg
+}
+
+// RecvInto acquires len(dst) messages into dst. The batch gains one
+// Recv and crosses once: Machine.resume stores each acquisition in dst,
+// which waits in the Machine's recvInto table meanwhile, and parks the
+// Recv again until dst is full. Each Recv is still performed alone at
+// its own (clock, id) turn, as the loop of Recv would have issued it,
+// since the loop issues nothing between them.
+//
+//hot:path program-side operation
+func (p *proc) RecvInto(dst []Message) {
+	if len(dst) == 0 {
+		return
+	}
+	p.m.recvInto[p.id] = dst
+	p.call(ScriptOp{Kind: ScriptRecv})
 }
 
 // TryRecv polls the input buffer for one cycle.

@@ -515,6 +515,13 @@ func (p *proc) SendBody(dst int, tag int32, payload, aux int64, body interface{}
 
 func (p *proc) Recv() logp.Message { return p.call(op{kind: opRecv}).msg }
 
+// RecvInto is its definition: len(dst) Recvs, in order.
+func (p *proc) RecvInto(dst []logp.Message) {
+	for i := range dst {
+		dst[i] = p.Recv()
+	}
+}
+
 func (p *proc) TryRecv() (logp.Message, bool) {
 	r := p.call(op{kind: opTryRecv})
 	return r.msg, r.ok

@@ -133,9 +133,10 @@ func ScriptAsProgram(s Script) Program {
 // Next resumes processor id's program as an iter.Pull coroutine until
 // its next Proc call and returns that call as a ScriptOp:
 //
-//   - every call except Compute(0), which has no effect, is one Next,
-//     passed through unvalidated (an invalid Send or a negative
-//     Compute is the engine's to reject, in its own words);
+//   - every call except Compute(0), which has no effect, and
+//     RecvInto, which is a loop of Recv, is one Next, passed through
+//     unvalidated (an invalid Send or a negative Compute is the
+//     engine's to reject, in its own words);
 //   - the program returning is ScriptHalt;
 //   - a program panic propagates out of Next, where the engine
 //     reports it as the processor's panic.
@@ -243,6 +244,13 @@ func (b *bridgeProc) SendBody(dst int, tag int32, payload, aux int64, body inter
 func (b *bridgeProc) Recv() Message {
 	b.call(ScriptOp{Kind: ScriptRecv})
 	return b.res.Msg
+}
+
+// RecvInto is a plain loop of Recv: each acquisition is one Next.
+func (b *bridgeProc) RecvInto(dst []Message) {
+	for i := range dst {
+		dst[i] = b.Recv()
+	}
 }
 
 func (b *bridgeProc) TryRecv() (Message, bool) {
