@@ -89,8 +89,8 @@ bench-diff:
 # the CI guard that the O(active) engines stay live. The alloc
 # guards run first: they pin warm steady-state allocations per Run
 # (sequential 1, cycle engine 1, E16 a small documented constant, the
-# Theorem 2 deterministic router the same count at every h), so
-# an arena or slab-reuse regression fails here before
+# Theorem 2 deterministic and off-line routers the same count at every
+# h), so an arena or slab-reuse regression fails here before
 # it shows up as a bytes/proc drift in BENCH_logp.json.
 bench-scale:
 	$(GO) test -run 'SteadyStateAlloc|TestArena' ./internal/logp/ ./internal/core/ ./internal/bench/

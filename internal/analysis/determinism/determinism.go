@@ -52,7 +52,7 @@ var Analyzer = &kit.Analyzer{
 // from inside a map iteration: trace emission, message submission, cost
 // accounting, and ordered accumulation.
 var sinkNames = map[string]bool{
-	"Emit": true, "emit": true, "Send": true, "SendBody": true,
+	"Emit": true, "emit": true, "Send": true, "SendBody": true, "SendFrom": true,
 	"Inject": true, "Record": true, "AddRow": true, "Push": true,
 	"Charge": true, "Observe": true, "append": true,
 	"Write": true, "WriteString": true, "Print": true, "Printf": true,

@@ -107,19 +107,26 @@ func (mb *Mailbox) RecvAllWhere(match func(logp.Message) bool, out []logp.Messag
 	}
 	mb.held = rest
 	for n < len(out) {
-		// Compact in place: a match moves to out[n], never past its own
-		// slot, and the rest join the held list in arrival order.
-		got := out[n:]
-		mb.Proc.RecvInto(got)
-		for i := range got {
-			if match(got[i]) {
-				out[n] = got[i]
-				n++
-			} else {
-				mb.held = append(mb.held, got[i])
-			}
+		mb.Proc.RecvInto(out[n:])
+		n = len(mb.KeepMatching(out, n, match))
+	}
+}
+
+// KeepMatching sorts got[from:], messages acquired in that order, as
+// one RecvWhere at a time would: the matches are compacted in place
+// right after got[:from], keeping their order, and every other message
+// is held in arrival order. It returns got cut to the kept messages.
+func (mb *Mailbox) KeepMatching(got []logp.Message, from int, match func(logp.Message) bool) []logp.Message {
+	n := from
+	for i := from; i < len(got); i++ {
+		if match(got[i]) {
+			got[n] = got[i]
+			n++
+		} else {
+			mb.held = append(mb.held, got[i])
 		}
 	}
+	return got[:n]
 }
 
 // RecvTagSeq receives the next message with the given tag and Aux
@@ -130,14 +137,11 @@ func (mb *Mailbox) RecvTagSeq(tag int32, seq int64) logp.Message {
 	})
 }
 
-// Hold parks a message acquired outside the mailbox (e.g. by a raw
-// TryRecv loop) so that a later RecvWhere can find it.
-func (mb *Mailbox) Hold(m logp.Message) { mb.held = append(mb.held, m) }
-
 // TakeMatchingInto removes every held message satisfying match and
 // appends it to out, preserving arrival order, so hot callers can
 // recycle a scratch buffer across calls. It does not touch the machine
-// buffer; callers polling with TryRecv combine both sources.
+// buffer; callers polling it themselves sort what they acquire with
+// KeepMatching.
 func (mb *Mailbox) TakeMatchingInto(match func(logp.Message) bool, out []logp.Message) []logp.Message {
 	rest := mb.held[:0]
 	for i := range mb.held {

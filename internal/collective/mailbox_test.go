@@ -104,9 +104,7 @@ func runMailboxCase(c mailboxCase, params logp.Params, policy logp.DeliveryPolic
 	o.res, err = m.Run(func(p logp.Proc) {
 		id := p.ID()
 		mb := NewMailbox(p)
-		for _, h := range c.held[id] {
-			mb.Hold(h)
-		}
+		mb.held = append(mb.held, c.held[id]...)
 		for _, s := range c.sends[id] {
 			p.Send(s.Dst, s.Tag, s.Payload, s.Aux)
 		}

@@ -63,7 +63,10 @@ func TestThm1RunScriptSteadyStateAllocGuardPow2(t *testing.T) {
 // machine's per-Run state, per-exchange scratch — does not depend on h,
 // so a Run at h = 32 may allocate only a few objects more than one at
 // h = 4. Boxing each message per network round would add about
-// p·(32−4)·depth objects.
+// p·(32−4)·depth objects. The off-line router's Hall decomposition
+// reuses its pair list and class table across supersteps, so what it
+// allocates per superstep, the decomposition's own working arrays, does
+// not depend on h either.
 
 func bspOnLogPAllocs(t *testing.T, sim *BSPOnLogP, h int) float64 {
 	t.Helper()
@@ -80,27 +83,29 @@ func bspOnLogPAllocs(t *testing.T, sim *BSPOnLogP, h int) float64 {
 
 func TestBSPOnLogPSteadyStateAllocGuard(t *testing.T) {
 	cases := []struct {
-		name string
-		p    int
-		sort SortAlgo
-		hs   [2]int
+		name   string
+		p      int
+		router Router
+		sort   SortAlgo
+		hs     [2]int
 	}{
 		// bitonic, depth 21 at p = 64
-		{"bitonic-p64", 64, SortBitonic, [2]int{4, 32}},
+		{"bitonic-p64", 64, RouterDeterministic, SortBitonic, [2]int{4, 32}},
 		// columnsort pads r to 54 at h = 4 and to 132 at h = 128
-		{"columnsort-p6", 6, SortColumnsort, [2]int{4, 128}},
+		{"columnsort-p6", 6, RouterDeterministic, SortColumnsort, [2]int{4, 128}},
+		{"offline-p64", 64, RouterOffline, SortAuto, [2]int{4, 32}},
 	}
 	const slack = 32
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sim := &BSPOnLogP{LogP: logp.Params{P: c.p, L: 16, O: 1, G: 2},
-				Router: RouterDeterministic, Sort: c.sort, Seed: 1, StrictStallFree: true}
+				Router: c.router, Sort: c.sort, Seed: 1, StrictStallFree: true}
 			lo := bspOnLogPAllocs(t, sim, c.hs[0])
 			hi := bspOnLogPAllocs(t, sim, c.hs[1])
 			t.Logf("allocs/Run: h=%d %.0f, h=%d %.0f", c.hs[0], lo, c.hs[1], hi)
 			if hi > lo+slack {
-				t.Errorf("warm deterministic Run allocates %.0f objects at h=%d vs %.0f at h=%d: more than %d extra, so the per-Run budget grows with h",
-					hi, c.hs[1], lo, c.hs[0], slack)
+				t.Errorf("warm %v Run allocates %.0f objects at h=%d vs %.0f at h=%d: more than %d extra, so the per-Run budget grows with h",
+					c.router, hi, c.hs[1], lo, c.hs[0], slack)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bsp"
 	"repro/internal/collective"
@@ -170,21 +171,7 @@ func (s *BSPOnLogP) Run(prog bsp.Program) (Thm2Result, error) {
 	if s.Router == RouterDeterministic && s.Sort == SortBitonic && !isPow2(s.LogP.P) {
 		return Thm2Result{}, fmt.Errorf("core: the bitonic network needs a power-of-two p, got %d (use SortAuto or SortColumnsort)", s.LogP.P)
 	}
-	guest := s.guestParams()
-	sim := s.sim
-	if sim == nil || sim.lp != s.LogP {
-		sim = &bspSim{
-			spec:     s,
-			lp:       s.LogP,
-			guest:    guest,
-			steps:    map[int]*stepState{},
-			capacity: s.LogP.Capacity(),
-			adapters: make([]*bspAdapter, s.LogP.P),
-		}
-		s.sim = sim
-	} else {
-		sim.reset(s)
-	}
+	host := s.hostProgram(prog)
 	m := s.mach
 	if m == nil || s.machParams != s.LogP ||
 		s.machPolicy != s.Policy || s.machStrict != s.StrictStallFree {
@@ -201,11 +188,40 @@ func (s *BSPOnLogP) Run(prog bsp.Program) (Thm2Result, error) {
 	} else {
 		m.SetSeed(s.Seed)
 	}
-	hostRes, err := m.Run(func(lp logp.Proc) {
+	hostRes, err := m.Run(host)
+	return s.result(hostRes), err
+}
+
+// hostProgram readies the cached simulation for one run of prog and
+// returns the LogP program every host processor executes: its pooled
+// adapter runs prog, then finish keeps it in the barriers until all
+// processors are done. Any logp.Proc substrate may run it, once.
+func (s *BSPOnLogP) hostProgram(prog bsp.Program) logp.Program {
+	sim := s.sim
+	if sim == nil || sim.lp != s.LogP {
+		sim = &bspSim{
+			spec:     s,
+			lp:       s.LogP,
+			guest:    s.guestParams(),
+			steps:    map[int]*stepState{},
+			capacity: s.LogP.Capacity(),
+			adapters: make([]*bspAdapter, s.LogP.P),
+		}
+		s.sim = sim
+	} else {
+		sim.reset(s)
+	}
+	return func(lp logp.Proc) {
 		a := sim.adapter(lp)
 		prog(a)
 		a.finish()
-	})
+	}
+}
+
+// result collects the Thm2Result of the host run of hostProgram that
+// reported hostRes.
+func (s *BSPOnLogP) result(hostRes logp.Result) Thm2Result {
+	sim := s.sim
 	res := Thm2Result{
 		HostTime:       hostRes.Time,
 		Host:           hostRes,
@@ -215,13 +231,10 @@ func (s *BSPOnLogP) Run(prog bsp.Program) (Thm2Result, error) {
 		Breakdown:      sim.breakdowns,
 	}
 	for _, c := range sim.guestCosts {
-		res.GuestTime += c.Time(guest)
+		res.GuestTime += c.Time(sim.guest)
 		res.Supersteps++
 	}
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	return res
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -303,7 +316,10 @@ type stepState struct {
 	h        int64 // degree of the routed relation
 	maxOut   int64
 	indeg    []int64
-	classOf  [][]int // offline: routing cycle of each routed item
+	// classOf[i][j] is the off-line routing cycle of outRouted[i][j]
+	// (ensureDecomposition). Its table of p slices is kept for the next
+	// superstep.
+	classOf [][]int
 
 	// Host-side phase maxima across processors, for the breakdown.
 	computeMax  int64
@@ -343,7 +359,8 @@ func (st *stepState) reset() {
 	st.metaDone = false
 	st.h, st.maxOut = 0, 0
 	st.indeg = st.indeg[:0]
-	st.classOf = nil
+	clear(st.classOf) // drop the previous decomposition's classes
+	st.classOf = st.classOf[:0]
 	st.computeMax, st.barrierMax, st.routeMax, st.measuredMax = 0, 0, 0, 0
 }
 
@@ -418,29 +435,34 @@ func (st *stepState) ensureMeta(p int) {
 	st.metaDone = true
 }
 
-// ensureDecomposition computes the off-line Hall decomposition.
+// ensureDecomposition computes the off-line Hall decomposition once
+// per superstep. The pairs are listed processor by processor, so the
+// classes DecomposeIndexed returns, one per pair in order, hold each
+// processor's run in turn, and classOf carves them into one slice per
+// processor.
 func (st *stepState) ensureDecomposition(p int) {
 	st.ensureMeta(p)
-	if st.classOf != nil || st.h == 0 {
+	if len(st.classOf) != 0 || st.h == 0 {
 		return
 	}
-	rel := relation.Relation{P: p}
-	var owners []struct{ proc, idx int }
+	n := 0
 	for i := 0; i < p; i++ {
-		for j, m := range st.outRouted[i] {
+		n += len(st.outRouted[i])
+	}
+	rel := relation.Relation{P: p, Pairs: make([]relation.Pair, 0, n)}
+	for i := 0; i < p; i++ {
+		for _, m := range st.outRouted[i] {
 			rel.Pairs = append(rel.Pairs, relation.Pair{Src: i, Dst: m.Dst})
-			owners = append(owners, struct{ proc, idx int }{i, j})
 		}
 	}
 	classes, _ := relation.DecomposeIndexed(rel)
-	st.classOf = make([][]int, p)
+	classOf := slices.Grow(st.classOf[:0], p)
 	for i := 0; i < p; i++ {
-		st.classOf[i] = make([]int, len(st.outRouted[i]))
+		k := len(st.outRouted[i])
+		classOf = append(classOf, classes[:k:k])
+		classes = classes[k:]
 	}
-	for k, c := range classes {
-		o := owners[k]
-		st.classOf[o.proc][o.idx] = c
-	}
+	st.classOf = classOf
 }
 
 // recordPhases folds one processor's measured superstep phase spans
@@ -528,7 +550,10 @@ type bspAdapter struct {
 	// reclaims it after draining the superstep's arrivals into the
 	// inbox. Until deliverWindowed fills it, the sorting networks and
 	// computeS receive their runs of messages into it (recvBuf).
-	gotBuf []logp.Message
+	// sendBuf holds the sorting networks' outgoing blocks (sendBlock),
+	// which SendFrom reads until the next call that returns a value.
+	gotBuf  []logp.Message
+	sendBuf []logp.Message
 }
 
 var _ bsp.Proc = (*bspAdapter)(nil)
@@ -634,6 +659,17 @@ func (a *bspAdapter) recvBuf(n int) []logp.Message {
 	return a.gotBuf[:n]
 }
 
+// sendBlock returns sendBuf resliced to n messages, for a sorting
+// network to fill with one block and submit by SendFrom. Each exchange
+// calls something that returns a value before it builds the next
+// block, so the engine has read the previous one by then.
+func (a *bspAdapter) sendBlock(n int) []logp.Message {
+	if cap(a.sendBuf) < n {
+		a.sendBuf = make([]logp.Message, n)
+	}
+	return a.sendBuf[:n]
+}
+
 // recvTagSeq receives the next n messages with the given tag and Aux
 // sequence stamp into recvBuf(n), by one RecvAllWhere: the block
 // exchanges issue nothing between these receives, so the engine
@@ -717,39 +753,48 @@ func (a *bspAdapter) deliverWindowed(sched []*bsp.Message, base int64, dtag int3
 	h := int64(len(sched))
 	match := func(m logp.Message) bool { return m.Tag == dtag }
 	got := a.mb.TakeMatchingInto(match, a.gotBuf[:0])
-	classify := func(m logp.Message) {
-		if match(m) {
-			got = append(got, m)
-		} else {
-			a.mb.Hold(m)
-		}
+	// Messages are received into got's spare capacity, and the
+	// mailbox's KeepMatching then holds the ones of other phases. At
+	// most h arrivals match, so room for exactly h+1 more leaves every
+	// poll a free slot without growing got past what its matches need.
+	if need := len(got) + len(sched) + 1; cap(got) < need {
+		got = append(make([]logp.Message, 0, need), got...)
 	}
+	// An opportunistic acquisition at r holds the combined
+	// per-processor gap until r+G and the local clock until r+o, so it
+	// is admissible only while both leave the next pinned submission on
+	// its grid slot: while the clock is at most that slot minus margin.
+	margin := max(2*params.O, params.G)
 	for c, item := range sched {
 		slot := base + int64(c+1)*params.G
 		if item != nil {
 			lp.WaitUntil(slot - params.O)
 			lp.SendBody(item.Dst, dtag, item.Payload, item.Aux, item)
 		}
-		next := slot + params.G
-		// An opportunistic acquisition at r holds the combined
-		// per-processor gap until r+G and the local clock until r+o,
-		// so it is admissible only while both leave the next pinned
-		// submission on its grid slot.
-		margin := 2 * params.O
-		if params.G > margin {
-			margin = params.G
-		}
-		for lp.Buffered() > 0 && lp.Now()+margin <= next {
-			if m, ok := lp.TryRecv(); ok {
-				classify(m)
+		// Poll while anything has arrived, again if the poll filled
+		// the spare capacity.
+		for {
+			from := len(got)
+			spare := got[from:cap(got)]
+			n := lp.TryRecvInto(spare, slot+params.G-margin)
+			got = a.mb.KeepMatching(got[:from+n], from, match)
+			if n < len(spare) {
+				break
 			}
+			got = slices.Grow(got, 1)
 		}
 	}
 	clear(sched)
 	deadline := base + h*params.G + params.L
 	lp.WaitUntil(deadline)
-	for lp.Buffered() > 0 {
-		classify(lp.Recv())
+	// Drain what has arrived. All k buffered messages arrived by the
+	// clock, so a RecvInto of k acquires exactly what k turns of
+	// Buffered and Recv would. Acquiring moves the clock, so ask again.
+	for k := lp.Buffered(); k > 0; k = lp.Buffered() {
+		from := len(got)
+		got = slices.Grow(got, k)[:from+k]
+		lp.RecvInto(got[from:])
+		got = a.mb.KeepMatching(got, from, match)
 	}
 	return got
 }

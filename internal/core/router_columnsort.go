@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/bsp"
+	"repro/internal/logp"
 	"repro/internal/relation"
 	"repro/internal/sortnet"
 )
@@ -194,11 +195,11 @@ func (a *bspAdapter) columnsortSort(items []*bsp.Message) ([]*bsp.Message, int64
 	half := rp / 2
 	seqA := a.mb.NextSeq(tagNeigh)
 	if id < p-1 {
-		for k := 0; k < half; k++ {
-			slot := t2 + int64(k+1)*params.G
-			lp.WaitUntil(slot - params.O)
-			lp.SendBody(id+1, tagNeigh, int64(k), seqA, items[half+k])
+		block := a.sendBlock(half)
+		for k := range block {
+			block[k] = logp.Message{Dst: id + 1, Tag: tagNeigh, Payload: int64(k), Aux: seqA, Body: items[half+k]}
 		}
+		a.sendOnGrid(block, t2)
 	}
 	theirs, window := buf[:half], buf[half:half+rp]
 	if id > 0 {
@@ -214,11 +215,11 @@ func (a *bspAdapter) columnsortSort(items []*bsp.Message) ([]*bsp.Message, int64
 	lp.WaitUntil(t3)
 	seqB := a.mb.NextSeq(tagNeigh)
 	if id > 0 {
-		for k := 0; k < half; k++ {
-			slot := t3 + int64(k+1)*params.G
-			lp.WaitUntil(slot - params.O)
-			lp.SendBody(id-1, tagNeigh, int64(k), seqB, window[k])
+		block := a.sendBlock(half)
+		for k := range block {
+			block[k] = logp.Message{Dst: id - 1, Tag: tagNeigh, Payload: int64(k), Aux: seqB, Body: window[k]}
 		}
+		a.sendOnGrid(block, t3)
 	}
 	if id < p-1 {
 		// The returned lower half of the neighbor's merged window is
@@ -244,44 +245,59 @@ func (a *bspAdapter) checkPhase(start int64, phase string) {
 	}
 }
 
+// sendOnGrid submits block[c] in cycle c's grid slot base + (c+1)*G,
+// as a WaitUntil(slot - o) before each SendBody would, skipping the
+// cycles whose entry has Dst -1. Within a run of consecutive cycles
+// the gap alone keeps each submission on or after its slot: a Send
+// submits at least G after the previous one, which was on or after
+// the previous slot. So only a run's first Send waits for its slot,
+// and the run goes out by one SendFrom, submitted at the same instants
+// (each Send commits earlier, so message ids may be numbered in
+// another order).
+func (a *bspAdapter) sendOnGrid(block []logp.Message, base int64) {
+	params := a.lp.Params()
+	for c := 0; c < len(block); {
+		if block[c].Dst < 0 {
+			c++
+			continue
+		}
+		end := c + 1
+		for end < len(block) && block[end].Dst >= 0 {
+			end++
+		}
+		a.lp.WaitUntil(base + int64(c+1)*params.G - params.O)
+		a.lp.SendFrom(block[c:end])
+		c = end
+	}
+}
+
 // runExchange realizes one precomputed redistribution of the r items
 // into dst: element idx is transmitted in its Hall-decomposition cycle
 // and lands at its destination slot. Every processor sends and
 // receives exactly r items.
 func (a *bspAdapter) runExchange(dst, items []*bsp.Message, hops []schedHop, base int64) {
-	lp := a.lp
-	id := lp.ID()
-	params := lp.Params()
-	r := len(items)
-	// A nil slot of dst is one not yet filled.
+	id := a.lp.ID()
+	// A nil slot of dst is one not yet filled; a cycle's block entry
+	// keeps Dst -1 if no element goes out in it.
 	clear(dst)
-	byCycle := make([]int, r) // cycle -> element index
-	for i := range byCycle {
-		byCycle[i] = -1
+	block := a.sendBlock(len(items))
+	for c := range block {
+		block[c] = logp.Message{Dst: -1}
 	}
-	expect := r
+	seq := a.mb.NextSeq(tagSort)
+	expect := len(items)
 	for idx, hop := range hops {
 		if hop.dst == id {
 			dst[hop.dstIdx] = items[idx]
 			expect--
 			continue
 		}
-		if byCycle[hop.cycle] != -1 {
+		if block[hop.cycle].Dst != -1 {
 			panic("core: two elements share an exchange cycle (bug)")
 		}
-		byCycle[hop.cycle] = idx
+		block[hop.cycle] = logp.Message{Dst: hop.dst, Tag: tagSort, Payload: int64(hop.dstIdx), Aux: seq, Body: items[idx]}
 	}
-	seq := a.mb.NextSeq(tagSort)
-	for c := 0; c < r; c++ {
-		idx := byCycle[c]
-		if idx < 0 {
-			continue
-		}
-		hop := hops[idx]
-		slot := base + int64(c+1)*params.G
-		lp.WaitUntil(slot - params.O)
-		lp.SendBody(hop.dst, tagSort, int64(hop.dstIdx), seq, items[idx])
-	}
+	a.sendOnGrid(block, base)
 	got := a.recvTagSeq(tagSort, seq, expect)
 	for i := range got {
 		slot := got[i].Payload

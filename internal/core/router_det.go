@@ -219,9 +219,11 @@ func (a *bspAdapter) bitonicSort(items []*bsp.Message) int64 {
 			panic(fmt.Sprintf("core: processor %d missing from bitonic round (bug)", id))
 		}
 		seq := a.mb.NextSeq(tagSort)
-		for _, item := range items {
-			lp.SendBody(partner, tagSort, int64(item.Dst), seq, item)
+		block := a.sendBlock(r)
+		for k, item := range items {
+			block[k] = logp.Message{Dst: partner, Tag: tagSort, Payload: int64(item.Dst), Aux: seq, Body: item}
 		}
+		lp.SendFrom(block)
 		// The partner's block lands in scratch; the merge-split writes
 		// the kept half beside it and copies it back over items. The
 		// host merge is O(r) whenever the block arrived in send order;

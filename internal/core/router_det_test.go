@@ -34,11 +34,24 @@ func regularProgram(p, h int) bsp.Program {
 // deterministic router with the bitonic network at p = 64: the layer
 // whose per-round merge-split the router charges as Compute(2r).
 func BenchmarkBSPOnLogPDeterministic(b *testing.B) {
+	benchBSPOnLogP(b, RouterDeterministic, SortBitonic)
+}
+
+// BenchmarkBSPOnLogPOffline times one warm run of the Section 4.2
+// off-line router at p = 64: the Hall decomposition and Step 4's
+// pipelined delivery with its opportunistic polls.
+func BenchmarkBSPOnLogPOffline(b *testing.B) {
+	benchBSPOnLogP(b, RouterOffline, SortAuto)
+}
+
+// benchBSPOnLogP times warm runs of one router on a random regular
+// h-relation at p = 64, L = 16, o = 1, G = 2, for h = 4 and h = 32.
+func benchBSPOnLogP(b *testing.B, router Router, sort SortAlgo) {
 	const p = 64
 	for _, h := range []int{4, 32} {
 		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
 			sim := &BSPOnLogP{LogP: logp.Params{P: p, L: 16, O: 1, G: 2},
-				Router: RouterDeterministic, Sort: SortBitonic, Seed: 1, StrictStallFree: true}
+				Router: router, Sort: sort, Seed: 1, StrictStallFree: true}
 			prog := regularProgram(p, h)
 			if _, err := sim.Run(prog); err != nil {
 				b.Fatal(err)

@@ -2,6 +2,7 @@ package logp
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -119,8 +120,8 @@ func TestRunScriptSteadyStateAllocGuard(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewMachine(lp)
 			avg := measureSteadyAllocs(t, m, tc.sc)
-			if m.deferred != nil || m.recvInto != nil {
-				t.Errorf("RunScript allocated the Program batch or RecvInto table (%d, %d slots)", len(m.deferred), len(m.recvInto))
+			if m.deferred != nil || m.openRuns != nil {
+				t.Errorf("RunScript allocated the Program batch or run table (%d, %d slots)", len(m.deferred), len(m.openRuns))
 			}
 			// The one structural allocation is Result.ProcTimes: it
 			// escapes to the caller, so every Run builds a fresh []int64.
@@ -142,31 +143,49 @@ func TestRunScriptSteadyStateAllocsReported(t *testing.T) {
 	t.Log(fmt.Sprintf("seq ring: %.1f allocs/run", avg))
 }
 
-// guardRingProgram is guardRingScript as a Program: every processor
-// sends rounds messages around the ring, then drains as many.
-func guardRingProgram(rounds int) Program {
-	return func(p Proc) {
-		next := (p.ID() + 1) % p.P()
-		for k := 0; k < rounds; k++ {
-			p.Send(next, int32(k), int64(p.ID()), 0)
+// guardRingProgram is guardRingScript as a Program with the run
+// operations beside the plain loops: every processor sends 2*rounds
+// messages around the ring, rounds by Send, so at 30 rounds the batch
+// crosses full, and rounds by one SendFrom, then drains as many,
+// rounds by Recv, then by a TryRecvInto of what is buffered and a
+// RecvInto of the rest. The SendFrom messages and the receive
+// destinations are built once, for every Run.
+func guardRingProgram(p, rounds int) Program {
+	src := make([][]Message, p)
+	dst := make([][]Message, p)
+	for id := range src {
+		src[id] = make([]Message, rounds)
+		for k := range src[id] {
+			src[id][k] = Message{Dst: (id + 1) % p, Tag: int32(rounds + k), Payload: int64(id)}
 		}
+		dst[id] = make([]Message, rounds)
+	}
+	return func(pr Proc) {
+		id := pr.ID()
+		next := (id + 1) % pr.P()
 		for k := 0; k < rounds; k++ {
-			p.Recv()
+			pr.Send(next, int32(k), int64(id), 0)
 		}
+		pr.SendFrom(src[id])
+		for k := 0; k < rounds; k++ {
+			pr.Recv()
+		}
+		n := pr.TryRecvInto(dst[id], math.MaxInt64)
+		pr.RecvInto(dst[id][n:])
 	}
 }
 
 // TestProgramRunSteadyStateAllocGuard pins a warm Machine.Run's
 // allocation: the same count at 3 rounds as at 30, so nothing on the
-// per-message path allocates (the batch table included), and no more
-// than 12 objects per processor, all from starting its coroutine
-// (iter.Pull and sequence's closure), plus Result.ProcTimes.
+// per-message path allocates (the batch and run tables included), and
+// no more than 12 objects per processor, all from starting its
+// coroutine (iter.Pull and sequence's closure), plus Result.ProcTimes.
 func TestProgramRunSteadyStateAllocGuard(t *testing.T) {
 	const p = 64
 	const programRunAllocs = 12*p + 1
 	m := NewMachine(Params{P: p, L: 32, O: 2, G: 4})
 	count := func(rounds int) float64 {
-		prog := guardRingProgram(rounds)
+		prog := guardRingProgram(p, rounds)
 		if _, err := m.Run(prog); err != nil {
 			t.Fatal(err)
 		}

@@ -167,11 +167,11 @@ type Machine struct {
 	// popped, so a Body does not outlive its message.
 	deferred []ScriptOp
 
-	// recvInto holds, per processor id, the part of a Program's RecvInto
-	// destination still to fill (see resume); nil when none is open.
-	// Like deferred it is sized for Run only, and shutdown empties it,
-	// so a slice does not outlive its Run.
-	recvInto [][]Message
+	// openRuns holds, per processor id, a Program's open SendFrom and
+	// receive runs (see procRun and resume). Like deferred it is sized
+	// for Run only, and shutdown empties it, so a slice does not outlive
+	// its Run.
+	openRuns []procRun
 
 	// arena backs every proc record (see arena.go): chunked slabs
 	// reset wholesale between Runs, so a warm machine's startup sweep
@@ -277,8 +277,8 @@ type Machine struct {
 // failed Run never leaks a parked program into the caller's world (or
 // into this machine's next Run). A RunScript's Script is dropped too,
 // and so is the last answer's pointer into the message slab, and so
-// are the operations and the RecvInto destination a failed Run left
-// with a program.
+// are the operations and the open runs a failed Run left with a
+// program.
 //
 //hot:cold per-Run epilogue
 func (m *Machine) shutdown() {
@@ -288,7 +288,7 @@ func (m *Machine) shutdown() {
 			if p.dlen != 0 {
 				clear(m.deferred[p.id*deferCap:][:deferCap])
 			}
-			m.recvInto[p.id] = nil
+			m.openRuns[p.id] = procRun{}
 		}
 	}
 	m.script = nil
@@ -585,7 +585,7 @@ func (m *Machine) reset() {
 	}
 	if m.script == nil && len(m.deferred) != p*deferCap {
 		m.deferred = make([]ScriptOp, p*deferCap)
-		m.recvInto = make([][]Message, p)
+		m.openRuns = make([]procRun, p)
 	}
 	m.events.reset(m.params.L)
 	m.ready.Reset()
@@ -794,24 +794,34 @@ func (m *Machine) await(p *proc, msg *Message, ok bool, n int64) {
 // in its batch. Only a spent batch resumes the coroutine, which reads
 // the answer to the batch's last operation — the only one that can need
 // one — from m.ansMsg, m.ansOK and m.ansN, the message in place; every
-// earlier answer is a Send's, which carries nothing. A batch that ends
-// in a RecvInto's Recv is spent only once its destination is full: each
-// acquisition is copied into the destination and the Recv parked
-// again, as the program's loop of Recv would have issued it. Compute
-// and WaitUntil are applied to the clock as the program side applies
-// them with an empty batch; any other operation is parked for exec. So
-// each operation is performed alone, at the point of the commit loop
-// where an unbatched program would have issued it.
+// earlier answer is a Send's, which carries nothing. Compute and
+// WaitUntil are applied to the clock as the program side applies them
+// with an empty batch; any other operation is parked for exec. So each
+// operation is performed alone, at the point of the commit loop where
+// an unbatched program would have issued it.
+//
+// The runs in m.openRuns are loops that issue nothing between their
+// operations, so resume issues each operation in the loop's place: a
+// SendFrom's batch entry parks its run's Sends one at a time before the
+// batch goes on, and a batch that ends in a RecvInto's Recv or a
+// TryRecvInto's Buffered is spent only once that loop would stop (see
+// recvRun), answering with the number of messages it stored.
 func (m *Machine) resume(p *proc, msg *Message, ok bool, n int64) {
+	run := &m.openRuns[p.id]
+	if run.sent != 0 {
+		if run.sent < len(run.send) {
+			m.parkRunSend(p, run)
+			return
+		}
+		run.send, run.sent = nil, 0
+	}
 	if p.dlen == 0 {
-		if dst := m.recvInto[p.id]; len(dst) != 0 {
-			dst[0] = *msg
-			if len(dst) > 1 {
-				// p.pending still holds the Recv exec just performed.
-				m.recvInto[p.id] = dst[1:]
+		if run.recv != nil {
+			if m.recvRun(p, run, msg, ok, n) {
 				return
 			}
-			m.recvInto[p.id] = nil
+			msg, ok, n = &noMsg, false, int64(run.n)
+			run.recv, run.n = nil, 0
 		}
 		m.ansMsg, m.ansOK, m.ansN = msg, ok, n
 		p.next()
@@ -827,6 +837,10 @@ func (m *Machine) resume(p *proc, msg *Message, ok bool, n int64) {
 			p.clock += op.N
 		case ScriptWait:
 			p.clock = max(p.clock, op.N)
+		case scriptSendRun:
+			*op = ScriptOp{}
+			m.parkRunSend(p, run)
+			return
 		default:
 			p.pending = *op
 			*op = ScriptOp{}
@@ -839,6 +853,44 @@ func (m *Machine) resume(p *proc, msg *Message, ok bool, n int64) {
 			p.next()
 		}
 	}
+}
+
+// parkRunSend parks the next Send of p's SendFrom run.
+func (m *Machine) parkRunSend(p *proc, run *procRun) {
+	s := &run.send[run.sent]
+	run.sent++
+	p.pending = ScriptOp{Kind: ScriptSend, Dst: s.Dst, Tag: s.Tag, Payload: s.Payload, Aux: s.Aux, Body: s.Body}
+}
+
+// recvRun takes the answer to the operation of p's receive run that
+// exec just performed, the one p.pending still holds, and reports
+// whether the run goes on, its next operation parked. A RecvInto
+// stores each acquisition and parks its Recv again until dst is full.
+// A TryRecvInto goes on from a Buffered to a TryRecv while a message is
+// buffered and the clock has not passed until, and from a TryRecv,
+// storing what it acquired, to the next Buffered while dst has room.
+func (m *Machine) recvRun(p *proc, run *procRun, msg *Message, ok bool, n int64) bool {
+	switch p.pending.Kind {
+	case ScriptRecv:
+		run.recv[run.n] = *msg
+		run.n++
+		return run.n < len(run.recv)
+	case ScriptBuffered:
+		if n > 0 && p.clock <= run.until {
+			p.pending.Kind = ScriptTryRecv
+			return true
+		}
+	case ScriptTryRecv:
+		if ok {
+			run.recv[run.n] = *msg
+			run.n++
+		}
+		if run.n < len(run.recv) {
+			p.pending.Kind = ScriptBuffered
+			return true
+		}
+	}
+	return false
 }
 
 // failProc records err, processor p's failure at its current clock, as

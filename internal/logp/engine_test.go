@@ -308,7 +308,8 @@ func TestTryRecvPolls(t *testing.T) {
 
 // TestRecvIntoEmptyDoesNotCross pins that a RecvInto of no messages
 // performs nothing: the Send before it stays in the batch instead of
-// crossing into the engine, as a Recv would make it.
+// crossing into the engine, as a Recv would make it. So do a SendFrom
+// and a TryRecvInto of none, whose loops would issue nothing either.
 func TestRecvIntoEmptyDoesNotCross(t *testing.T) {
 	params := Params{P: 2, L: 8, O: 1, G: 2}
 	run(t, params, func(p Proc) {
@@ -318,14 +319,18 @@ func TestRecvIntoEmptyDoesNotCross(t *testing.T) {
 		}
 		p.Send(1, 0, 1, 0)
 		p.RecvInto(nil)
+		p.SendFrom(nil)
+		if n := p.TryRecvInto(make([]Message, 0, 1), 100); n != 0 {
+			panic(fmt.Sprintf("TryRecvInto of no room stored %d messages", n))
+		}
 		if n := p.(*proc).dlen; n != 1 {
-			panic(fmt.Sprintf("RecvInto(nil) left %d operations batched, want the Send's 1", n))
+			panic(fmt.Sprintf("empty runs left %d operations batched, want the Send's 1", n))
 		}
 	})
 }
 
 // TestRecvIntoDeadlockLeavesNoSlice checks that shutdown empties the
-// machine's table of open RecvInto destinations, so a program's slice
+// machine's table of open runs, so a program's RecvInto destination
 // does not outlive a Run that deadlocked inside its RecvInto. (The
 // deadlock's report is held to the reference's in
 // TestEngineMatchesReferenceOnErrors.)
@@ -342,9 +347,9 @@ func TestRecvIntoDeadlockLeavesNoSlice(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("Run error %v, want a deadlock", err)
 	}
-	for id, dst := range m.recvInto {
-		if dst != nil {
-			t.Fatalf("processor %d's RecvInto destination (%d left) outlived the Run", id, len(dst))
+	for id, run := range m.openRuns {
+		if run.recv != nil {
+			t.Fatalf("processor %d's RecvInto destination (%d of %d stored) outlived the Run", id, run.n, len(run.recv))
 		}
 	}
 }

@@ -13,27 +13,32 @@ import (
 
 // fuzzOp is one decoded instruction of a generated processor script.
 type fuzzOp struct {
-	kind byte // 0 compute, 1 waituntil, 2 send, 3 tryrecv, 4 buffered
+	kind byte // 0 compute, 1 waituntil, 2 send, 3 tryrecv, 4 buffered, 5 sendfrom, 6 tryrecvinto
 	a, b int64
 	dst  int
+	msgs []logp.Message // sendfrom's run
 }
 
 // decodeFuzzProgram turns raw fuzz bytes into a guaranteed-terminating
 // Program: each processor executes a bounded script of local work,
-// idling (relative to Now, or until an absolute instant), sends,
-// polls, and buffer queries, then drains exactly its in-degree with
-// blocking receives: RecvInto runs of 0 to 6 messages whose lengths
-// come from the script's bytes, a Compute after each, and one run of
-// whatever remains once the script's lengths are used up. Every send
-// eventually completes (the Stalling Rule resolves by time passing, not
-// by receiver action) and every drain target is met, so the program
-// terminates under any admissible execution — the property that lets
-// the differential harness compare complete runs. Received payloads
-// feed back into Compute amounts so the interleaving is data-dependent,
+// idling (relative to Now, or until an absolute instant), sends, runs
+// of 0 to 2*DeferCap+1 sends by one SendFrom, polls, TryRecvInto polls
+// of 0 to 4 messages until an absolute instant (often already past),
+// and buffer queries, then drains exactly its in-degree with blocking
+// receives: RecvInto runs of 0 to 6 messages whose lengths come from
+// the script's bytes, a Compute after each, and one run of whatever
+// remains once the script's lengths are used up. Every send eventually
+// completes (the Stalling Rule resolves by time passing, not by
+// receiver action), every TryRecvInto stops once its clock passes its
+// instant, and every drain target is met, so the program terminates
+// under any admissible execution — the property that lets the
+// differential harness compare complete runs. Received payloads feed
+// back into Compute amounts so the interleaving is data-dependent,
 // exercising the engine's run-ahead in input-sensitive programs. The
-// reference and the ProgramAsScript bridge receive each run as a plain
-// loop of Recv, so the comparison checks the engine's one-crossing
-// RecvInto against that loop.
+// reference and the ProgramAsScript bridge perform SendFrom, RecvInto
+// and TryRecvInto as plain loops of SendBody, of Recv, and of Buffered,
+// Now and TryRecv, so the comparison checks the engine's one-crossing
+// runs against those loops.
 func decodeFuzzProgram(data []byte) (logp.Program, int) {
 	if len(data) < 2 {
 		return nil, 0
@@ -46,11 +51,19 @@ func decodeFuzzProgram(data []byte) (logp.Program, int) {
 	// of the input shapes every script.
 	proc := 0
 	for len(data) >= 3 {
-		op := fuzzOp{kind: data[0] % 5, a: int64(data[1]), b: int64(data[2])}
+		op := fuzzOp{kind: data[0] % 7, a: int64(data[1]), b: int64(data[2])}
 		if len(scripts[proc]) < 24 { // bounded scripts keep cases fast
-			if op.kind == 2 {
-				op.dst = (proc + 1 + int(data[1])%(p-1)) % p // never self
+			switch op.kind {
+			case 2:
+				op.dst = (proc + 1 + int(op.a)%(p-1)) % p // never self
 				inDeg[op.dst]++
+			case 5:
+				op.msgs = make([]logp.Message, op.a%(2*logp.DeferCap+2))
+				for k := range op.msgs {
+					dst := (proc + 1 + (int(op.b)+k)%(p-1)) % p
+					op.msgs[k] = logp.Message{Dst: dst, Tag: int32(k % 4), Payload: op.b + int64(k), Aux: op.a, Body: k}
+					inDeg[dst]++
+				}
 			}
 			scripts[proc] = append(scripts[proc], op)
 		}
@@ -59,6 +72,7 @@ func decodeFuzzProgram(data []byte) (logp.Program, int) {
 	}
 	prog := func(pr logp.Proc) {
 		got := 0
+		var polled [4]logp.Message
 		for _, op := range scripts[pr.ID()] {
 			switch op.kind {
 			case 0:
@@ -80,6 +94,14 @@ func decodeFuzzProgram(data []byte) (logp.Program, int) {
 				}
 			case 4:
 				pr.Compute(int64(pr.Buffered()%3) + 1)
+			case 5:
+				pr.SendFrom(op.msgs)
+			case 6:
+				n := pr.TryRecvInto(polled[:op.a%5], op.b%64)
+				got += n
+				for _, m := range polled[:n] {
+					pr.Compute(1 + m.Payload%5)
+				}
 			}
 		}
 		script, need := scripts[pr.ID()], inDeg[pr.ID()]
@@ -198,6 +220,16 @@ func mustMatch(t *testing.T, label string, want, got observation) {
 	}
 }
 
+// singleKinds reduces each op's kind byte in seed mod 5, so the
+// seed's ops stay among the five single-message kinds (compute,
+// waituntil, send, tryrecv, buffered), and returns seed.
+func singleKinds(seed []byte) []byte {
+	for i := 1; i < len(seed); i += 3 {
+		seed[i] %= 5
+	}
+	return seed
+}
+
 // fuzzSeed derives a run seed from the fuzz input.
 func fuzzSeed(data []byte) uint64 {
 	h := fnv.New64a()
@@ -258,18 +290,18 @@ func checkProgramMatchesReference(t *testing.T, prog logp.Program, p int, seed u
 func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 2, 0, 0, 2, 1, 3, 2, 2, 2})
-	// Dense senders: every third op is a send, driving stalls.
+	// The five single-message kinds in turn on four processors.
 	dense := make([]byte, 64)
 	for i := range dense {
 		dense[i] = byte(i*7 + 2)
 	}
-	f.Add(dense)
+	f.Add(singleKinds(dense))
 	// Poll-heavy: TryRecv and Buffered interleaved with sparse sends.
 	poll := make([]byte, 48)
 	for i := range poll {
 		poll[i] = byte((i % 5) * 3)
 	}
-	f.Add(poll)
+	f.Add(singleKinds(poll))
 	// All-compute run-ahead: no communication at all on some procs.
 	f.Add([]byte{2, 0, 9, 9, 0, 4, 4, 1, 8, 8, 2, 5, 5})
 	// Batches that fill: twelve consecutive Sends on each of two
@@ -283,7 +315,7 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	mixed := []byte{2}
 	for i := range 48 {
 		if i%4 == 0 {
-			mixed = append(mixed, 7, byte(i), byte(i))
+			mixed = append(mixed, 2, byte(i), byte(i))
 		} else {
 			mixed = append(mixed, byte(i%5), byte(5*i), byte(i))
 		}
@@ -300,6 +332,28 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		}
 		f.Add(full)
 	}
+	// SendFrom runs of DeferCap-1, DeferCap and 2*DeferCap+1 messages
+	// behind a Send, back to back, and followed by local work, with
+	// TryRecvInto polls between them whose instants lie behind and
+	// ahead of the clock. Each instruction is repeated for each of the
+	// three processors, so every one runs the same script.
+	runs := []byte{1}
+	for i, n := range []int{logp.DeferCap - 1, logp.DeferCap, 2*logp.DeferCap + 1} {
+		for _, op := range [][3]byte{
+			{2, byte(i), byte(i)},
+			{5, byte(n), byte(i)},
+			{5, byte(n), byte(2*i + 1)},
+			{6, 4, byte(10 * i)},
+			{0, byte(i), 0},
+			{6, byte(i + 1), 63},
+			{5, byte(n + 1), byte(i)},
+		} {
+			for range 3 {
+				runs = append(runs, op[:]...)
+			}
+		}
+	}
+	f.Add(runs)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -314,8 +368,10 @@ func FuzzEngineMatchesReference(f *testing.F) {
 func TestFastPathEquivalenceCorpus(t *testing.T) {
 	cases := [][]byte{
 		{0, 2, 1, 1, 2, 3, 3, 0, 5, 5, 4, 2, 2, 2, 9, 9},
-		{1, 7, 7, 7, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
-		{2, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6},
+		{1, 2, 7, 7, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
+		{2, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 4, 7, 9, 3, 2, 3, 3, 4, 6},
+		// SendFrom runs and TryRecvInto polls.
+		{1, 5, 17, 3, 6, 4, 9, 5, 8, 2, 6, 3, 40, 2, 1, 1, 6, 2, 0, 5, 9, 5, 0, 3, 3, 6, 4, 63},
 	}
 	for _, data := range cases {
 		checkEngineMatchesReference(t, data)
@@ -326,9 +382,12 @@ func TestFastPathEquivalenceCorpus(t *testing.T) {
 // exercise a Program's batch to the reference, through
 // checkProgramMatchesReference: Sends that fill the batch more than
 // once, local work and a Now whose clock the Sends batched before them
-// decide, batches ended by TryRecv and by Buffered, and a return
-// straight out of a batch. The fuzzed programs reach only some of
-// these: their WaitUntil reads Now first, which crosses.
+// decide, batches ended by TryRecv and by Buffered, a return straight
+// out of a batch, SendFrom runs longer than a batch and back to back,
+// a SendFrom that panics at an invalid destination, and TryRecvInto
+// polls that stop on each of their conditions. The fuzzed programs
+// reach only some of these: their WaitUntil reads Now first, which
+// crosses.
 func TestBatchedProgramsMatchReference(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -402,6 +461,93 @@ func TestBatchedProgramsMatchReference(t *testing.T) {
 			got := make([]logp.Message, 2)
 			p.RecvInto(got)
 			p.Compute(got[0].Payload + got[1].Payload)
+		}},
+		{"sendfrom-longer-than-batch", 2, func(p logp.Proc) {
+			// One SendFrom of more messages than a batch holds, then a
+			// RecvInto: the run's entry and the Recv cross together.
+			n := 2*logp.DeferCap + 1
+			src := make([]logp.Message, n)
+			for k := range src {
+				src[k] = logp.Message{Dst: 1 - p.ID(), Tag: int32(k % 4), Payload: int64(k), Aux: int64(p.ID()), Body: k}
+			}
+			p.SendFrom(src)
+			got := make([]logp.Message, n)
+			p.RecvInto(got)
+			for _, m := range got {
+				p.Compute(1 + m.Payload%3 + int64(m.Body.(int)))
+			}
+		}},
+		{"sendfrom-back-to-back", 3, func(p logp.Proc) {
+			// Behind a Send, two SendFroms back to back and a third after
+			// local work, all before any answer: each SendFrom with one
+			// still open crosses for it first. A SendFrom of nothing in
+			// between adds nothing.
+			next := (p.ID() + 1) % p.P()
+			a := []logp.Message{{Dst: next, Payload: 1}, {Dst: next, Payload: 2}, {Dst: next, Payload: 3}}
+			b := []logp.Message{{Dst: next, Tag: 1, Payload: 4}, {Dst: next, Tag: 1, Payload: 5}}
+			c := []logp.Message{{Dst: next, Tag: 2, Payload: 6}}
+			p.Send(next, 3, 0, 0)
+			p.SendFrom(a)
+			p.SendFrom(b)
+			p.Compute(2)
+			p.WaitUntil(30)
+			p.SendFrom(nil)
+			p.SendFrom(c)
+			p.Send(next, 3, 7, 0)
+			got := make([]logp.Message, 8)
+			p.RecvInto(got)
+			for _, m := range got {
+				p.Compute(1 + m.Payload%3)
+			}
+		}},
+		{"sendfrom-invalid-destination", 4, func(p logp.Proc) {
+			// Processor 2's fourth destination is out of range and
+			// processor 3's third is itself: each panics once the
+			// messages before it are sent, at the clock the SendBody loop
+			// would have reached, and the earlier panic is reported.
+			switch p.ID() {
+			case 0:
+				for range 4 {
+					p.Recv()
+				}
+			case 1:
+				p.Recv()
+			case 2:
+				p.SendFrom([]logp.Message{{Dst: 0}, {Dst: 0, Payload: 1}, {Dst: 0, Payload: 2}, {Dst: 9}, {Dst: 0}})
+			case 3:
+				p.Compute(1)
+				p.SendFrom([]logp.Message{{Dst: 1}, {Dst: 0, Payload: 1}, {Dst: 3}, {Dst: 1}})
+			}
+		}},
+		{"tryrecvinto-stops", 2, func(p logp.Proc) {
+			// Processor 1's TryRecvInto polls stop with dst full, with the
+			// clock past until after an acquisition, with the clock past
+			// until before any poll, and with nothing buffered. A
+			// TryRecvInto of nothing between batched Sends adds nothing.
+			if p.ID() == 0 {
+				for k := range 3 {
+					p.Send(1, 0, int64(k), 0)
+				}
+				p.WaitUntil(300)
+				p.Send(1, 0, 3, 0)
+				p.Recv()
+				return
+			}
+			var buf [4]logp.Message
+			stop := func(n, want int, cond string) {
+				if n != want {
+					panic(fmt.Sprintf("TryRecvInto stopping on %s stored %d, want %d", cond, n, want))
+				}
+			}
+			p.WaitUntil(200) // the first three have arrived
+			p.Send(0, 1, 7, 0)
+			p.TryRecvInto(nil, 1000)
+			stop(p.TryRecvInto(buf[:2], 1000), 2, "a full dst")
+			p.WaitUntil(400) // the fourth has arrived
+			stop(p.TryRecvInto(buf[:], p.Now()), 1, "the clock passing until")
+			stop(p.TryRecvInto(buf[:], p.Now()-1), 0, "the clock past until")
+			stop(p.TryRecvInto(buf[:], 1000), 1, "nothing buffered")
+			p.Compute(buf[0].Payload)
 		}},
 		{"return-from-batch", 2, func(p logp.Proc) {
 			n := logp.DeferCap + 1

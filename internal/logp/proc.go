@@ -9,16 +9,16 @@ import "fmt"
 // by processor id without additional locking.
 //
 // On a Machine, a program's local code may run up to one batch ahead
-// of the engine: Send returns before the engine has committed it, and
-// Compute and WaitUntil behind such a Send return before they are
-// applied. The engine still commits every operation alone, at the
-// (clock, id) turn it would have had without the batch, so every
-// simulated quantity is unchanged; only host time moves. Before a
-// program's code touches state other than its own processor's (the
-// bsplogpvet procshare rule), it must call something that returns a
-// value: Now, Recv, a RecvInto of at least one message, TryRecv or
-// Buffered. Each of those waits until the engine has performed
-// everything the program issued before it.
+// of the engine: Send and SendFrom return before the engine has
+// committed them, and Compute and WaitUntil behind such a Send return
+// before they are applied. The engine still commits every operation
+// alone, at the (clock, id) turn it would have had without the batch,
+// so every simulated quantity is unchanged; only host time moves.
+// Before a program's code touches state other than its own processor's
+// (the bsplogpvet procshare rule), it must call something that returns
+// a value: Now, Recv, a RecvInto or TryRecvInto of at least one
+// message, TryRecv or Buffered. Each of those waits until the engine
+// has performed everything the program issued before it.
 //
 // Proc is an interface rather than a concrete type so that unmodified
 // LogP programs run on other substrates too: ProgramAsScript implements
@@ -49,6 +49,14 @@ type Proc interface {
 	// SendBody is Send with an opaque application payload attached;
 	// the cost model is identical (every message is O(1) words).
 	SendBody(dst int, tag int32, payload, aux int64, body interface{})
+	// SendFrom makes len(src) consecutive SendBody calls, taking Dst,
+	// Tag, Payload, Aux and Body from each element in turn (Src is
+	// ignored). An invalid destination at index k panics as that loop
+	// would, once elements 0..k-1 have been sent. The engine may read
+	// src until the next call that returns a value, so src must stay
+	// unmodified until then. A Machine adds the whole run to the
+	// program's batch as one entry.
+	SendFrom(src []Message)
 	// Recv blocks until an incoming message can be acquired, then
 	// acquires it (cost o). Consecutive acquisition instants are
 	// >= G apart.
@@ -61,6 +69,21 @@ type Proc interface {
 	// local clock and the acquisition gap permits; otherwise it
 	// charges one polling cycle and reports false.
 	TryRecv() (Message, bool)
+	// TryRecvInto polls while dst has room, a message is buffered and
+	// the clock has not passed until, storing each acquisition in turn,
+	// and returns how many it stored. It is exactly
+	//
+	//	n := 0
+	//	for n < len(dst) && Buffered() > 0 && Now() <= until {
+	//		if m, ok := TryRecv(); ok {
+	//			dst[n] = m
+	//			n++
+	//		}
+	//	}
+	//	return n
+	//
+	// A Machine answers the whole loop with one crossing into its engine.
+	TryRecvInto(dst []Message, until int64) int
 	// Buffered reports how many delivered messages are waiting in
 	// the input buffer at the local clock.
 	Buffered() int
@@ -75,13 +98,34 @@ type Program func(p Proc)
 type token = struct{}
 
 // deferCap is the capacity of a Program's batch: the operations it may
-// issue before crossing into the engine. Only Send, and Compute and
-// WaitUntil behind a Send, need no answer, so they are what fills it;
-// a call that needs one ends the batch. Each slot costs every
-// processor of a Run machine 64 bytes; 8 is the largest size whose
-// table keeps the Theorem 2 routers' retained memory within 3%
+// issue before crossing into the engine. Only Send, a SendFrom's run,
+// and Compute and WaitUntil behind either need no answer, so they are
+// what fills it; a call that needs one ends the batch. Each slot costs
+// every processor of a Run machine 64 bytes; 8 is the largest size
+// whose table keeps the Theorem 2 routers' retained memory within 3%
 // (EXPERIMENTS.md § Benchmarking has the measurements).
 const deferCap = 8
+
+// scriptSendRun is a SendFrom's entry in a Program's batch: resume
+// parks the run's Sends, which wait in Machine.openRuns, one at a time
+// in the entry's place. It never leaves the batch, so no Script or
+// engine switch meets it.
+const scriptSendRun = ScriptBuffered + 1
+
+// procRun is one processor's open runs, kept in Machine.openRuns while
+// the engine performs them one operation at a time (see
+// Machine.resume). send is a SendFrom's messages and sent how many of
+// them resume has parked: 0 while the run waits in the batch, so the
+// program side knows a run is open by send alone. recv is a RecvInto's
+// or TryRecvInto's destination and n how many acquisitions it holds;
+// until is TryRecvInto's last polling clock.
+type procRun struct {
+	send  []Message
+	sent  int
+	recv  []Message
+	n     int
+	until int64
+}
 
 type procState uint8
 
@@ -278,6 +322,37 @@ func (p *proc) SendBody(dst int, tag int32, payload, aux int64, body interface{}
 	p.post(ScriptOp{Kind: ScriptSend, Dst: dst, Tag: tag, Payload: payload, Aux: aux, Body: body})
 }
 
+// SendFrom submits the messages of src in order. The batch gains one
+// entry for the whole run, whose messages wait in the Machine's
+// openRuns table: Machine.resume parks them one Send at a time, each
+// performed alone at its own (clock, id) turn, as the loop of SendBody
+// would have issued them, since the loop issues nothing between them.
+// Only the entry joins the batch, so the run costs no crossing of its
+// own, and a program may issue more behind it. The table holds one run
+// per processor: a second SendFrom before the first is performed
+// crosses first. An invalid destination ends the run before it, and
+// that element's SendBody then panics as the loop's would.
+//
+//hot:path program-side operation
+func (p *proc) SendFrom(src []Message) {
+	n := 0
+	for n < len(src) && src[n].Dst >= 0 && src[n].Dst < p.m.params.P && src[n].Dst != p.id {
+		n++
+	}
+	if n > 0 {
+		run := &p.m.openRuns[p.id]
+		if run.send != nil {
+			p.cross()
+		}
+		run.send = src[:n]
+		p.post(ScriptOp{Kind: scriptSendRun})
+	}
+	if n < len(src) {
+		m := &src[n]
+		p.SendBody(m.Dst, m.Tag, m.Payload, m.Aux, m.Body)
+	}
+}
+
 // Recv blocks until a buffered message can be acquired.
 //
 //hot:path program-side operation
@@ -288,7 +363,7 @@ func (p *proc) Recv() Message {
 
 // RecvInto acquires len(dst) messages into dst. The batch gains one
 // Recv and crosses once: Machine.resume stores each acquisition in dst,
-// which waits in the Machine's recvInto table meanwhile, and parks the
+// which waits in the Machine's openRuns table meanwhile, and parks the
 // Recv again until dst is full. Each Recv is still performed alone at
 // its own (clock, id) turn, as the loop of Recv would have issued it,
 // since the loop issues nothing between them.
@@ -298,8 +373,25 @@ func (p *proc) RecvInto(dst []Message) {
 	if len(dst) == 0 {
 		return
 	}
-	p.m.recvInto[p.id] = dst
+	p.m.openRuns[p.id].recv = dst
 	p.call(ScriptOp{Kind: ScriptRecv})
+}
+
+// TryRecvInto is its polling loop in one crossing: the batch gains the
+// loop's first Buffered, and Machine.resume, answering each Buffered
+// and TryRecv of the loop in turn, parks the loop's next operation
+// itself until the loop would stop, storing each acquisition in dst.
+// The count comes back in the answer slot.
+//
+//hot:path program-side operation
+func (p *proc) TryRecvInto(dst []Message, until int64) int {
+	if len(dst) == 0 {
+		return 0
+	}
+	run := &p.m.openRuns[p.id]
+	run.recv, run.until = dst, until
+	p.call(ScriptOp{Kind: ScriptBuffered})
+	return int(p.m.ansN)
 }
 
 // TryRecv polls the input buffer for one cycle.

@@ -513,6 +513,13 @@ func (p *proc) SendBody(dst int, tag int32, payload, aux int64, body interface{}
 	}})
 }
 
+// SendFrom is its definition: one SendBody per element, in order.
+func (p *proc) SendFrom(src []logp.Message) {
+	for _, m := range src {
+		p.SendBody(m.Dst, m.Tag, m.Payload, m.Aux, m.Body)
+	}
+}
+
 func (p *proc) Recv() logp.Message { return p.call(op{kind: opRecv}).msg }
 
 // RecvInto is its definition: len(dst) Recvs, in order.
@@ -525,6 +532,19 @@ func (p *proc) RecvInto(dst []logp.Message) {
 func (p *proc) TryRecv() (logp.Message, bool) {
 	r := p.call(op{kind: opTryRecv})
 	return r.msg, r.ok
+}
+
+// TryRecvInto is its definition: poll while dst has room, a message is
+// buffered and the clock has not passed until.
+func (p *proc) TryRecvInto(dst []logp.Message, until int64) int {
+	n := 0
+	for n < len(dst) && p.Buffered() > 0 && p.Now() <= until {
+		if m, ok := p.TryRecv(); ok {
+			dst[n] = m
+			n++
+		}
+	}
+	return n
 }
 
 func (p *proc) Buffered() int { return p.call(op{kind: opBuffered}).n }

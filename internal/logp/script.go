@@ -133,10 +133,11 @@ func ScriptAsProgram(s Script) Program {
 // Next resumes processor id's program as an iter.Pull coroutine until
 // its next Proc call and returns that call as a ScriptOp:
 //
-//   - every call except Compute(0), which has no effect, and
-//     RecvInto, which is a loop of Recv, is one Next, passed through
-//     unvalidated (an invalid Send or a negative Compute is the
-//     engine's to reject, in its own words);
+//   - every call except Compute(0), which has no effect, and the
+//     runs SendFrom, RecvInto and TryRecvInto, which are loops of
+//     SendBody, of Recv, and of Buffered and TryRecv, is one Next,
+//     passed through unvalidated (an invalid Send or a negative
+//     Compute is the engine's to reject, in its own words);
 //   - the program returning is ScriptHalt;
 //   - a program panic propagates out of Next, where the engine
 //     reports it as the processor's panic.
@@ -241,6 +242,14 @@ func (b *bridgeProc) SendBody(dst int, tag int32, payload, aux int64, body inter
 	b.call(ScriptOp{Kind: ScriptSend, Dst: dst, Tag: tag, Payload: payload, Aux: aux, Body: body})
 }
 
+// SendFrom is a plain loop of SendBody: each Send is one Next.
+func (b *bridgeProc) SendFrom(src []Message) {
+	for i := range src {
+		m := &src[i]
+		b.SendBody(m.Dst, m.Tag, m.Payload, m.Aux, m.Body)
+	}
+}
+
 func (b *bridgeProc) Recv() Message {
 	b.call(ScriptOp{Kind: ScriptRecv})
 	return b.res.Msg
@@ -256,6 +265,19 @@ func (b *bridgeProc) RecvInto(dst []Message) {
 func (b *bridgeProc) TryRecv() (Message, bool) {
 	b.call(ScriptOp{Kind: ScriptTryRecv})
 	return b.res.Msg, b.res.OK
+}
+
+// TryRecvInto is its defining loop of Buffered, Now and TryRecv: each
+// Buffered and TryRecv is one Next.
+func (b *bridgeProc) TryRecvInto(dst []Message, until int64) int {
+	n := 0
+	for n < len(dst) && b.Buffered() > 0 && b.Now() <= until {
+		if m, ok := b.TryRecv(); ok {
+			dst[n] = m
+			n++
+		}
+	}
+	return n
 }
 
 func (b *bridgeProc) Buffered() int {

@@ -1,6 +1,7 @@
 package logp
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -142,5 +143,114 @@ func TestPanicEachProcEachState(t *testing.T) {
 			t.Fatalf("panicker %d: want panic error, got %v", panicker, err)
 		}
 		checkUnwound(t, live, fmt.Sprintf("after panicker %d's Run", panicker))
+	}
+}
+
+// errSinkStop is what stopSink panics with to interrupt a Run.
+var errSinkStop = errors.New("sink stopped the run")
+
+// runUntilPanic runs prog on m and returns what the Run panicked with.
+func runUntilPanic(m *Machine, prog Program) (r any) {
+	defer func() { r = recover() }()
+	m.Run(prog)
+	return nil
+}
+
+// TestFailedRunLeavesNoOpenRun fails Runs while a processor has each
+// kind of run open: a deadlock inside a RecvInto, and an event sink
+// that panics out of Run while a SendFrom is part-way through its
+// Sends, with a RecvInto waiting behind it, and while a TryRecvInto
+// is part-way through its polls. Shutdown must leave no run, batch
+// slot or program behind, and the machine's next Run must equal a
+// fresh machine's run of the same program.
+func TestFailedRunLeavesNoOpenRun(t *testing.T) {
+	params := Params{P: 3, L: 8, O: 1, G: 2}
+	var stopAt func(Event) bool // armed while non-nil
+	m := NewMachine(params, WithEventLog(func(ev Event) {
+		if stopAt != nil && stopAt(ev) {
+			panic(errSinkStop)
+		}
+	}))
+	clean := func(p Proc) {
+		next := (p.ID() + 1) % p.P()
+		p.SendFrom([]Message{{Dst: next, Payload: 1}, {Dst: next, Payload: 2}, {Dst: next, Payload: 3}})
+		var got [3]Message
+		n := p.TryRecvInto(got[:], 12)
+		p.RecvInto(got[n:])
+		p.Compute(got[0].Payload + got[2].Payload)
+	}
+	want, err := NewMachine(params).Run(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submits, acquires := 0, 0
+	for _, tc := range []struct {
+		name   string
+		stopAt func(Event) bool
+		prog   Program
+	}{
+		{"deadlock-in-recvinto", nil, func(p Proc) {
+			if p.ID() != 2 {
+				p.Send(2, 0, int64(p.ID()), 0)
+				return
+			}
+			p.RecvInto(make([]Message, 3)) // only two arrive
+		}},
+		{"mid-sendfrom", func(ev Event) bool {
+			if ev.Kind == EvSubmit && ev.Msg.Src == 0 {
+				submits++
+			}
+			return submits == 3
+		}, func(p Proc) {
+			if p.ID() == 0 {
+				p.SendFrom([]Message{{Dst: 1}, {Dst: 2}, {Dst: 1}, {Dst: 2}, {Dst: 1}})
+				p.RecvInto(make([]Message, 2)) // its Recv waits in the batch
+				return
+			}
+			p.Recv()
+		}},
+		{"mid-tryrecvinto", func(ev Event) bool {
+			if ev.Kind == EvAcquire && ev.Msg.Dst == 2 {
+				acquires++
+			}
+			return acquires == 2
+		}, func(p Proc) {
+			if p.ID() != 2 {
+				p.SendFrom([]Message{{Dst: 2}, {Dst: 2}})
+				return
+			}
+			p.WaitUntil(40) // all four have arrived
+			p.TryRecvInto(make([]Message, 4), 100)
+		}},
+	} {
+		submits, acquires = 0, 0
+		live := make([]int, params.P)
+		stopAt = tc.stopAt
+		r := runUntilPanic(m, tracked(live, tc.prog))
+		stopAt = nil
+		if tc.stopAt != nil && r != errSinkStop {
+			t.Fatalf("%s: Run panicked with %v, want the sink's stop", tc.name, r)
+		}
+		if tc.stopAt == nil && r != nil {
+			t.Fatalf("%s: Run panicked with %v", tc.name, r)
+		}
+		checkUnwound(t, live, "after "+tc.name)
+		for id, run := range m.openRuns {
+			if run.send != nil || run.sent != 0 || run.recv != nil || run.n != 0 {
+				t.Fatalf("%s: processor %d's run outlived the Run: %+v", tc.name, id, run)
+			}
+		}
+		for i, op := range m.deferred {
+			if op != (ScriptOp{}) {
+				t.Fatalf("%s: batch slot %d outlived the Run: %+v", tc.name, i, op)
+			}
+		}
+		got, err := m.Run(clean)
+		if err != nil {
+			t.Fatalf("%s: next Run: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: next Run\n%+v\nwant a fresh machine's\n%+v", tc.name, got, want)
+		}
 	}
 }

@@ -74,6 +74,7 @@ func DecomposeIndexed(r Relation) (classOf []int, h int) {
 		panic("relation: no free colour at a node of an h-regular graph (bug)")
 	}
 
+	var path []int // the alternating path, its backing reused per edge
 	for eid := range edges {
 		e := edges[eid]
 		a := minFree(left, e.src)
@@ -84,7 +85,7 @@ func DecomposeIndexed(r Relation) (classOf []int, h int) {
 			// it. The path cannot reach e.src carrying colour a
 			// (standard König argument), so afterwards colour a is
 			// free at both endpoints of e.
-			var path []int
+			path = path[:0]
 			node, c, onRight := e.dst, a, true
 			for {
 				var cur int
