@@ -12,10 +12,12 @@ test:
 
 # Static analysis: go vet plus the project's own go/analysis suite
 # (determinism, procshare, apidiscipline, costcharge, and the
-# allocation-discipline pair allocdiscipline + hotloop, which correlate
-# the compiler's own escape verdicts from `go build -gcflags=-m` with
-# the //hot:path-annotated hot set — see DESIGN.md), and a gofmt check.
-# bsplogpvet exits 1 on any finding.
+# allocation-discipline pair: allocdiscipline correlates the compiler's
+# escape verdicts from `go build -gcflags=-m` with the
+# //hot:path-annotated hot set, hotloop checks that set's loops for
+# appends and string building; DESIGN.md § Static analysis tables what
+# each rule protects), and a gofmt check. bsplogpvet exits 1 on any
+# finding.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/bsplogpvet ./...

@@ -5,10 +5,10 @@
 //
 // The suite mechanically enforces the simulators' determinism and
 // model-discipline invariants (see internal/analysis). Output is one
-// finding per line, vet-style, or a JSON array with -json; the exit
-// status is 0 when the tree is clean, 1 when there are findings, and 2
-// when the packages cannot be loaded — so CI can hard-fail on findings
-// while a broken build stays distinguishable in the logs.
+// finding per line, vet-style; the exit status is 0 when the tree is
+// clean, 1 when there are findings, and 2 when the packages cannot be
+// loaded — so CI can hard-fail on findings while a broken build stays
+// distinguishable in the logs.
 //
 // Intentional exceptions are annotated in the source as
 //
@@ -19,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -36,10 +35,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bsplogpvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: bsplogpvet [-json] [-list] packages...\n\n")
+		fmt.Fprintf(stderr, "usage: bsplogpvet [-list] packages...\n\n")
 		fmt.Fprintf(stderr, "Static analysis of the BSP/LogP simulators' determinism and\nmodel-discipline invariants. Exit status: 0 clean, 1 findings, 2 load error.\n\nFlags:\n")
 		fs.PrintDefaults()
 	}
@@ -73,20 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	diags := kit.RunAnalyzers(pkgs, analyzers)
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []kit.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(stderr, "bsplogpvet: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		return 1

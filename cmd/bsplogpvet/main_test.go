@@ -2,12 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"repro/internal/analysis/kit"
 )
 
 // chdir moves the test into dir and back at cleanup.
@@ -38,23 +36,6 @@ func TestSmokeWholeRepo(t *testing.T) {
 	}
 }
 
-// TestJSONCleanTree checks the -json contract CI greps: a clean run
-// emits an empty JSON array and still exits 0.
-func TestJSONCleanTree(t *testing.T) {
-	chdir(t, filepath.Join("..", ".."))
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-json", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, want 0\n%s", code, stderr.String())
-	}
-	var diags []kit.Diagnostic
-	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, stdout.String())
-	}
-	if len(diags) != 0 {
-		t.Errorf("clean tree reported %d findings", len(diags))
-	}
-}
-
 // TestList checks -list names every analyzer of the suite.
 func TestList(t *testing.T) {
 	var stdout, stderr bytes.Buffer
@@ -70,8 +51,8 @@ func TestList(t *testing.T) {
 
 // TestFindingsExitOne builds a throwaway module whose package path
 // lands in the determinism scope, plants a wall-clock read, and checks
-// the full contract end to end: exit 1 with the finding in JSON, then
-// exit 0 once the line carries an annotated //lint:ignore exception.
+// the full contract end to end: exit 1 with one vet-style finding line,
+// then exit 0 once the line carries an annotated //lint:ignore exception.
 func TestFindingsExitOne(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) {
@@ -99,15 +80,12 @@ func main() {
 	chdir(t, dir)
 
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-json", "./..."}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"./..."}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	var diags []kit.Diagnostic
-	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
-		t.Fatalf("-json output: %v\n%s", err, stdout.String())
-	}
-	if len(diags) != 1 || diags[0].Analyzer != "determinism" {
-		t.Fatalf("findings = %+v, want one determinism finding", diags)
+	want := filepath.Join("examples", "clockly", "main.go") + ":9:"
+	if out := stdout.String(); strings.Count(out, "\n") != 1 || !strings.Contains(out, want) || !strings.Contains(out, "[determinism]") {
+		t.Fatalf("findings:\n%s\nwant one [determinism] line on %s", out, want)
 	}
 
 	// An annotated exception must silence exactly this finding — and

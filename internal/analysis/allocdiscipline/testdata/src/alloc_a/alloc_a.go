@@ -1,6 +1,7 @@
 // Package alloc_a is the failing fixture for the allocdiscipline
 // analyzer: escapes-to-heap verdicts inside the hot set, hotness
-// propagating to a reached helper, defer-in-loop, map range, interface
+// propagating to a reached helper (called, or only referenced),
+// none through interface dispatch, defer-in-loop, map range, interface
 // boxing, and the //hot: grammar findings.
 package alloc_a
 
@@ -60,3 +61,36 @@ func mystery() {}
 
 //hot:path a mark that cannot attach to anything // want `//hot: directive must be in a function declaration's doc comment`
 var floating int
+
+// register only takes callback's value: hotness propagates through a
+// function reference as through a call.
+//
+//hot:path per-event callback registration
+func register() {
+	sinkFn = callback
+}
+
+func callback() int {
+	p := new(int) // want `hot path allocates in callback \(hot via //hot:path register\)`
+	sinkPtr = p
+	return *p
+}
+
+// doer's implementation allocates, but dispatch reaches it only
+// through the interface, so hotness does not propagate to it.
+type doer interface{ do() }
+
+type impl struct{}
+
+func (impl) do() { sinkPtr = new(int) }
+
+var _ doer = impl{}
+
+//hot:path per-event dynamic dispatch
+func dispatch(d doer) { d.do() }
+
+// conflicted carries both marks; the second is reported.
+//
+//hot:path per-event step
+//hot:cold per-Run setup // want `conflicting //hot: directives on one function`
+func conflicted() {}

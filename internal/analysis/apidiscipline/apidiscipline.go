@@ -6,10 +6,6 @@
 //     message actually arrived; calling them as a bare statement
 //     silently conflates "drained one message" with "inbox was empty",
 //     which corrupts h-relation accounting downstream;
-//   - engine-internal identifiers reached from outside the engine
-//     family: an exported hook (Machine.SetSeed, for cross-simulator
-//     reuse) exists for the engines and their tests, and leaks
-//     nondeterminism when called from experiment code;
 //   - audit hooks attached after a machine run has already happened in
 //     the same function: logp.EnableAudit feeds on events emitted
 //     during Run, so enabling it afterwards yields a summary that
@@ -28,25 +24,9 @@ import (
 // Analyzer is the apidiscipline check.
 var Analyzer = &kit.Analyzer{
 	Name: "apidiscipline",
-	Doc: "forbid dropped Recv/Try* ok results, out-of-engine use of " +
-		"engine-internal identifiers, and audit hooks attached after Run",
+	Doc: "forbid dropped Recv/Try* ok results and audit hooks attached " +
+		"after Run",
 	Run: run,
-}
-
-// enginePrefixes is the package family allowed to touch engine-internal
-// identifiers.
-var enginePrefixes = []string{
-	"repro/internal/logp", "repro/internal/bsp",
-	"repro/internal/core",
-}
-
-// engineInternal maps qualified names of engine-internal identifiers to
-// the reason using them outside the engine family is a bug. The same
-// symbols carry a "bsplogpvet: engine-internal" note in their doc
-// comments; export data strips comments, so the table is the source of
-// truth the analyzer checks.
-var engineInternal = map[string]string{
-	"(repro/internal/logp.Machine).SetSeed": "reseeding mid-experiment silently forks the trace from the configured seed; pass logp.WithSeed at construction instead",
 }
 
 func run(pass *kit.Pass) {
@@ -55,8 +35,6 @@ func run(pass *kit.Pass) {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
 				checkDroppedResult(pass, n)
-			case *ast.SelectorExpr:
-				checkInternalReach(pass, n.Sel)
 			case *ast.FuncDecl:
 				if n.Body != nil {
 					checkLateAudit(pass, n.Body)
@@ -94,47 +72,6 @@ func checkDroppedResult(pass *kit.Pass, stmt *ast.ExprStmt) {
 	}
 	pass.Reportf(stmt.Pos(),
 		"result of %s dropped: its trailing %s result says whether a message actually arrived; assign it and handle the empty case (or discard explicitly with _, _ =)", name, last)
-}
-
-// checkInternalReach flags uses of engine-internal identifiers from
-// outside the engine package family.
-func checkInternalReach(pass *kit.Pass, sel *ast.Ident) {
-	obj := pass.ObjectOf(sel)
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return
-	}
-	reason, ok := engineInternal[qualifiedName(fn)]
-	if !ok {
-		return
-	}
-	path := pass.TypesPkg().Path()
-	for _, pre := range enginePrefixes {
-		if path == pre || strings.HasPrefix(path, pre+"/") {
-			return
-		}
-	}
-	pass.Reportf(sel.Pos(), "%s is engine-internal: %s", fn.Name(), reason)
-}
-
-// qualifiedName renders fn as "pkgpath.Func" or "(pkgpath.Recv).Method".
-func qualifiedName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || fn.Pkg() == nil {
-		return ""
-	}
-	if recv := sig.Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok {
-			return ""
-		}
-		return "(" + fn.Pkg().Path() + "." + named.Obj().Name() + ")." + fn.Name()
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
 }
 
 // checkLateAudit flags logp.EnableAudit calls that appear after a

@@ -1,6 +1,5 @@
 // Package api_a is the failing fixture for the apidiscipline analyzer:
-// dropped ok results, engine-internal identifiers reached from
-// experiment-level code, and an audit hook attached after a run.
+// dropped ok results and an audit hook attached after a run.
 package api_a
 
 import (
@@ -19,10 +18,6 @@ func droppedResults(p bsp.Proc, mb mailbox) {
 	if _, ok := p.Recv(); ok {
 		return // assigning the ok result is the conforming form
 	}
-}
-
-func internalReach(m *logp.Machine) {
-	m.SetSeed(42) // want `SetSeed is engine-internal`
 }
 
 func lateAudit(m *logp.Machine, prog logp.Program) {

@@ -25,11 +25,6 @@ func handledResults(p bsp.Proc, mb mailbox) int64 {
 	return sum
 }
 
-// seedAtConstruction configures the seed the supported way.
-func seedAtConstruction(seed uint64) *logp.Machine {
-	return logp.NewMachine(logp.Params{P: 2, L: 8, O: 1, G: 2}, logp.WithSeed(seed))
-}
-
 // auditBeforeRun enables the process-wide hook before anything runs.
 func auditBeforeRun(m *logp.Machine, prog logp.Program) {
 	logp.EnableAudit(logp.AuditConfig{})

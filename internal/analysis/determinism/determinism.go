@@ -4,7 +4,7 @@
 // The repository's claim is that a run is bit-reproducible from its
 // seed: measured times are compared against the paper's predicted
 // BSP/LogP costs, goldens are diffed byte-for-byte, and the trace
-// Auditor replays emission order. Four constructs silently break that:
+// Auditor replays emission order. Three constructs silently break that:
 //
 //   - time.Now / time.Since: wall-clock time leaking into simulation
 //     code (simulated instants must come from the engine clock);
@@ -13,16 +13,7 @@
 //     machine's seeded stats.RNG;
 //   - ranging over a map on a path that emits trace events, sends
 //     messages, or accumulates costs: map iteration order is
-//     unspecified, so the emitted order differs between runs;
-//   - select with several communication cases: when more than one case
-//     is ready the runtime chooses uniformly at random, which is why
-//     the engines use a deterministic ready-heap handshake instead;
-//   - a receive loop (range over a channel) whose body reaches an
-//     order-sensitive sink: with concurrent senders the receive order
-//     is scheduler-dependent, so a worker may only transform what it
-//     received and forward it on a channel — the parallel engine's
-//     worker-pool idiom — leaving all emission to the single commit
-//     loop that re-sequences completions deterministically.
+//     unspecified, so the emitted order differs between runs.
 package determinism
 
 import (
@@ -36,8 +27,8 @@ import (
 // Analyzer is the determinism check.
 var Analyzer = &kit.Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall-clock reads, global math/rand, map-order-dependent " +
-		"emission, racy selects, and receive-loop emission in simulation code",
+	Doc: "forbid wall-clock reads, global math/rand, and map-order-dependent " +
+		"emission in simulation code",
 	Scope: []string{
 		"repro/internal/logp", "repro/internal/bsp", "repro/internal/core",
 		"repro/internal/netsim", "repro/internal/netrun",
@@ -77,18 +68,6 @@ func run(pass *kit.Pass) {
 				}
 			case *ast.RangeStmt:
 				checkMapRange(pass, n)
-				checkChanRange(pass, n)
-			case *ast.SelectStmt:
-				comms := 0
-				for _, clause := range n.Body.List {
-					if c, ok := clause.(*ast.CommClause); ok && c.Comm != nil {
-						comms++
-					}
-				}
-				if comms >= 2 {
-					pass.Reportf(n.Pos(),
-						"select with %d communication cases resolves nondeterministically when several are ready: simulation ordering must use a deterministic handshake (see the engine's ready-heap)", comms)
-				}
 			}
 			return true
 		})
@@ -158,47 +137,6 @@ func checkMapRange(pass *kit.Pass, rng *ast.RangeStmt) {
 	if sink != "" {
 		pass.Reportf(rng.Pos(),
 			"map iteration order is unspecified but this loop feeds %s: collect and sort the keys first so emission and cost accounting stay deterministic", sink)
-	}
-}
-
-// checkChanRange reports a receive loop (range over a channel) whose
-// body reaches an order-sensitive sink. With more than one sender the
-// receive order is a scheduling accident, so anything the body emits,
-// records, or accumulates inherits that accident. The worker-pool
-// idiom stays legal: transforming the received item and forwarding it
-// on a channel (a send statement) defers all ordering decisions to the
-// single loop draining the far end, which can re-sequence
-// deterministically.
-func checkChanRange(pass *kit.Pass, rng *ast.RangeStmt) {
-	t := pass.TypeOf(rng.X)
-	if t == nil {
-		return
-	}
-	if _, ok := t.Underlying().(*types.Chan); !ok {
-		return
-	}
-	var sink string
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		if sink != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if name := calleeName(n); sinkNames[name] && name != "append" {
-				sink = name + "()"
-			}
-		case *ast.AssignStmt:
-			if n.Tok != token.ASSIGN && n.Tok != token.DEFINE && len(n.Lhs) == 1 {
-				if bt, ok := pass.TypeOf(n.Lhs[0]).(*types.Basic); ok && bt.Info()&types.IsFloat != 0 {
-					sink = "float accumulation"
-				}
-			}
-		}
-		return true
-	})
-	if sink != "" {
-		pass.Reportf(rng.Pos(),
-			"channel receive order is scheduler-dependent but this loop feeds %s: workers may only transform and forward on a channel, leaving emission to the commit loop that re-sequences completions", sink)
 	}
 }
 

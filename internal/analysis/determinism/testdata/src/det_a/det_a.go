@@ -40,26 +40,3 @@ func mapOrderFloatAccum(m map[int]float64) float64 {
 	}
 	return s
 }
-
-func racySelect(a, b chan int) int {
-	select { // want `select with 2 communication cases resolves nondeterministically`
-	case x := <-a:
-		return x
-	case x := <-b:
-		return x
-	}
-}
-
-func chanOrderEmission(t *tracer, work chan int) {
-	for v := range work { // want `channel receive order is scheduler-dependent but this loop feeds Emit\(\)`
-		t.Emit(fmt.Sprintf("%d", v))
-	}
-}
-
-func chanOrderFloatAccum(results chan float64) float64 {
-	var s float64
-	for v := range results { // want `channel receive order is scheduler-dependent but this loop feeds float accumulation`
-		s += v
-	}
-	return s
-}

@@ -42,31 +42,9 @@ func intAccumulation(m map[int]int64) int64 {
 	return s
 }
 
-// singleComm selects over one channel plus default — deterministic.
-func singleComm(a chan int) int {
-	select {
-	case x := <-a:
-		return x
-	default:
-		return 0
-	}
-}
-
 // annotatedException shows the suppression form the driver honors: the
 // directive names the analyzer and gives a reason.
 func annotatedException() time.Time {
 	//lint:ignore determinism fixture demonstrates an annotated wall-clock exception
 	return time.Now()
 }
-
-// workerForward is the parallel engine's worker-pool idiom: the
-// receive loop only transforms the item it received and forwards it on
-// a channel, so the commit loop draining done decides all ordering.
-func workerForward(work <-chan *task, done chan<- *task) {
-	for t := range work {
-		t.result = t.input * 2
-		done <- t
-	}
-}
-
-type task struct{ input, result int }

@@ -8,11 +8,7 @@
 //     deserves an explicit //lint:ignore reason;
 //   - fmt calls and string concatenation inside a hot loop: each
 //     formats or concatenates per event (panic messages are exempt —
-//     a panic ends the simulation);
-//   - channel operations (send, receive, select) inside a hot loop:
-//     each is a goroutine rendezvous through the Go scheduler on the
-//     per-event path, dearer than the coroutine switch the engines
-//     use, so each one is load-bearing and must carry its reason.
+//     a panic ends the simulation).
 //
 // The analyzer is purely syntactic over the hot set (package hotset):
 // where allocdiscipline trusts `-gcflags=-m`, hotloop encodes the
@@ -31,8 +27,8 @@ import (
 // Analyzer is the hotloop check.
 var Analyzer = &kit.Analyzer{
 	Name: "hotloop",
-	Doc: "forbid append-without-presize, fmt/string concatenation, and " +
-		"channel operations inside loops of the //hot:path hot set",
+	Doc: "forbid append-without-presize and fmt/string concatenation " +
+		"inside loops of the //hot:path hot set",
 	Scope: []string{
 		"repro/internal/logp", "repro/internal/core",
 		"repro/internal/runq", "repro/internal/netsim",
@@ -78,18 +74,6 @@ func checkLoops(pass *kit.Pass, set *hotset.Set, hf hotset.HotFunc) {
 					pass.Reportf(n.Pos(),
 						"string concatenation in a loop of hot function %s: allocates per iteration", hf.Name)
 				}
-			case *ast.SendStmt:
-				pass.Reportf(n.Pos(),
-					"channel send in a loop of hot function %s: a per-event rendezvous on the commit path", hf.Name)
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW {
-					pass.Reportf(n.Pos(),
-						"channel receive in a loop of hot function %s: a per-event rendezvous on the commit path", hf.Name)
-				}
-			case *ast.SelectStmt:
-				pass.Reportf(n.Pos(),
-					"select in a loop of hot function %s: per-event channel polling on the commit path", hf.Name)
-				return false // its cases' sends/receives are part of this finding
 			}
 			return true
 		})

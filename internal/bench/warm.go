@@ -109,7 +109,6 @@ func (w *Warm) Machine(lp logp.Params, policy logp.DeliveryPolicy, accept logp.A
 		// The benchmark harness reseeds between jobs exactly as the
 		// engine-family caches do, never mid-run, so the trace always
 		// follows the configured seed.
-		//lint:ignore apidiscipline reseeding a pooled machine between runs is the use SetSeed exists for
 		m.SetSeed(seed)
 		return m
 	}

