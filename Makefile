@@ -32,9 +32,9 @@ race:
 # Script form must each produce the reference's Results, traces, and
 # audit metrics, and the collective Mailbox's RecvAllWhere the Results,
 # traces and messages of the RecvWhere loop it stands for. The
-# engines' scheduling structures — the shared ring-plus-heap run queue
-# and the logp timing wheel — are fuzzed against plain binary heaps,
-# the Theorem 2 router's merge-split
+# engines' scheduling structures — the shared run queue of ring, side
+# runs and heap, and the logp timing wheel — are fuzzed against plain
+# binary heaps, the Theorem 2 router's merge-split
 # against a sort oracle, the netsim Router against an independent
 # reference router, and the Theorem 1 replay's per-cycle counts
 # against a naive recount. Two property fuzzers close the list:

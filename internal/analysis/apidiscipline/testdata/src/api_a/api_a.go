@@ -1,5 +1,5 @@
 // Package api_a is the failing fixture for the apidiscipline analyzer:
-// dropped ok results and an audit hook attached after a run.
+// dropped ok results.
 package api_a
 
 import (
@@ -18,11 +18,4 @@ func droppedResults(p bsp.Proc, mb mailbox) {
 	if _, ok := p.Recv(); ok {
 		return // assigning the ok result is the conforming form
 	}
-}
-
-func lateAudit(m *logp.Machine, prog logp.Program) {
-	if _, err := m.Run(prog); err != nil {
-		return
-	}
-	logp.EnableAudit(logp.AuditConfig{}) // want `EnableAudit attached after a machine Run`
 }

@@ -24,12 +24,3 @@ func handledResults(p bsp.Proc, mb mailbox) int64 {
 	_, _ = mb.TryRecv() // explicit discard is a visible decision
 	return sum
 }
-
-// auditBeforeRun enables the process-wide hook before anything runs.
-func auditBeforeRun(m *logp.Machine, prog logp.Program) {
-	logp.EnableAudit(logp.AuditConfig{})
-	if _, err := m.Run(prog); err != nil {
-		return
-	}
-	_ = logp.TakeAuditSummary()
-}

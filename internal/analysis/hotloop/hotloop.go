@@ -60,14 +60,18 @@ func checkLoops(pass *kit.Pass, set *hotset.Set, hf hotset.HotFunc) {
 		if body == nil {
 			return true
 		}
+		// A chain a + b + c parses as (a + b) + c: the inner + is part
+		// of the concatenation already reported, not another one.
+		inChain := map[*ast.BinaryExpr]bool{}
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				checkCall(pass, set, hf, n)
 			case *ast.BinaryExpr:
-				if n.Op == token.ADD && isString(pass.TypeOf(n.X)) && !set.InPanicArg(n.Pos()) {
+				if isConcat(pass, n) && !inChain[n] && !set.InPanicArg(n.Pos()) {
 					pass.Reportf(n.Pos(),
 						"string concatenation in a loop of hot function %s: allocates per iteration", hf.Name)
+					markChain(pass, n, inChain)
 				}
 			case *ast.AssignStmt:
 				if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isString(pass.TypeOf(n.Lhs[0])) {
@@ -96,6 +100,22 @@ func checkCall(pass *kit.Pass, set *hotset.Set, hf hotset.HotFunc, call *ast.Cal
 				pass.Reportf(call.Pos(),
 					"fmt.%s in a loop of hot function %s: formats (and allocates) per iteration", fun.Sel.Name, hf.Name)
 			}
+		}
+	}
+}
+
+// isConcat reports whether e is a string concatenation.
+func isConcat(pass *kit.Pass, e *ast.BinaryExpr) bool {
+	return e.Op == token.ADD && isString(pass.TypeOf(e.X))
+}
+
+// markChain records the concatenations among e's operands, through
+// parentheses, as parts of e.
+func markChain(pass *kit.Pass, e *ast.BinaryExpr, inChain map[*ast.BinaryExpr]bool) {
+	for _, x := range []ast.Expr{e.X, e.Y} {
+		if b, ok := ast.Unparen(x).(*ast.BinaryExpr); ok && isConcat(pass, b) {
+			inChain[b] = true
+			markChain(pass, b, inChain)
 		}
 	}
 }

@@ -17,6 +17,9 @@ func transform(batch []int) {
 		acc += "x"               // want `string concatenation in a loop of hot function transform`
 		label := "ev" + acc      // want `string concatenation in a loop of hot function transform`
 		_ = label
+		line := "ev " + acc + "\n"         // want `string concatenation in a loop of hot function transform`
+		key := "k" + (fmt.Sprint(i) + acc) // want `string concatenation in a loop of hot function transform` `fmt.Sprint in a loop of hot function transform`
+		_, _ = line, key
 		_ = fmt.Sprintf("ev %d", i) // want `fmt.Sprintf in a loop of hot function transform`
 	}
 	sinkStr = acc
